@@ -438,5 +438,96 @@ TEST(Pbft, ByzantineStateReplyWithHugeCountIsDropped) {
   EXPECT_EQ(g.decided[0][0].second, op_bytes("alive"));
 }
 
+// A state reply with no checkpoint, as one member would forge it: records
+// for seqs (from_seq, from_seq + count], each a one-op batch.
+Bytes forged_records_reply(std::uint64_t tag, std::uint64_t from_seq, std::uint64_t count,
+                           const std::string& op) {
+  ByteWriter w;
+  w.u64(tag);
+  w.u8(0);  // no checkpoint
+  w.u64(from_seq);
+  w.varint(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    w.varint(1);  // ops in the record
+    w.u64(2);     // origin: another member
+    w.u64(1000 + i);
+    Bytes b = op_bytes(op);
+    w.bytes(b.data(), b.size());
+  }
+  return w.take();
+}
+
+// One member forges the records a lagging replica is missing, addressed to
+// its exact position. No checkpoint vote vouches for the forged digest
+// chain, and copies from one sender never reach f+1 identical replies, so
+// the records must never be adopted; the laggard still converges on what
+// the correct servers send.
+TEST(Pbft, ForgedRecordsReplyFromOneMemberIsNeverAdopted) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  opt.watermark_window = 16;
+  opt.view_change_timeout = millis(500);
+  AsyncGroup g(4, opt);
+
+  g.net.isolate(3, true);
+  for (int i = 0; i < 12; ++i) g.at(0).propose(op_bytes("op" + std::to_string(i)));
+  g.run_for(seconds(10));
+  ASSERT_TRUE(g.decided[3].empty());
+  g.net.isolate(3, false);
+
+  // Four records reach the first checkpoint boundary, so the forged chain
+  // is checked against the boundary's votes as well as counted as a reply.
+  const Bytes forged = forged_records_reply(g.at(3).instance_tag(),
+                                            g.at(3).batches_executed(), 4, "forged");
+  for (int copy = 0; copy < 3; ++copy) {
+    g.net.send(net::Message{1, 3, net::MsgType::kPbftStateReply, net::Payload(forged)});
+  }
+  g.run_for(millis(100));
+  EXPECT_EQ(g.at(3).batches_executed(), 0u) << "a lone forged reply was adopted";
+
+  for (int i = 12; i < 24; ++i) g.at(0).propose(op_bytes("op" + std::to_string(i)));
+  g.run_for(seconds(30));
+  ASSERT_EQ(g.decided[0].size(), 24u);
+  ASSERT_GE(g.decided[3].size(), 12u) << "replica 3 should have fetched missed state";
+  for (std::size_t i = 0; i < g.decided[3].size(); ++i) {
+    EXPECT_EQ(g.decided[3][i], g.decided[0][i]) << "divergence at " << i;
+    EXPECT_NE(g.decided[3][i].second, op_bytes("forged"));
+  }
+}
+
+// One member offers a checkpoint at a future boundary that no CHECKPOINT
+// vote vouches for. Installing it would skip ops the group never decided,
+// so the install handler must never fire, however often the sender repeats.
+TEST(Pbft, UnvouchedCheckpointReplyFromOneMemberIsNeverInstalled) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  AsyncGroup g(4, opt);
+  int installs = 0;
+  g.at(0).set_install_handler(
+      [&](std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t) { ++installs; });
+
+  ByteWriter w;
+  w.u64(g.at(0).instance_tag());
+  w.u8(1);   // carries a checkpoint
+  w.u64(0);  // from_seq == the victim's position
+  w.u64(8);  // a future checkpoint boundary
+  for (int i = 0; i < 32; ++i) w.u8(0xAB);  // state digest nobody voted for
+  w.u64(5);                                  // executed-op count
+  w.bytes(Bytes{0});                         // request ledger: no origins
+  w.varint(0);                               // no records above the checkpoint
+  const Bytes reply = w.take();
+  for (int copy = 0; copy < 3; ++copy) {
+    g.net.send(net::Message{3, 0, net::MsgType::kPbftStateReply, net::Payload(reply)});
+  }
+  g.run_for(seconds(1));
+  EXPECT_EQ(installs, 0);
+  EXPECT_EQ(g.at(0).batches_executed(), 0u);
+
+  g.at(1).propose(op_bytes("alive"));
+  g.run_for(seconds(2));
+  ASSERT_EQ(g.decided[0].size(), 1u);
+  EXPECT_EQ(g.decided[0][0].second, op_bytes("alive"));
+}
+
 }  // namespace
 }  // namespace atum::smr
