@@ -21,6 +21,13 @@ crypto::Digest read_digest(ByteReader& r) {
   return d;
 }
 
+// Checkpoint votes (voter -> body digest) for digest d; no votes count 0.
+std::size_t count_matching(const std::map<NodeId, crypto::Digest>* votes, const crypto::Digest& d) {
+  if (votes == nullptr) return 0;
+  return static_cast<std::size_t>(
+      std::count_if(votes->begin(), votes->end(), [&](const auto& v) { return v.second == d; }));
+}
+
 }  // namespace
 
 PbftSmr::PbftSmr(net::Transport transport, GroupConfig config, crypto::KeyStore& keys,
@@ -161,6 +168,17 @@ void PbftSmr::broadcast(net::MsgType type, const Bytes& payload, bool include_se
   }
 }
 
+PbftSmr::Slot& PbftSmr::slot(std::uint64_t seq) {
+  assert(seq > base_);
+  if (seq > log_end()) slots_.resize(static_cast<std::size_t>(seq - base_));
+  return slots_[static_cast<std::size_t>(seq - base_ - 1)];
+}
+
+const PbftSmr::Slot* PbftSmr::find_slot(std::uint64_t seq) const {
+  if (seq <= base_ || seq > log_end()) return nullptr;
+  return &slots_[static_cast<std::size_t>(seq - base_ - 1)];
+}
+
 // ---------------------------------------------------------------------------
 // Request submission
 // ---------------------------------------------------------------------------
@@ -247,7 +265,7 @@ void PbftSmr::disarm_batch_timer() {
 }
 
 void PbftSmr::flush_batch() {
-  // maybe_send_prepare below can execute a committed entry inline, whose
+  // maybe_send_commit below can execute a committed entry inline, whose
   // decide callback may propose fresh ops; the guarded re-entrant call
   // returns and the outer loop drains what it enqueued.
   if (flushing_) return;
@@ -290,7 +308,7 @@ void PbftSmr::flush_batch() {
       return w.take();
     };
 
-    LogEntry& entry = log_[seq];
+    Agreement& entry = slot(seq).agreement;
     entry.view = view_;
     entry.digest = d;
     entry.batch = std::move(batch);
@@ -317,7 +335,8 @@ void PbftSmr::flush_batch() {
     if (ctr_pre_prepares_ != nullptr) ctr_pre_prepares_->inc();
     trace(obs::TracePoint::kPrePrepare, crypto::digest_prefix64(d), seq, entry.batch.size());
     broadcast(net::MsgType::kPbftPrePrepare, encode(entry.batch));
-    maybe_send_prepare(seq);
+    entry.prepares.insert(transport_.self());  // the pre-prepare acts as our prepare
+    maybe_send_commit(seq);
   }
   flushing_ = false;
   batch_buf_bytes_ = 0;
@@ -371,7 +390,7 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
     if (pit->second != req.op) return;  // forged content: ignore
   }
 
-  LogEntry& entry = log_[seq];
+  Agreement& entry = slot(seq).agreement;
   if (entry.pre_prepared) {
     if (entry.view == view && entry.digest != digest) return;  // equivocation: ignore
     if (entry.view == view) return;                            // duplicate
@@ -408,21 +427,14 @@ void PbftSmr::handle_prepare(const net::Message& msg) {
   }
   if (view != view_ || !in_window(seq)) return;
 
-  LogEntry& entry = log_[seq];
+  Agreement& entry = slot(seq).agreement;
   if (entry.pre_prepared && entry.digest != digest) return;
   entry.prepares.insert(msg.from);
   maybe_send_commit(seq);
 }
 
-void PbftSmr::maybe_send_prepare(std::uint64_t seq) {
-  // The primary's pre-prepare acts as its prepare.
-  LogEntry& entry = log_[seq];
-  entry.prepares.insert(transport_.self());
-  maybe_send_commit(seq);
-}
-
 void PbftSmr::maybe_send_commit(std::uint64_t seq) {
-  LogEntry& entry = log_[seq];
+  Agreement& entry = slot(seq).agreement;
   // Prepared: pre-prepare + 2f prepares (from distinct replicas, self incl).
   if (!entry.pre_prepared) return;
   if (entry.commits.contains(transport_.self())) return;
@@ -446,7 +458,7 @@ void PbftSmr::handle_commit(const net::Message& msg) {
   crypto::Digest digest = read_digest(r);
   if (!in_window(seq)) return;
 
-  LogEntry& entry = log_[seq];
+  Agreement& entry = slot(seq).agreement;
   if (entry.pre_prepared && entry.digest != digest) return;
   (void)view;  // commits from any view count once the digest matches
   entry.commits.insert(msg.from);
@@ -454,14 +466,13 @@ void PbftSmr::handle_commit(const net::Message& msg) {
 }
 
 void PbftSmr::try_execute() {
-  while (true) {
-    auto it = log_.find(next_exec_ + 1);
-    if (it == log_.end()) break;
-    LogEntry& entry = it->second;
-    bool committed = entry.pre_prepared && entry.prepares.size() >= 2 * max_faults() &&
-                     entry.commits.size() >= quorum();
-    if (!committed || entry.executed) break;
-    execute_entry(next_exec_ + 1, entry);
+  while (next_exec_ < log_end()) {
+    Slot& s = slot(next_exec_ + 1);
+    bool committed = s.agreement.pre_prepared &&
+                     s.agreement.prepares.size() >= 2 * max_faults() &&
+                     s.agreement.commits.size() >= quorum();
+    if (!committed) break;
+    execute_entry(next_exec_ + 1, s);
   }
   maybe_fetch_missing_head();
 }
@@ -473,8 +484,8 @@ void PbftSmr::maybe_fetch_missing_head() {
   // replica's attachment (state-synced joiner) or was lost to a partition.
   // Evidence required before fetching: quorum commits on some entry at or
   // beyond the head, proving the instance decided it without us.
-  auto head = log_.find(next_exec_ + 1);
-  if (head != log_.end() && head->second.pre_prepared) return;  // normal path
+  const Slot* head = find_slot(next_exec_ + 1);
+  if (head != nullptr && head->agreement.pre_prepared) return;  // normal path
   // Rate limit and round bound BEFORE the anchor scan: with a gap open,
   // try_execute runs on every prepare/commit and the O(window) scan below
   // must not ride the message hot path. Rounds are finite so a permanent
@@ -486,10 +497,9 @@ void PbftSmr::maybe_fetch_missing_head() {
   if (now - last_head_fetch_ < options_.view_change_timeout) return;
   if (head_fetch_rounds_ >= kMaxHeadFetchRounds) return;
   std::uint64_t anchor = 0;  // first quorum-committed seq at/beyond the head
-  for (auto it = head != log_.end() ? head : log_.upper_bound(next_exec_ + 1);
-       it != log_.end(); ++it) {
-    if (it->second.commits.size() >= quorum()) {
-      anchor = it->first;
+  for (std::uint64_t seq = next_exec_ + 1; seq <= log_end(); ++seq) {
+    if (find_slot(seq)->agreement.commits.size() >= quorum()) {
+      anchor = seq;
       break;
     }
   }
@@ -516,18 +526,17 @@ void PbftSmr::maybe_fetch_missing_head() {
   }
 }
 
-void PbftSmr::execute_entry(std::uint64_t seq, LogEntry& entry) {
-  entry.executed = true;
+void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
   next_exec_ = seq;
   head_fetch_rounds_ = 0;  // progress: future gaps get fresh fetch rounds
   // One exec record per seq, holding the whole batch in delivery order
   // (empty for a null batch). An op that already executed under an earlier
   // seq — an equivocating client re-submitting — is recorded as a null op
   // so replayed histories skip it identically.
-  ExecRecord rec;
-  rec.ops.reserve(entry.batch.size());
+  ExecRecord& rec = s.record;
+  rec.ops.reserve(s.agreement.batch.size());
   std::uint64_t fresh_ops = 0;
-  for (const Request& req : entry.batch) {
+  for (const Request& req : s.agreement.batch) {
     if (executed_requests_.insert(req.id.origin, req.id.seq)) {
       rec.ops.push_back(ExecOp{req.id.origin, req.id.seq, req.op});
       ++fresh_ops;
@@ -546,17 +555,16 @@ void PbftSmr::execute_entry(std::uint64_t seq, LogEntry& entry) {
   executed_ops_ += fresh_ops;
   if (ctr_batches_ != nullptr) ctr_batches_->inc();
   if (hist_batch_ops_ != nullptr) hist_batch_ops_->record(fresh_ops);
-  const ExecRecord fired = rec;  // local copy: nested execution below may
-                                 // push to / trim the deque under us
-  exec_history_.push_back(std::move(rec));
   if (seq % options_.checkpoint_interval == 0) {
     send_checkpoint(seq);
   }
+  // Nested executions below may grow the log, which moves no slot, and
+  // never truncate it while exec_depth_ > 0, so `rec` stays put.
   ++exec_depth_;
-  for (const ExecOp& op : fired.ops) {
+  for (const ExecOp& op : rec.ops) {
     if (op.origin == kNullOrigin) continue;
     // Zero-copy async decide: the op is already a refcounted slice of the
-    // pre-prepare frame, shared by the log, exec_history_ and its
+    // pre-prepare frame, shared by the slot's batch and record and its
     // batch-mates. The callback (and everything above it) works on the
     // same buffer; the seq argument is the per-op delivery ordinal.
     ++decided_ops_;
@@ -573,12 +581,8 @@ void PbftSmr::execute_entry(std::uint64_t seq, LogEntry& entry) {
   // lag, then restart (or disarm) the liveness timer.
   abandon_view_change();
   current_timeout_ = options_.view_change_timeout;
-  if (pending_.empty()) {
-    disarm_view_timer();
-  } else {
-    disarm_view_timer();
-    arm_view_timer();
-  }
+  disarm_view_timer();
+  arm_view_timer();  // no-op while nothing is pending
 }
 
 // ---------------------------------------------------------------------------
@@ -609,28 +613,42 @@ void PbftSmr::fold_record(const ExecRecord& rec) {
 // pins the executed prefix, the op count pins the decide ordinal space, and
 // the request-ledger encoding lets an installing replica restore its dedup
 // state without replaying the truncated prefix.
-Bytes PbftSmr::checkpoint_body(std::uint64_t seq, const crypto::Digest& state_digest,
-                               std::uint64_t ops, const Bytes& ledger_wire) {
+Bytes PbftSmr::checkpoint_body(const Checkpoint& c) {
   ByteWriter w;
-  w.u64(seq);
-  write_digest(w, state_digest);
-  w.u64(ops);
-  w.bytes(ledger_wire);
+  w.u64(c.seq);
+  write_digest(w, c.state_digest);
+  w.u64(c.ops);
+  w.bytes(c.ledger_wire);
   return w.take();
+}
+
+const PbftSmr::Votes* PbftSmr::votes_at(std::uint64_t seq) const {
+  const Votes* votes = nullptr;
+  if (in_window(seq)) {
+    if (const Slot* s = find_slot(seq)) votes = &s->votes;
+  } else if (auto it = checkpoints_.find(seq); it != checkpoints_.end()) {
+    votes = &it->second;  // checkpoints_ holds only seqs above the window
+  }
+  return votes != nullptr && !votes->empty() ? votes : nullptr;
+}
+
+// Precondition: seq > stable_seq_ (votes at or below it are moot).
+void PbftSmr::record_vote(std::uint64_t seq, NodeId voter, const crypto::Digest& body_digest) {
+  Votes& votes = in_window(seq) ? slot(seq).votes : checkpoints_[seq];
+  votes[voter] = body_digest;
 }
 
 void PbftSmr::send_checkpoint(std::uint64_t seq) {
   ByteWriter lw;
   executed_requests_.encode(lw);
-  Bytes ledger_wire = lw.take();
-  Bytes body = checkpoint_body(seq, state_digest_, executed_ops_, ledger_wire);
-  crypto::Digest d = crypto::sha256(body);
-  own_ckpt_[seq] = CheckpointData{state_digest_, executed_ops_, std::move(ledger_wire)};
+  Checkpoint capture{seq, state_digest_, executed_ops_, lw.take()};
+  Bytes body = checkpoint_body(capture);
   broadcast(net::MsgType::kPbftCheckpoint, body);
-  checkpoints_[seq][transport_.self()] = d;
+  record_vote(seq, transport_.self(), crypto::sha256(body));
+  slot(seq).capture = std::make_unique<Checkpoint>(std::move(capture));
   // Stabilization (our vote may complete a quorum) is NOT checked here:
   // send_checkpoint runs before the boundary record's decides fire, and
-  // truncating the history mid-delivery would pop the record under them.
+  // truncating the log mid-delivery would pop the record under them.
   // execute_entry/adopt_entries call maybe_stabilize() after unwinding.
 }
 
@@ -653,13 +671,8 @@ void PbftSmr::handle_checkpoint(const net::Message& msg) {
 
   // The vote is the digest of the whole body (memoized on the frame).
   crypto::Digest d = msg.payload.digest();
-  auto& votes = checkpoints_[seq];
-  votes[msg.from] = d;
-
-  std::size_t matching = 0;
-  for (const auto& [node, digest] : votes) {
-    if (digest == d) ++matching;
-  }
+  record_vote(seq, msg.from, d);
+  std::size_t matching = count_matching(votes_at(seq), d);
   if (matching >= quorum() && seq <= next_exec_) {
     collect_garbage(seq);
   } else if (matching >= max_faults() + 1 && seq > next_exec_ + options_.watermark_window / 2) {
@@ -673,17 +686,16 @@ void PbftSmr::maybe_stabilize() {
   // arrived BEFORE we executed it — handle_checkpoint alone would leave the
   // log untruncated until the next peer message. Count votes matching our
   // own; newest eligible boundary wins.
-  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-    if (it->first > next_exec_ || it->first <= stable_seq_) continue;
-    auto self_it = it->second.find(transport_.self());
-    if (self_it == it->second.end()) continue;
-    std::size_t matching = 0;
-    for (const auto& [node, digest] : it->second) {
-      if (digest == self_it->second) ++matching;
-    }
-    if (matching >= quorum()) {
-      if (it->first > stable_seq_ && ctr_checkpoints_ != nullptr) ctr_checkpoints_->inc();
-      collect_garbage(it->first);
+  const std::uint64_t interval = options_.checkpoint_interval;
+  for (std::uint64_t seq = next_exec_ - next_exec_ % interval; seq > stable_seq_;
+       seq -= interval) {
+    const Votes* votes = votes_at(seq);
+    if (votes == nullptr) continue;
+    auto self_it = votes->find(transport_.self());
+    if (self_it == votes->end()) continue;
+    if (count_matching(votes, self_it->second) >= quorum()) {
+      if (ctr_checkpoints_ != nullptr) ctr_checkpoints_->inc();
+      collect_garbage(seq);
       return;
     }
   }
@@ -691,56 +703,74 @@ void PbftSmr::maybe_stabilize() {
 
 void PbftSmr::trim_history() {
   if (exec_depth_ > 0) return;  // mid-delivery: deferred to the unwind
-  while (exec_base_ < stable_seq_ && !exec_history_.empty()) {
-    exec_history_.pop_front();
-    ++exec_base_;
+  while (base_ < stable_seq_ && !slots_.empty()) {
+    slots_.pop_front();
+    ++base_;
   }
+  base_ = std::max(base_, stable_seq_);  // an install may jump past the log
 }
 
 void PbftSmr::collect_garbage(std::uint64_t stable_seq) {
   if (stable_seq <= stable_seq_) return;
   stable_seq_ = stable_seq;
-  log_.erase(log_.begin(), log_.lower_bound(stable_seq + 1));
-  checkpoints_.erase(checkpoints_.begin(), checkpoints_.upper_bound(stable_seq));
   // Promote our capture of this boundary to the served stable checkpoint
-  // (install_checkpoint sets stable_ckpt_ directly and clears own_ckpt_).
-  if (auto it = own_ckpt_.find(stable_seq); it != own_ckpt_.end()) {
-    stable_ckpt_ = StableCheckpoint{stable_seq, it->second.state_digest, it->second.ops,
-                                    it->second.ledger_wire};
+  // (install_checkpoint sets stable_ckpt_ itself and leaves no capture).
+  if (stable_seq <= log_end() && slot(stable_seq).capture) {
+    stable_ckpt_ = std::move(*slot(stable_seq).capture);
   }
-  own_ckpt_.erase(own_ckpt_.begin(), own_ckpt_.upper_bound(stable_seq));
-  // The memory bound: everything at or below the stable checkpoint leaves
-  // the executed history (and unpins its batch frames). in_window caps
-  // next_exec_ at stable_seq_ + watermark_window, so after the trim the
-  // history never holds more than watermark_window records.
+  // The window moved up: votes it now covers move into their slots, and
+  // votes at or below the stable checkpoint are dropped.
+  while (!checkpoints_.empty() &&
+         checkpoints_.begin()->first <= stable_seq + options_.watermark_window) {
+    auto node = checkpoints_.extract(checkpoints_.begin());
+    if (node.key() > stable_seq) slot(node.key()).votes = std::move(node.mapped());
+  }
+  // The memory bound: every slot at or below the stable checkpoint leaves
+  // the log (and unpins its batch frames). in_window caps next_exec_ at
+  // stable_seq_ + watermark_window, so after the trim the log never holds
+  // more than watermark_window executed records.
   trim_history();
   // Requests stuck behind the window may now be assignable (and a batch
   // flush that stalled against the window can retry).
-  if (is_primary() && !view_changing_) {
-    auto pending_copy = pending_;
-    for (const auto& [id, op] : pending_copy) {
-      enqueue_op(Request{id, op});
-    }
-    flush_batch();
-  }
+  if (is_primary() && !view_changing_) enqueue_pending();
+}
+
+void PbftSmr::enqueue_pending() {
+  auto pending_copy = pending_;
+  for (const auto& [id, op] : pending_copy) enqueue_op(Request{id, op});
+  flush_batch();
 }
 
 void PbftSmr::request_state_transfer() {
-  // Ask the freshest vouched checkpoint's voters for history.
-  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-    if (it->second.size() < max_faults() + 1) continue;
-    for (const auto& [node, digest] : it->second) {
+  // Ask a voter of the freshest vouched checkpoint for history: boundaries
+  // above the window first, then the window's, newest first.
+  auto ask_voter = [&](const Votes& votes) {
+    if (votes.size() < max_faults() + 1) return false;
+    for (const auto& [node, digest] : votes) {
       if (node == transport_.self()) continue;
       ByteWriter w;
       w.u64(instance_tag_);
       w.u64(next_exec_);
       w.u64(0);  // no range cap: validated against the vouched checkpoint
       transport_.send(node, net::MsgType::kPbftStateFetch, w.take());
-      return;  // one fetch at a time; retried on the next checkpoint signal
+      return true;  // one fetch at a time; retried on the next checkpoint signal
     }
+    return false;
+  };
+  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
+    if (ask_voter(it->second)) return;
+  }
+  const std::uint64_t interval = options_.checkpoint_interval;
+  std::uint64_t top = std::min(stable_seq_ + options_.watermark_window, log_end());
+  for (std::uint64_t seq = top - top % interval; seq > stable_seq_; seq -= interval) {
+    const Votes* votes = votes_at(seq);
+    if (votes != nullptr && ask_voter(*votes)) return;
   }
 }
 
+// The one state-reply shape: u64 tag, u8 has-checkpoint, u64 from_seq
+// (echoed to match the request), the stable checkpoint if flagged (u64 seq,
+// digest, u64 ops, bytes ledger), varint count, records for the next seqs.
 void PbftSmr::handle_state_fetch(const net::Message& msg) {
   if (faulty_now()) return;
   ByteReader r(msg.payload);
@@ -748,39 +778,29 @@ void PbftSmr::handle_state_fetch(const net::Message& msg) {
   std::uint64_t upto = r.u64();  // exclusive end of the decided prefix; 0 = all
   r.expect_done();
 
-  if (from_seq >= exec_base_) {
-    // The fetcher's head starts inside our retained history: serve the
-    // pinned range — records for seqs (from_seq, min(next_exec_, upto)],
-    // exactly the gap it asked for.
-    std::uint64_t end = exec_base_ + exec_history_.size();  // == next_exec_
-    if (upto != 0) end = std::min(end, upto);
-    if (from_seq >= end) return;  // have not executed the requested range yet
-    ByteWriter w;
-    w.u64(instance_tag_);
-    w.u8(kStateReplyRange);
-    w.u64(from_seq);
-    w.varint(end - from_seq);
-    for (std::uint64_t s = from_seq + 1; s <= end; ++s) {
-      encode_exec_record(w, exec_history_[static_cast<std::size_t>(s - exec_base_ - 1)]);
-    }
-    transport_.send(msg.from, net::MsgType::kPbftStateReply, w.take());
-    return;
-  }
-  // The requested range predates our truncation point — those records are
-  // gone. Serve the latest stable checkpoint plus every retained record
-  // above it; the fetcher installs the checkpoint (skipping the truncated
-  // prefix) and replays the head.
-  if (!stable_ckpt_) return;
+  // A fetcher below the truncation point gets the stable checkpoint and
+  // every record above it; any other gets the records for (from_seq,
+  // min(next_exec_, upto)], exactly the gap it asked for.
+  const bool with_ckpt = from_seq < base_;
+  if (with_ckpt && !stable_ckpt_) return;
+  std::uint64_t end = next_exec_;
+  if (!with_ckpt && upto != 0) end = std::min(end, upto);
+  const std::uint64_t first = std::max(from_seq, base_);
+  if (!with_ckpt && first >= end) return;  // have not executed the requested range yet
   ByteWriter w;
   w.u64(instance_tag_);
-  w.u8(kStateReplyInstall);
-  w.u64(from_seq);  // echoed so the fetcher can match reply to request
-  w.u64(stable_ckpt_->seq);
-  w.raw(stable_ckpt_->state_digest.data(), stable_ckpt_->state_digest.size());
-  w.u64(stable_ckpt_->ops);
-  w.bytes(stable_ckpt_->ledger_wire.data(), stable_ckpt_->ledger_wire.size());
-  w.varint(exec_history_.size());  // head records: (stable, next_exec_]
-  for (const ExecRecord& rec : exec_history_) encode_exec_record(w, rec);
+  w.u8(with_ckpt ? 1 : 0);
+  w.u64(from_seq);
+  if (with_ckpt) {
+    w.u64(stable_ckpt_->seq);
+    write_digest(w, stable_ckpt_->state_digest);
+    w.u64(stable_ckpt_->ops);
+    w.bytes(stable_ckpt_->ledger_wire);
+  }
+  w.varint(end - first);
+  for (std::uint64_t seq = first + 1; seq <= end; ++seq) {
+    encode_exec_record(w, find_slot(seq)->record);
+  }
   transport_.send(msg.from, net::MsgType::kPbftStateReply, w.take());
 }
 
@@ -836,123 +856,89 @@ std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries) co
       if (ledger.insert(op.origin, op.origin_seq)) ++ops;
     }
     if (seq % options_.checkpoint_interval != 0) continue;
-    auto vit = checkpoints_.find(seq);
-    if (vit == checkpoints_.end()) continue;
+    const Votes* votes = votes_at(seq);
+    if (votes == nullptr) continue;
     ByteWriter lw;
     ledger.encode(lw);
-    crypto::Digest body_digest = crypto::sha256(checkpoint_body(seq, digest, ops, lw.take()));
-    std::size_t matching = 0;
-    for (const auto& [node, vote] : vit->second) {
-      if (vote == body_digest) ++matching;
-    }
-    if (matching >= max_faults() + 1) best = seq;
+    const Bytes body = checkpoint_body(Checkpoint{seq, digest, ops, lw.take()});
+    if (count_matching(votes, crypto::sha256(body)) >= max_faults() + 1) best = seq;
   }
   return best;
 }
 
 void PbftSmr::handle_state_reply(const net::Message& msg) {
   ByteReader r(msg.payload);
-  std::uint8_t kind = r.u8();
-  std::uint64_t from_seq = r.u64();
-  if (from_seq != next_exec_) return;  // stale reply
-
-  if (kind == kStateReplyRange) {
-    std::vector<ExecRecord> entries = parse_exec_records(msg, r);
-    r.expect_done();
-    if (entries.empty()) return;
-    std::uint64_t validated = validate_chain(entries);
-    if (validated > next_exec_) {
-      adopt_entries(entries, validated - next_exec_);
-      collect_garbage(validated);
-      return;
-    }
-    // No covering checkpoint — the small-head-gap case (a replica that
-    // attached mid-instance; see maybe_fetch_missing_head). Accept the
-    // records once f+1 distinct replicas sent byte-identical replies: at
-    // least one of them is correct, and correct replicas only serve history
-    // they executed.
-    std::set<NodeId>& voters = state_reply_votes_[msg.payload.digest()];
-    voters.insert(msg.from);
-    if (voters.size() < max_faults() + 1) return;
-    state_reply_votes_.clear();
-    adopt_entries(entries, entries.size());
+  const std::uint8_t has_ckpt = r.u8();
+  if (has_ckpt > 1) return;
+  if (r.u64() != next_exec_) return;  // stale reply
+  std::optional<Checkpoint> ckpt;  // braced init reads the fields in order
+  if (has_ckpt != 0) ckpt = Checkpoint{r.u64(), read_digest(r), r.u64(), r.bytes()};
+  std::vector<ExecRecord> records = parse_exec_records(msg, r);
+  r.expect_done();
+  RequestLedger ledger;
+  if (ckpt) {
+    if (ckpt->seq <= next_exec_) return;  // already past the offered boundary
+    if (ckpt->seq % options_.checkpoint_interval != 0) return;
+    ByteReader lr(ckpt->ledger_wire);
+    ledger = RequestLedger::decode(lr);
+    lr.expect_done();
+  } else if (records.empty()) {
     return;
   }
-  if (kind != kStateReplyInstall) return;
 
-  std::uint64_t cseq = r.u64();
-  crypto::Digest state_digest{};
-  r.raw(state_digest.data(), state_digest.size());
-  std::uint64_t ops = r.u64();
-  std::span<const std::uint8_t> ledger_region = r.bytes_view();
-  std::vector<ExecRecord> head = parse_exec_records(msg, r);
-  r.expect_done();
-  if (cseq <= next_exec_) return;  // already past the offered boundary
-  if (cseq % options_.checkpoint_interval != 0) return;
-  Bytes ledger_wire(ledger_region.begin(), ledger_region.end());
-  ByteReader lr(ledger_wire);
-  RequestLedger ledger = RequestLedger::decode(lr);
-  lr.expect_done();
-
-  // The checkpoint is trusted only against evidence: either f+1 votes on
-  // exactly this body (the normal request_state_transfer path — the votes
-  // are what triggered the fetch), or f+1 byte-identical whole replies.
-  crypto::Digest body_digest =
-      crypto::sha256(checkpoint_body(cseq, state_digest, ops, ledger_wire));
-  bool ckpt_vouched = false;
-  if (auto vit = checkpoints_.find(cseq); vit != checkpoints_.end()) {
-    std::size_t matching = 0;
-    for (const auto& [node, vote] : vit->second) {
-      if (vote == body_digest) ++matching;
-    }
-    ckpt_vouched = matching >= max_faults() + 1;
-  }
-  bool whole_reply_vouched = false;
-  if (!ckpt_vouched) {
+  // Evidence one reply can stand on: f+1 CHECKPOINT votes on the offered
+  // body or, with no checkpoint, an f+1-vouched boundary reached by
+  // re-folding the records onto local state. Lacking it, the reply counts
+  // once f+1 distinct replicas sent byte-identical copies: at least one is
+  // correct, and correct replicas serve only what they executed, so a reply
+  // vouched whole is adopted in full.
+  std::uint64_t vouched_to = 0;
+  const bool evidence =
+      ckpt ? count_matching(votes_at(ckpt->seq), crypto::sha256(checkpoint_body(*ckpt))) >=
+                 max_faults() + 1
+           : (vouched_to = validate_chain(records)) > next_exec_;
+  if (!evidence) {
     std::set<NodeId>& voters = state_reply_votes_[msg.payload.digest()];
     voters.insert(msg.from);
     if (voters.size() < max_faults() + 1) return;
     state_reply_votes_.clear();
-    whole_reply_vouched = true;
   }
 
-  install_checkpoint(cseq, state_digest, ops, std::move(ledger), std::move(ledger_wire));
-  // The head records claim seqs (cseq, server_next]. install_checkpoint ends
-  // in try_execute, which may run committed entries from the LOCAL log past
-  // the boundary — the same records, by agreement. adopt_entries stamps
-  // whatever it is given at next_exec_+1 onward, so the already-covered
-  // prefix must be dropped here: adopting it verbatim would re-deliver its
-  // ops at fresh seqs and fork the state-digest chain for good.
-  const std::uint64_t covered = next_exec_ - cseq;
-  if (covered >= head.size()) {
-    head.clear();
+  // The records continue from the checkpoint, or from our position. An
+  // install ends in try_execute, which may run committed local entries past
+  // the boundary (the same records, by agreement); adopting that covered
+  // prefix again would re-deliver its ops and fork the digest chain.
+  const bool installing = ckpt.has_value();
+  const std::uint64_t start = installing ? ckpt->seq : next_exec_;
+  if (installing) install_checkpoint(std::move(*ckpt), std::move(ledger));
+  const auto covered = static_cast<std::ptrdiff_t>(
+      std::min<std::uint64_t>(next_exec_ - start, records.size()));
+  records.erase(records.begin(), records.begin() + covered);
+  if (!evidence) {
+    adopt_entries(records, records.size());
   } else {
-    head.erase(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(covered));
-  }
-  if (!head.empty()) {
-    if (whole_reply_vouched) {
-      // f+1 identical replies vouch for the head records too.
-      adopt_entries(head, head.size());
-    } else {
-      // Checkpoint votes cover only the body — a Byzantine server holding a
-      // genuine checkpoint could still forge head records. Adopt only the
-      // prefix a LATER vouched boundary confirms through the digest chain.
-      std::uint64_t validated = validate_chain(head);
-      if (validated > next_exec_) adopt_entries(head, validated - next_exec_);
+    // Checkpoint votes cover only the body — a Byzantine server holding a
+    // genuine checkpoint could still forge records. Adopt only the prefix a
+    // vouched boundary confirms through the digest chain.
+    if (installing) vouched_to = validate_chain(records);
+    if (vouched_to > next_exec_) {
+      adopt_entries(records, vouched_to - next_exec_);
+      // Without an install the vouched boundary is also the new stable
+      // point; after one, it stabilizes through its votes as usual.
+      if (!installing) collect_garbage(vouched_to);
     }
   }
   maybe_stabilize();
 }
 
-void PbftSmr::install_checkpoint(std::uint64_t cseq, const crypto::Digest& state_digest,
-                                 std::uint64_t ops, RequestLedger ledger, Bytes ledger_wire) {
+void PbftSmr::install_checkpoint(Checkpoint ckpt, RequestLedger ledger) {
   const std::uint64_t from_seq = next_exec_;
   const std::uint64_t from_ops = executed_ops_;
+  const std::uint64_t cseq = ckpt.seq;
+  const std::uint64_t ops = ckpt.ops;
   if (ctr_installs_ != nullptr) ctr_installs_->inc();
   next_exec_ = cseq;
-  exec_base_ = cseq;
-  exec_history_.clear();
-  state_digest_ = state_digest;
+  state_digest_ = ckpt.state_digest;
   executed_ops_ = ops;
   decided_ops_ = ops;  // skipped ops never fire locally; ordinals resume past them
   executed_requests_ = ledger;
@@ -960,19 +946,14 @@ void PbftSmr::install_checkpoint(std::uint64_t cseq, const crypto::Digest& state
   // here; worst case the primary re-assigns such a request and execution
   // dedups it against the ledger — a null op, not a double delivery.
   assigned_or_executed_ = std::move(ledger);
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (executed_requests_.contains(it->first.origin, it->first.seq)) {
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  stable_ckpt_ = StableCheckpoint{cseq, state_digest_, ops, std::move(ledger_wire)};
-  own_ckpt_.clear();
+  std::erase_if(pending_, [&](const auto& entry) {
+    return executed_requests_.contains(entry.first.origin, entry.first.seq);
+  });
+  stable_ckpt_ = std::move(ckpt);
   next_seq_ = std::max(next_seq_, cseq + 1);
   head_fetch_rounds_ = 0;
-  // Truncates log_/checkpoints_ behind the boundary and re-arms the primary
-  // (own_ckpt_ is empty, so the stable_ckpt_ set above is kept as-is).
+  // Truncates the log through the boundary (no slot there holds a capture,
+  // so the stable_ckpt_ set above stays) and re-arms the primary.
   collect_garbage(cseq);
   if (install_) install_(from_seq, cseq, from_ops, ops);
   // Entries logged beyond the installed boundary may be executable now.
@@ -983,6 +964,7 @@ void PbftSmr::install_checkpoint(std::uint64_t cseq, const crypto::Digest& state
 }
 
 void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_t count) {
+  if (count == 0 || entries.empty()) return;
   const std::uint64_t start = next_exec_;
   ++exec_depth_;
   for (std::uint64_t i = 0; i < count && i < entries.size(); ++i) {
@@ -1005,9 +987,10 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
       pending_.erase(RequestId{op.origin, op.origin_seq});
     }
     executed_ops_ += fresh_ops;
-    exec_history_.push_back(rec);
+    Slot& s = slot(seq);
+    s.agreement = {};  // an unexecutable duplicate must not shadow the record
+    s.record = rec;
     next_exec_ = seq;
-    log_.erase(seq);  // an unexecutable duplicate must not shadow the record
     if (seq % options_.checkpoint_interval == 0) send_checkpoint(seq);
     for (const ExecOp& op : rec.ops) {
       if (op.origin == kNullOrigin) continue;
@@ -1062,7 +1045,8 @@ void PbftSmr::start_view_change(std::uint64_t explicit_target) {
   vc.new_view = target_view_;
   vc.stable_seq = stable_seq_;
   vc.sender = transport_.self();
-  for (const auto& [seq, entry] : log_) {
+  for (std::uint64_t seq = stable_seq_ + 1; seq <= log_end(); ++seq) {
+    const Agreement& entry = find_slot(seq)->agreement;
     if (!entry.pre_prepared) continue;
     if (entry.prepares.size() >= 2 * max_faults()) {
       vc.prepared.push_back(PreparedProof{seq, entry.view, entry.digest, entry.batch});
@@ -1109,6 +1093,10 @@ void PbftSmr::abandon_view_change() {
   if (!view_changing_) return;
   view_changing_ = false;
   current_timeout_ = options_.view_change_timeout;
+  replay_future_view_msgs();
+}
+
+void PbftSmr::replay_future_view_msgs() {
   std::deque<net::Message> replay;
   replay.swap(future_view_msgs_);
   for (const net::Message& m : replay) {
@@ -1266,7 +1254,8 @@ void PbftSmr::handle_new_view(const net::Message& msg) {
 
   // Sanity check against our own evidence: the new primary must not replace
   // a batch we hold a prepared certificate for (higher or equal view).
-  for (const auto& [seq, entry] : log_) {
+  for (std::uint64_t seq = stable_seq_ + 1; seq <= log_end(); ++seq) {
+    const Agreement& entry = find_slot(seq)->agreement;
     if (!entry.pre_prepared || entry.prepares.size() < 2 * max_faults()) continue;
     if (seq <= stable) continue;
     for (const auto& p : carried) {
@@ -1310,50 +1299,32 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
   // otherwise a stale next_seq_ leaves unfillable holes below it.
   std::uint64_t carried_max = std::max(next_exec_, stable_seq_);
   for (const auto& p : carried) carried_max = std::max(carried_max, p.seq);
-  log_.erase(log_.upper_bound(carried_max), log_.end());
+  for (std::uint64_t seq = log_end(); seq > carried_max; --seq) slot(seq).agreement = {};
   next_seq_ = carried_max + 1;
 
   for (const auto& p : carried) {
     if (p.seq <= next_exec_) continue;  // already executed here
-    LogEntry& entry = log_[p.seq];
-    if (entry.executed) continue;
-    entry.view = v;
-    entry.digest = p.digest;
-    entry.batch = p.batch;
-    entry.pre_prepared = true;
-    entry.prepares.clear();
-    entry.commits.clear();
-
+    if (p.seq - stable_seq_ > kCarriedWindows * options_.watermark_window) continue;
+    slot(p.seq).agreement = Agreement{.view = v, .digest = p.digest, .batch = p.batch,
+                                      .pre_prepared = true, .prepares = {transport_.self()},
+                                      .commits = {}};
     ByteWriter w;
     w.u64(v);
     w.u64(p.seq);
     write_digest(w, p.digest);
     broadcast(net::MsgType::kPbftPrepare, w.data());
-    entry.prepares.insert(transport_.self());
   }
 
   // Replay protocol messages that arrived for this view before we entered
   // it (early entrants' prepares must not be lost).
-  std::deque<net::Message> replay;
-  replay.swap(future_view_msgs_);
-  for (const net::Message& m : replay) {
-    if (m.type == net::MsgType::kPbftPrePrepare) {
-      handle_pre_prepare(m);
-    } else if (m.type == net::MsgType::kPbftPrepare) {
-      handle_prepare(m);
-    }
-  }
+  replay_future_view_msgs();
 
   // The new primary picks up whatever is still pending: everything not
   // carried over gets batched afresh (enqueue flushes full batches as it
   // goes; the final flush sends the remainder immediately — a new view
   // must not sit on re-proposals for a deadline tick).
   if (is_primary()) {
-    auto pending_copy = pending_;
-    for (const auto& [id, op] : pending_copy) {
-      enqueue_op(Request{id, op});
-    }
-    flush_batch();
+    enqueue_pending();
   } else if (!faulty_now()) {
     // Retransmit our own unordered requests: the new primary may never
     // have received them (e.g. it was partitioned when they were issued).

@@ -22,18 +22,18 @@
 //   CHECKPOINT   every K executions; carries the incremental state digest,
 //                the executed-op count and the request ledger at the
 //                boundary; stable after 2f+1 matching body digests, which
-//                advances the low watermark, truncates the log AND the
-//                executed history behind the boundary (memory stops
-//                growing), and records the stable checkpoint for serving
+//                advances the low watermark, truncates the log behind the
+//                boundary (memory stops growing), and records the stable
+//                checkpoint for serving
 //   VIEW-CHANGE / NEW-VIEW
 //                timer-driven primary replacement carrying prepared BATCH
 //                certificates so decided batches survive the view change
-//   STATE FETCH  lagging replicas fetch state from a peer; the reply is
-//                either the pinned head range (records above the server's
-//                truncation point, chain-validated or f+1-byte-identical)
-//                or the latest stable checkpoint + the head above it
-//                (checkpoint-install: the fetcher skips the truncated
-//                prefix and reports the gap through the install handler)
+//   STATE FETCH  lagging replicas fetch state from a peer; the one reply
+//                carries the stable checkpoint only to a fetcher below the
+//                server's truncation point, then the executed records above
+//                it. Acceptance is one rule: evidence (f+1 votes on the
+//                checkpoint body, or on a digest-chain boundary the records
+//                reach) or f+1 byte-identical whole replies
 //
 // Batch wire format (pre-prepare body, also embedded in view-change proofs
 // and new-view O entries):
@@ -49,15 +49,16 @@
 //
 // Zero-copy op path: Request::op is a net::Payload — a refcounted slice of
 // the frame the op arrived in (client request, pre-prepare, state reply),
-// or of the locally frozen propose() buffer. The log, pending_ and
-// exec_history_ all share those buffers, and the decide callback hands the
-// SAME slice up the stack, so the async decide path copies nothing: a
-// committed batch decides k ops as k slices of the one pre-prepare frame.
-// Lifetime consequence (net/message.h slice-ownership contract): a
-// retained op pins its WHOLE arrival frame. The pinned set is bounded: the
-// executed history only holds records in (stable_seq_, next_exec_], and
-// in_window caps next_exec_ at stable_seq_ + watermark_window, so at most
-// watermark_window frames stay pinned however long the instance runs.
+// or of the locally frozen propose() buffer. The log's batches and executed
+// records and pending_ all share those buffers, and the decide callback
+// hands the SAME slice up the stack, so the async decide path copies
+// nothing: a committed batch decides k ops as k slices of the one
+// pre-prepare frame. Lifetime consequence (net/message.h slice-ownership
+// contract): a retained op pins its WHOLE arrival frame. The pinned set is
+// bounded: the log truncates every slot at or below the stable checkpoint,
+// and in_window caps next_exec_ at stable_seq_ + watermark_window, so at
+// most watermark_window executed records stay pinned however long the
+// instance runs.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +66,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -216,12 +218,12 @@ class PbftSmr final : public SmrEngine {
   // Batch observability (tests/benches): executed log slots and the exact
   // per-slot batch sizes are what prove the quorum amortization happened.
   std::uint64_t batches_executed() const { return next_exec_; }
-  // Memory-bound observability: the executed history holds exactly seqs
-  // (history_base(), history_base() + history_size()], and history_size()
-  // never exceeds watermark_window (each record pins its batch frames; see
-  // the header comment).
-  std::size_t history_size() const { return exec_history_.size(); }
-  std::uint64_t history_base() const { return exec_base_; }
+  // Memory-bound observability: the log holds executed records for exactly
+  // seqs (history_base(), history_base() + history_size()], and
+  // history_size() never exceeds watermark_window (each record pins its
+  // batch frames; see the header comment).
+  std::size_t history_size() const { return static_cast<std::size_t>(next_exec_ - base_); }
+  std::uint64_t history_base() const { return base_; }
   std::uint64_t instance_tag() const { return instance_tag_; }
 
   // Runtime fault conversion (scenario Byzantine-storm primitive): fault_
@@ -251,16 +253,45 @@ class PbftSmr final : public SmrEngine {
     RequestId id;
     net::Payload op;  // slice of the arrival frame; never deep-copied
   };
-  // One log slot holds one BATCH of requests: an empty batch is the null
-  // filler a new view uses for gaps (digest all-zero, executes as a no-op).
-  struct LogEntry {
+  // Agreement state of one seq: one BATCH of requests. An empty batch is
+  // the null filler a new view uses for gaps (digest all-zero, executes as
+  // a no-op).
+  struct Agreement {
     std::uint64_t view = 0;
     crypto::Digest digest{};
     std::vector<Request> batch;
     bool pre_prepared = false;
     std::set<NodeId> prepares;
     std::set<NodeId> commits;
-    bool executed = false;
+  };
+  struct ExecOp {
+    NodeId origin;
+    std::uint64_t origin_seq;
+    net::Payload op;  // shares the decided frame (state-transfer source)
+  };
+  // The executed record of one seq: its whole batch in delivery order. Ops
+  // that executed as no-ops (duplicates) are recorded with the null origin
+  // so replayed histories skip them too; the agreed batch stays intact
+  // beside it, since view changes still carry it as a prepared proof.
+  struct ExecRecord {
+    std::vector<ExecOp> ops;
+  };
+  // Checkpoint at one boundary; checkpoint_body() encodes exactly these
+  // fields.
+  struct Checkpoint {
+    std::uint64_t seq = 0;
+    crypto::Digest state_digest{};
+    std::uint64_t ops = 0;
+    Bytes ledger_wire;
+  };
+  using Votes = std::map<NodeId, crypto::Digest>;  // voter -> body digest
+  // Every seq-indexed fact about one seq. An adopted slot carries no
+  // agreement state (a late pre-prepare may set some; the record stays).
+  struct Slot {
+    Agreement agreement;
+    ExecRecord record;                  // filled once seq <= next_exec_
+    std::unique_ptr<Checkpoint> capture;  // our boundary capture, if executed
+    Votes votes;                        // boundary votes while in the window
   };
   struct PreparedProof {
     std::uint64_t seq;
@@ -291,6 +322,8 @@ class PbftSmr final : public SmrEngine {
   // next seq to everything buffered and broadcasts one pre-prepare.
   void enqueue_op(const Request& req);
   void flush_batch();
+  // Buffers every pending op (the primary re-proposing) and flushes.
+  void enqueue_pending();
   void arm_batch_timer();
   void disarm_batch_timer();
   // Canonical ops-region encoding shared by pre-prepares, view-change
@@ -302,10 +335,9 @@ class PbftSmr final : public SmrEngine {
   static std::vector<Request> parse_ops_region(const net::Payload& frame,
                                                std::span<const std::uint8_t> region);
   crypto::Digest batch_digest(const std::vector<Request>& batch) const;
-  void maybe_send_prepare(std::uint64_t seq);
   void maybe_send_commit(std::uint64_t seq);
   void try_execute();
-  void execute_entry(std::uint64_t seq, LogEntry& entry);
+  void execute_entry(std::uint64_t seq, Slot& slot);
   // Prepends the instance tag: the envelope every frame travels in (the
   // receiving on_message checks and strips it before dispatch).
   Bytes tagged(const Bytes& body) const;
@@ -321,6 +353,7 @@ class PbftSmr final : public SmrEngine {
   // fallen behind (not because the primary died) withdraws its view change
   // once the current view demonstrably serves it again.
   void abandon_view_change();
+  void replay_future_view_msgs();
   void maybe_assemble_new_view();
   void enter_view(std::uint64_t v, const std::vector<PreparedProof>& carried);
   void request_state_transfer();
@@ -328,6 +361,11 @@ class PbftSmr final : public SmrEngine {
   bool in_window(std::uint64_t seq) const {
     return seq > stable_seq_ && seq <= stable_seq_ + options_.watermark_window;
   }
+  // The slot for seq (> base_), growing the log up to it.
+  Slot& slot(std::uint64_t seq);
+  // The slot for seq, or null when seq lies outside the log.
+  const Slot* find_slot(std::uint64_t seq) const;
+  std::uint64_t log_end() const { return base_ + slots_.size(); }
   bool faulty_now() const;
 
   // Tracing helper: no-op unless options_.tracer is enabled.
@@ -369,7 +407,18 @@ class PbftSmr final : public SmrEngine {
   // jump to the checkpoint's count on install.
   std::uint64_t executed_ops_ = 0;
 
-  std::map<std::uint64_t, LogEntry> log_;
+  // The log: one slot per seq in (base_, log_end()], grown on demand as
+  // seqs are touched and truncated from the front. base_ is the truncation
+  // point: it equals stable_seq_ except while an execute/adopt frame is live
+  // (trim_history defers), so records never move under a decide callback.
+  // Executed records fill exactly (base_, next_exec_].
+  std::deque<Slot> slots_;
+  std::uint64_t base_ = 0;
+  // Carried NEW-VIEW seqs sit relative to a stable point the new primary
+  // claims; slots are made for them at most this many windows past our own
+  // stable checkpoint, so a Byzantine primary cannot grow the log at will.
+  static constexpr std::uint64_t kCarriedWindows = 4;
+
   std::map<RequestId, net::Payload> pending_;    // not yet pre-prepared
   RequestLedger assigned_or_executed_;           // dedup
   // Pre-prepares whose client request has not arrived yet; replayed when it
@@ -384,64 +433,33 @@ class PbftSmr final : public SmrEngine {
   // primary re-ordering its own op) must not be delivered twice. Carried
   // inside checkpoint bodies so installs restore the exact dedup state.
   RequestLedger executed_requests_;
-  // seq -> voter -> checkpoint BODY digest (SHA-256 of the full checkpoint
-  // message: seq, state digest, op count, ledger encoding).
-  std::map<std::uint64_t, std::map<NodeId, crypto::Digest>> checkpoints_;
-  struct ExecOp {
-    NodeId origin;
-    std::uint64_t origin_seq;
-    net::Payload op;  // shares the decided frame (state-transfer source)
-  };
-  // One record per executed seq, holding that seq's whole batch in delivery
-  // order; ops that executed as no-ops (duplicates) are recorded with the
-  // null origin so replayed histories skip them too.
-  struct ExecRecord {
-    std::vector<ExecOp> ops;
-  };
-  // Bounded executed history: holds exactly seqs (exec_base_, exec_base_ +
-  // size()]; collect_garbage pops everything at or below the stable
-  // checkpoint, so the deque (and the batch frames it pins) is capped by
-  // the watermark window instead of growing for the life of the instance.
-  std::deque<ExecRecord> exec_history_;
-  std::uint64_t exec_base_ = 0;
+  // CHECKPOINT votes above the window (a laggard's evidence that the group
+  // moved on); votes inside the window live in their slots. The vote is the
+  // SHA-256 of the full checkpoint body.
+  std::map<std::uint64_t, Votes> checkpoints_;
   // Incremental executed-state digest: folded per record as
   // sha256(prev_digest || canonical record encoding). Equal across replicas
   // iff their executed prefixes are identical; checkpoint bodies carry it,
   // and chain validation of fetched records just keeps folding.
   crypto::Digest state_digest_{};
-  // Checkpoint data captured at each boundary we executed (awaiting
-  // stability), and the latest STABLE checkpoint (2f+1 matching votes or
-  // installed) — what handle_state_fetch serves to deep laggards.
-  struct CheckpointData {
-    crypto::Digest state_digest{};
-    std::uint64_t ops = 0;
-    Bytes ledger_wire;
-  };
-  std::map<std::uint64_t, CheckpointData> own_ckpt_;
-  struct StableCheckpoint {
-    std::uint64_t seq = 0;
-    crypto::Digest state_digest{};
-    std::uint64_t ops = 0;
-    Bytes ledger_wire;
-  };
-  std::optional<StableCheckpoint> stable_ckpt_;
+  // The latest STABLE checkpoint (2f+1 matching votes or installed): what
+  // handle_state_fetch serves to fetchers below the truncation point.
+  std::optional<Checkpoint> stable_ckpt_;
 
   // Checkpoint plumbing (see pbft.cpp for contracts).
   void fold_record(const ExecRecord& rec);
-  static Bytes checkpoint_body(std::uint64_t seq, const crypto::Digest& state_digest,
-                               std::uint64_t ops, const Bytes& ledger_wire);
+  static Bytes checkpoint_body(const Checkpoint& c);
+  // Votes at a boundary above the stable checkpoint (null when none): read
+  // from its slot inside the window, from checkpoints_ above it.
+  const Votes* votes_at(std::uint64_t seq) const;
+  void record_vote(std::uint64_t seq, NodeId voter, const crypto::Digest& body_digest);
   void maybe_stabilize();
   void trim_history();
   std::uint64_t validate_chain(const std::vector<ExecRecord>& entries) const;
   void adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_t count);
-  void install_checkpoint(std::uint64_t cseq, const crypto::Digest& state_digest,
-                          std::uint64_t ops, RequestLedger ledger, Bytes ledger_wire);
+  void install_checkpoint(Checkpoint ckpt, RequestLedger ledger);
   std::vector<ExecRecord> parse_exec_records(const net::Message& msg, ByteReader& r) const;
   static void encode_exec_record(ByteWriter& w, const ExecRecord& rec);
-
-  // State-reply kinds (u8 after the instance tag).
-  static constexpr std::uint8_t kStateReplyRange = 0;    // head records only
-  static constexpr std::uint8_t kStateReplyInstall = 1;  // stable ckpt + head
 
   // Nested-execution guard: decide callbacks may propose, and with tiny
   // quorums that executes the NEXT seq inline. History truncation must not
