@@ -634,8 +634,30 @@ const PbftSmr::Votes* PbftSmr::votes_at(std::uint64_t seq) const {
 
 // Precondition: seq > stable_seq_ (votes at or below it are moot).
 void PbftSmr::record_vote(std::uint64_t seq, NodeId voter, const crypto::Digest& body_digest) {
-  Votes& votes = in_window(seq) ? slot(seq).votes : checkpoints_[seq];
-  votes[voter] = body_digest;
+  if (in_window(seq)) {
+    slot(seq).votes[voter] = body_digest;
+    return;
+  }
+  checkpoints_[seq][voter] = body_digest;
+  // Above the window a voter keeps only its newest boundaries, as many as a
+  // window spans plus one: a member voting for endless future boundaries
+  // cannot grow the store.
+  const std::uint64_t interval = options_.checkpoint_interval;
+  const std::uint64_t keep = (options_.watermark_window + interval - 1) / interval + 1;
+  std::uint64_t held = 0;
+  for (auto it = checkpoints_.end(); it != checkpoints_.begin();) {
+    --it;
+    if (!it->second.contains(voter) || ++held <= keep) continue;
+    it->second.erase(voter);
+    if (it->second.empty()) it = checkpoints_.erase(it);
+  }
+}
+
+std::size_t PbftSmr::stored_votes() const {
+  std::size_t count = state_reply_votes_.size();
+  for (const Slot& s : slots_) count += s.votes.size();
+  for (const auto& [seq, votes] : checkpoints_) count += votes.size();
+  return count;
 }
 
 void PbftSmr::send_checkpoint(std::uint64_t seq) {
@@ -898,9 +920,9 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
                  max_faults() + 1
            : (vouched_to = validate_chain(records)) > next_exec_;
   if (!evidence) {
-    std::set<NodeId>& voters = state_reply_votes_[msg.payload.digest()];
-    voters.insert(msg.from);
-    if (voters.size() < max_faults() + 1) return;
+    const crypto::Digest d = msg.payload.digest();
+    state_reply_votes_[msg.from] = d;
+    if (count_matching(&state_reply_votes_, d) < max_faults() + 1) return;
     state_reply_votes_.clear();
   }
 

@@ -224,6 +224,11 @@ class PbftSmr final : public SmrEngine {
   // batch frames; see the header comment).
   std::size_t history_size() const { return static_cast<std::size_t>(next_exec_ - base_); }
   std::uint64_t history_base() const { return base_; }
+  // Vote-storage observability: CHECKPOINT votes in the window and above it
+  // plus state-reply votes. One member holds at most one vote per boundary
+  // in the window, its newest ceil(watermark_window / checkpoint_interval)
+  // + 1 boundaries above it, and its latest reply digest.
+  std::size_t stored_votes() const;
   std::uint64_t instance_tag() const { return instance_tag_; }
 
   // Runtime fault conversion (scenario Byzantine-storm primitive): fault_
@@ -284,7 +289,7 @@ class PbftSmr final : public SmrEngine {
     std::uint64_t ops = 0;
     Bytes ledger_wire;
   };
-  using Votes = std::map<NodeId, crypto::Digest>;  // voter -> body digest
+  using Votes = std::map<NodeId, crypto::Digest>;  // voter -> digest voted for
   // Every seq-indexed fact about one seq. An adopted slot carries no
   // agreement state (a late pre-prepare may set some; the record stays).
   struct Slot {
@@ -434,8 +439,8 @@ class PbftSmr final : public SmrEngine {
   // inside checkpoint bodies so installs restore the exact dedup state.
   RequestLedger executed_requests_;
   // CHECKPOINT votes above the window (a laggard's evidence that the group
-  // moved on); votes inside the window live in their slots. The vote is the
-  // SHA-256 of the full checkpoint body.
+  // moved on), bounded per voter by record_vote; votes inside the window
+  // live in their slots. The vote is the SHA-256 of the full checkpoint body.
   std::map<std::uint64_t, Votes> checkpoints_;
   // Incremental executed-state digest: folded per record as
   // sha256(prev_digest || canonical record encoding). Equal across replicas
@@ -488,8 +493,8 @@ class PbftSmr final : public SmrEngine {
   // residual same-membership tag collision has a bounded window).
   static constexpr int kMaxHeadFetchRounds = 8;
   int head_fetch_rounds_ = 0;
-  // reply digest -> distinct senders of byte-identical replies.
-  std::map<crypto::Digest, std::set<NodeId>> state_reply_votes_;
+  // Each sender's latest reply digest; f+1 equal ones vouch for a reply.
+  Votes state_reply_votes_;
 
   // Primary-side batch buffer: ops waiting for the next flush. They stay in
   // pending_ too (the view-change timer watches pending_), so a cleared

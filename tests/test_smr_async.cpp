@@ -408,7 +408,7 @@ TEST(Pbft, ProposerDecidesItsOwnFrozenBuffer) {
   g.run_for(seconds(1));
   ASSERT_EQ(decided_ops.size(), 1u);
   EXPECT_EQ(decided_ops[0].frame_size(), decided_ops[0].size());
-  EXPECT_GT(decided_ops[0].use_count(), 1);  // shared with log/exec_history
+  EXPECT_GT(decided_ops[0].use_count(), 1);  // shared with the log
 }
 
 // Regression (found by the sanitizer/tidy sweep): a Byzantine member's
@@ -493,6 +493,41 @@ TEST(Pbft, ForgedRecordsReplyFromOneMemberIsNeverAdopted) {
     EXPECT_EQ(g.decided[3][i], g.decided[0][i]) << "divergence at " << i;
     EXPECT_NE(g.decided[3][i].second, op_bytes("forged"));
   }
+}
+
+// Regression: one Byzantine member could grow a replica's vote storage
+// without bound. Far-future CHECKPOINT votes stayed until the stable
+// checkpoint passed them, and each distinct unsolicited state reply kept
+// its own entry until the next fetch round. A member now holds at most its
+// newest ceil(window / interval) + 1 boundaries above the window and its
+// latest reply digest.
+TEST(Pbft, ByzantineMemberCannotGrowVoteStorage) {
+  PbftOptions opt;  // window 256, checkpoints every 64
+  AsyncGroup g(4, opt);
+  const std::uint64_t tag = g.at(0).instance_tag();
+  for (std::uint64_t k = 0; k < 20000; ++k) {
+    ByteWriter w;
+    w.u64(tag);
+    w.u64((1000 + k) * opt.checkpoint_interval);  // a far-future boundary
+    for (int i = 0; i < 32; ++i) w.u8(0);          // state digest
+    w.u64(0);                                      // executed-op count
+    w.bytes(Bytes{0});                             // request ledger: no origins
+    g.net.send(net::Message{3, 0, net::MsgType::kPbftCheckpoint, net::Payload(w.take())});
+    g.net.send(net::Message{
+        3, 0, net::MsgType::kPbftStateReply,
+        net::Payload(forged_records_reply(tag, 0, 1, "reply" + std::to_string(k)))});
+  }
+  g.run_for(seconds(1));
+
+  const std::size_t members = 4;
+  const std::size_t above_window =
+      (opt.watermark_window + opt.checkpoint_interval - 1) / opt.checkpoint_interval + 1;
+  EXPECT_LE(g.at(0).stored_votes(), members * above_window + members);
+
+  g.at(1).propose(op_bytes("alive"));
+  g.run_for(seconds(2));
+  ASSERT_EQ(g.decided[0].size(), 1u);
+  EXPECT_EQ(g.decided[0][0].second, op_bytes("alive"));
 }
 
 // One member offers a checkpoint at a future boundary that no CHECKPOINT
