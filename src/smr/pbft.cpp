@@ -694,20 +694,20 @@ void PbftSmr::handle_checkpoint(const net::Message& msg) {
   // The vote is the digest of the whole body (memoized on the frame).
   crypto::Digest d = msg.payload.digest();
   record_vote(seq, msg.from, d);
-  std::size_t matching = count_matching(votes_at(seq), d);
-  if (matching >= quorum() && seq <= next_exec_) {
-    collect_garbage(seq);
-  } else if (matching >= max_faults() + 1 && seq > next_exec_ + options_.watermark_window / 2) {
+  if (seq <= next_exec_) {
+    maybe_stabilize();  // this vote may complete a quorum
+  } else if (seq > next_exec_ + options_.watermark_window / 2 &&
+             count_matching(votes_at(seq), d) >= max_faults() + 1) {
     // We have fallen behind a vouched checkpoint: fetch state.
     request_state_transfer();
   }
 }
 
 void PbftSmr::maybe_stabilize() {
-  // A boundary we just executed may complete a quorum whose peer votes
-  // arrived BEFORE we executed it — handle_checkpoint alone would leave the
-  // log untruncated until the next peer message. Count votes matching our
-  // own; newest eligible boundary wins.
+  // The one path by which 2f+1 votes advance the stable checkpoint, run on
+  // every vote and after every execution: the quorum may complete on a
+  // peer's vote or, when peers voted first, on our own. Count votes
+  // matching our own; newest eligible boundary wins.
   const std::uint64_t interval = options_.checkpoint_interval;
   for (std::uint64_t seq = next_exec_ - next_exec_ % interval; seq > stable_seq_;
        seq -= interval) {

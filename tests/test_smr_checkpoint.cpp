@@ -5,6 +5,8 @@
 //  * a laggard whose gap crosses the peers' truncation point installs the
 //    stable checkpoint and reports the skipped range through the install
 //    handler, then converges on the suffix;
+//  * smr.checkpoints_stable counts the stable advances 2f+1 votes reach,
+//    and an install does not move it;
 //  * non-adjacent epochs with identical membership (A -> B -> A) get
 //    distinct epoch hashes and therefore distinct instance tags;
 //  * a member removed while partitioned learns of its removal from f+1
@@ -14,12 +16,14 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
 #include "net/network.h"
+#include "obs/registry.h"
 #include "sim/simulator.h"
 #include "smr/pbft.h"
 #include "smr/reconfig.h"
@@ -34,12 +38,15 @@ struct CkptGroup {
   net::SimNetwork net{sim, net::NetworkConfig::datacenter(), 77};
   crypto::KeyStore keys{29};
   GroupConfig cfg;
+  std::vector<std::unique_ptr<obs::Registry>> metrics;  // one per replica
   std::vector<std::unique_ptr<PbftSmr>> replicas;
   std::map<NodeId, std::vector<std::pair<NodeId, Bytes>>> decided;
 
   explicit CkptGroup(std::size_t g, PbftOptions opt) {
     for (NodeId n = 0; n < g; ++n) cfg.members.push_back(n);
     for (NodeId n = 0; n < g; ++n) {
+      metrics.push_back(std::make_unique<obs::Registry>());
+      opt.metrics = metrics.back().get();
       auto r = std::make_unique<PbftSmr>(net::Transport(net, n), cfg, keys, opt,
                                          PbftFaultMode::kCorrect);
       r->set_decide_handler([this, n](std::uint64_t, NodeId origin, const net::Payload& op) {
@@ -50,13 +57,16 @@ struct CkptGroup {
   }
 
   PbftSmr& at(std::size_t i) { return *replicas[i]; }
+  std::uint64_t counter(std::size_t i, const char* name) {
+    return metrics[i]->counter(name).value();
+  }
   void run_for(DurationMicros d) { sim.run_until(sim.now() + d); }
 };
 
 // The memory bound, asserted: 200 sequential ops with batch_max_ops=1 fill
 // 200 log slots; with interval 4 / window 16 the retained history must
 // never exceed the window and the base must have advanced far past zero.
-// On the seed behavior (exec_history_ unbounded) history_size() would be
+// On the seed behavior (an unbounded executed history) history_size() would be
 // 200 and history_base() 0 — this test fails there by two orders.
 TEST(PbftCheckpoint, ExecutedHistoryStaysBoundedByWindow) {
   PbftOptions opt;
@@ -158,6 +168,56 @@ TEST(PbftCheckpoint, InstallCatchUpAccountsForSkippedOps) {
         << "divergence at suffix index " << i;
   }
   EXPECT_LE(g.at(3).history_size(), opt.watermark_window);
+}
+
+// smr.checkpoints_stable counts each stable advance that 2f+1 matching
+// votes reach, whether the quorum completes on a peer's vote (most do) or
+// on our own; an install moves stable_seq() but only
+// smr.checkpoint_installs. Each advance moves stable_seq() by at least one
+// interval, which caps the count.
+TEST(PbftCheckpoint, StableCounterCountsQuorumAdvancesNotInstalls) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  opt.watermark_window = 16;
+  opt.batch_max_ops = 1;
+  CkptGroup g(4, opt);
+  constexpr const char* kStable = "smr.checkpoints_stable";
+  auto check_counts = [&](const char* when) {
+    for (NodeId n = 0; n < 4; ++n) {
+      if (g.at(n).stable_seq() > 0) {
+        EXPECT_GE(g.counter(n, kStable), 1u) << when << ", replica " << n;
+      }
+      EXPECT_LE(g.counter(n, kStable), g.at(n).stable_seq() / opt.checkpoint_interval)
+          << when << ", replica " << n;
+    }
+  };
+
+  for (int i = 0; i < 20; ++i) {
+    g.at(static_cast<std::size_t>(i % 4)).propose(op_bytes("a" + std::to_string(i)));
+  }
+  g.run_for(seconds(5));
+  ASSERT_GE(g.at(3).stable_seq(), 16u);
+  check_counts("all replicas live");
+
+  g.net.isolate(3, true);
+  for (int i = 0; i < 60; ++i) {
+    g.at(0).propose(op_bytes("b" + std::to_string(i)));
+    if (i % 10 == 9) g.run_for(millis(200));
+  }
+  g.run_for(seconds(5));
+  const std::uint64_t before = g.counter(3, kStable);
+  std::optional<std::uint64_t> at_install;
+  g.at(3).set_install_handler([&](std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t) {
+    if (!at_install) at_install = g.counter(3, kStable);
+  });
+  g.net.isolate(3, false);
+  for (int i = 60; i < 72; ++i) g.at(0).propose(op_bytes("b" + std::to_string(i)));
+  g.run_for(seconds(30));
+
+  EXPECT_GE(g.counter(3, "smr.checkpoint_installs"), 1u);
+  ASSERT_TRUE(at_install.has_value()) << "replica 3 never installed a checkpoint";
+  EXPECT_EQ(*at_install, before) << "the install bumped smr.checkpoints_stable";
+  check_counts("after the install run");
 }
 
 GroupConfig members(std::initializer_list<NodeId> ns) {
