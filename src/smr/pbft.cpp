@@ -120,26 +120,34 @@ void PbftSmr::encode_ops_region(ByteWriter& w, const std::vector<Request>& batch
   }
 }
 
-std::vector<PbftSmr::Request> PbftSmr::parse_ops_region(
-    const net::Payload& frame, std::span<const std::uint8_t> region) {
-  ByteReader r(region.data(), region.size());
+std::vector<PbftSmr::Request> PbftSmr::read_ops(const net::Payload& frame, ByteReader& r) {
   std::uint64_t count = r.varint();
   // Each op is at least 17 bytes; a Byzantine count far beyond the bytes
   // present must fail as malformed before any reserve.
-  if (count > r.remaining()) throw SerdeError("ops region count exceeds buffer");
-  std::vector<Request> batch;
-  batch.reserve(static_cast<std::size_t>(count));
+  if (count > r.remaining()) throw SerdeError("op count exceeds buffer");
+  std::vector<Request> ops;
+  ops.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     Request req;
     req.id.origin = r.u64();
     req.id.seq = r.u64();
     req.op = frame.slice(r.bytes_view());  // zero-copy: view of the frame
-    // The null origin is reserved for gap-filling empty batches; an op
-    // claiming it could never be matched against a client broadcast.
-    if (req.id.origin == kNullOrigin) throw SerdeError("op with null origin");
-    batch.push_back(std::move(req));
+    ops.push_back(std::move(req));
   }
+  return ops;
+}
+
+std::vector<PbftSmr::Request> PbftSmr::parse_ops_region(
+    const net::Payload& frame, std::span<const std::uint8_t> region) {
+  ByteReader r(region.data(), region.size());
+  std::vector<Request> batch = read_ops(frame, r);
   r.expect_done();
+  // The null origin is reserved for gap-filling empty batches and the
+  // executed records' no-ops; an op claiming it could never be matched
+  // against a client broadcast.
+  for (const Request& req : batch) {
+    if (req.id.origin == kNullOrigin) throw SerdeError("op with null origin");
+  }
   return batch;
 }
 
@@ -534,14 +542,14 @@ void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
   // seq — an equivocating client re-submitting — is recorded as a null op
   // so replayed histories skip it identically.
   ExecRecord& rec = s.record;
-  rec.ops.reserve(s.agreement.batch.size());
+  rec.reserve(s.agreement.batch.size());
   std::uint64_t fresh_ops = 0;
   for (const Request& req : s.agreement.batch) {
     if (executed_requests_.insert(req.id.origin, req.id.seq)) {
-      rec.ops.push_back(ExecOp{req.id.origin, req.id.seq, req.op});
+      rec.push_back(req);
       ++fresh_ops;
     } else {
-      rec.ops.push_back(ExecOp{kNullOrigin, req.id.seq, {}});
+      rec.push_back(Request{RequestId{kNullOrigin, req.id.seq}, {}});
     }
     assigned_or_executed_.insert(req.id.origin, req.id.seq);
     pending_.erase(req.id);
@@ -561,8 +569,8 @@ void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
   // Nested executions below may grow the log, which moves no slot, and
   // never truncate it while exec_depth_ > 0, so `rec` stays put.
   ++exec_depth_;
-  for (const ExecOp& op : rec.ops) {
-    if (op.origin == kNullOrigin) continue;
+  for (const Request& op : rec) {
+    if (op.id.origin == kNullOrigin) continue;
     // Zero-copy async decide: the op is already a refcounted slice of the
     // pre-prepare frame, shared by the slot's batch and record and its
     // batch-mates. The callback (and everything above it) works on the
@@ -572,7 +580,7 @@ void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
     if (options_.tracer != nullptr && options_.tracer->enabled()) {
       trace(obs::TracePoint::kDecide, crypto::digest_prefix64(op.op.digest()), seq);
     }
-    if (decide_) decide_(decided_ops_ - 1, op.origin, op.op);
+    if (decide_) decide_(decided_ops_ - 1, op.id.origin, op.op);
   }
   --exec_depth_;
   trim_history();
@@ -589,22 +597,14 @@ void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
 // Checkpoints & state transfer
 // ---------------------------------------------------------------------------
 
-// Canonical per-record encoding: folded into the incremental state digest
-// and reused verbatim by state replies, so a fetcher re-folding served
-// records reproduces the server's digest chain byte-for-byte.
-void PbftSmr::encode_exec_record(ByteWriter& w, const ExecRecord& rec) {
-  w.varint(rec.ops.size());
-  for (const ExecOp& op : rec.ops) {
-    w.u64(op.origin);
-    w.u64(op.origin_seq);
-    w.bytes(op.op.data(), op.op.size());
-  }
-}
-
+// A record's canonical encoding is its ops region: folded into the
+// incremental state digest and reused verbatim by state replies, so a
+// fetcher re-folding served records reproduces the server's digest chain
+// byte-for-byte.
 void PbftSmr::fold_record(const ExecRecord& rec) {
   ByteWriter w;
   w.raw(state_digest_.data(), state_digest_.size());
-  encode_exec_record(w, rec);
+  encode_ops_region(w, rec);
   state_digest_ = crypto::sha256(w.data());
 }
 
@@ -821,7 +821,7 @@ void PbftSmr::handle_state_fetch(const net::Message& msg) {
   }
   w.varint(end - first);
   for (std::uint64_t seq = first + 1; seq <= end; ++seq) {
-    encode_exec_record(w, find_slot(seq)->record);
+    encode_ops_region(w, find_slot(seq)->record);
   }
   transport_.send(msg.from, net::MsgType::kPbftStateReply, w.take());
 }
@@ -837,20 +837,7 @@ std::vector<PbftSmr::ExecRecord> PbftSmr::parse_exec_records(const net::Message&
   if (count > r.remaining()) throw SerdeError("state reply count exceeds buffer");
   std::vector<ExecRecord> entries;
   entries.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t op_count = r.varint();
-    if (op_count > r.remaining()) throw SerdeError("state reply op count exceeds buffer");
-    ExecRecord rec;
-    rec.ops.reserve(static_cast<std::size_t>(op_count));
-    for (std::uint64_t j = 0; j < op_count; ++j) {
-      ExecOp op;
-      op.origin = r.u64();
-      op.origin_seq = r.u64();
-      op.op = msg.payload.slice(r.bytes_view());  // zero-copy out of the reply frame
-      rec.ops.push_back(std::move(op));
-    }
-    entries.push_back(std::move(rec));
-  }
+  for (std::uint64_t i = 0; i < count; ++i) entries.push_back(read_ops(msg.payload, r));
   return entries;
 }
 
@@ -871,11 +858,11 @@ std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries) co
     ++seq;
     ByteWriter fw;
     fw.raw(digest.data(), digest.size());
-    encode_exec_record(fw, rec);
+    encode_ops_region(fw, rec);
     digest = crypto::sha256(fw.data());
-    for (const ExecOp& op : rec.ops) {
-      if (op.origin == kNullOrigin) continue;
-      if (ledger.insert(op.origin, op.origin_seq)) ++ops;
+    for (const Request& op : rec) {
+      if (op.id.origin == kNullOrigin) continue;
+      if (ledger.insert(op.id.origin, op.id.seq)) ++ops;
     }
     if (seq % options_.checkpoint_interval != 0) continue;
     const Votes* votes = votes_at(seq);
@@ -1002,11 +989,11 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
     // fork the chain from the group's.
     fold_record(rec);
     std::uint64_t fresh_ops = 0;
-    for (const ExecOp& op : rec.ops) {
-      if (op.origin == kNullOrigin) continue;
-      if (executed_requests_.insert(op.origin, op.origin_seq)) ++fresh_ops;
-      assigned_or_executed_.insert(op.origin, op.origin_seq);
-      pending_.erase(RequestId{op.origin, op.origin_seq});
+    for (const Request& op : rec) {
+      if (op.id.origin == kNullOrigin) continue;
+      if (executed_requests_.insert(op.id.origin, op.id.seq)) ++fresh_ops;
+      assigned_or_executed_.insert(op.id.origin, op.id.seq);
+      pending_.erase(op.id);
     }
     executed_ops_ += fresh_ops;
     Slot& s = slot(seq);
@@ -1014,10 +1001,10 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
     s.record = rec;
     next_exec_ = seq;
     if (seq % options_.checkpoint_interval == 0) send_checkpoint(seq);
-    for (const ExecOp& op : rec.ops) {
-      if (op.origin == kNullOrigin) continue;
+    for (const Request& op : rec) {
+      if (op.id.origin == kNullOrigin) continue;
       ++decided_ops_;
-      if (decide_) decide_(decided_ops_ - 1, op.origin, op.op);  // shares the reply frame
+      if (decide_) decide_(decided_ops_ - 1, op.id.origin, op.op);  // shares the reply frame
     }
   }
   --exec_depth_;

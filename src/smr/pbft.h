@@ -269,18 +269,11 @@ class PbftSmr final : public SmrEngine {
     std::set<NodeId> prepares;
     std::set<NodeId> commits;
   };
-  struct ExecOp {
-    NodeId origin;
-    std::uint64_t origin_seq;
-    net::Payload op;  // shares the decided frame (state-transfer source)
-  };
   // The executed record of one seq: its whole batch in delivery order. Ops
   // that executed as no-ops (duplicates) are recorded with the null origin
-  // so replayed histories skip them too; the agreed batch stays intact
-  // beside it, since view changes still carry it as a prepared proof.
-  struct ExecRecord {
-    std::vector<ExecOp> ops;
-  };
+  // and no bytes so replayed histories skip them too; the agreed batch stays
+  // intact beside it, since view changes still carry it as a prepared proof.
+  using ExecRecord = std::vector<Request>;
   // Checkpoint at one boundary; checkpoint_body() encodes exactly these
   // fields.
   struct Checkpoint {
@@ -335,8 +328,10 @@ class PbftSmr final : public SmrEngine {
   // proofs and new-view O entries; the batch digest is the SHA-256 of
   // exactly these bytes.
   static void encode_ops_region(ByteWriter& w, const std::vector<Request>& batch);
-  // Parses an ops region as zero-copy slices of `frame`. Throws SerdeError
-  // on malformed bytes (including an op claiming the null origin).
+  // Reads varint count + that many ops as zero-copy slices of `frame`.
+  static std::vector<Request> read_ops(const net::Payload& frame, ByteReader& r);
+  // Parses a whole ops region. Throws SerdeError on malformed bytes
+  // (including an op claiming the null origin).
   static std::vector<Request> parse_ops_region(const net::Payload& frame,
                                                std::span<const std::uint8_t> region);
   crypto::Digest batch_digest(const std::vector<Request>& batch) const;
@@ -464,7 +459,6 @@ class PbftSmr final : public SmrEngine {
   void adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_t count);
   void install_checkpoint(Checkpoint ckpt, RequestLedger ledger);
   std::vector<ExecRecord> parse_exec_records(const net::Message& msg, ByteReader& r) const;
-  static void encode_exec_record(ByteWriter& w, const ExecRecord& rec);
 
   // Nested-execution guard: decide callbacks may propose, and with tiny
   // quorums that executes the NEXT seq inline. History truncation must not
