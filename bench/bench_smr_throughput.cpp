@@ -7,7 +7,7 @@
 //          per-message CPU, header overhead, bandwidth serialization — is
 //          machine-independent, so the numbers are deterministic and
 //          byte-comparable across hosts; see tools/bench_trend.py).
-//   soak — the bench_soak_atum_10k profile (kAsync vgroups, H-graph,
+//   soak — the bench_soak_atum_100k profile (kAsync vgroups, H-graph,
 //          gossip), default 1500 nodes for CI (--soak-nodes 10000 for the
 //          full-size run): a burst of broadcasts from scattered origins,
 //          measured as broadcast deliveries per simulated second, plus the

@@ -1,9 +1,10 @@
-// Node-level soak at 100k nodes: the 10x scale-up of bench_soak_atum_10k
-// that the per-frame digest cache and the zero-copy PBFT/AShare tails were
-// built to enable. It runs the REAL per-node runtime (AtumSystem/AtumNode)
-// — SMR engines, heartbeat timers, group messages, gossip relays — one
-// order of magnitude above the 10k soak and four above the unit tests.
-// Phases:
+// Node-level soak, 100k nodes by default: where bench_soak_100k drives
+// joins through the vgroup-granularity cluster simulator, this one runs the
+// REAL per-node runtime (AtumSystem/AtumNode) — SMR engines, heartbeat
+// timers, group messages, gossip relays — at the scale the per-frame digest
+// cache and the zero-copy PBFT/AShare tails were built for, four orders of
+// magnitude above the unit tests. A node count argument scales it down for
+// smoke runs. Phases:
 //
 //   deploy — instant deployment of N nodes into vgroups + H-graph;
 //   beat   — two heartbeat periods across the whole population
