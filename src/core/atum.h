@@ -23,7 +23,7 @@
 //    the same timing but stronger unpredictability. §5.1's key point —
 //    numbers minted only once their purpose is fixed — is preserved.
 //  * full-group shuffling, split and merge dynamics are modelled at vgroup
-//    granularity in group::ClusterSim (see DESIGN.md); the node-level
+//    granularity in group::ClusterSim (see ARCHITECTURE.md); the node-level
 //    runtime keeps vgroups static in size apart from join/leave/eviction.
 //
 // Payload ownership (README "Payload API"): broadcast() freezes the
