@@ -287,9 +287,9 @@ class PbftSmr final : public SmrEngine {
   // agreement state (a late pre-prepare may set some; the record stays).
   struct Slot {
     Agreement agreement;
-    ExecRecord record;                  // filled once seq <= next_exec_
+    ExecRecord record;                    // filled once seq <= next_exec_
     std::unique_ptr<Checkpoint> capture;  // our boundary capture, if executed
-    Votes votes;                        // boundary votes while in the window
+    Votes votes;                          // boundary votes while in the window
   };
   struct PreparedProof {
     std::uint64_t seq;
