@@ -375,10 +375,9 @@ void AtumNode::on_smr_decide(std::uint64_t, NodeId origin, const net::Payload& w
   switch (op.kind) {
     case group::OpKind::kBroadcast: {
       if (op.broadcast.bcast.origin != origin) return;  // forged origin
-      deliver_broadcast(op.broadcast.bcast, op.broadcast.payload, wire);
       // The decided op IS the gossip frame (see static_assert above):
       // relay the buffer we already hold instead of re-encoding it.
-      relay_gossip(op.broadcast.bcast, op.broadcast.payload, wire);
+      accept_broadcast(op.broadcast.bcast, op.broadcast.payload, wire);
       break;
     }
     case group::OpKind::kSuspect: {
@@ -511,8 +510,7 @@ void AtumNode::on_group_message(const overlay::GroupMessageId& gm_id, NodeId,
         // The broadcast body is a slice of the received frame; the frame
         // itself is relayed verbatim. Neither is ever copied.
         net::Payload body = payload.slice(r.bytes_view());
-        deliver_broadcast(id, body, payload);
-        relay_gossip(id, body, payload);
+        accept_broadcast(id, body, payload);
         break;
       }
       case kGmWalk: {
@@ -535,8 +533,12 @@ void AtumNode::on_group_message(const overlay::GroupMessageId& gm_id, NodeId,
   }
 }
 
-void AtumNode::deliver_broadcast(const BroadcastId& id, const net::Payload& payload,
-                                 const net::Payload& frame) {
+void AtumNode::accept_broadcast(const BroadcastId& id, const net::Payload& payload,
+                                const net::Payload& frame) {
+  // Later sightings neither deliver nor relay: a relay sends `frame` verbatim
+  // under {own vgroup, digest prefix of frame}, so a second relay would be
+  // byte-identical to the first under the same group-message id, and every
+  // receiver would drop it as a duplicate.
   if (!gossip_.first_sighting(id)) return;
   ++delivered_;
   obs::Tracer& tr = sys_.tracer();
@@ -546,6 +548,7 @@ void AtumNode::deliver_broadcast(const BroadcastId& id, const net::Payload& payl
               crypto::digest_prefix64(frame.digest()), id.origin);
   }
   if (behavior_ == NodeBehavior::kCorrect && deliver_) deliver_(id.origin, payload);
+  relay_gossip(id, payload, frame);
 }
 
 void AtumNode::relay_gossip(const BroadcastId& id, const net::Payload& payload,

@@ -192,11 +192,14 @@ class AtumNode {
   void on_direct(const net::Message& msg);
 
   // --- protocol actions ---
-  // `frame` is the gossip wire frame the broadcast arrived as (the decided
-  // op's encoding on the SMR path) — its digest prefix is the trace key
-  // joining this delivery to every other hop of the same broadcast.
-  void deliver_broadcast(const BroadcastId& id, const net::Payload& payload,
-                         const net::Payload& frame);
+  // A broadcast arrives by two paths: the own vgroup decides it, or a
+  // neighbor vgroup's group message carries it. Its first sighting, by
+  // either path, delivers it and then relays it (§3.2); later sightings do
+  // nothing. `frame` is the gossip wire frame the broadcast arrived as (the
+  // decided op's encoding on the SMR path) — its digest prefix is the trace
+  // key joining this delivery to every other hop of the same broadcast.
+  void accept_broadcast(const BroadcastId& id, const net::Payload& payload,
+                        const net::Payload& frame);
   // Relays `frame` (the received kGmGossip group-message body, or the
   // decided broadcast op whose encoding doubles as that frame) verbatim to
   // the chosen neighbor groups: a relaying node never re-encodes the
