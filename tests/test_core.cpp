@@ -5,6 +5,7 @@
 
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "core/atum.h"
 #include "core/params.h"
@@ -235,6 +236,39 @@ TEST_F(CoreFixture, ForwardNoneStillDeliversViaMandatoryLink) {
   sys->node(2).broadcast(msg("mandatory"));
   run_for(seconds(120));
   EXPECT_EQ(nodes_with(msg("mandatory")), 18u);
+}
+
+TEST_F(CoreFixture, EachNodeRelaysABroadcastOnce) {
+  // §3.2: a node consults `forward` when it sees a broadcast for the first
+  // time, whichever path brought it (its own vgroup's decide or a neighbor's
+  // group message). Every later sighting arrives from another neighbor vgroup
+  // and must neither deliver nor relay again.
+  deploy(60);
+  using RefKey = std::tuple<GroupId, std::size_t, int>;
+  std::map<NodeId, std::map<RefKey, int>> consulted;
+  for (NodeId i = 0; i < 60; ++i) {
+    sys->node(i).set_forward([&consulted, i, inner = overlay::forward_cycles({0, 1})](
+                                 const BroadcastId& id, const net::Payload& payload,
+                                 const overlay::NeighborRef& n) {
+      ++consulted[i][RefKey{n.group, n.cycle, n.direction}];
+      return inner(id, payload, n);
+    });
+  }
+  ASSERT_GT(sys->group_map().size(), 4u);
+  sys->node(3).broadcast(msg("relay-once"));
+  run_for(seconds(30));
+  for (NodeId i = 0; i < 60; ++i) {
+    EXPECT_EQ(delivered[i].size(), 1u) << "node " << i;
+    // relays() takes the mandatory cycle-0 successor link without asking
+    // `forward`, so every other neighbor ref is consulted exactly once.
+    std::map<RefKey, int> expected;
+    for (const overlay::NeighborRef& n : sys->node(i).vgroup().neighbor_refs()) {
+      if (n.cycle == 0 && n.direction == 0) continue;
+      expected[RefKey{n.group, n.cycle, n.direction}] = 1;
+    }
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(consulted[i], expected) << "node " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
