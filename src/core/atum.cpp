@@ -284,6 +284,7 @@ void AtumNode::setup_runtime() {
     return v && v->has_member(n);
   });
   gm_rx_->set_tracer(&sys_.tracer());
+  gossip_.set_seen_period(gm_rx_->dedup_window());
 
   if (behavior_ != NodeBehavior::kSilent) {
     heartbeat_timer_ = std::make_unique<sim::PeriodicTimer>(
@@ -539,7 +540,7 @@ void AtumNode::accept_broadcast(const BroadcastId& id, const net::Payload& paylo
   // under {own vgroup, digest prefix of frame}, so a second relay would be
   // byte-identical to the first under the same group-message id, and every
   // receiver would drop it as a duplicate.
-  if (!gossip_.first_sighting(id)) return;
+  if (!gossip_.first_sighting(id, sys_.simulator().now())) return;
   ++delivered_;
   obs::Tracer& tr = sys_.tracer();
   if (tr.enabled()) {

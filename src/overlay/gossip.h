@@ -149,8 +149,18 @@ class GossipState {
 
   void set_forward(ForwardFn fn) { forward_ = std::move(fn); }
 
-  // First sighting of a broadcast? (also records it)
-  bool first_sighting(const BroadcastId& id);
+  // Sightings are kept in two generations rotated every `period` of
+  // simulated time, as GroupMessageReceiver keeps its delivered ids: an id
+  // is remembered for at least one period after its first sighting, and
+  // the set holds only the ids first seen over the last two periods. The
+  // period must be no shorter than the receiver's dedup_window(), so an id
+  // outlives every copy the receiver can still accept — a forgotten id
+  // would deliver and relay again.
+  void set_seen_period(DurationMicros period) { seen_period_ = period; }
+
+  // First sighting of a broadcast at simulated time `now`? (also records
+  // it). The caller passes the time; this class keeps no clock.
+  bool first_sighting(const BroadcastId& id, TimeMicros now);
   bool seen(const BroadcastId& id) const;
 
   // Relay decision for one broadcast across the group's neighbor set;
@@ -158,11 +168,15 @@ class GossipState {
   std::vector<NeighborRef> relays(const BroadcastId& id, const net::Payload& payload,
                                   const std::vector<NeighborRef>& neighbors) const;
 
-  std::size_t seen_count() const { return seen_.size(); }
+  std::size_t seen_count() const { return seen_recent_.size() + seen_prev_.size(); }
 
  private:
   ForwardFn forward_;
-  std::unordered_set<BroadcastId> seen_;
+  // GroupMessageReceiver's default dedup window (8 × its 60 s tombstone TTL).
+  DurationMicros seen_period_ = 8 * kMicrosPerMinute;
+  std::unordered_set<BroadcastId> seen_recent_;
+  std::unordered_set<BroadcastId> seen_prev_;
+  TimeMicros seen_rotate_at_ = 0;
 };
 
 }  // namespace atum::overlay

@@ -90,13 +90,13 @@ void GroupMessageReceiver::gc_tombstones() {
 void GroupMessageReceiver::maybe_rotate_delivered() {
   const TimeMicros now = transport_.simulator().now();
   if (delivered_rotate_at_ == 0) {
-    delivered_rotate_at_ = now + 8 * tombstone_ttl_;
+    delivered_rotate_at_ = now + dedup_window();
     return;
   }
   if (now < delivered_rotate_at_) return;
   delivered_prev_ = std::move(delivered_recent_);
   delivered_recent_.clear();
-  delivered_rotate_at_ = now + 8 * tombstone_ttl_;
+  delivered_rotate_at_ = now + dedup_window();
 }
 
 void GroupMessageReceiver::on_message(const net::Message& msg) {

@@ -124,6 +124,9 @@ class GroupMessageReceiver {
   // The set holds plain 16-byte ids (no payloads), bounded by the delivery
   // rate over two rotation windows.
   void set_tombstone_ttl(DurationMicros ttl) { tombstone_ttl_ = ttl; }
+  // The rotation period of the delivered-id set: every delivered id stays
+  // dedup-covered for at least this long.
+  DurationMicros dedup_window() const { return 8 * tombstone_ttl_; }
 
   // Re-evaluates buffered messages (e.g. after learning a group's
   // composition through a neighbor update).

@@ -835,11 +835,38 @@ TEST(Gossip, RandomPolicyVariesAcrossBroadcasts) {
 
 TEST(Gossip, FirstSightingDedups) {
   GossipState g(forward_flood());
-  EXPECT_TRUE(g.first_sighting(BroadcastId{1, 1}));
-  EXPECT_FALSE(g.first_sighting(BroadcastId{1, 1}));
-  EXPECT_TRUE(g.first_sighting(BroadcastId{1, 2}));
+  EXPECT_TRUE(g.first_sighting(BroadcastId{1, 1}, 0));
+  EXPECT_FALSE(g.first_sighting(BroadcastId{1, 1}, 0));
+  EXPECT_TRUE(g.first_sighting(BroadcastId{1, 2}, 0));
   EXPECT_TRUE(g.seen(BroadcastId{1, 1}));
   EXPECT_FALSE(g.seen(BroadcastId{2, 1}));
+}
+
+TEST(Gossip, FirstSightingSetIsBoundedByTwoPeriods) {
+  // The first-sighting set gates delivery and relaying, so it may forget an
+  // id only after a full period; it must not grow with the node's lifetime.
+  const DurationMicros period = seconds(100);
+  GossipState g(forward_flood());
+  g.set_seen_period(period);
+  // Ten fresh broadcasts per period, for six periods.
+  const std::uint64_t per_period = 10;
+  std::size_t max_count = 0;
+  for (std::uint64_t s = 0; s < 6 * per_period; ++s) {
+    TimeMicros now = static_cast<TimeMicros>(s) * period / static_cast<TimeMicros>(per_period);
+    EXPECT_TRUE(g.first_sighting(BroadcastId{1, s}, now)) << "broadcast " << s;
+    max_count = std::max(max_count, g.seen_count());
+  }
+  EXPECT_LE(max_count, 2 * per_period);
+  // Sighted more than two periods ago: forgotten.
+  EXPECT_FALSE(g.seen(BroadcastId{1, 0}));
+
+  // An id seen again within one period of its first sighting is still not
+  // a first sighting, even with a rotation in between.
+  const TimeMicros t = 6 * period - period / 20;  // just before a rotation
+  EXPECT_TRUE(g.first_sighting(BroadcastId{2, 1}, t));
+  EXPECT_TRUE(g.first_sighting(BroadcastId{2, 2}, 6 * period));  // rotates
+  EXPECT_FALSE(g.first_sighting(BroadcastId{2, 1}, t + period - 1));
+  EXPECT_TRUE(g.seen(BroadcastId{2, 1}));
 }
 
 }  // namespace
