@@ -284,7 +284,6 @@ void AtumNode::setup_runtime() {
     return v && v->has_member(n);
   });
   gm_rx_->set_tracer(&sys_.tracer());
-  gossip_.set_seen_period(gm_rx_->dedup_window());
 
   if (behavior_ != NodeBehavior::kSilent) {
     heartbeat_timer_ = std::make_unique<sim::PeriodicTimer>(

@@ -134,20 +134,11 @@ std::size_t SendCoalescer::queued() const {
 }
 
 bool GossipState::first_sighting(const BroadcastId& id, TimeMicros now) {
-  if (seen_rotate_at_ == 0) {
-    seen_rotate_at_ = now + seen_period_;
-  } else if (now >= seen_rotate_at_) {
-    seen_prev_ = std::move(seen_recent_);
-    seen_recent_.clear();
-    seen_rotate_at_ = now + seen_period_;
-  }
-  if (seen_prev_.contains(id)) return false;
-  return seen_recent_.insert(id).second;
+  seen_.rotate(now, kDedupWindow);
+  return seen_.insert(id);
 }
 
-bool GossipState::seen(const BroadcastId& id) const {
-  return seen_recent_.contains(id) || seen_prev_.contains(id);
-}
+bool GossipState::seen(const BroadcastId& id) const { return seen_.contains(id); }
 
 std::vector<NeighborRef> GossipState::relays(const BroadcastId& id, const net::Payload& payload,
                                              const std::vector<NeighborRef>& neighbors) const {

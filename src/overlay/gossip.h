@@ -22,6 +22,7 @@
 #include "common/types.h"
 #include "net/message.h"
 #include "net/network.h"
+#include "overlay/two_generation_set.h"
 #include "sim/simulator.h"
 
 namespace atum::obs {
@@ -149,17 +150,18 @@ class GossipState {
 
   void set_forward(ForwardFn fn) { forward_ = std::move(fn); }
 
-  // Sightings are kept in two generations rotated every `period` of
-  // simulated time, as GroupMessageReceiver keeps its delivered ids: an id
-  // is remembered for at least one period after its first sighting, and
-  // the set holds only the ids first seen over the last two periods. The
-  // period must be no shorter than the receiver's dedup_window(), so an id
-  // outlives every copy the receiver can still accept — a forgotten id
-  // would deliver and relay again.
-  void set_seen_period(DurationMicros period) { seen_period_ = period; }
-
   // First sighting of a broadcast at simulated time `now`? (also records
   // it). The caller passes the time; this class keeps no clock.
+  //
+  // Sightings are forgotten: the set keeps two generations rotated every
+  // kDedupWindow (480 s), so an id is remembered for at least that long
+  // after its first sighting, and a copy arriving after that may deliver
+  // and relay again. The receiver's dedup window does not bound when copies
+  // arrive: a node gets each broadcast under a different group-message id
+  // per neighbor vgroup, and an origin-group member also through its
+  // vgroup's decide, which a lagging replica may get later by state
+  // transfer. The protocol bounds neither delay; the period rests on
+  // measured delays (ARCHITECTURE.md, Gossip).
   bool first_sighting(const BroadcastId& id, TimeMicros now);
   bool seen(const BroadcastId& id) const;
 
@@ -168,15 +170,11 @@ class GossipState {
   std::vector<NeighborRef> relays(const BroadcastId& id, const net::Payload& payload,
                                   const std::vector<NeighborRef>& neighbors) const;
 
-  std::size_t seen_count() const { return seen_recent_.size() + seen_prev_.size(); }
+  std::size_t seen_count() const { return seen_.size(); }
 
  private:
   ForwardFn forward_;
-  // GroupMessageReceiver's default dedup window (8 × its 60 s tombstone TTL).
-  DurationMicros seen_period_ = 8 * kMicrosPerMinute;
-  std::unordered_set<BroadcastId> seen_recent_;
-  std::unordered_set<BroadcastId> seen_prev_;
-  TimeMicros seen_rotate_at_ = 0;
+  TwoGenerationSet<BroadcastId, std::unordered_set<BroadcastId>> seen_;
 };
 
 }  // namespace atum::overlay

@@ -87,21 +87,9 @@ void GroupMessageReceiver::gc_tombstones() {
   }
 }
 
-void GroupMessageReceiver::maybe_rotate_delivered() {
-  const TimeMicros now = transport_.simulator().now();
-  if (delivered_rotate_at_ == 0) {
-    delivered_rotate_at_ = now + dedup_window();
-    return;
-  }
-  if (now < delivered_rotate_at_) return;
-  delivered_prev_ = std::move(delivered_recent_);
-  delivered_recent_.clear();
-  delivered_rotate_at_ = now + dedup_window();
-}
-
 void GroupMessageReceiver::on_message(const net::Message& msg) {
   gc_tombstones();
-  maybe_rotate_delivered();
+  delivered_.rotate(transport_.simulator().now(), kDedupWindowTtls * tombstone_ttl_);
 
   if (msg.type == net::MsgType::kGroupMsgEnvelope) {
     // Coalesced envelope: decode it fully before processing any inner
@@ -161,7 +149,7 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
   // Post-TTL duplicate: the tombstone is gone but the rolling delivered-id
   // set still remembers the delivery — drop it before it can mint a fresh
   // Pending entry and re-deliver.
-  if (recently_delivered(id)) return;
+  if (delivered_.contains(id)) return;
 
   Pending& p = pending_[id];
   if (p.expires_at == 0) {
@@ -206,7 +194,7 @@ void GroupMessageReceiver::try_deliver(const GroupMessageId& id, Pending& p) {
     p.payloads.clear();
     p.expires_at = transport_.simulator().now() + tombstone_ttl_;
     gc_queue_.emplace_back(p.expires_at, id);
-    delivered_recent_.insert(id);  // outlives the tombstone (rolling dedup)
+    delivered_.insert(id);  // outlives the tombstone (rolling dedup)
     deliver_(id, relay, std::move(payload));
     return;
   }

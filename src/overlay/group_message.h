@@ -24,13 +24,13 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
 #include "crypto/sha256.h"
 #include "net/network.h"
+#include "overlay/two_generation_set.h"
 
 namespace atum::obs {
 class Tracer;
@@ -124,9 +124,6 @@ class GroupMessageReceiver {
   // The set holds plain 16-byte ids (no payloads), bounded by the delivery
   // rate over two rotation windows.
   void set_tombstone_ttl(DurationMicros ttl) { tombstone_ttl_ = ttl; }
-  // The rotation period of the delivered-id set: every delivered id stays
-  // dedup-covered for at least this long.
-  DurationMicros dedup_window() const { return 8 * tombstone_ttl_; }
 
   // Re-evaluates buffered messages (e.g. after learning a group's
   // composition through a neighbor update).
@@ -136,9 +133,7 @@ class GroupMessageReceiver {
   std::size_t pending_count() const { return pending_.size(); }
   // Delivered ids currently remembered by the rolling dedup set (both
   // generations); tests pin its bound under sustained delivery.
-  std::size_t delivered_dedup_count() const {
-    return delivered_recent_.size() + delivered_prev_.size();
-  }
+  std::size_t delivered_dedup_count() const { return delivered_.size(); }
 
  private:
   struct Pending {
@@ -159,12 +154,6 @@ class GroupMessageReceiver {
   void on_frame(NodeId from, bool is_full, const net::Payload& wire);
   void try_deliver(const GroupMessageId& id, Pending& p);
   void gc_tombstones();
-  // Rotates the two delivered-id generations every 8 TTLs: an id stays
-  // dedup-covered for at least one full rotation period after delivery.
-  void maybe_rotate_delivered();
-  bool recently_delivered(const GroupMessageId& id) const {
-    return delivered_recent_.contains(id) || delivered_prev_.contains(id);
-  }
 
   net::Transport transport_;
   DeliverFn deliver_;
@@ -172,16 +161,15 @@ class GroupMessageReceiver {
   MembershipFn membership_;
   obs::Tracer* tracer_ = nullptr;
   std::map<GroupMessageId, Pending> pending_;
-  DurationMicros tombstone_ttl_ = 60 * kMicrosPerSecond;
+  DurationMicros tombstone_ttl_ = kTombstoneTtl;
   // Candidate GC deadlines in arrival order (an id appears once at
   // creation and once more if delivered — the entry's own expires_at is
   // authoritative); swept lazily on message arrival, O(1) amortized.
   std::deque<std::pair<TimeMicros, GroupMessageId>> gc_queue_;
-  // Rolling delivered-id dedup (see set_tombstone_ttl): recent holds ids
-  // delivered in the current rotation window, prev the window before.
-  std::set<GroupMessageId> delivered_recent_;
-  std::set<GroupMessageId> delivered_prev_;
-  TimeMicros delivered_rotate_at_ = 0;
+  // Rolling delivered-id dedup (see set_tombstone_ttl), rotated every
+  // kDedupWindowTtls TTLs: an id stays dedup-covered for at least one full
+  // rotation period after delivery.
+  TwoGenerationSet<GroupMessageId> delivered_;
 };
 
 }  // namespace atum::overlay

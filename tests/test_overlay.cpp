@@ -552,6 +552,24 @@ TEST_F(GmFixture, PendingStaysBoundedUnderSustainedBroadcast) {
   EXPECT_LT(rx->pending_count(), 40u);
 }
 
+TEST_F(GmFixture, DeliveredIdSetIsBoundedByTwoWindows) {
+  make_receiver();
+  rx->set_tombstone_ttl(seconds(1.0));  // 8 s dedup window
+  constexpr std::uint64_t kRounds = 300;  // 30 s: more than three windows
+  for (std::uint64_t seq = 0; seq < kRounds; ++seq) {
+    for (NodeId s : group_a) {
+      net::Transport t(net, s);
+      send_group_message(t, group_a, GroupMessageId{50, seq}, {receiver},
+                        net::Payload(Bytes{0x44}), rng);
+    }
+    sim.run_until(sim.now() + millis(100));
+  }
+  sim.run();
+  EXPECT_EQ(delivered.size(), kRounds);
+  // One delivery per 100 ms: at most two 8 s windows' worth, never 300.
+  EXPECT_LE(rx->delivered_dedup_count(), 170u);
+}
+
 // ---------------------------------------------------------------------------
 // Vouch-path digest caching: SHA-256 at most once per frame, regardless of
 // how many receivers, relays, or digest-rank senders touch it.
@@ -844,10 +862,10 @@ TEST(Gossip, FirstSightingDedups) {
 
 TEST(Gossip, FirstSightingSetIsBoundedByTwoPeriods) {
   // The first-sighting set gates delivery and relaying, so it may forget an
-  // id only after a full period; it must not grow with the node's lifetime.
-  const DurationMicros period = seconds(100);
+  // id only after a full kDedupWindow; it must not grow with the node's
+  // lifetime.
+  const DurationMicros period = kDedupWindow;
   GossipState g(forward_flood());
-  g.set_seen_period(period);
   // Ten fresh broadcasts per period, for six periods.
   const std::uint64_t per_period = 10;
   std::size_t max_count = 0;
