@@ -4,6 +4,13 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "crypto/sha256_compress.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace atum::crypto {
 namespace {
 
@@ -26,57 +33,135 @@ std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); 
 // (and TSan-clean) when digests are computed from worker threads.
 std::atomic<std::uint64_t> g_digest_count{0};
 
+#if defined(__x86_64__) || defined(__i386__)
+
+// The SHA extensions keep the eight working variables in two registers,
+// ABEF and CDGH (A in the top lane). Each sha256rnds2 runs two rounds and
+// leaves the new ABEF; the old ABEF is then the new CDGH, so the two
+// registers swap roles every two rounds and are back in place after four.
+// The message schedule runs four words at a time: sha256msg1 adds the
+// sigma0 terms, alignr supplies W[t-7], sha256msg2 adds the sigma1 terms.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_ni(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* blocks, std::size_t count) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba, hgfe;
+  std::memcpy(&dcba, &state[0], sizeof dcba);
+  std::memcpy(&hgfe, &state[4], sizeof hgfe);
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    __m128i w[4];  // W[4g..4g+3] for the last four groups g, indexed g % 4
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        std::memcpy(&w[g], blocks + 16 * g, sizeof w[g]);
+        w[g] = _mm_shuffle_epi8(w[g], byte_swap);
+      } else {
+        __m128i m = _mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]);
+        m = _mm_add_epi32(m, _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4));
+        w[g % 4] = _mm_sha256msg2_epu32(m, w[(g + 3) % 4]);
+      }
+      __m128i k;
+      std::memcpy(&k, &kRoundConstants[static_cast<std::size_t>(4 * g)], sizeof k);
+      const __m128i wk = _mm_add_epi32(w[g % 4], k);
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  std::memcpy(&state[0], &dcba, sizeof dcba);
+  std::memcpy(&state[4], &hgfe, sizeof hgfe);
+}
+
+#endif
+
+// Chosen once per process. Both kernels write the same state, so the
+// choice never shows in a digest.
+detail::CompressFn compress() {
+  static const detail::CompressFn sha_ni = detail::sha_ni_kernel();
+  return sha_ni != nullptr ? sha_ni : detail::compress_portable;
+}
+
 }  // namespace
+
+namespace detail {
+
+void compress_portable(std::array<std::uint32_t, 8>& state, const std::uint8_t* blocks,
+                       std::size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t t1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+CompressFn sha_ni_kernel() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return nullptr;
+  if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return nullptr;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return nullptr;
+  return (ebx & bit_SHA) != 0 ? compress_sha_ni : nullptr;
+}
+#else
+CompressFn sha_ni_kernel() { return nullptr; }
+#endif
+
+}  // namespace detail
 
 std::uint64_t sha256_digest_count() { return g_digest_count.load(std::memory_order_relaxed); }
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t t1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
 
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
   if (finished_) throw std::logic_error("Sha256: update after finish");
@@ -87,15 +172,15 @@ void Sha256::update(const std::uint8_t* data, std::size_t len) {
     buffered_ += take;
     data += take;
     len -= take;
-    if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+    if (buffered_ < buffer_.size()) return;
+    compress()(state_, buffer_.data(), 1);
+    buffered_ = 0;
   }
-  while (len >= 64) {
-    process_block(data);
-    data += 64;
-    len -= 64;
+  const std::size_t whole = len / 64;
+  if (whole > 0) {
+    compress()(state_, data, whole);
+    data += whole * 64;
+    len -= whole * 64;
   }
   if (len > 0) {
     std::memcpy(buffer_.data(), data, len);
@@ -107,17 +192,19 @@ Digest Sha256::finish() {
   if (finished_) throw std::logic_error("Sha256: finish called twice");
   finished_ = true;
   g_digest_count.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t bit_len = total_bytes_ * 8;
 
-  std::uint8_t pad[72];
-  std::size_t pad_len = (buffered_ < 56) ? (56 - buffered_) : (120 - buffered_);
-  pad[0] = 0x80;
-  std::memset(pad + 1, 0, pad_len - 1);
-  for (int i = 0; i < 8; ++i) pad[pad_len + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-
-  finished_ = false;  // allow the padding updates to pass the guard
-  update(pad, pad_len + 8);
-  finished_ = true;
+  // The padded tail: buffered bytes, 0x80, zeros, then the message length
+  // in bits as a big-endian u64 — one block, or two when the length does
+  // not fit after the 0x80.
+  std::array<std::uint8_t, 128> tail{};
+  std::memcpy(tail.data(), buffer_.data(), buffered_);
+  tail[buffered_] = 0x80;
+  const std::size_t tail_len = buffered_ < 56 ? 64 : 128;
+  const std::uint64_t bit_len = total_bytes_ * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    tail[tail_len - 1 - i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+  }
+  compress()(state_, tail.data(), tail_len / 64);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -1,12 +1,18 @@
-// SHA-256 (FIPS 180-4), implemented from scratch. Used for message digests
-// (§5.1 digest optimization), AShare chunk integrity checks (§4.2.2), and
-// as the compression core of HMAC signatures.
+// SHA-256 (FIPS 180-4). Used for message digests (§5.1 digest
+// optimization), AShare chunk integrity checks (§4.2.2), and as the
+// compression core of HMAC signatures.
 //
-// Hashing is the dominant per-message CPU cost on the group-message vouch
-// path, so callers holding a net::Payload should prefer Payload::digest()
-// over the free sha256() functions: it memoizes the digest on the frame's
-// shared control block, making the at-most-one-hash-per-frame invariant
-// hold across every receiver, relay, and voucher that shares the buffer.
+// Two compression kernels sit behind one API (crypto/sha256_compress.h): one
+// on the x86 SHA extensions and a portable C++ one. The first call picks the
+// SHA-extensions kernel when CPUID reports SHA, SSSE3 and SSE4.1, and the
+// portable kernel everywhere else; the choice holds for the process. Both
+// produce identical digests, which test_crypto checks on every host that
+// has both, so the host decides the speed but never a byte.
+//
+// Callers holding a net::Payload should prefer Payload::digest() over the
+// free sha256() functions: it memoizes the digest on the frame's shared
+// control block, making the at-most-one-hash-per-frame invariant hold across
+// every receiver, relay, and voucher that shares the buffer.
 // sha256_digest_count() below exists to let tests pin that invariant.
 #pragma once
 
@@ -36,8 +42,6 @@ class Sha256 {
   Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

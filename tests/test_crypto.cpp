@@ -1,10 +1,15 @@
-// Tests for SHA-256 (against FIPS 180-4 / RFC test vectors), HMAC-SHA256
-// (RFC 4231 vectors), and the signing-key registry.
+// Tests for SHA-256 (against FIPS 180-4 / RFC test vectors, on each
+// compression kernel the host can run), HMAC-SHA256 (RFC 4231 vectors), and
+// the signing-key registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_compress.h"
 
 namespace atum::crypto {
 namespace {
@@ -86,6 +91,96 @@ TEST(Sha256, DigestPrefixStable) {
   Digest d = sha256("abc");
   // First 8 bytes of the "abc" digest: ba7816bf8f01cfea.
   EXPECT_EQ(digest_prefix64(d), 0xba7816bf8f01cfeaULL);
+}
+
+// ---------------------------------------------------------------------------
+// Compression kernels. Sha256 runs whichever kernel the CPU supports, so the
+// vectors above cover only that one; these check each kernel directly, and
+// the SHA-extensions kernel against the portable one.
+// ---------------------------------------------------------------------------
+
+constexpr std::array<std::uint32_t, 8> kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                                        0x1f83d9ab, 0x5be0cd19};
+
+// SHA-256 of `msg` on one kernel, padded here rather than by Sha256.
+Digest digest_with(detail::CompressFn kernel, const Bytes& msg) {
+  Bytes padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = msg.size() * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  std::array<std::uint32_t, 8> state = kInitialState;
+  kernel(state, padded.data(), padded.size() / 64);
+  Digest out;
+  for (std::size_t i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+void expect_fips_vectors(detail::CompressFn kernel) {
+  EXPECT_EQ(to_hex(digest_with(kernel, from_str(""))),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(to_hex(digest_with(kernel, from_str("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(to_hex(digest_with(
+                kernel, from_str("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(to_hex(digest_with(kernel, Bytes(1000000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  EXPECT_EQ(to_hex(digest_with(kernel, Bytes(64, 'x'))),
+            "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c");
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+TEST(Sha256Kernels, PortableReproducesFipsVectors) { expect_fips_vectors(detail::compress_portable); }
+
+TEST(Sha256Kernels, ShaNiReproducesFipsVectors) {
+  const detail::CompressFn sha_ni = detail::sha_ni_kernel();
+  if (sha_ni == nullptr) GTEST_SKIP() << "CPUID reports no SHA extensions on this host";
+  expect_fips_vectors(sha_ni);
+}
+
+// Arbitrary chaining states, not just the initial one, and runs of 1-17
+// blocks per call, so every path through the multi-block loop is compared.
+TEST(Sha256Kernels, ShaNiMatchesPortableOnRandomStatesAndBlockRuns) {
+  const detail::CompressFn sha_ni = detail::sha_ni_kernel();
+  if (sha_ni == nullptr) GTEST_SKIP() << "CPUID reports no SHA extensions on this host";
+  Rng rng(0x5a256);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::array<std::uint32_t, 8> portable{};
+    for (std::uint32_t& word : portable) word = static_cast<std::uint32_t>(rng.next_u64());
+    std::array<std::uint32_t, 8> accelerated = portable;
+    const auto count = static_cast<std::size_t>(rng.next_in(1, 17));
+    const Bytes blocks = random_bytes(rng, 64 * count);
+    detail::compress_portable(portable, blocks.data(), count);
+    sha_ni(accelerated, blocks.data(), count);
+    ASSERT_EQ(accelerated, portable) << "trial " << trial << ", " << count << " blocks";
+  }
+}
+
+// Sha256's buffering and padding in front of the dispatched kernel: every
+// length from 0 to 1100 bytes, fed through random update() split points,
+// gives the portable kernel's digest.
+TEST(Sha256Kernels, DispatchedDigestsMatchPortableAtEveryLength) {
+  Rng rng(0xd16e57);
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    const Bytes msg = random_bytes(rng, len);
+    Sha256 h;
+    std::size_t fed = 0;
+    while (fed < len) {
+      const auto piece = std::min(len - fed, static_cast<std::size_t>(rng.next_in(1, 200)));
+      h.update(msg.data() + fed, piece);
+      fed += piece;
+    }
+    ASSERT_EQ(h.finish(), digest_with(detail::compress_portable, msg)) << "length " << len;
+  }
 }
 
 // ---------------------------------------------------------------------------
