@@ -305,11 +305,11 @@ void PbftSmr::flush_batch() {
     // timer watches pending_, and an assigned-but-never-committed request
     // must still be able to trigger a view change.
 
-    auto encode = [&](const std::vector<Request>& b) {
+    auto encode = [&](const std::vector<Request>& b, const crypto::Digest& b_digest) {
       ByteWriter w;
       w.u64(view_);
       w.u64(seq);
-      write_digest(w, batch_digest(b));
+      write_digest(w, b_digest);
       ByteWriter ow;
       encode_ops_region(ow, b);
       w.bytes(ow.data());
@@ -330,7 +330,8 @@ void PbftSmr::flush_batch() {
       Bytes alt_op = alt.front().op.to_bytes();
       alt_op.push_back(0xFF);
       alt.front().op = net::Payload(std::move(alt_op));
-      net::Payload wire_a(tagged(encode(entry.batch))), wire_b(tagged(encode(alt)));
+      net::Payload wire_a(tagged(encode(entry.batch, d)));
+      net::Payload wire_b(tagged(encode(alt, batch_digest(alt))));
       std::size_t half = config_.size() / 2;
       for (std::size_t i = 0; i < config_.size(); ++i) {
         if (config_.members[i] == transport_.self()) continue;
@@ -342,7 +343,7 @@ void PbftSmr::flush_batch() {
 
     if (ctr_pre_prepares_ != nullptr) ctr_pre_prepares_->inc();
     trace(obs::TracePoint::kPrePrepare, crypto::digest_prefix64(d), seq, entry.batch.size());
-    broadcast(net::MsgType::kPbftPrePrepare, encode(entry.batch));
+    broadcast(net::MsgType::kPbftPrePrepare, encode(entry.batch, d));
     entry.prepares.insert(transport_.self());  // the pre-prepare acts as our prepare
     maybe_send_commit(seq);
   }

@@ -14,6 +14,7 @@
 
 #include "common/serde.h"
 #include "crypto/keys.h"
+#include "crypto/sha256.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "smr/pbft.h"
@@ -108,6 +109,21 @@ TEST(PbftBatching, ByteBoundSplitsBurstIntoMultipleSeqs) {
   ASSERT_EQ(g.decided[0].size(), 4u);
   EXPECT_EQ(g.at(0).batches_executed(), 2u);
   for (NodeId n = 1; n < 4; ++n) EXPECT_EQ(g.decided[n], g.decided[0]);
+}
+
+// The primary hashes a batch once when it flushes it: the digest it records
+// in its own log is the one its PRE-PREPARE carries.
+TEST(PbftBatching, PrimaryHashesEachFlushedBatchOnce) {
+  PbftOptions opt;
+  opt.batch_max_ops = 4;
+  BatchGroup g(4, opt);
+  for (int i = 0; i < 3; ++i) g.at(0).propose(op_bytes("op" + std::to_string(i)));
+  const std::uint64_t before = crypto::sha256_digest_count();
+  g.at(0).propose(op_bytes("op3"));  // fills the batch, which flushes inline
+  EXPECT_EQ(crypto::sha256_digest_count() - before, 1u);
+  g.run_for(seconds(1));
+  ASSERT_EQ(g.decided[0].size(), 4u);
+  EXPECT_EQ(g.at(0).batches_executed(), 1u);
 }
 
 // batch_max_ops = 1 is classic PBFT: every op its own sequence.
