@@ -87,7 +87,7 @@ __attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_ni(
 
 // Chosen once per process. Both kernels write the same state, so the
 // choice never shows in a digest.
-detail::CompressFn compress() {
+detail::CompressFn selected_kernel() {
   static const detail::CompressFn sha_ni = detail::sha_ni_kernel();
   return sha_ni != nullptr ? sha_ni : detail::compress_portable;
 }
@@ -159,9 +159,7 @@ CompressFn sha_ni_kernel() { return nullptr; }
 
 std::uint64_t sha256_digest_count() { return g_digest_count.load(std::memory_order_relaxed); }
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+Sha256::Sha256() : state_(detail::kInitialState) {}
 
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
   if (finished_) throw std::logic_error("Sha256: update after finish");
@@ -173,12 +171,12 @@ void Sha256::update(const std::uint8_t* data, std::size_t len) {
     data += take;
     len -= take;
     if (buffered_ < buffer_.size()) return;
-    compress()(state_, buffer_.data(), 1);
+    selected_kernel()(state_, buffer_.data(), 1);
     buffered_ = 0;
   }
   const std::size_t whole = len / 64;
   if (whole > 0) {
-    compress()(state_, data, whole);
+    selected_kernel()(state_, data, whole);
     data += whole * 64;
     len -= whole * 64;
   }
@@ -204,7 +202,7 @@ Digest Sha256::finish() {
   for (std::size_t i = 0; i < 8; ++i) {
     tail[tail_len - 1 - i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
   }
-  compress()(state_, tail.data(), tail_len / 64);
+  selected_kernel()(state_, tail.data(), tail_len / 64);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

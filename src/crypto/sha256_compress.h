@@ -9,6 +9,10 @@
 
 namespace atum::crypto::detail {
 
+// H(0), the state every digest starts from (FIPS 180-4 §5.3.3).
+inline constexpr std::array<std::uint32_t, 8> kInitialState = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
 // Compresses `count` consecutive 64-byte blocks at `blocks` into `state`
 // (FIPS 180-4 §6.2.2, steps 1-4, once per block).
 using CompressFn = void (*)(std::array<std::uint32_t, 8>& state, const std::uint8_t* blocks,

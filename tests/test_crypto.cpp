@@ -99,10 +99,6 @@ TEST(Sha256, DigestPrefixStable) {
 // the SHA-extensions kernel against the portable one.
 // ---------------------------------------------------------------------------
 
-constexpr std::array<std::uint32_t, 8> kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                                        0x1f83d9ab, 0x5be0cd19};
-
 // SHA-256 of `msg` on one kernel, padded here rather than by Sha256.
 Digest digest_with(detail::CompressFn kernel, const Bytes& msg) {
   Bytes padded = msg;
@@ -110,7 +106,7 @@ Digest digest_with(detail::CompressFn kernel, const Bytes& msg) {
   while (padded.size() % 64 != 56) padded.push_back(0);
   const std::uint64_t bits = msg.size() * 8;
   for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-  std::array<std::uint32_t, 8> state = kInitialState;
+  std::array<std::uint32_t, 8> state = detail::kInitialState;
   kernel(state, padded.data(), padded.size() / 64);
   Digest out;
   for (std::size_t i = 0; i < 32; ++i) {
