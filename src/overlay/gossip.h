@@ -13,7 +13,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -174,7 +173,7 @@ class GossipState {
 
  private:
   ForwardFn forward_;
-  TwoGenerationSet<BroadcastId, std::unordered_set<BroadcastId>> seen_;
+  TwoGenerationSet<BroadcastId> seen_;
 };
 
 }  // namespace atum::overlay

@@ -78,11 +78,11 @@ GroupMessageReceiver::~GroupMessageReceiver() { transport_.close(); }
 void GroupMessageReceiver::gc_tombstones() {
   const TimeMicros now = transport_.simulator().now();
   while (!gc_queue_.empty() && gc_queue_.front().first <= now) {
-    auto it = pending_.find(gc_queue_.front().second);
+    auto it = entries_.find(gc_queue_.front().second);
     // The entry's own deadline is authoritative: delivery pushes it past
     // the creation-time queue entry, so a freshly delivered tombstone is
     // skipped here and collected by its second queue entry.
-    if (it != pending_.end() && it->second.expires_at <= now) pending_.erase(it);
+    if (it != entries_.end() && it->second.expires_at <= now) entries_.erase(it);
     gc_queue_.pop_front();
   }
 }
@@ -146,18 +146,19 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
   }
 
   if (membership_ && !membership_(id.from_group, from)) return;
-  // Post-TTL duplicate: the tombstone is gone but the rolling delivered-id
-  // set still remembers the delivery — drop it before it can mint a fresh
-  // Pending entry and re-deliver.
-  if (delivered_.contains(id)) return;
-
-  Pending& p = pending_[id];
-  if (p.expires_at == 0) {
+  auto it = entries_.find(id);
+  if (it == entries_.end()) {
+    // Post-TTL duplicate: the tombstone is gone but the rolling delivered-id
+    // set still remembers the delivery — drop it before it can mint a fresh
+    // entry and re-deliver.
+    if (delivered_.contains(id)) return;
     // New entry: even if it never delivers (digest-only flood, content
     // short of majority, unknown sender group) it expires after an epoch.
-    p.expires_at = transport_.simulator().now() + tombstone_ttl_;
-    gc_queue_.emplace_back(p.expires_at, id);
+    it = entries_.try_emplace(id).first;
+    it->second.expires_at = transport_.simulator().now() + tombstone_ttl_;
+    gc_queue_.emplace_back(it->second.expires_at, id);
   }
+  Pending& p = it->second;
   if (p.delivered) return;
 
   auto& vouchers = p.vouches[digest];
@@ -201,7 +202,20 @@ void GroupMessageReceiver::try_deliver(const GroupMessageId& id, Pending& p) {
 }
 
 void GroupMessageReceiver::reevaluate() {
-  for (auto& [id, p] : pending_) try_deliver(id, p);
+  // Deliver in id order, not hash order: each delivery runs the node's
+  // accept path, and the RNG draws and sends it makes depend on the order.
+  std::vector<GroupMessageId> ids;
+  // lint: unordered-iter-ok(the snapshot is sorted before anything is delivered)
+  for (const auto& [id, p] : entries_) {
+    if (!p.delivered) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  // A delivery may re-enter reevaluate() (a neighbor update) and deliver
+  // later ids first; try_deliver skips those.
+  for (const GroupMessageId& id : ids) {
+    auto it = entries_.find(id);
+    if (it != entries_.end()) try_deliver(id, it->second);
+  }
 }
 
 }  // namespace atum::overlay

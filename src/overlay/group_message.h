@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -45,6 +46,18 @@ struct GroupMessageId {
   std::uint64_t seq = 0;
   friend auto operator<=>(const GroupMessageId&, const GroupMessageId&) = default;
 };
+
+}  // namespace atum::overlay
+
+template <>
+struct std::hash<atum::overlay::GroupMessageId> {
+  std::size_t operator()(const atum::overlay::GroupMessageId& id) const noexcept {
+    std::size_t h = std::hash<atum::GroupId>{}(id.from_group);
+    return h ^ (std::hash<std::uint64_t>{}(id.seq) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+  }
+};
+
+namespace atum::overlay {
 
 // One group message encoded on behalf of the local node, ready to fan out.
 // `senders` is the sorted membership of the local vgroup (must include
@@ -108,7 +121,7 @@ class GroupMessageReceiver {
   // count) at the instant majority vouching completes.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  // Every pending_ entry expires one epoch of simulated time after its
+  // Every entry expires one epoch of simulated time after its
   // last activity (creation, or delivery), then gets garbage-collected:
   //  * delivered entries stay behind as tombstones so straggler duplicates
   //    are not re-delivered — but not forever;
@@ -126,11 +139,12 @@ class GroupMessageReceiver {
   void set_tombstone_ttl(DurationMicros ttl) { tombstone_ttl_ = ttl; }
 
   // Re-evaluates buffered messages (e.g. after learning a group's
-  // composition through a neighbor update).
+  // composition through a neighbor update). Deliveries come in
+  // GroupMessageId order, whatever order the entries are stored in.
   void reevaluate();
 
   // Buffered undelivered messages + not-yet-collected tombstones.
-  std::size_t pending_count() const { return pending_.size(); }
+  std::size_t pending_count() const { return entries_.size(); }
   // Delivered ids currently remembered by the rolling dedup set (both
   // generations); tests pin its bound under sustained delivery.
   std::size_t delivered_dedup_count() const { return delivered_.size(); }
@@ -160,7 +174,10 @@ class GroupMessageReceiver {
   GroupSizeFn group_size_;
   MembershipFn membership_;
   obs::Tracer* tracer_ = nullptr;
-  std::map<GroupMessageId, Pending> pending_;
+  // Pending entries and tombstones, one per id. Hashed: every arriving
+  // frame looks its id up here first. Only reevaluate() iterates it, and it
+  // sorts the ids before delivering any.
+  std::unordered_map<GroupMessageId, Pending> entries_;
   DurationMicros tombstone_ttl_ = kTombstoneTtl;
   // Candidate GC deadlines in arrival order (an id appears once at
   // creation and once more if delivered — the entry's own expires_at is
@@ -168,7 +185,8 @@ class GroupMessageReceiver {
   std::deque<std::pair<TimeMicros, GroupMessageId>> gc_queue_;
   // Rolling delivered-id dedup (see set_tombstone_ttl), rotated every
   // kDedupWindowTtls TTLs: an id stays dedup-covered for at least one full
-  // rotation period after delivery.
+  // rotation period after delivery. Consulted only for ids without an
+  // entry: an entry's own `delivered` flag answers for the rest.
   TwoGenerationSet<GroupMessageId> delivered_;
 };
 

@@ -4,7 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <set>
+#include <unordered_set>
 #include <utility>
 
 #include "common/types.h"
@@ -22,8 +22,8 @@ inline constexpr DurationMicros kDedupWindow = kDedupWindowTtls * kTombstoneTtl;
 // Ids kept in two generations rotated on simulated time: an id stays in the
 // set for at least one period after its insert and at most two, so the set
 // holds only the ids inserted over the last two periods. The caller passes
-// the time in; the set keeps no clock.
-template <typename Id, typename Set = std::set<Id>>
+// the time in; the set keeps no clock. Id needs a std::hash specialization.
+template <typename Id>
 class TwoGenerationSet {
  public:
   bool contains(const Id& id) const { return recent_.contains(id) || prev_.contains(id); }
@@ -50,8 +50,8 @@ class TwoGenerationSet {
   std::size_t size() const { return recent_.size() + prev_.size(); }
 
  private:
-  Set recent_;
-  Set prev_;
+  std::unordered_set<Id> recent_;
+  std::unordered_set<Id> prev_;
   TimeMicros rotate_at_ = 0;
 };
 

@@ -255,6 +255,39 @@ TEST_F(GmFixture, UnknownGroupBuffersUntilReevaluate) {
   ASSERT_EQ(delivered.size(), 1u);
 }
 
+// reevaluate() delivers in ascending GroupMessageId order, whatever order
+// the ids arrived in or are stored in: each delivery runs the node's accept
+// path, and the node's later RNG draws depend on that order.
+TEST_F(GmFixture, ReevaluateDeliversInIdOrder) {
+  make_receiver();
+  bool known = false;
+  rx->set_group_size_fn([&known](GroupId) -> std::optional<std::size_t> {
+    if (!known) return std::nullopt;
+    return 5;
+  });
+  // Seqs spread like the digest prefixes real ids carry, sent in
+  // descending order.
+  std::vector<GroupMessageId> ids;
+  for (std::uint64_t k = 1; k <= 16; ++k) ids.push_back({50, k * 0x9e3779b97f4a7c15ULL});
+  std::sort(ids.rbegin(), ids.rend());
+  for (const GroupMessageId& id : ids) {
+    for (NodeId s : {1, 2, 3}) {  // a majority, all full-payload ranks
+      net::Transport t(net, s);
+      send_group_message(t, group_a, id, {receiver}, Bytes{0x42}, rng);
+    }
+    sim.run();
+  }
+  ASSERT_TRUE(delivered.empty());
+  ASSERT_EQ(rx->pending_count(), ids.size());
+
+  known = true;
+  rx->reevaluate();
+  std::vector<GroupMessageId> order;
+  for (const auto& [id, payload] : delivered) order.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(order, ids);
+}
+
 TEST_F(GmFixture, MembershipFilterDropsOutsiders) {
   make_receiver();
   rx->set_membership_fn([this](GroupId g, NodeId n) {
