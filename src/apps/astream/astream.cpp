@@ -78,8 +78,8 @@ void AStreamNode::join_stream(NodeId source) {
     // the node is far from the source along the chosen cycle.
     for (const auto& ref : vg.neighbor_refs()) {
       if (ref.cycle == w) continue;
-      auto view = vg.find_group(ref.group);
-      if (!view || view->members.empty()) continue;
+      const group::GroupView* view = vg.find_group(ref.group);
+      if (view == nullptr || view->members.empty()) continue;
       NodeId pick = view->members[static_cast<std::size_t>(
           rng_.next_below(view->members.size()))];
       if (pick != id_ && pick != source &&

@@ -275,13 +275,13 @@ void AtumNode::setup_runtime() {
         on_group_message(id, relay, std::move(payload));
       });
   gm_rx_->set_group_size_fn([this](GroupId g) -> std::optional<std::size_t> {
-    auto v = vg_.find_group(g);
-    if (!v) return std::nullopt;
+    const group::GroupView* v = vg_.find_group(g);
+    if (v == nullptr) return std::nullopt;
     return v->members.size();
   });
   gm_rx_->set_membership_fn([this](GroupId g, NodeId n) {
-    auto v = vg_.find_group(g);
-    return v && v->has_member(n);
+    const group::GroupView* v = vg_.find_group(g);
+    return v != nullptr && v->has_member(n);
   });
   gm_rx_->set_tracer(&sys_.tracer());
 
@@ -566,8 +566,8 @@ void AtumNode::relay_gossip(const BroadcastId& id, const net::Payload& payload,
   // all coalesce per destination here.
   std::size_t fanned = 0;
   for (const overlay::NeighborRef& ref : relays) {
-    auto view = vg_.find_group(ref.group);
-    if (view) {
+    const group::GroupView* view = vg_.find_group(ref.group);
+    if (view != nullptr) {
       msg->send_to(coalescer_, view->members);
       fanned += view->members.size();
     }
@@ -596,8 +596,8 @@ void AtumNode::forward_walk(overlay::WalkState walk) {
     return;
   }
   std::size_t idx = walk.pick_link(refs.size());
-  auto view = vg_.find_group(refs[idx].group);
-  if (!view) return;
+  const group::GroupView* view = vg_.find_group(refs[idx].group);
+  if (view == nullptr) return;
   walk.step += 1;
   walk.path.push_back(vg_.id());
 

@@ -21,17 +21,15 @@ GroupView GroupView::decode(ByteReader& r) {
 }
 
 VGroupState::VGroupState(GroupId id, std::vector<NodeId> members, std::size_t cycles)
-    : id_(id), members_(std::move(members)), neighbors_(cycles) {
-  std::sort(members_.begin(), members_.end());
+    : self_{id, std::move(members)}, neighbors_(cycles) {
+  std::sort(self_.members.begin(), self_.members.end());
 }
 
-bool VGroupState::has_member(NodeId n) const {
-  return std::find(members_.begin(), members_.end(), n) != members_.end();
-}
+bool VGroupState::has_member(NodeId n) const { return self_.has_member(n); }
 
 void VGroupState::set_members(std::vector<NodeId> members) {
-  members_ = std::move(members);
-  std::sort(members_.begin(), members_.end());
+  self_.members = std::move(members);
+  std::sort(self_.members.begin(), self_.members.end());
 }
 
 void VGroupState::refresh_neighbor(const GroupView& view) {
@@ -45,10 +43,10 @@ std::vector<overlay::NeighborRef> VGroupState::neighbor_refs() const {
   std::vector<overlay::NeighborRef> out;
   for (std::size_t c = 0; c < neighbors_.size(); ++c) {
     const CycleNeighbors& cn = neighbors_[c];
-    if (cn.successor.known() && cn.successor.id != id_) {
+    if (cn.successor.known() && cn.successor.id != self_.id) {
       out.push_back(overlay::NeighborRef{cn.successor.id, c, 0});
     }
-    if (cn.predecessor.known() && cn.predecessor.id != id_ &&
+    if (cn.predecessor.known() && cn.predecessor.id != self_.id &&
         cn.predecessor.id != cn.successor.id) {
       out.push_back(overlay::NeighborRef{cn.predecessor.id, c, 1});
     }
@@ -56,18 +54,18 @@ std::vector<overlay::NeighborRef> VGroupState::neighbor_refs() const {
   return out;
 }
 
-std::optional<GroupView> VGroupState::find_group(GroupId g) const {
-  if (g == id_) return GroupView{id_, members_};
+const GroupView* VGroupState::find_group(GroupId g) const {
+  if (g == self_.id) return &self_;
   for (const CycleNeighbors& cn : neighbors_) {
-    if (cn.successor.id == g) return cn.successor;
-    if (cn.predecessor.id == g) return cn.predecessor;
+    if (cn.successor.id == g) return &cn.successor;
+    if (cn.predecessor.id == g) return &cn.predecessor;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::vector<GroupView> VGroupState::known_groups() const {
   std::vector<GroupView> out;
-  out.push_back(GroupView{id_, members_});
+  out.push_back(self_);
   for (const CycleNeighbors& cn : neighbors_) {
     for (const GroupView* v : {&cn.successor, &cn.predecessor}) {
       if (!v->known()) continue;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/serde.h"
@@ -41,9 +40,9 @@ class VGroupState {
   VGroupState() = default;
   VGroupState(GroupId id, std::vector<NodeId> members, std::size_t cycles);
 
-  GroupId id() const { return id_; }
-  const std::vector<NodeId>& members() const { return members_; }
-  std::size_t size() const { return members_.size(); }
+  GroupId id() const { return self_.id; }
+  const std::vector<NodeId>& members() const { return self_.members; }
+  std::size_t size() const { return self_.members.size(); }
   std::size_t cycle_count() const { return neighbors_.size(); }
   bool has_member(NodeId n) const;
 
@@ -61,15 +60,18 @@ class VGroupState {
   std::vector<overlay::NeighborRef> neighbor_refs() const;
 
   // Looks up a neighboring group's composition (for group-message
-  // acceptance); also matches this group itself.
-  std::optional<GroupView> find_group(GroupId g) const;
+  // acceptance); also matches this group itself. Null for an unknown
+  // group. The view is not a copy: it stays valid only until the next
+  // mutation of this state (set_members, set_successor, set_predecessor,
+  // refresh_neighbor or assignment).
+  const GroupView* find_group(GroupId g) const;
 
   // All distinct groups this member must keep track of (self + neighbors).
   std::vector<GroupView> known_groups() const;
 
  private:
-  GroupId id_ = kInvalidGroup;
-  std::vector<NodeId> members_;
+  // This vgroup's own id and sorted members.
+  GroupView self_;
   std::vector<CycleNeighbors> neighbors_;
 };
 

@@ -57,10 +57,10 @@ TEST(VGroupState, FindGroupSeesSelfAndNeighbors) {
   VGroupState s(1, {10, 11}, 1);
   s.set_successor(0, GroupView{2, {20}});
   s.set_predecessor(0, GroupView{3, {30}});
-  EXPECT_TRUE(s.find_group(1).has_value());
-  EXPECT_TRUE(s.find_group(2).has_value());
-  EXPECT_TRUE(s.find_group(3).has_value());
-  EXPECT_FALSE(s.find_group(99).has_value());
+  EXPECT_NE(s.find_group(1), nullptr);
+  EXPECT_NE(s.find_group(2), nullptr);
+  EXPECT_NE(s.find_group(3), nullptr);
+  EXPECT_EQ(s.find_group(99), nullptr);
   EXPECT_EQ(s.known_groups().size(), 3u);
 }
 
