@@ -53,16 +53,7 @@ void SendCoalescer::enqueue(NodeId dest, net::MsgType type, net::Payload frame) 
     throw std::logic_error("SendCoalescer: only group-message frames coalesce");
   }
   ++frames_enqueued_;
-  auto& pending = queue_[dest];
-  // A relay fanning one broadcast out to overlapping neighbor groups
-  // enqueues the same frozen frame for the same node once per group; a
-  // receiver dedups vouches per sender anyway, so duplicates are pure
-  // overhead. Buffer identity (not content) is the test: the fan-out paths
-  // share one frozen Payload, so duplicates alias the same buffer.
-  for (const auto& [t, f] : pending) {
-    if (t == type && f.data() == frame.data() && f.size() == frame.size()) return;
-  }
-  pending.emplace_back(type, std::move(frame));
+  queue_.push_back({dest, type, std::move(frame)});
   if (flush_event_ == 0) {
     // schedule_after(0) fires after every event already scheduled for the
     // current instant, so the flush sees every frame this tick produces.
@@ -79,37 +70,65 @@ void SendCoalescer::flush() {
     flush_event_ = 0;
   }
   if (queue_.empty()) return;
-  // Drain into a vector (sorted by destination — deterministic set), then
-  // randomize the send order across destinations (§5.1).
-  std::vector<std::pair<NodeId, std::vector<std::pair<net::MsgType, net::Payload>>>> batch;
-  batch.reserve(queue_.size());
-  for (auto& [dest, frames] : queue_) batch.emplace_back(dest, std::move(frames));
-  queue_.clear();
-  rng_.shuffle(batch);
-  for (auto& [dest, frames] : batch) {
-    for (std::size_t i = 0; i < frames.size(); i += kMaxFramesPerEnvelope) {
-      std::size_t end = std::min(i + kMaxFramesPerEnvelope, frames.size());
-      if (end - i == 1) {
+  // Take the queue, buffer and all: it is freed when the flush returns.
+  std::vector<Queued> frames = std::move(queue_);
+  // Group by destination (ascending — a deterministic set), each keeping
+  // its frames in enqueue order.
+  std::stable_sort(frames.begin(), frames.end(),
+                   [](const Queued& a, const Queued& b) { return a.dest < b.dest; });
+  // Compact each destination's run in place, keeping the first copy of a
+  // frame enqueued more than once for it. A relay fanning one broadcast out
+  // to overlapping neighbor groups enqueues the same frozen frame for the
+  // same node once per group. Buffer identity (not content) is the test:
+  // the fan-out paths share one frozen Payload, so repeats alias one buffer.
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end) per destination
+  runs.reserve(frames.size());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < frames.size();) {
+    const NodeId dest = frames[i].dest;
+    const std::size_t begin = kept;
+    for (; i < frames.size() && frames[i].dest == dest; ++i) {
+      const Queued& q = frames[i];
+      bool repeat = false;
+      for (std::size_t k = begin; k < kept && !repeat; ++k) {
+        repeat = frames[k].type == q.type && frames[k].frame.data() == q.frame.data() &&
+                 frames[k].frame.size() == q.frame.size();
+      }
+      if (repeat) continue;
+      if (kept != i) frames[kept] = std::move(frames[i]);
+      ++kept;
+    }
+    runs.emplace_back(begin, kept);
+  }
+  // Randomize the send order across destinations (§5.1): one draw set per
+  // destination, as many as there are runs.
+  rng_.shuffle(runs);
+  const bool tracing = tracer_ != nullptr && tracer_->enabled();
+  for (const auto& [begin, end] : runs) {
+    const NodeId dest = frames[begin].dest;
+    for (std::size_t i = begin; i < end; i += kMaxFramesPerEnvelope) {
+      const std::size_t stop = std::min(i + kMaxFramesPerEnvelope, end);
+      if (stop - i == 1) {
         // A lone frame travels as itself: zero coalescing overhead.
-        transport_.send(dest, frames[i].first, std::move(frames[i].second));
+        transport_.send(dest, frames[i].type, std::move(frames[i].frame));
         ++messages_sent_;
         continue;
       }
       ByteWriter w;
-      w.varint(end - i);
-      const bool tracing = tracer_ != nullptr && tracer_->enabled();
-      for (std::size_t j = i; j < end; ++j) {
-        w.u16(static_cast<std::uint16_t>(frames[j].first));
-        w.bytes(frames[j].second.data(), frames[j].second.size());
-        if (tracing && frames[j].second.size() >= 16) {
+      w.varint(stop - i);
+      for (std::size_t j = i; j < stop; ++j) {
+        const net::Payload& frame = frames[j].frame;
+        w.u16(static_cast<std::uint16_t>(frames[j].type));
+        w.bytes(frame.data(), frame.size());
+        if (tracing && frame.size() >= 16) {
           // Group-message wire layout: u64 from_group, u64 seq, body. The
           // seq IS the broadcast's digest prefix, i.e. the trace key.
-          ByteReader fr(frames[j].second);
+          ByteReader fr(frame);
           // lint: handler-serde-safety-ok(locally-built frame; the size()>=16 gate covers both u64 reads)
           fr.u64();  // from_group
           // lint: handler-serde-safety-ok(locally-built frame; the size()>=16 gate covers both u64 reads)
           tracer_->record(transport_.simulator().now(), transport_.self(),
-                          obs::TracePoint::kCoalesce, fr.u64(), end - i);
+                          obs::TracePoint::kCoalesce, fr.u64(), stop - i);
         }
       }
       transport_.send(dest, net::MsgType::kGroupMsgEnvelope, w.take());
@@ -124,13 +143,7 @@ void SendCoalescer::discard() {
     transport_.simulator().cancel(flush_event_);
     flush_event_ = 0;
   }
-  queue_.clear();
-}
-
-std::size_t SendCoalescer::queued() const {
-  std::size_t n = 0;
-  for (const auto& [dest, frames] : queue_) n += frames.size();
-  return n;
+  queue_ = std::vector<Queued>();  // frees the buffer, as flush() does
 }
 
 bool GossipState::first_sighting(const BroadcastId& id, TimeMicros now) {

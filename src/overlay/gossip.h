@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -61,11 +60,13 @@ ForwardFn forward_none();
 // destinations, and one tick can decide several broadcasts; without
 // coalescing each (frame, destination) pair is its own transport message
 // and pays the fixed per-message costs (Message::kHeaderOverhead on the
-// wire, per_message_cpu at the receiver). enqueue() instead parks frames
-// per destination and a tick-end flush sends everything bound for one node
-// as a single kGroupMsgEnvelope message — the fixed costs amortize across
-// the coalesced frames exactly as the SMR batch amortizes quorum cost
-// across ops.
+// wire, per_message_cpu at the receiver). enqueue() instead appends frames
+// to one flat queue for the tick, and a tick-end flush groups the queue by
+// destination and sends everything bound for one node as a single
+// kGroupMsgEnvelope message — the fixed costs amortize across the
+// coalesced frames exactly as the SMR batch amortizes quorum cost across
+// ops. The queue allocates per tick, never per destination, and its
+// buffer is freed at the flush: an idle node holds none.
 //
 // Determinism: the flush runs via schedule_after(0), which the simulator
 // fires after every event already scheduled for the current instant, so
@@ -95,10 +96,11 @@ class SendCoalescer {
 
   // Queues a group-message frame for `dest`; `type` must be kGroupMsgFull
   // or kGroupMsgDigest. All frames queued for one destination within the
-  // current simulator tick leave as one message. Enqueueing the same
-  // frozen frame for the same destination twice (a relay whose neighbor
-  // groups overlap) is suppressed: the receiver dedups vouches per sender,
-  // so the duplicate could never contribute anything.
+  // current simulator tick leave as one message, in enqueue order. The
+  // flush sends the same frozen frame to the same destination once, at
+  // its first position, however often a tick enqueued it (a relay whose
+  // neighbor groups overlap): the receiver dedups vouches per sender, so
+  // a repeat could never contribute anything.
   void enqueue(NodeId dest, net::MsgType type, net::Payload frame);
 
   // Sends everything queued now (normally runs automatically at tick end;
@@ -117,8 +119,9 @@ class SendCoalescer {
   // Per-message fixed costs avoided: frames that shared an envelope or
   // were suppressed as duplicates instead of travelling alone.
   std::uint64_t messages_saved() const { return frames_enqueued_ - messages_sent_; }
-  // Frames currently parked awaiting the tick-end flush.
-  std::size_t queued() const;
+  // Frames enqueued since the last flush, repeats included (the flush
+  // drops them).
+  std::size_t queued() const { return queue_.size(); }
 
   // Message-lifecycle tracing: frames that leave inside a multi-frame
   // envelope record a kCoalesce event keyed by the frame's group-message
@@ -127,11 +130,18 @@ class SendCoalescer {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
+  struct Queued {
+    NodeId dest;
+    net::MsgType type;
+    net::Payload frame;
+  };
+
   net::Transport transport_;
   Rng& rng_;
-  // Keyed map so flush sees a deterministic destination set; the actual
-  // send order is then shuffled through rng_ (seeded, reproducible).
-  std::map<NodeId, std::vector<std::pair<net::MsgType, net::Payload>>> queue_;
+  // This tick's frames in enqueue order. The flush sorts them by
+  // destination (a deterministic set), then shuffles the destinations'
+  // send order through rng_ (seeded, reproducible).
+  std::vector<Queued> queue_;
   sim::EventId flush_event_ = 0;
   obs::Tracer* tracer_ = nullptr;
   // lint: adhoc-counter-ok(pre-registry stats; summed onto the registry by AtumSystem probes)

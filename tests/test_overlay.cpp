@@ -418,6 +418,58 @@ TEST_F(GmFixture, CoalescerSuppressesDuplicateFramesPerDestination) {
   EXPECT_EQ(c.messages_saved(), 2u);
 }
 
+// The frames one message carries: itself, or an envelope's inner frames.
+std::vector<net::Payload> frames_of(const net::Message& m) {
+  if (m.type != net::MsgType::kGroupMsgEnvelope) return {m.payload};
+  std::vector<net::Payload> frames;
+  ByteReader r(m.payload);
+  for (std::uint64_t n = r.varint(); n > 0; --n) {
+    r.u16();
+    frames.push_back(m.payload.slice(r.bytes_view()));
+  }
+  return frames;
+}
+
+TEST_F(GmFixture, CoalescerDedupsAcrossInterleavedDestinations) {
+  // Repeats to one destination are dropped even with frames for other
+  // destinations enqueued between them. The first copy keeps its place,
+  // and the destinations leave in the order of one shuffle of the
+  // coalescer's Rng.
+  net::NetworkConfig cfg = net::NetworkConfig::datacenter();
+  cfg.jitter_mean = 0;  // receive order == send order
+  net::SimNetwork quiet(sim, cfg, 77);
+  const NodeId a = 201, b = 202, c = 203;
+  std::vector<NodeId> receive_order;
+  std::map<NodeId, std::vector<std::vector<net::Payload>>> got;  // per message
+  for (NodeId d : {a, b, c}) {
+    quiet.attach(d, [&, d](const net::Message& m) {
+      receive_order.push_back(d);
+      got[d].push_back(frames_of(m));
+    });
+  }
+  const net::Payload f1 = full_frame({50, 1}, Bytes{0x01});
+  const net::Payload f2 = full_frame({50, 2}, Bytes{0x02});
+  const net::Payload f3 = full_frame({50, 3}, Bytes{0x03});
+  const net::Payload f4 = full_frame({50, 4}, Bytes{0x04});
+  Rng coalescer_rng(23);
+  SendCoalescer co(net::Transport(quiet, 1), coalescer_rng);
+  for (const auto& [dest, frame] : std::vector<std::pair<NodeId, net::Payload>>{
+           {a, f1}, {b, f2}, {a, f3}, {a, f1}, {b, f2}, {c, f4}}) {
+    co.enqueue(dest, net::MsgType::kGroupMsgFull, frame);
+  }
+  sim.run();
+
+  EXPECT_EQ(co.frames_enqueued(), 6u);
+  EXPECT_EQ(co.messages_sent(), 3u);
+  EXPECT_EQ(got[a], (std::vector<std::vector<net::Payload>>{{f1, f3}}));
+  EXPECT_EQ(got[b], (std::vector<std::vector<net::Payload>>{{f2}}));
+  EXPECT_EQ(got[c], (std::vector<std::vector<net::Payload>>{{f4}}));
+  Rng same(23);
+  std::vector<NodeId> expected{a, b, c};
+  same.shuffle(expected);
+  EXPECT_EQ(receive_order, expected);
+}
+
 TEST_F(GmFixture, CoalescerSplitsOversizedBatchesAtTheCap) {
   std::uint64_t singles = 0, envelopes = 0;
   net.attach(receiver, net::MsgType::kGroupMsgFull, [&](const net::Message&) { ++singles; });
