@@ -82,7 +82,14 @@ void SimNetwork::attach(NodeId node, MessageHandler handler) {
 }
 
 void SimNetwork::attach(NodeId node, MsgType type, MessageHandler handler) {
-  handlers_[node].by_type[static_cast<std::uint16_t>(type)] = std::move(handler);
+  auto& typed = handlers_[node].by_type;
+  auto it = std::find_if(typed.begin(), typed.end(),
+                         [type](const auto& entry) { return entry.first == type; });
+  if (it != typed.end()) {
+    it->second = std::move(handler);
+  } else {
+    typed.emplace_back(type, std::move(handler));
+  }
 }
 
 void SimNetwork::detach(NodeId node) {
@@ -95,15 +102,16 @@ void SimNetwork::detach(NodeId node) {
 void SimNetwork::detach(NodeId node, MsgType type) {
   auto it = handlers_.find(node);
   if (it == handlers_.end()) return;
-  it->second.by_type.erase(static_cast<std::uint16_t>(type));
+  std::erase_if(it->second.by_type, [type](const auto& entry) { return entry.first == type; });
   if (it->second.empty()) handlers_.erase(it);
 }
 
 const MessageHandler* SimNetwork::handler_for(NodeId node, MsgType type) const {
   auto it = handlers_.find(node);
   if (it == handlers_.end()) return nullptr;
-  auto tit = it->second.by_type.find(static_cast<std::uint16_t>(type));
-  if (tit != it->second.by_type.end()) return &tit->second;
+  for (const auto& [t, handler] : it->second.by_type) {
+    if (t == type) return &handler;
+  }
   if (it->second.fallback) return &it->second.fallback;
   return nullptr;
 }

@@ -67,8 +67,8 @@ struct NetworkStats {
 // Registered once per node/type at bind time, invoked per delivery. The
 // per-message cost is one indirect call with no allocation — the hot-path
 // allocation problem std::function caused lived in the per-EVENT closures,
-// which sim::EventFn replaced. If a profile ever shows this dispatch, the
-// EventFn treatment applies here too.
+// which sim::EventFn replaced. What a profile of delivery shows is the
+// node lookup in SimNetwork::handler_for, not this call.
 // lint: std-function-ok(bind-time registration; invoke is alloc-free)
 using MessageHandler = std::function<void(const Message&)>;
 
@@ -169,9 +169,16 @@ class SimNetwork {
 
   struct NodeHandlers {
     MessageHandler fallback;
-    std::unordered_map<std::uint16_t, MessageHandler> by_type;
+    // Searched linearly: a node registers a couple of dozen types at most,
+    // and the scan is cheaper than a second hash lookup per delivery. A
+    // handler may attach or detach its own node's handlers while it runs
+    // (a join reply starts the node's runtime), which can move or destroy
+    // the very MessageHandler it runs in; each one only forwards to a
+    // member function, so none touches its closure afterwards.
+    std::vector<std::pair<MsgType, MessageHandler>> by_type;
     bool empty() const { return !fallback && by_type.empty(); }
   };
+  // One hash lookup (the node), then a scan of its typed handlers.
   const MessageHandler* handler_for(NodeId node, MsgType type) const;
 
   sim::Simulator& sim_;
