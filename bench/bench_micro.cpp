@@ -228,16 +228,21 @@ static void BM_PbftBatchDecide(benchmark::State& state) {
 }
 BENCHMARK(BM_PbftBatchDecide)->Arg(1)->Arg(4)->Arg(16);
 
-// Coalesced group-message fan-out: N same-tick frames to one destination
-// leave as one envelope instead of N messages. Wall-clock cost of the
-// enqueue + flush + decode round trip against the uncoalesced send loop.
+// Coalesced group-message fan-out: N same-tick frames to each of D
+// destinations leave as one envelope per destination instead of N messages
+// each. Wall-clock cost of the enqueue + flush + decode round trip. D = 40
+// is a relay's fan-out to four neighbor vgroups of ~10 members, where the
+// coalescer's per-destination bookkeeping shows.
 static void BM_GossipCoalescedSend(benchmark::State& state) {
   const auto frames = static_cast<std::size_t>(state.range(0));
+  const auto dests = static_cast<NodeId>(state.range(1));
   sim::Simulator sim;
   net::SimNetwork net(sim, net::NetworkConfig::datacenter(), 0x5417);
   Rng rng(9);
   std::uint64_t delivered = 0;
-  net.attach(1, [&delivered](const net::Message&) { ++delivered; });
+  for (NodeId d = 1; d <= dests; ++d) {
+    net.attach(d, [&delivered](const net::Message&) { ++delivered; });
+  }
   overlay::SendCoalescer coalescer(net::Transport(net, 0), rng);
   std::vector<net::Payload> payloads;
   for (std::size_t i = 0; i < frames; ++i) {
@@ -249,15 +254,17 @@ static void BM_GossipCoalescedSend(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (const net::Payload& p : payloads) {
-      coalescer.enqueue(1, net::MsgType::kGroupMsgFull, p);
+      for (NodeId d = 1; d <= dests; ++d) coalescer.enqueue(d, net::MsgType::kGroupMsgFull, p);
     }
     sim.run();
   }
   benchmark::DoNotOptimize(delivered);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(frames));
+                          static_cast<int64_t>(frames * dests));
 }
-BENCHMARK(BM_GossipCoalescedSend)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_GossipCoalescedSend)
+    ->ArgNames({"frames", "dests"})
+    ->ArgsProduct({{1, 8, 32}, {1, 40}});
 
 // Observability cells (ISSUE 9). The instrumentation contract is "near
 // zero when idle": a cached Counter* bump is one relaxed fetch_add, a
