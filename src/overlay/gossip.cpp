@@ -100,8 +100,8 @@ void SendCoalescer::flush() {
     }
     runs.emplace_back(begin, kept);
   }
-  // Randomize the send order across destinations (§5.1): one draw set per
-  // destination, as many as there are runs.
+  // Randomize the send order across destinations (§5.1). The draws depend
+  // only on the number of runs, one per destination.
   rng_.shuffle(runs);
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
   for (const auto& [begin, end] : runs) {
