@@ -2,18 +2,22 @@
 
 namespace atum {
 
-void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+namespace {
+
+template <typename T>
+void append_le(Bytes& buf, T v) {
+  std::uint8_t le[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  buf.insert(buf.end(), le, le + sizeof(T));
 }
 
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+}  // namespace
 
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void ByteWriter::u16(std::uint16_t v) { append_le(buf_, v); }
+
+void ByteWriter::u32(std::uint32_t v) { append_le(buf_, v); }
+
+void ByteWriter::u64(std::uint64_t v) { append_le(buf_, v); }
 
 void ByteWriter::f64(double v) {
   std::uint64_t bits;

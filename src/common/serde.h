@@ -27,7 +27,13 @@ class SerdeError : public std::runtime_error {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Reserves `capacity` bytes up front: a writer told its message's size
+  // allocates once instead of growing as it goes.
+  explicit ByteWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
+  // Fixed-width integers are little-endian, appended with one insert.
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
