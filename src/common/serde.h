@@ -41,6 +41,12 @@ class ByteWriter {
   void f64(double v);
   // LEB128 variable-length unsigned integer; compact for small counts.
   void varint(std::uint64_t v);
+  // How many bytes varint(v) appends (for exact capacities).
+  static std::size_t varint_size(std::uint64_t v) {
+    std::size_t n = 1;
+    for (; v >= 0x80; v >>= 7) ++n;
+    return n;
+  }
   void bytes(const Bytes& b);             // length-prefixed
   void bytes(const std::uint8_t* p, std::size_t n);  // length-prefixed range
   void raw(const std::uint8_t* p, std::size_t n);  // no length prefix

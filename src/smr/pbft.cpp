@@ -12,6 +12,7 @@ namespace atum::smr {
 namespace {
 
 constexpr NodeId kNullOrigin = kInvalidNode;  // origin of gap-filling null requests
+constexpr std::size_t kTagBytes = 8;          // the u64 instance tag leading every frame
 
 void write_digest(ByteWriter& w, const crypto::Digest& d) { w.raw(d.data(), d.size()); }
 
@@ -158,21 +159,47 @@ crypto::Digest PbftSmr::batch_digest(const std::vector<Request>& batch) const {
   return crypto::sha256(w.data());
 }
 
-Bytes PbftSmr::tagged(const Bytes& body) const {
-  ByteWriter w;
+ByteWriter PbftSmr::frame_writer(std::size_t body_bytes) const {
+  ByteWriter w(kTagBytes + body_bytes);
   w.u64(instance_tag_);
-  w.raw(body.data(), body.size());
+  return w;
+}
+
+Bytes PbftSmr::request_frame(const Request& req) const {
+  ByteWriter w = frame_writer(8 + 8 + ByteWriter::varint_size(req.op.size()) + req.op.size());
+  w.u64(req.id.origin);
+  w.u64(req.id.seq);
+  w.bytes(req.op.data(), req.op.size());
   return w.take();
 }
 
-void PbftSmr::broadcast(net::MsgType type, const Bytes& payload, bool include_self) {
-  net::Payload frozen(tagged(payload));  // one buffer shared by every replica
+Bytes PbftSmr::vote_frame(std::uint64_t view, std::uint64_t seq,
+                          const crypto::Digest& digest) const {
+  ByteWriter w = frame_writer(8 + 8 + digest.size());
+  w.u64(view);
+  w.u64(seq);
+  write_digest(w, digest);
+  return w.take();
+}
+
+Bytes PbftSmr::fetch_frame(std::uint64_t upto) const {
+  ByteWriter w = frame_writer(8 + 8);
+  w.u64(next_exec_);
+  w.u64(upto);
+  return w.take();
+}
+
+void PbftSmr::sign_frame(ByteWriter& w) const {
+  const crypto::Signature sig =
+      keys_.key_of(transport_.self()).sign(w.data().data() + kTagBytes, w.size() - kTagBytes);
+  w.raw(sig.data(), sig.size());
+}
+
+void PbftSmr::broadcast(net::MsgType type, Bytes frame) {
+  const net::Payload frozen(std::move(frame));  // one buffer shared by every replica
   for (NodeId peer : config_.members) {
     if (peer == transport_.self()) continue;
     transport_.send(peer, type, frozen);
-  }
-  if (include_self) {
-    transport_.send(transport_.self(), type, frozen);
   }
 }
 
@@ -199,11 +226,7 @@ void PbftSmr::propose(Bytes op) {
     trace(obs::TracePoint::kPropose, crypto::digest_prefix64(req.op.digest()), req.id.seq);
   }
 
-  ByteWriter w;
-  w.u64(req.id.origin);
-  w.u64(req.id.seq);
-  w.bytes(req.op.data(), req.op.size());
-  broadcast(net::MsgType::kPbftRequest, w.data());
+  broadcast(net::MsgType::kPbftRequest, request_frame(req));
 
   pending_[req.id] = req.op;
   if (is_primary() && !view_changing_) {
@@ -306,7 +329,7 @@ void PbftSmr::flush_batch() {
     // must still be able to trigger a view change.
 
     auto encode = [&](const std::vector<Request>& b, const crypto::Digest& b_digest) {
-      ByteWriter w;
+      ByteWriter w = frame_writer();
       w.u64(view_);
       w.u64(seq);
       write_digest(w, b_digest);
@@ -330,8 +353,8 @@ void PbftSmr::flush_batch() {
       Bytes alt_op = alt.front().op.to_bytes();
       alt_op.push_back(0xFF);
       alt.front().op = net::Payload(std::move(alt_op));
-      net::Payload wire_a(tagged(encode(entry.batch, d)));
-      net::Payload wire_b(tagged(encode(alt, batch_digest(alt))));
+      const net::Payload wire_a(encode(entry.batch, d));
+      const net::Payload wire_b(encode(alt, batch_digest(alt)));
       std::size_t half = config_.size() / 2;
       for (std::size_t i = 0; i < config_.size(); ++i) {
         if (config_.members[i] == transport_.self()) continue;
@@ -413,13 +436,9 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
   }
   // The requests remain pending_ until executed (liveness timer input).
 
-  ByteWriter w;
-  w.u64(view);
-  w.u64(seq);
-  write_digest(w, digest);
   if (ctr_prepares_ != nullptr) ctr_prepares_->inc();
   trace(obs::TracePoint::kPrepare, crypto::digest_prefix64(digest), seq, entry.batch.size());
-  broadcast(net::MsgType::kPbftPrepare, w.data());
+  broadcast(net::MsgType::kPbftPrepare, vote_frame(view, seq, digest));
   entry.prepares.insert(transport_.self());
   maybe_send_commit(seq);
   arm_view_timer();
@@ -449,13 +468,9 @@ void PbftSmr::maybe_send_commit(std::uint64_t seq) {
   if (entry.commits.contains(transport_.self())) return;
   if (entry.prepares.size() < 2 * max_faults()) return;
 
-  ByteWriter w;
-  w.u64(view_);
-  w.u64(seq);
-  write_digest(w, entry.digest);
   if (ctr_commits_ != nullptr) ctr_commits_->inc();
   trace(obs::TracePoint::kCommit, crypto::digest_prefix64(entry.digest), seq);
-  broadcast(net::MsgType::kPbftCommit, w.data());
+  broadcast(net::MsgType::kPbftCommit, vote_frame(view_, seq, entry.digest));
   entry.commits.insert(transport_.self());
   try_execute();
 }
@@ -522,11 +537,7 @@ void PbftSmr::maybe_fetch_missing_head() {
   // equally behind; enough matching replies can still form.
   // Freeze the request once: every recipient gets the same frame, so the
   // 2f+1 fan-out shares one buffer instead of copying the bytes per peer.
-  ByteWriter w;
-  w.u64(instance_tag_);
-  w.u64(next_exec_);
-  w.u64(anchor);
-  const net::Payload frame(w.take());
+  const net::Payload frame(fetch_frame(anchor));
   std::size_t asked = 0;
   for (NodeId node : config_.members) {
     if (node == transport_.self()) continue;
@@ -614,13 +625,17 @@ void PbftSmr::fold_record(const ExecRecord& rec) {
 // pins the executed prefix, the op count pins the decide ordinal space, and
 // the request-ledger encoding lets an installing replica restore its dedup
 // state without replaying the truncated prefix.
-Bytes PbftSmr::checkpoint_body(const Checkpoint& c) {
-  ByteWriter w;
+void PbftSmr::write_checkpoint_body(ByteWriter& w, const Checkpoint& c) {
   w.u64(c.seq);
   write_digest(w, c.state_digest);
   w.u64(c.ops);
   w.bytes(c.ledger_wire);
-  return w.take();
+}
+
+crypto::Digest PbftSmr::checkpoint_digest(const Checkpoint& c) {
+  ByteWriter w;
+  write_checkpoint_body(w, c);
+  return crypto::sha256(w.data());
 }
 
 const PbftSmr::Votes* PbftSmr::votes_at(std::uint64_t seq) const {
@@ -665,9 +680,12 @@ void PbftSmr::send_checkpoint(std::uint64_t seq) {
   ByteWriter lw;
   executed_requests_.encode(lw);
   Checkpoint capture{seq, state_digest_, executed_ops_, lw.take()};
-  Bytes body = checkpoint_body(capture);
-  broadcast(net::MsgType::kPbftCheckpoint, body);
-  record_vote(seq, transport_.self(), crypto::sha256(body));
+  ByteWriter w = frame_writer();
+  write_checkpoint_body(w, capture);
+  // Our vote is the digest of the body, the bytes after the tag.
+  record_vote(seq, transport_.self(),
+              crypto::sha256(w.data().data() + kTagBytes, w.size() - kTagBytes));
+  broadcast(net::MsgType::kPbftCheckpoint, w.take());
   slot(seq).capture = std::make_unique<Checkpoint>(std::move(capture));
   // Stabilization (our vote may complete a quorum) is NOT checked here:
   // send_checkpoint runs before the boundary record's decides fire, and
@@ -771,11 +789,8 @@ void PbftSmr::request_state_transfer() {
     if (votes.size() < max_faults() + 1) return false;
     for (const auto& [node, digest] : votes) {
       if (node == transport_.self()) continue;
-      ByteWriter w;
-      w.u64(instance_tag_);
-      w.u64(next_exec_);
-      w.u64(0);  // no range cap: validated against the vouched checkpoint
-      transport_.send(node, net::MsgType::kPbftStateFetch, w.take());
+      // No range cap: the reply is validated against the vouched checkpoint.
+      transport_.send(node, net::MsgType::kPbftStateFetch, fetch_frame(0));
       return true;  // one fetch at a time; retried on the next checkpoint signal
     }
     return false;
@@ -810,8 +825,7 @@ void PbftSmr::handle_state_fetch(const net::Message& msg) {
   if (!with_ckpt && upto != 0) end = std::min(end, upto);
   const std::uint64_t first = std::max(from_seq, base_);
   if (!with_ckpt && first >= end) return;  // have not executed the requested range yet
-  ByteWriter w;
-  w.u64(instance_tag_);
+  ByteWriter w = frame_writer();
   w.u8(with_ckpt ? 1 : 0);
   w.u64(from_seq);
   if (with_ckpt) {
@@ -870,8 +884,8 @@ std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries) co
     if (votes == nullptr) continue;
     ByteWriter lw;
     ledger.encode(lw);
-    const Bytes body = checkpoint_body(Checkpoint{seq, digest, ops, lw.take()});
-    if (count_matching(votes, crypto::sha256(body)) >= max_faults() + 1) best = seq;
+    const crypto::Digest body = checkpoint_digest(Checkpoint{seq, digest, ops, lw.take()});
+    if (count_matching(votes, body) >= max_faults() + 1) best = seq;
   }
   return best;
 }
@@ -904,8 +918,7 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
   // vouched whole is adopted in full.
   std::uint64_t vouched_to = 0;
   const bool evidence =
-      ckpt ? count_matching(votes_at(ckpt->seq), crypto::sha256(checkpoint_body(*ckpt))) >=
-                 max_faults() + 1
+      ckpt ? count_matching(votes_at(ckpt->seq), checkpoint_digest(*ckpt)) >= max_faults() + 1
            : (vouched_to = validate_chain(records)) > next_exec_;
   if (!evidence) {
     const crypto::Digest d = msg.payload.digest();
@@ -1063,7 +1076,7 @@ void PbftSmr::start_view_change(std::uint64_t explicit_target) {
     }
   }
 
-  ByteWriter w;
+  ByteWriter w = frame_writer();
   w.u64(vc.new_view);
   w.u64(vc.stable_seq);
   w.varint(vc.prepared.size());
@@ -1074,9 +1087,8 @@ void PbftSmr::start_view_change(std::uint64_t explicit_target) {
     encode_ops_region(ow, p.batch);
     w.bytes(ow.data());
   }
-  crypto::Signature sig = keys_.key_of(transport_.self()).sign(w.data());
-  w.raw(sig.data(), sig.size());
-  broadcast(net::MsgType::kPbftViewChange, w.data());
+  sign_frame(w);
+  broadcast(net::MsgType::kPbftViewChange, w.take());
 
   view_changes_[vc.new_view][vc.sender] = std::move(vc);
   maybe_assemble_new_view();
@@ -1192,7 +1204,7 @@ void PbftSmr::maybe_assemble_new_view() {
     }
   }
 
-  ByteWriter w;
+  ByteWriter w = frame_writer();
   w.u64(target_view_);
   w.u64(max_stable);
   std::vector<Bytes> o_entries;
@@ -1207,9 +1219,8 @@ void PbftSmr::maybe_assemble_new_view() {
   }
   w.varint(o_entries.size());
   for (const Bytes& e : o_entries) w.bytes(e);
-  crypto::Signature sig = keys_.key_of(transport_.self()).sign(w.data());
-  w.raw(sig.data(), sig.size());
-  broadcast(net::MsgType::kPbftNewView, w.data());
+  sign_frame(w);
+  broadcast(net::MsgType::kPbftNewView, w.take());
 
   // Enter the view locally and re-propose O.
   std::vector<PreparedProof> carried;
@@ -1318,11 +1329,7 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
     slot(p.seq).agreement = Agreement{.view = v, .digest = p.digest, .batch = p.batch,
                                       .pre_prepared = true, .prepares = {transport_.self()},
                                       .commits = {}};
-    ByteWriter w;
-    w.u64(v);
-    w.u64(p.seq);
-    write_digest(w, p.digest);
-    broadcast(net::MsgType::kPbftPrepare, w.data());
+    broadcast(net::MsgType::kPbftPrepare, vote_frame(v, p.seq, p.digest));
   }
 
   // Replay protocol messages that arrived for this view before we entered
@@ -1340,12 +1347,8 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
     // have received them (e.g. it was partitioned when they were issued).
     for (const auto& [id, op] : pending_) {
       if (id.origin != transport_.self()) continue;
-      ByteWriter w;
-      w.u64(instance_tag_);
-      w.u64(id.origin);
-      w.u64(id.seq);
-      w.bytes(op.data(), op.size());
-      transport_.send(primary_of(view_), net::MsgType::kPbftRequest, w.take());
+      transport_.send(primary_of(view_), net::MsgType::kPbftRequest,
+                      request_frame(Request{id, op}));
     }
   }
   if (!pending_.empty()) arm_view_timer();
@@ -1363,14 +1366,14 @@ void PbftSmr::on_message(const net::Message& raw) {
   // Frames from another instance (an earlier or later epoch running over
   // overlapping node ids) are dropped here, before any handler can mistake
   // their seq numbering for this instance's.
-  if (raw.payload.size() < 8) return;
+  if (raw.payload.size() < kTagBytes) return;
   net::Message msg = raw;
   {
     ByteReader r(raw.payload);
-    // lint: handler-serde-safety-ok(8-byte read is gated by the size()<8 early return above)
+    // lint: handler-serde-safety-ok(8-byte read is gated by the size()<kTagBytes early return above)
     if (r.u64() != instance_tag_) return;
-    msg.payload = raw.payload.slice(
-        std::span<const std::uint8_t>(raw.payload.data() + 8, raw.payload.size() - 8));
+    msg.payload = raw.payload.slice(std::span<const std::uint8_t>(
+        raw.payload.data() + kTagBytes, raw.payload.size() - kTagBytes));
   }
   try {
     switch (msg.type) {

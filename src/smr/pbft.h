@@ -338,10 +338,21 @@ class PbftSmr final : public SmrEngine {
   void maybe_send_commit(std::uint64_t seq);
   void try_execute();
   void execute_entry(std::uint64_t seq, Slot& slot);
-  // Prepends the instance tag: the envelope every frame travels in (the
-  // receiving on_message checks and strips it before dispatch).
-  Bytes tagged(const Bytes& body) const;
-  void broadcast(net::MsgType type, const Bytes& payload, bool include_self = false);
+  // The one framing path: every frame is written through frame_writer,
+  // which returns a writer already holding the instance tag (the envelope
+  // on_message checks and strips before dispatch) with room for body_bytes
+  // more. The helpers below write the frames sent from more than one place.
+  ByteWriter frame_writer(std::size_t body_bytes = 0) const;
+  Bytes request_frame(const Request& req) const;
+  // PREPARE and COMMIT share one body: u64 view, u64 seq, digest.
+  Bytes vote_frame(std::uint64_t view, std::uint64_t seq, const crypto::Digest& digest) const;
+  // STATE FETCH for [next_exec_, upto); upto 0 asks for everything.
+  Bytes fetch_frame(std::uint64_t upto) const;
+  // Signs a VIEW-CHANGE or NEW-VIEW body (the bytes after the tag) and
+  // appends the signature.
+  void sign_frame(ByteWriter& w) const;
+  // Freezes the frame once and sends that buffer to every other member.
+  void broadcast(net::MsgType type, Bytes frame);
   void send_checkpoint(std::uint64_t seq);
   void collect_garbage(std::uint64_t stable_seq);
 
@@ -448,7 +459,8 @@ class PbftSmr final : public SmrEngine {
 
   // Checkpoint plumbing (see pbft.cpp for contracts).
   void fold_record(const ExecRecord& rec);
-  static Bytes checkpoint_body(const Checkpoint& c);
+  static void write_checkpoint_body(ByteWriter& w, const Checkpoint& c);
+  static crypto::Digest checkpoint_digest(const Checkpoint& c);
   // Votes at a boundary above the stable checkpoint (null when none): read
   // from its slot inside the window, from checkpoints_ above it.
   const Votes* votes_at(std::uint64_t seq) const;
