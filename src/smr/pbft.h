@@ -140,14 +140,20 @@ class RequestLedger {
     return seq <= it->second.low || it->second.above.contains(seq);
   }
   // Returns true when the id was newly inserted; folds runs contiguous with
-  // the watermark into it.
+  // the watermark into it. The next in-order seq (low + 1, the common case)
+  // only raises the watermark: it creates no set node. Only out-of-order
+  // seqs touch the set.
   bool insert(NodeId origin, std::uint64_t seq) {
     OriginState& st = origins_[origin];
-    if (seq <= st.low || !st.above.insert(seq).second) return false;
-    while (st.above.contains(st.low + 1)) {
-      st.above.erase(st.low + 1);
-      ++st.low;
+    if (seq <= st.low) return false;
+    if (seq == st.low + 1) {
+      // A decoded ledger may still hold low + 1 in above: already held.
+      if (st.above.contains(seq)) return false;
+      st.low = seq;
+    } else if (!st.above.insert(seq).second) {
+      return false;
     }
+    while (st.above.erase(st.low + 1) != 0) ++st.low;
     return true;
   }
   // Canonical encoding (sorted maps/sets => deterministic bytes): varint
