@@ -11,15 +11,21 @@
 //    distinct epoch hashes and therefore distinct instance tags;
 //  * a member removed while partitioned learns of its removal from f+1
 //    byte-identical removal notices once the partition heals (the
-//    leave-confirmation gap).
+//    leave-confirmation gap);
+//  * the request ledger a checkpoint carries answers like a plain set of
+//    ids under any insertion order, and encodes canonically.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/serde.h"
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
 #include "net/network.h"
@@ -244,6 +250,75 @@ struct ChainHarness {
   }
   void run_for(DurationMicros d) { sim.run_until(sim.now() + d); }
 };
+
+// RequestLedger against a std::set model. Five origins each insert a
+// random permutation of seqs 1..200, interleaved at random, with a repeat
+// of a random id after every step. Every insert's answer and every
+// contains() must match the model; the finished ledger must encode exactly
+// like one filled in order and survive a decode round trip.
+TEST(RequestLedger, MatchesSetModelUnderInterleavedPermutations) {
+  constexpr NodeId kOrigins = 5;
+  constexpr std::uint64_t kSeqs = 200;
+  Rng rng(0x1ED6E5);
+  std::vector<std::vector<std::uint64_t>> order(kOrigins);
+  for (auto& seqs : order) {
+    for (std::uint64_t s = 1; s <= kSeqs; ++s) seqs.push_back(s);
+    rng.shuffle(seqs);
+  }
+  RequestLedger ledger;
+  std::set<std::pair<NodeId, std::uint64_t>> model;
+  auto insert_both = [&](NodeId origin, std::uint64_t seq) {
+    const bool fresh = model.insert({origin, seq}).second;
+    ASSERT_EQ(ledger.insert(origin, seq), fresh) << "origin " << origin << " seq " << seq;
+    for (NodeId o = 0; o < kOrigins; ++o) {
+      for (std::uint64_t s = 1; s <= kSeqs + 1; ++s) {
+        ASSERT_EQ(ledger.contains(o, s), model.contains({o, s}))
+            << "after inserting (" << origin << ", " << seq << "): origin " << o << " seq " << s;
+      }
+    }
+  };
+  std::vector<std::size_t> next(kOrigins, 0);
+  for (std::uint64_t left = kOrigins * kSeqs; left > 0;) {
+    const auto origin = static_cast<NodeId>(rng.next_u64() % kOrigins);
+    if (next[origin] == kSeqs) continue;
+    insert_both(origin, order[origin][next[origin]++]);
+    --left;
+    insert_both(static_cast<NodeId>(rng.next_u64() % kOrigins), 1 + rng.next_u64() % kSeqs);
+    if (HasFatalFailure()) return;
+  }
+
+  RequestLedger in_order;
+  for (NodeId o = 0; o < kOrigins; ++o) {
+    for (std::uint64_t s = 1; s <= kSeqs; ++s) ASSERT_TRUE(in_order.insert(o, s));
+  }
+  ByteWriter got;
+  ledger.encode(got);
+  ByteWriter want;
+  in_order.encode(want);
+  EXPECT_EQ(got.data(), want.data());
+  ByteReader r(got.data());
+  EXPECT_EQ(RequestLedger::decode(r), ledger);
+  EXPECT_TRUE(r.done());
+}
+
+// A decoded ledger need not be folded: one whose above set holds low + 1
+// already holds that id, so inserting it again is not fresh.
+TEST(RequestLedger, DecodedLowPlusOneInAboveIsAlreadyHeld) {
+  ByteWriter w;
+  w.varint(1);  // one origin
+  w.u64(3);     // origin
+  w.u64(5);     // low
+  w.varint(1);  // one seq above it...
+  w.u64(6);     // ...which is low + 1
+  ByteReader r(w.data());
+  RequestLedger ledger = RequestLedger::decode(r);
+  EXPECT_FALSE(ledger.insert(3, 6));
+  EXPECT_TRUE(ledger.contains(3, 6));
+  EXPECT_TRUE(ledger.contains(3, 5));
+  EXPECT_FALSE(ledger.contains(3, 7));
+  EXPECT_TRUE(ledger.insert(3, 7));
+  EXPECT_TRUE(ledger.contains(3, 7));
+}
 
 // A -> B -> A: the third epoch has the same membership as the first but a
 // different chain hash, so the PBFT instance tag differs too — an
