@@ -22,6 +22,17 @@ crypto::Digest read_digest(ByteReader& r) {
   return d;
 }
 
+bool has_voter(const std::vector<NodeId>& voters, NodeId voter) {
+  return std::find(voters.begin(), voters.end(), voter) != voters.end();
+}
+
+// One phase's vote from voter, counted once however often it arrives.
+void add_voter(std::vector<NodeId>& voters, NodeId voter, std::size_t group_size) {
+  if (has_voter(voters, voter)) return;
+  if (voters.empty()) voters.reserve(group_size);
+  voters.push_back(voter);
+}
+
 // Checkpoint votes (voter -> body digest) for digest d; no votes count 0.
 std::size_t count_matching(const std::map<NodeId, crypto::Digest>* votes, const crypto::Digest& d) {
   if (votes == nullptr) return 0;
@@ -367,7 +378,7 @@ void PbftSmr::flush_batch() {
     if (ctr_pre_prepares_ != nullptr) ctr_pre_prepares_->inc();
     trace(obs::TracePoint::kPrePrepare, crypto::digest_prefix64(d), seq, entry.batch.size());
     broadcast(net::MsgType::kPbftPrePrepare, encode(entry.batch, d));
-    entry.prepares.insert(transport_.self());  // the pre-prepare acts as our prepare
+    add_voter(entry.prepares, transport_.self(), config_.size());  // the pre-prepare is our prepare
     maybe_send_commit(seq);
   }
   flushing_ = false;
@@ -439,7 +450,7 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
   if (ctr_prepares_ != nullptr) ctr_prepares_->inc();
   trace(obs::TracePoint::kPrepare, crypto::digest_prefix64(digest), seq, entry.batch.size());
   broadcast(net::MsgType::kPbftPrepare, vote_frame(view, seq, digest));
-  entry.prepares.insert(transport_.self());
+  add_voter(entry.prepares, transport_.self(), config_.size());
   maybe_send_commit(seq);
   arm_view_timer();
 }
@@ -457,7 +468,7 @@ void PbftSmr::handle_prepare(const net::Message& msg) {
 
   Agreement& entry = slot(seq).agreement;
   if (entry.pre_prepared && entry.digest != digest) return;
-  entry.prepares.insert(msg.from);
+  add_voter(entry.prepares, msg.from, config_.size());
   maybe_send_commit(seq);
 }
 
@@ -465,13 +476,13 @@ void PbftSmr::maybe_send_commit(std::uint64_t seq) {
   Agreement& entry = slot(seq).agreement;
   // Prepared: pre-prepare + 2f prepares (from distinct replicas, self incl).
   if (!entry.pre_prepared) return;
-  if (entry.commits.contains(transport_.self())) return;
+  if (has_voter(entry.commits, transport_.self())) return;
   if (entry.prepares.size() < 2 * max_faults()) return;
 
   if (ctr_commits_ != nullptr) ctr_commits_->inc();
   trace(obs::TracePoint::kCommit, crypto::digest_prefix64(entry.digest), seq);
   broadcast(net::MsgType::kPbftCommit, vote_frame(view_, seq, entry.digest));
-  entry.commits.insert(transport_.self());
+  add_voter(entry.commits, transport_.self(), config_.size());
   try_execute();
 }
 
@@ -485,7 +496,7 @@ void PbftSmr::handle_commit(const net::Message& msg) {
   Agreement& entry = slot(seq).agreement;
   if (entry.pre_prepared && entry.digest != digest) return;
   (void)view;  // commits from any view count once the digest matches
-  entry.commits.insert(msg.from);
+  add_voter(entry.commits, msg.from, config_.size());
   try_execute();
 }
 
@@ -1326,9 +1337,10 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
   for (const auto& p : carried) {
     if (p.seq <= next_exec_) continue;  // already executed here
     if (p.seq - stable_seq_ > kCarriedWindows * options_.watermark_window) continue;
-    slot(p.seq).agreement = Agreement{.view = v, .digest = p.digest, .batch = p.batch,
-                                      .pre_prepared = true, .prepares = {transport_.self()},
-                                      .commits = {}};
+    Agreement& entry = slot(p.seq).agreement;
+    entry = Agreement{.view = v, .digest = p.digest, .batch = p.batch, .pre_prepared = true,
+                      .prepares = {}, .commits = {}};
+    add_voter(entry.prepares, transport_.self(), config_.size());
     broadcast(net::MsgType::kPbftPrepare, vote_frame(v, p.seq, p.digest));
   }
 

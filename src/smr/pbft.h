@@ -266,14 +266,17 @@ class PbftSmr final : public SmrEngine {
   };
   // Agreement state of one seq: one BATCH of requests. An empty batch is
   // the null filler a new view uses for gaps (digest all-zero, executes as
-  // a no-op).
+  // a no-op). The vote lists hold each phase's distinct voters: a list is
+  // reserved to the group size at its first vote, and add_voter appends a
+  // voter only if it is not there yet, so a repeated PREPARE or COMMIT
+  // counts once. Nothing asks them more than size() and membership.
   struct Agreement {
     std::uint64_t view = 0;
     crypto::Digest digest{};
     std::vector<Request> batch;
     bool pre_prepared = false;
-    std::set<NodeId> prepares;
-    std::set<NodeId> commits;
+    std::vector<NodeId> prepares;
+    std::vector<NodeId> commits;
   };
   // The executed record of one seq: its whole batch in delivery order. Ops
   // that executed as no-ops (duplicates) are recorded with the null origin
