@@ -347,6 +347,63 @@ TEST(Pbft, WanLatenciesStillDecide) {
   for (NodeId n = 0; n < 7; ++n) ASSERT_EQ(decided[n].size(), 1u) << "replica " << n;
 }
 
+// A repeated vote counts once per phase. In a 7-replica group (f = 2) with
+// replicas 2-6 silent, replica 1 holds the primary's real pre-prepare and
+// its own prepare. Spoofed PREPAREs and COMMITs from silent members follow:
+// repeats from one member must not make replica 1 send COMMIT, which needs
+// 2f = 4 distinct prepares, or decide, which needs 2f+1 = 5 distinct
+// commits. Distinct voters then must.
+TEST(Pbft, RepeatedVoteCountsOncePerPhase) {
+  PbftOptions opt;
+  opt.view_change_timeout = seconds(60.0);  // no view change inside the test
+  std::vector<std::pair<std::size_t, PbftFaultMode>> silent;
+  for (std::size_t i = 2; i < 7; ++i) silent.emplace_back(i, PbftFaultMode::kSilent);
+  AsyncGroup g(7, opt, silent);
+  // Replica 1 broadcasts its COMMIT to every member; silent member 6 counts
+  // what arrives. The primary never gets the prepares to send one.
+  int commits_from_1 = 0;
+  g.net.attach(6, net::MsgType::kPbftCommit, [&](const net::Message& m) {
+    if (m.from == 1) ++commits_from_1;
+  });
+
+  const Bytes op = op_bytes("vote-once");
+  g.at(0).propose(op);
+  g.run_for(millis(50));  // the batch deadline flushes; replica 1 prepares
+  ASSERT_EQ(commits_from_1, 0);
+
+  // The batch digest the votes name: seq 1 holds the primary's one op.
+  ByteWriter region;
+  region.varint(1);
+  region.u64(0);  // origin
+  region.u64(1);  // origin seq
+  region.bytes(op);
+  const crypto::Digest digest = crypto::sha256(region.data());
+  auto vote = [&](NodeId from, net::MsgType type) {
+    ByteWriter w;
+    w.u64(g.at(1).instance_tag());
+    w.u64(0);  // view
+    w.u64(1);  // seq
+    w.raw(digest.data(), digest.size());
+    g.net.send(net::Message{from, 1, type, w.take()});
+  };
+
+  for (int i = 0; i < 3; ++i) vote(2, net::MsgType::kPbftPrepare);
+  g.run_for(millis(50));
+  EXPECT_EQ(commits_from_1, 0) << "a repeated PREPARE counted more than once";
+  vote(3, net::MsgType::kPbftPrepare);
+  vote(4, net::MsgType::kPbftPrepare);
+  g.run_for(millis(50));
+  ASSERT_EQ(commits_from_1, 1) << "4 distinct prepares must prepare the batch";
+
+  for (int i = 0; i < 4; ++i) vote(2, net::MsgType::kPbftCommit);
+  g.run_for(millis(50));
+  EXPECT_TRUE(g.decided[1].empty()) << "a repeated COMMIT counted more than once";
+  for (NodeId from = 3; from <= 5; ++from) vote(from, net::MsgType::kPbftCommit);
+  g.run_for(millis(50));
+  ASSERT_EQ(g.decided[1].size(), 1u) << "5 distinct commits must decide the batch";
+  EXPECT_EQ(g.decided[1][0].second, op);
+}
+
 // Property sweep: agreement for each group size with max silent faults.
 class PbftSweep : public ::testing::TestWithParam<std::size_t> {};
 
