@@ -239,7 +239,7 @@ void PbftSmr::propose(Bytes op) {
 
   broadcast(net::MsgType::kPbftRequest, request_frame(req));
 
-  pending_[req.id] = req.op;
+  set_pending(req);
   if (is_primary() && !view_changing_) {
     enqueue_op(req);
   }
@@ -256,7 +256,7 @@ void PbftSmr::handle_request(const net::Message& msg) {
   if (!config_.contains(req.id.origin)) return;
   if (assigned_or_executed_.contains(req.id.origin, req.id.seq)) return;
 
-  pending_[req.id] = req.op;
+  set_pending(req);
   if (is_primary() && !view_changing_) {
     enqueue_op(req);
   }
@@ -425,12 +425,12 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
         assigned_or_executed_.contains(req.id.origin, req.id.seq)) {
       continue;
     }
-    auto pit = pending_.find(req.id);
-    if (pit == pending_.end()) {
+    const Request* client_copy = find_pending(req.id);
+    if (client_copy == nullptr) {
       stashed_pre_prepares_[req.id] = msg;
       return;
     }
-    if (pit->second != req.op) return;  // forged content: ignore
+    if (client_copy->op != req.op) return;  // forged content: ignore
   }
 
   Agreement& entry = slot(seq).agreement;
@@ -575,7 +575,7 @@ void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
       rec.push_back(Request{RequestId{kNullOrigin, req.id.seq}, {}});
     }
     assigned_or_executed_.insert(req.id.origin, req.id.seq);
-    pending_.erase(req.id);
+    erase_pending(req.id);
   }
   // Ordering matters: fold the record into the state digest, count its
   // fresh ops, and capture the checkpoint at a boundary BEFORE any decide
@@ -788,9 +788,29 @@ void PbftSmr::collect_garbage(std::uint64_t stable_seq) {
 }
 
 void PbftSmr::enqueue_pending() {
-  auto pending_copy = pending_;
-  for (const auto& [id, op] : pending_copy) enqueue_op(Request{id, op});
+  // enqueue_op may execute inline, which erases from pending_: walk a copy.
+  const std::vector<Request> pending_copy = pending_;
+  for (const Request& req : pending_copy) enqueue_op(req);
   flush_batch();
+}
+
+void PbftSmr::set_pending(const Request& req) {
+  auto it = std::ranges::lower_bound(pending_, req.id, {}, &Request::id);
+  if (it != pending_.end() && it->id == req.id) {
+    it->op = req.op;
+  } else {
+    pending_.insert(it, req);
+  }
+}
+
+const PbftSmr::Request* PbftSmr::find_pending(const RequestId& id) const {
+  auto it = std::ranges::lower_bound(pending_, id, {}, &Request::id);
+  return it != pending_.end() && it->id == id ? &*it : nullptr;
+}
+
+void PbftSmr::erase_pending(const RequestId& id) {
+  auto it = std::ranges::lower_bound(pending_, id, {}, &Request::id);
+  if (it != pending_.end() && it->id == id) pending_.erase(it);
 }
 
 void PbftSmr::request_state_transfer() {
@@ -980,8 +1000,8 @@ void PbftSmr::install_checkpoint(Checkpoint ckpt, RequestLedger ledger) {
   // here; worst case the primary re-assigns such a request and execution
   // dedups it against the ledger — a null op, not a double delivery.
   assigned_or_executed_ = std::move(ledger);
-  std::erase_if(pending_, [&](const auto& entry) {
-    return executed_requests_.contains(entry.first.origin, entry.first.seq);
+  std::erase_if(pending_, [&](const Request& req) {
+    return executed_requests_.contains(req.id.origin, req.id.seq);
   });
   stable_ckpt_ = std::move(ckpt);
   next_seq_ = std::max(next_seq_, cseq + 1);
@@ -1018,7 +1038,7 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
       if (op.id.origin == kNullOrigin) continue;
       if (executed_requests_.insert(op.id.origin, op.id.seq)) ++fresh_ops;
       assigned_or_executed_.insert(op.id.origin, op.id.seq);
-      pending_.erase(op.id);
+      erase_pending(op.id);
     }
     executed_ops_ += fresh_ops;
     Slot& s = slot(seq);
@@ -1357,10 +1377,9 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
   } else if (!faulty_now()) {
     // Retransmit our own unordered requests: the new primary may never
     // have received them (e.g. it was partitioned when they were issued).
-    for (const auto& [id, op] : pending_) {
-      if (id.origin != transport_.self()) continue;
-      transport_.send(primary_of(view_), net::MsgType::kPbftRequest,
-                      request_frame(Request{id, op}));
+    for (const Request& req : pending_) {
+      if (req.id.origin != transport_.self()) continue;
+      transport_.send(primary_of(view_), net::MsgType::kPbftRequest, request_frame(req));
     }
   }
   if (!pending_.empty()) arm_view_timer();

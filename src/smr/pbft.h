@@ -331,6 +331,11 @@ class PbftSmr final : public SmrEngine {
   void flush_batch();
   // Buffers every pending op (the primary re-proposing) and flushes.
   void enqueue_pending();
+  // pending_ upkeep, by binary search on the id order: set_pending inserts
+  // the request or replaces the op held under its id.
+  void set_pending(const Request& req);
+  const Request* find_pending(const RequestId& id) const;
+  void erase_pending(const RequestId& id);
   void arm_batch_timer();
   void disarm_batch_timer();
   // Canonical ops-region encoding shared by pre-prepares, view-change
@@ -439,8 +444,13 @@ class PbftSmr final : public SmrEngine {
   // stable checkpoint, so a Byzantine primary cannot grow the log at will.
   static constexpr std::uint64_t kCarriedWindows = 4;
 
-  std::map<RequestId, net::Payload> pending_;    // not yet pre-prepared
-  RequestLedger assigned_or_executed_;           // dedup
+  // Requests known here and not yet executed (assigned ones stay until
+  // they execute: the view-change timer watches them). A flat vector
+  // sorted by id, so a request gets no map node; every walk over it
+  // (enqueue_pending, enter_view's retransmit, the install-time erase) goes
+  // in id order.
+  std::vector<Request> pending_;
+  RequestLedger assigned_or_executed_;  // dedup
   // Pre-prepares whose client request has not arrived yet; replayed when it
   // does (the request broadcast can be overtaken by the primary's message).
   std::map<RequestId, net::Message> stashed_pre_prepares_;
