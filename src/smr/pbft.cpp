@@ -132,6 +132,14 @@ void PbftSmr::encode_ops_region(ByteWriter& w, const std::vector<Request>& batch
   }
 }
 
+std::size_t PbftSmr::ops_region_size(const std::vector<Request>& batch) {
+  std::size_t n = ByteWriter::varint_size(batch.size());
+  for (const Request& req : batch) {
+    n += 8 + 8 + ByteWriter::varint_size(req.op.size()) + req.op.size();
+  }
+  return n;
+}
+
 std::vector<PbftSmr::Request> PbftSmr::read_ops(const net::Payload& frame, ByteReader& r) {
   std::uint64_t count = r.varint();
   // Each op is at least 17 bytes; a Byzantine count far beyond the bytes
@@ -165,7 +173,7 @@ std::vector<PbftSmr::Request> PbftSmr::parse_ops_region(
 
 crypto::Digest PbftSmr::batch_digest(const std::vector<Request>& batch) const {
   if (batch.empty()) return crypto::Digest{};  // null batch: never hashed
-  ByteWriter w;
+  ByteWriter w(ops_region_size(batch));
   encode_ops_region(w, batch);
   return crypto::sha256(w.data());
 }
@@ -340,13 +348,14 @@ void PbftSmr::flush_batch() {
     // must still be able to trigger a view change.
 
     auto encode = [&](const std::vector<Request>& b, const crypto::Digest& b_digest) {
-      ByteWriter w = frame_writer();
+      const std::size_t region = ops_region_size(b);
+      ByteWriter w =
+          frame_writer(8 + 8 + b_digest.size() + ByteWriter::varint_size(region) + region);
       w.u64(view_);
       w.u64(seq);
       write_digest(w, b_digest);
-      ByteWriter ow;
-      encode_ops_region(ow, b);
-      w.bytes(ow.data());
+      w.varint(region);  // bytes(ops_region), written in place
+      encode_ops_region(w, b);
       return w.take();
     };
 
@@ -582,7 +591,7 @@ void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
   // callback runs — a callback may propose and (with tiny quorums) execute
   // the next seq inline, and that nested execution's checkpoint must see
   // this record fully accounted.
-  fold_record(rec);
+  state_digest_ = fold_record(state_digest_, rec);
   executed_ops_ += fresh_ops;
   if (ctr_batches_ != nullptr) ctr_batches_->inc();
   if (hist_batch_ops_ != nullptr) hist_batch_ops_->record(fresh_ops);
@@ -624,11 +633,11 @@ void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
 // incremental state digest and reused verbatim by state replies, so a
 // fetcher re-folding served records reproduces the server's digest chain
 // byte-for-byte.
-void PbftSmr::fold_record(const ExecRecord& rec) {
-  ByteWriter w;
-  w.raw(state_digest_.data(), state_digest_.size());
+crypto::Digest PbftSmr::fold_record(const crypto::Digest& prev, const ExecRecord& rec) {
+  ByteWriter w(prev.size() + ops_region_size(rec));
+  w.raw(prev.data(), prev.size());
   encode_ops_region(w, rec);
-  state_digest_ = crypto::sha256(w.data());
+  return crypto::sha256(w.data());
 }
 
 // Checkpoint body CB(seq) — the full wire message AND the thing voted on
@@ -643,8 +652,13 @@ void PbftSmr::write_checkpoint_body(ByteWriter& w, const Checkpoint& c) {
   w.bytes(c.ledger_wire);
 }
 
+std::size_t PbftSmr::checkpoint_body_size(const Checkpoint& c) {
+  return 8 + c.state_digest.size() + 8 + ByteWriter::varint_size(c.ledger_wire.size()) +
+         c.ledger_wire.size();
+}
+
 crypto::Digest PbftSmr::checkpoint_digest(const Checkpoint& c) {
-  ByteWriter w;
+  ByteWriter w(checkpoint_body_size(c));
   write_checkpoint_body(w, c);
   return crypto::sha256(w.data());
 }
@@ -691,7 +705,7 @@ void PbftSmr::send_checkpoint(std::uint64_t seq) {
   ByteWriter lw;
   executed_requests_.encode(lw);
   Checkpoint capture{seq, state_digest_, executed_ops_, lw.take()};
-  ByteWriter w = frame_writer();
+  ByteWriter w = frame_writer(checkpoint_body_size(capture));
   write_checkpoint_body(w, capture);
   // Our vote is the digest of the body, the bytes after the tag.
   record_vote(seq, transport_.self(),
@@ -856,15 +870,15 @@ void PbftSmr::handle_state_fetch(const net::Message& msg) {
   if (!with_ckpt && upto != 0) end = std::min(end, upto);
   const std::uint64_t first = std::max(from_seq, base_);
   if (!with_ckpt && first >= end) return;  // have not executed the requested range yet
-  ByteWriter w = frame_writer();
+  std::size_t body = 1 + 8 + ByteWriter::varint_size(end - first);
+  if (with_ckpt) body += checkpoint_body_size(*stable_ckpt_);
+  for (std::uint64_t seq = first + 1; seq <= end; ++seq) {
+    body += ops_region_size(find_slot(seq)->record);
+  }
+  ByteWriter w = frame_writer(body);
   w.u8(with_ckpt ? 1 : 0);
   w.u64(from_seq);
-  if (with_ckpt) {
-    w.u64(stable_ckpt_->seq);
-    write_digest(w, stable_ckpt_->state_digest);
-    w.u64(stable_ckpt_->ops);
-    w.bytes(stable_ckpt_->ledger_wire);
-  }
+  if (with_ckpt) write_checkpoint_body(w, *stable_ckpt_);
   w.varint(end - first);
   for (std::uint64_t seq = first + 1; seq <= end; ++seq) {
     encode_ops_region(w, find_slot(seq)->record);
@@ -902,10 +916,7 @@ std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries) co
   std::uint64_t seq = next_exec_;
   for (const ExecRecord& rec : entries) {
     ++seq;
-    ByteWriter fw;
-    fw.raw(digest.data(), digest.size());
-    encode_ops_region(fw, rec);
-    digest = crypto::sha256(fw.data());
+    digest = fold_record(digest, rec);
     for (const Request& op : rec) {
       if (op.id.origin == kNullOrigin) continue;
       if (ledger.insert(op.id.origin, op.id.seq)) ++ops;
@@ -1032,7 +1043,7 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
     // Fold the record VERBATIM as served: the state digest chain covers the
     // null-op markers too, so re-nulling against local ledger state would
     // fork the chain from the group's.
-    fold_record(rec);
+    state_digest_ = fold_record(state_digest_, rec);
     std::uint64_t fresh_ops = 0;
     for (const Request& op : rec) {
       if (op.id.origin == kNullOrigin) continue;

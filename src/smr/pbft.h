@@ -342,6 +342,8 @@ class PbftSmr final : public SmrEngine {
   // proofs and new-view O entries; the batch digest is the SHA-256 of
   // exactly these bytes.
   static void encode_ops_region(ByteWriter& w, const std::vector<Request>& batch);
+  // The exact byte length encode_ops_region writes: encoders reserve it.
+  static std::size_t ops_region_size(const std::vector<Request>& batch);
   // Reads varint count + that many ops as zero-copy slices of `frame`.
   static std::vector<Request> read_ops(const net::Payload& frame, ByteReader& r);
   // Parses a whole ops region. Throws SerdeError on malformed bytes
@@ -477,8 +479,10 @@ class PbftSmr final : public SmrEngine {
   std::optional<Checkpoint> stable_ckpt_;
 
   // Checkpoint plumbing (see pbft.cpp for contracts).
-  void fold_record(const ExecRecord& rec);
+  // One step of the state digest chain: sha256(prev || record encoding).
+  static crypto::Digest fold_record(const crypto::Digest& prev, const ExecRecord& rec);
   static void write_checkpoint_body(ByteWriter& w, const Checkpoint& c);
+  static std::size_t checkpoint_body_size(const Checkpoint& c);
   static crypto::Digest checkpoint_digest(const Checkpoint& c);
   // Votes at a boundary above the stable checkpoint (null when none): read
   // from its slot inside the window, from checkpoints_ above it.
