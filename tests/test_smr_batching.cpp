@@ -3,11 +3,15 @@
 // an equivocating primary sending conflicting BATCHES, and state transfer
 // of a batched exec history to a head-gap replica. The happy paths (order,
 // faults, checkpoints) live in test_smr_async.cpp; this file pins down the
-// seams batching added.
+// seams batching added, and the heap allocations a decided op costs.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +22,24 @@
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "smr/pbft.h"
+
+namespace {
+
+// Every operator new in this binary counts here, so a test can read how
+// many heap allocations a stretch of simulation made.
+std::atomic<std::uint64_t> g_heap_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line: inlined into a caller, GCC would take the free() of memory
+// from this operator new for a new/delete mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace atum::smr {
 namespace {
@@ -255,6 +277,44 @@ TEST(PbftBatching, MixedProposersSameTotalOrderAcrossBatches) {
   // Multiple ops really shared seqs.
   EXPECT_LT(g.at(0).batches_executed(), 30u);
   for (NodeId n = 1; n < 7; ++n) EXPECT_EQ(g.decided[n], g.decided[0]);
+}
+
+// The agreement path allocates per batch, not per message. A 7-replica
+// closed loop on default options keeps 8 ops in flight per replica: each
+// decide handler only counts, and a replica proposes its next op when one
+// of its own decides. Over a 3 s steady window after a 1 s warm-up, heap
+// allocations per replica decide (client ops and frames included) must
+// stay within budget. Measured: 1.23 here; 8.36 while every vote, pending
+// request and in-order ledger insert took a heap node of its own.
+TEST(PbftBatching, AllocationsPerDecideStayWithinBudget) {
+  constexpr std::size_t kReplicas = 7;
+  constexpr int kInFlight = 8;
+  constexpr double kBudget = 1.85;
+  BatchGroup g(kReplicas);
+  std::uint64_t decides = 0;
+  for (std::size_t i = 0; i < kReplicas; ++i) {
+    const auto self = static_cast<NodeId>(i);
+    g.at(i).set_decide_handler([&g, &decides, self, i](std::uint64_t, NodeId origin,
+                                                        const net::Payload&) {
+      ++decides;
+      if (origin == self) g.at(i).propose(Bytes(64, static_cast<std::uint8_t>(decides)));
+    });
+  }
+  for (std::size_t i = 0; i < kReplicas; ++i) {
+    for (int k = 0; k < kInFlight; ++k) g.at(i).propose(Bytes(64, static_cast<std::uint8_t>(k)));
+  }
+  g.run_for(seconds(1));
+  const std::uint64_t decides_before = decides;
+  const std::uint64_t allocations_before = g_heap_allocations.load();
+  g.run_for(seconds(3));
+  const std::uint64_t window_decides = decides - decides_before;
+  ASSERT_GT(window_decides, 10'000u) << "the closed loop stalled";
+  const double per_decide =
+      static_cast<double>(g_heap_allocations.load() - allocations_before) /
+      static_cast<double>(window_decides);
+  std::printf("heap allocations per replica decide: %.3f over %llu decides\n", per_decide,
+              static_cast<unsigned long long>(window_decides));
+  EXPECT_LT(per_decide, kBudget);
 }
 
 }  // namespace
