@@ -141,8 +141,7 @@ class RequestLedger {
   }
   // Returns true when the id was newly inserted; folds runs contiguous with
   // the watermark into it. The next in-order seq (low + 1, the common case)
-  // only raises the watermark: it creates no set node. Only out-of-order
-  // seqs touch the set.
+  // only raises the watermark: only out-of-order seqs add a set node.
   bool insert(NodeId origin, std::uint64_t seq) {
     OriginState& st = origins_[origin];
     if (seq <= st.low) return false;
