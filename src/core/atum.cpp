@@ -271,8 +271,8 @@ void AtumNode::setup_runtime() {
 
   gm_rx_ = std::make_unique<overlay::GroupMessageReceiver>(
       net::Transport(sys_.network(), id_),
-      [this](const overlay::GroupMessageId& id, NodeId relay, net::Payload payload) {
-        on_group_message(id, relay, std::move(payload));
+      [this](const overlay::GroupMessageId& id, net::Payload payload) {
+        on_group_message(id, std::move(payload));
       });
   gm_rx_->set_group_size_fn([this](GroupId g) -> std::optional<std::size_t> {
     const group::GroupView* v = vg_.find_group(g);
@@ -498,8 +498,7 @@ void AtumNode::send_neighbor_updates() {
   }
 }
 
-void AtumNode::on_group_message(const overlay::GroupMessageId& gm_id, NodeId,
-                                net::Payload payload) {
+void AtumNode::on_group_message(const overlay::GroupMessageId& gm_id, net::Payload payload) {
   if (behavior_ == NodeBehavior::kSilent) return;
   try {
     ByteReader r(payload);

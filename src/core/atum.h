@@ -188,7 +188,7 @@ class AtumNode {
   void setup_runtime();
   void on_smr_decide(std::uint64_t seq, NodeId origin, const net::Payload& op);
   void on_config_change(std::uint64_t epoch, const smr::GroupConfig& config);
-  void on_group_message(const overlay::GroupMessageId& id, NodeId relay, net::Payload payload);
+  void on_group_message(const overlay::GroupMessageId& id, net::Payload payload);
   void on_direct(const net::Message& msg);
 
   // --- protocol actions ---

@@ -75,21 +75,17 @@ GroupMessageReceiver::GroupMessageReceiver(net::Transport transport, DeliverFn d
 
 GroupMessageReceiver::~GroupMessageReceiver() { transport_.close(); }
 
-void GroupMessageReceiver::gc_tombstones() {
+void GroupMessageReceiver::gc_expired() {
   const TimeMicros now = transport_.simulator().now();
   while (!gc_queue_.empty() && gc_queue_.front().first <= now) {
-    auto it = entries_.find(gc_queue_.front().second);
-    // The entry's own deadline is authoritative: delivery pushes it past
-    // the creation-time queue entry, so a freshly delivered tombstone is
-    // skipped here and collected by its second queue entry.
-    if (it != entries_.end() && it->second.expires_at <= now) entries_.erase(it);
+    entries_.erase(gc_queue_.front().second);
     gc_queue_.pop_front();
   }
 }
 
 void GroupMessageReceiver::on_message(const net::Message& msg) {
-  gc_tombstones();
-  delivered_.rotate(transport_.simulator().now(), kDedupWindowTtls * tombstone_ttl_);
+  gc_expired();
+  delivered_.rotate(transport_.simulator().now(), kDedupWindowTtls * ttl_);
 
   if (msg.type == net::MsgType::kGroupMsgEnvelope) {
     // Coalesced envelope: decode it fully before processing any inner
@@ -148,55 +144,39 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
   if (membership_ && !membership_(id.from_group, from)) return;
   auto it = entries_.find(id);
   if (it == entries_.end()) {
-    // Post-TTL duplicate: the tombstone is gone but the rolling delivered-id
-    // set still remembers the delivery — drop it before it can mint a fresh
-    // entry and re-deliver.
+    // No entry: the id is new, or it was delivered and the set drops it.
     if (delivered_.contains(id)) return;
     // New entry: even if it never delivers (digest-only flood, content
-    // short of majority, unknown sender group) it expires after an epoch.
+    // short of majority, unknown sender group) it expires after one TTL.
     it = entries_.try_emplace(id).first;
-    it->second.expires_at = transport_.simulator().now() + tombstone_ttl_;
-    gc_queue_.emplace_back(it->second.expires_at, id);
+    gc_queue_.emplace_back(transport_.simulator().now() + ttl_, id);
   }
-  Pending& p = it->second;
-  if (p.delivered) return;
-
-  auto& vouchers = p.vouches[digest];
-  if (std::find(vouchers.begin(), vouchers.end(), from) == vouchers.end()) {
-    vouchers.push_back(from);
+  Candidate& c = it->second[digest];
+  if (std::find(c.voters.begin(), c.voters.end(), from) == c.voters.end()) {
+    c.voters.push_back(from);
   }
-  if (is_full && !p.payloads.contains(digest)) {
-    p.payloads[digest] = {std::move(payload), from};
-  }
-  try_deliver(id, p);
+  if (is_full && !c.payload) c.payload = std::move(payload);
+  try_deliver(it);
 }
 
-void GroupMessageReceiver::try_deliver(const GroupMessageId& id, Pending& p) {
-  if (p.delivered) return;
+void GroupMessageReceiver::try_deliver(Entries::iterator it) {
+  const GroupMessageId id = it->first;
   std::optional<std::size_t> size;
   if (group_size_) size = group_size_(id.from_group);
   if (!size) return;  // unknown sender group: keep buffering
   std::size_t majority = *size / 2 + 1;
 
-  for (const auto& [digest, vouchers] : p.vouches) {
-    if (vouchers.size() < majority) continue;
-    auto pit = p.payloads.find(digest);
-    if (pit == p.payloads.end()) continue;  // majority but no full copy yet
-    p.delivered = true;
-    // Keep the tombstone (for a full epoch from now) so duplicates are not
-    // re-delivered; drop the buffered data now.
-    net::Payload payload = std::move(pit->second.first);
-    NodeId relay = pit->second.second;
+  for (auto& [digest, c] : it->second) {
+    if (c.voters.size() < majority) continue;
+    if (!c.payload) continue;  // majority but no full copy yet
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->record(transport_.simulator().now(), transport_.self(), obs::TracePoint::kVouch,
-                      id.seq, vouchers.size(), id.from_group);
+                      id.seq, c.voters.size(), id.from_group);
     }
-    p.vouches.clear();
-    p.payloads.clear();
-    p.expires_at = transport_.simulator().now() + tombstone_ttl_;
-    gc_queue_.emplace_back(p.expires_at, id);
-    delivered_.insert(id);  // outlives the tombstone (rolling dedup)
-    deliver_(id, relay, std::move(payload));
+    net::Payload payload = std::move(*c.payload);
+    entries_.erase(it);  // `c` dangles from here on
+    delivered_.insert(id);
+    deliver_(id, std::move(payload));
     return;
   }
 }
@@ -206,15 +186,13 @@ void GroupMessageReceiver::reevaluate() {
   // accept path, and the RNG draws and sends it makes depend on the order.
   std::vector<GroupMessageId> ids;
   // lint: unordered-iter-ok(the snapshot is sorted before anything is delivered)
-  for (const auto& [id, p] : entries_) {
-    if (!p.delivered) ids.push_back(id);
-  }
+  for (const auto& [id, p] : entries_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   // A delivery may re-enter reevaluate() (a neighbor update) and deliver
-  // later ids first; try_deliver skips those.
+  // later ids first; their entries are gone by then.
   for (const GroupMessageId& id : ids) {
     auto it = entries_.find(id);
-    if (it != entries_.end()) try_deliver(id, it->second);
+    if (it != entries_.end()) try_deliver(it);
   }
 }
 

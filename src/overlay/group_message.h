@@ -15,7 +15,7 @@
 // frame exactly once per node (PreparedGroupMessage) and every destination
 // member shares that buffer. The receiver decodes the body as a refcounted
 // slice of the arriving frame (net::Payload::slice) — it is buffered in
-// Pending and handed to DeliverFn without ever being copied, so a node
+// its Candidate and handed to DeliverFn without ever being copied, so a node
 // materializes no bytes on the receive path at all.
 #pragma once
 
@@ -97,10 +97,10 @@ void send_group_message(net::Transport& transport, const std::vector<NodeId>& se
 // has arrived, then delivers exactly once.
 class GroupMessageReceiver {
  public:
-  // The delivered payload is a refcounted slice of the relay's wire frame
-  // (zero-copy); keep it as a Payload or slice it further, don't copy.
-  using DeliverFn =
-      std::function<void(const GroupMessageId& id, NodeId relay, net::Payload payload)>;
+  // The delivered payload is a refcounted slice of the first full copy's
+  // wire frame (zero-copy); keep it as a Payload or slice it further,
+  // don't copy.
+  using DeliverFn = std::function<void(const GroupMessageId& id, net::Payload payload)>;
   // Resolves the size of a sending vgroup; acceptance needs the true size,
   // not a size claimed on the wire by a possibly-Byzantine sender. Return
   // nullopt for unknown groups (their messages stay buffered).
@@ -121,72 +121,69 @@ class GroupMessageReceiver {
   // count) at the instant majority vouching completes.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  // Every entry expires one epoch of simulated time after its
-  // last activity (creation, or delivery), then gets garbage-collected:
-  //  * delivered entries stay behind as tombstones so straggler duplicates
-  //    are not re-delivered — but not forever;
-  //  * undelivered entries (digest-only floods from a Byzantine member,
-  //    below-majority content, unknown sender groups) are buffering that
-  //    timed out — without an expiry one faulty node minting fresh ids
-  //    grows the map without bound.
-  // Behind the tombstones sits a compact rolling delivered-id set (two
-  // generations rotated every 8 TTLs): a duplicate arriving after its
-  // tombstone was collected is still dropped for at least 8 more TTLs —
-  // it would otherwise re-deliver and re-gossip, and for broadcasts the
-  // id's seq is the payload digest prefix, so the set IS a digest set.
-  // The set holds plain 16-byte ids (no payloads), bounded by the delivery
-  // rate over two rotation windows.
-  void set_tombstone_ttl(DurationMicros ttl) { tombstone_ttl_ = ttl; }
+  // An id is buffered from its first frame until it delivers or one TTL of
+  // simulated time has passed, whichever comes first. Undelivered buffering
+  // (digest-only floods from a Byzantine member, below-majority content,
+  // unknown sender groups) must expire: without an expiry one faulty node
+  // minting fresh ids grows the table without bound.
+  // A delivered id keeps no entry. The rolling delivered-id set (two
+  // generations rotated every kDedupWindowTtls TTLs) is its only record
+  // and drops every later frame for it for at least that long; such a
+  // frame would otherwise re-deliver and re-gossip. For broadcasts the
+  // id's seq is the payload digest prefix, so the set IS a digest set. It
+  // holds plain 16-byte ids (no payloads), bounded by the delivery rate
+  // over two rotation windows.
+  void set_ttl(DurationMicros ttl) { ttl_ = ttl; }
 
   // Re-evaluates buffered messages (e.g. after learning a group's
   // composition through a neighbor update). Deliveries come in
   // GroupMessageId order, whatever order the entries are stored in.
   void reevaluate();
 
-  // Buffered undelivered messages + not-yet-collected tombstones.
+  // Buffered undelivered ids.
   std::size_t pending_count() const { return entries_.size(); }
   // Delivered ids currently remembered by the rolling dedup set (both
   // generations); tests pin its bound under sustained delivery.
   std::size_t delivered_dedup_count() const { return delivered_.size(); }
 
  private:
-  struct Pending {
-    // digest -> distinct vouching senders
-    std::map<crypto::Digest, std::vector<NodeId>> vouches;
-    // digest -> (full payload slice, first relay that provided it)
-    std::map<crypto::Digest, std::pair<net::Payload, NodeId>> payloads;
-    bool delivered = false;
-    // GC deadline; pushed forward on delivery so tombstones get a full
-    // epoch of dedup from the moment they deliver.
-    TimeMicros expires_at = 0;
+  // Everything one undelivered id has received for one digest.
+  struct Candidate {
+    std::vector<NodeId> voters;           // distinct vouching senders
+    std::optional<net::Payload> payload;  // the first full copy, once one arrives
   };
+  // An undelivered id's candidates, walked in digest order.
+  using Pending = std::map<crypto::Digest, Candidate>;
+  using Entries = std::unordered_map<GroupMessageId, Pending>;
 
   void on_message(const net::Message& msg);
   // One group-message frame: either a whole kGroupMsgFull/kGroupMsgDigest
   // message body or one inner frame of a coalesced envelope (`wire` is a
   // zero-copy slice of the envelope in that case).
   void on_frame(NodeId from, bool is_full, const net::Payload& wire);
-  void try_deliver(const GroupMessageId& id, Pending& p);
-  void gc_tombstones();
+  // Delivers the entry's first candidate with a majority and a full copy,
+  // erasing the entry first.
+  void try_deliver(Entries::iterator it);
+  void gc_expired();
 
   net::Transport transport_;
   DeliverFn deliver_;
   GroupSizeFn group_size_;
   MembershipFn membership_;
   obs::Tracer* tracer_ = nullptr;
-  // Pending entries and tombstones, one per id. Hashed: every arriving
-  // frame looks its id up here first. Only reevaluate() iterates it, and it
-  // sorts the ids before delivering any.
-  std::unordered_map<GroupMessageId, Pending> entries_;
-  DurationMicros tombstone_ttl_ = kTombstoneTtl;
-  // Candidate GC deadlines in arrival order (an id appears once at
-  // creation and once more if delivered — the entry's own expires_at is
-  // authoritative); swept lazily on message arrival, O(1) amortized.
+  // Undelivered ids. Hashed: every arriving frame looks its id up here
+  // first. Only reevaluate() iterates it, and it sorts the ids before
+  // delivering any.
+  Entries entries_;
+  DurationMicros ttl_ = kGroupMessageTtl;
+  // One GC deadline per entry, in creation order; swept lazily on message
+  // arrival, O(1) amortized. An item can outlive its entry (the entry is
+  // erased at delivery) but never erases a newer entry for the same id:
+  // the delivered-id set blocks a new entry for kDedupWindowTtls TTLs, and
+  // the item expires after one.
   std::deque<std::pair<TimeMicros, GroupMessageId>> gc_queue_;
-  // Rolling delivered-id dedup (see set_tombstone_ttl), rotated every
-  // kDedupWindowTtls TTLs: an id stays dedup-covered for at least one full
-  // rotation period after delivery. Consulted only for ids without an
-  // entry: an entry's own `delivered` flag answers for the rest.
+  // The only record of a delivered id (see set_ttl), rotated every
+  // kDedupWindowTtls TTLs. Consulted only for ids without an entry.
   TwoGenerationSet<GroupMessageId> delivered_;
 };
 

@@ -11,13 +11,15 @@
 
 namespace atum::overlay {
 
-// GroupMessageReceiver's default tombstone TTL (see set_tombstone_ttl).
-inline constexpr DurationMicros kTombstoneTtl = kMicrosPerMinute;
-// Tombstone TTLs per rotation of the receiver's delivered-id set.
+// How long GroupMessageReceiver buffers an undelivered id by default (see
+// set_ttl).
+inline constexpr DurationMicros kGroupMessageTtl = kMicrosPerMinute;
+// Group-message TTLs per rotation of the receiver's delivered-id set, its
+// only record of a delivered id.
 inline constexpr std::int64_t kDedupWindowTtls = 8;
 // The receiver's default dedup window (480 s). GossipState's first-sighting
 // set rotates on it too.
-inline constexpr DurationMicros kDedupWindow = kDedupWindowTtls * kTombstoneTtl;
+inline constexpr DurationMicros kDedupWindow = kDedupWindowTtls * kGroupMessageTtl;
 
 // Ids kept in two generations rotated on simulated time: an id stays in the
 // set for at least one period after its insert and at most two, so the set

@@ -137,7 +137,7 @@ struct GmFixture : ::testing::Test {
   void make_receiver(std::size_t claimed_size = 5) {
     rx = std::make_unique<GroupMessageReceiver>(
         net::Transport(net, receiver),
-        [this](const GroupMessageId& id, NodeId, net::Payload p) {
+        [this](const GroupMessageId& id, net::Payload p) {
           delivered.emplace_back(id, std::move(p));
         });
     rx->set_group_size_fn([claimed_size](GroupId g) -> std::optional<std::size_t> {
@@ -186,18 +186,18 @@ TEST_F(GmFixture, DeliversExactlyOnceOnDuplicates) {
   EXPECT_EQ(delivered.size(), 1u);
 }
 
-// Regression: a duplicate arriving AFTER its tombstone expired used to mint
-// a fresh Pending entry and deliver the same GroupMessageId a second time.
-// The rolling delivered-id set (kept for ~8 TTLs past delivery) must drop it.
+// Regression: a duplicate arriving more than one TTL after delivery used to
+// mint a fresh entry and deliver the same GroupMessageId a second time. The
+// rolling delivered-id set (kept for ~8 TTLs past delivery) must drop it.
 TEST_F(GmFixture, PostTtlDuplicateIsNotRedelivered) {
   make_receiver();
-  rx->set_tombstone_ttl(seconds(1));
+  rx->set_ttl(seconds(1));
   send_from_all(Bytes{0xD7}, group_a);
   sim.run();
   ASSERT_EQ(delivered.size(), 1u);
 
-  // Let the tombstone expire, then prove it is really gone: an unrelated
-  // frame triggers the GC sweep and the pending table empties.
+  // Let a TTL pass; an unrelated id then delivers, and the receiver keeps
+  // no entry for either delivered id.
   sim.run_until(sim.now() + seconds(3));
   for (NodeId s : group_a) {
     net::Transport t(net, s);
@@ -205,10 +205,9 @@ TEST_F(GmFixture, PostTtlDuplicateIsNotRedelivered) {
   }
   sim.run();
   ASSERT_EQ(delivered.size(), 2u);
-  // Only the fresh id's tombstone remains; the expired one was collected.
-  EXPECT_EQ(rx->pending_count(), 1u) << "expired tombstone should have been collected";
+  EXPECT_EQ(rx->pending_count(), 0u) << "a delivered id kept its entry";
 
-  // The replayed id is past its tombstone but inside the rolling window.
+  // The replayed id is past one TTL but inside the rolling window.
   send_from_all(Bytes{0xD7}, group_a);
   sim.run();
   EXPECT_EQ(delivered.size(), 2u) << "post-TTL duplicate was re-delivered";
@@ -304,7 +303,7 @@ TEST_F(GmFixture, MembershipFilterDropsOutsiders) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy delivery & tombstone GC
+// Zero-copy delivery & entry GC
 // ---------------------------------------------------------------------------
 
 TEST_F(GmFixture, DeliveryIsZeroCopyFromTheWire) {
@@ -338,7 +337,7 @@ TEST_F(GmFixture, FanOutSharesOneWireBufferAcrossReceivers) {
   std::vector<net::Payload> got;
   auto rx2 = std::make_unique<GroupMessageReceiver>(
       net::Transport(net, 101),
-      [&](const GroupMessageId&, NodeId, net::Payload p) { got.push_back(std::move(p)); });
+      [&](const GroupMessageId&, net::Payload p) { got.push_back(std::move(p)); });
   rx2->set_group_size_fn([](GroupId) -> std::optional<std::size_t> { return 5; });
   make_receiver();
   for (NodeId s : group_a) {
@@ -575,34 +574,54 @@ TEST_F(GmFixture, MalformedEnvelopesAreDropped) {
   EXPECT_EQ(rx->pending_count(), 0u);
 }
 
-TEST_F(GmFixture, DeliveredTombstonesAreGarbageCollectedAfterTtl) {
+TEST_F(GmFixture, EntriesAreFreedAtDeliveryOrAfterTtl) {
   make_receiver();
-  rx->set_tombstone_ttl(seconds(5.0));
+  rx->set_ttl(seconds(5.0));
   send_from_all(Bytes{0x11}, group_a);
   sim.run();
   ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(rx->pending_count(), 1u);  // tombstone retained for dedup
-  // Duplicates within the TTL are suppressed...
+  EXPECT_EQ(rx->pending_count(), 0u);  // freed at delivery
+  // Duplicates within the TTL are dropped and mint no entry...
   send_from_all(Bytes{0x11}, group_a);
   sim.run();
   EXPECT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(rx->pending_count(), 1u);
-  // ...and past the TTL the tombstone is swept on the next arrival.
+  EXPECT_EQ(rx->pending_count(), 0u);
+  // ...and so are duplicates past it.
   sim.run_until(sim.now() + seconds(6.0));
+  send_from_all(Bytes{0x11}, group_a);
+  sim.run();
+  EXPECT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(rx->pending_count(), 0u);
+
+  // An undelivered id (one member's full copy, short of a majority) stays
+  // buffered for one TTL after its first frame, then is swept on the next
+  // arrival.
+  const TimeMicros first = sim.now();
   net::Transport t(net, 1);
   send_group_message(t, group_a, GroupMessageId{50, 77}, {receiver}, net::Payload(Bytes{0x22}),
                      rng);
   sim.run();
-  EXPECT_EQ(rx->pending_count(), 1u);  // only the new (undelivered) id remains
+  EXPECT_EQ(rx->pending_count(), 1u);
+  sim.run_until(first + seconds(4.0));
+  send_group_message(t, group_a, GroupMessageId{50, 77}, {receiver}, net::Payload(Bytes{0x22}),
+                     rng);
+  sim.run();
+  EXPECT_EQ(rx->pending_count(), 1u) << "expired before its TTL";
+  sim.run_until(first + seconds(6.0));
+  send_group_message(t, group_a, GroupMessageId{50, 78}, {receiver}, net::Payload(Bytes{0x33}),
+                     rng);
+  sim.run();
+  EXPECT_EQ(rx->pending_count(), 1u);  // only the newer undelivered id remains
+  EXPECT_EQ(delivered.size(), 1u);
 }
 
 TEST_F(GmFixture, UndeliveredFloodFromByzantineSenderIsBounded) {
   make_receiver();
-  rx->set_tombstone_ttl(seconds(2.0));
+  rx->set_ttl(seconds(2.0));
   // One Byzantine member of a known group mints a fresh id per tick and
   // sends digest-only frames that can never deliver (no full copy, no
-  // majority). Undelivered buffering must expire like tombstones do —
-  // otherwise this grows pending_ by one entry per id forever.
+  // majority). Undelivered buffering must expire after its TTL —
+  // otherwise this grows the entry table by one entry per id forever.
   net::Transport t(net, 1);
   for (std::uint64_t seq = 0; seq < 300; ++seq) {
     ByteWriter w;
@@ -621,7 +640,7 @@ TEST_F(GmFixture, UndeliveredFloodFromByzantineSenderIsBounded) {
 
 TEST_F(GmFixture, PendingStaysBoundedUnderSustainedBroadcast) {
   make_receiver();
-  rx->set_tombstone_ttl(seconds(2.0));
+  rx->set_ttl(seconds(2.0));
   constexpr std::uint64_t kRounds = 200;
   for (std::uint64_t seq = 0; seq < kRounds; ++seq) {
     for (NodeId s : group_a) {
@@ -633,13 +652,13 @@ TEST_F(GmFixture, PendingStaysBoundedUnderSustainedBroadcast) {
   }
   sim.run();
   EXPECT_EQ(delivered.size(), kRounds);
-  // 2 s TTL at one delivery per 100 ms: ~20 live tombstones, never 200.
-  EXPECT_LT(rx->pending_count(), 40u);
+  // Every id delivered, and a delivered id keeps no entry.
+  EXPECT_EQ(rx->pending_count(), 0u);
 }
 
 TEST_F(GmFixture, DeliveredIdSetIsBoundedByTwoWindows) {
   make_receiver();
-  rx->set_tombstone_ttl(seconds(1.0));  // 8 s dedup window
+  rx->set_ttl(seconds(1.0));  // 8 s dedup window
   constexpr std::uint64_t kRounds = 300;  // 30 s: more than three windows
   for (std::uint64_t seq = 0; seq < kRounds; ++seq) {
     for (NodeId s : group_a) {
@@ -663,7 +682,7 @@ TEST_F(GmFixture, DeliveredIdSetIsBoundedByTwoWindows) {
 TEST_F(GmFixture, SameFrameVouchedAtManyReceiversHashesOnce) {
   make_receiver();
   GroupMessageReceiver rx2(net::Transport(net, 101),
-                           [&](const GroupMessageId&, NodeId, net::Payload) {});
+                           [&](const GroupMessageId&, net::Payload) {});
   rx2.set_group_size_fn([](GroupId) -> std::optional<std::size_t> { return 5; });
 
   // Member 1 has rank 0 of 5: a full-payload sender. One frozen wire frame
@@ -683,7 +702,7 @@ TEST_F(GmFixture, FullGroupSendHashesOncePerFrameAndOncePerSharedPayload) {
   make_receiver();
   std::vector<net::Payload> got2;
   GroupMessageReceiver rx2(net::Transport(net, 101),
-                           [&](const GroupMessageId&, NodeId, net::Payload p) {
+                           [&](const GroupMessageId&, net::Payload p) {
                              got2.push_back(std::move(p));
                            });
   rx2.set_group_size_fn([](GroupId) -> std::optional<std::size_t> { return 5; });
