@@ -735,7 +735,6 @@ void AtumNode::on_direct(const net::Message& msg) {
           if (std::find(votes.begin(), votes.end(), msg.from) == votes.end()) {
             votes.push_back(msg.from);
           }
-          join_wait_.snapshots[d] = snapshot;
           // Accept once a majority of the PREVIOUS composition (everyone in
           // the view except ourselves) vouches for the identical state.
           std::size_t senders = state.size() > 1 ? state.size() - 1 : 1;

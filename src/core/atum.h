@@ -255,7 +255,6 @@ class AtumNode {
   // Join handshake state (as the joiner).
   struct JoinWait {
     std::map<crypto::Digest, std::vector<NodeId>> votes;  // state digest -> voters
-    std::map<crypto::Digest, Bytes> snapshots;
     bool active = false;
   } join_wait_;
 
