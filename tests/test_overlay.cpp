@@ -330,6 +330,50 @@ TEST_F(GmFixture, DeliveryIsZeroCopyFromTheWire) {
   EXPECT_EQ(p.use_count(), wire.use_count());                  // same buffer
 }
 
+// A majority can vouch for a digest before any full copy arrives: nothing
+// delivers until the first full copy does, that copy's body is what
+// delivers, and later full copies deliver nothing.
+TEST_F(GmFixture, DigestMajorityWaitsForTheFirstFullCopy) {
+  make_receiver();
+  const Bytes body{0x5E, 0xED, 0x01};
+  auto full_frame = [&body] {
+    ByteWriter w;
+    w.u64(50);
+    w.u64(9);
+    w.bytes(body);
+    return net::Payload(w.take());
+  };
+  ByteWriter w;
+  w.u64(50);
+  w.u64(9);
+  const crypto::Digest d = crypto::sha256(body);
+  w.raw(d.data(), d.size());
+  const net::Payload digest_frame(w.take());
+
+  for (NodeId s : {3, 4, 5}) {  // a majority of 5, digests only
+    net::Transport t(net, s);
+    t.send(receiver, net::MsgType::kGroupMsgDigest, digest_frame);
+  }
+  sim.run();
+  EXPECT_TRUE(delivered.empty());
+  EXPECT_EQ(rx->pending_count(), 1u);
+
+  const net::Payload first = full_frame();
+  net::Transport t1(net, 1);
+  t1.send(receiver, net::MsgType::kGroupMsgFull, first);
+  sim.run();
+  ASSERT_EQ(delivered.size(), 1u);
+  const net::Payload& p = delivered[0].second;
+  EXPECT_EQ(p, body);
+  EXPECT_GE(p.data(), first.data());  // a slice of member 1's frame
+  EXPECT_LE(p.data() + p.size(), first.data() + first.size());
+
+  net::Transport t2(net, 2);
+  t2.send(receiver, net::MsgType::kGroupMsgFull, full_frame());
+  sim.run();
+  EXPECT_EQ(delivered.size(), 1u);
+}
+
 TEST_F(GmFixture, FanOutSharesOneWireBufferAcrossReceivers) {
   // Two receivers, one PreparedGroupMessage per sender: every delivered
   // payload aliases its sender's single frozen frame — the fan-out
