@@ -24,9 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_soak_common.h"
 #include "common/serde.h"
 #include "core/atum.h"
-#include "core/params.h"
 #include "crypto/keys.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -131,22 +131,10 @@ double pbft_drain_ops_per_sec(std::size_t n, std::size_t batch_max_ops) {
 // Soak-profile throughput: broadcast deliveries per simulated second at
 // node scale, plus the coalescer's message savings.
 void soak_phase(std::size_t target_nodes) {
-  core::Params p;
-  p.hc = 3;
-  p.rwl = 6;
-  p.gmax = 14;
-  p.gmin = 7;
-  p.engine = smr::EngineKind::kAsync;
-  p.heartbeat_period = seconds(5.0);
-  p.verify_signatures = false;
-  core::AtumSystem sys(p, net::NetworkConfig::datacenter(), /*seed=*/0xa70a);
-
-  std::vector<NodeId> ids;
-  ids.reserve(target_nodes);
-  for (NodeId i = 0; i < target_nodes; ++i) ids.push_back(i);
+  core::AtumSystem sys(soak_bench::soak_params(), net::NetworkConfig::datacenter(),
+                       /*seed=*/0xa70a);
+  const std::vector<NodeId> ids = soak_bench::deploy_soak(sys, target_nodes);
   std::uint64_t delivered_total = 0;
-  sys.deploy(ids);
-  for (NodeId i : ids) sys.node(i).set_forward(overlay::forward_cycles({0}));
 
   // Burst load: a few scattered origins each broadcast several messages at
   // once. The origin vgroup's SMR batches each burst into one frame, so

@@ -27,8 +27,8 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench_soak_common.h"
 #include "core/atum.h"
-#include "core/params.h"
 #include "crypto/sha256.h"
 #include "net/network.h"
 
@@ -65,28 +65,15 @@ int main(int argc, char** argv) {
   }
   bool ok = true;
 
-  core::Params p;
-  p.hc = 3;
-  p.rwl = 6;
-  p.gmax = 14;
-  p.gmin = 7;
-  p.engine = smr::EngineKind::kAsync;  // PBFT: quiescent between requests
-  p.heartbeat_period = seconds(5.0);
-  p.verify_signatures = false;  // soak the protocol paths, not HMAC
+  const core::Params p = soak_bench::soak_params();
   AtumSystem sys(p, net::NetworkConfig::datacenter(), /*seed=*/0x100a);
 
   // ---------------------------------------------------------------- deploy
-  std::vector<NodeId> ids;
-  ids.reserve(target_nodes);
-  for (NodeId i = 0; i < target_nodes; ++i) ids.push_back(i);
+  const std::vector<NodeId> ids = soak_bench::deploy_soak(sys, target_nodes);
   std::uint64_t delivered_total = 0;
-  sys.deploy(ids);
   for (NodeId i : ids) {
     sys.node(i).set_deliver(
         [&delivered_total](NodeId, const net::Payload&) { ++delivered_total; });
-    // Relay along one cycle only: the deterministic ring plus one extra
-    // direction keeps the soak about path coverage, not flood volume.
-    sys.node(i).set_forward(overlay::forward_cycles({0}));
   }
   std::map<GroupId, std::vector<NodeId>> groups = sys.group_map();
   std::size_t covered = 0;
