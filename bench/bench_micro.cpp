@@ -3,6 +3,9 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstring>
+#include <optional>
+#include <vector>
 
 #include "common/binomial.h"
 #include "common/rng.h"
@@ -15,6 +18,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "overlay/gossip.h"
+#include "overlay/group_message.h"
 #include "overlay/hgraph.h"
 #include "overlay/random_walk.h"
 #include "sim/simulator.h"
@@ -270,6 +274,69 @@ static void BM_GossipCoalescedSend(benchmark::State& state) {
 BENCHMARK(BM_GossipCoalescedSend)
     ->ArgNames({"frames", "dests"})
     ->ArgsProduct({{1, 8, 32}, {1, 40}});
+
+// Group-message acceptance at one receiver: each member of a 10-member
+// vgroup sends one frame per id over the simulated network, six the full
+// 128-byte payload and four its digest. A majority is six, so every id
+// delivers on its sixth frame and exactly four frames per id arrive after
+// acceptance; the delivered-id set drops those. An iteration spans ~18 ms
+// of simulated time, so the 50 ms TTL rotates the set every ~22
+// iterations. Wall-clock per frame, 64 fresh ids per iteration; building
+// the frames is not timed.
+static void BM_GroupMessageAccept(benchmark::State& state) {
+  constexpr std::size_t kIdsPerIteration = 64;
+  constexpr std::size_t kMembers = 10;
+  constexpr std::size_t kFullSenders = kMembers / 2 + 1;
+  constexpr GroupId kGroup = 50;
+  constexpr NodeId kReceiver = 100;
+  sim::Simulator sim;
+  net::SimNetwork net(sim, net::NetworkConfig::datacenter(), 0x5417);
+  std::uint64_t delivered = 0;
+  overlay::GroupMessageReceiver rx(
+      net::Transport(net, kReceiver),
+      [&delivered](const overlay::GroupMessageId&, net::Payload) { ++delivered; });
+  rx.set_group_size_fn([](GroupId) -> std::optional<std::size_t> { return kMembers; });
+  rx.set_ttl(millis(50));
+  const Bytes body(128, 0x5a);
+  std::uint64_t seq = 0;
+  // One full and one digest frame per id; the members of each kind share it.
+  std::vector<std::pair<net::Payload, net::Payload>> frames(kIdsPerIteration);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (auto& [full, digest] : frames) {
+      Bytes b = body;
+      std::memcpy(b.data(), &seq, sizeof seq);  // distinct content per id
+      ByteWriter fw;
+      fw.u64(kGroup);
+      fw.u64(seq);
+      fw.bytes(b);
+      full = net::Payload(fw.take());
+      ByteWriter dw;
+      dw.u64(kGroup);
+      dw.u64(seq);
+      const crypto::Digest d = crypto::sha256(b);
+      dw.raw(d.data(), d.size());
+      digest = net::Payload(dw.take());
+      ++seq;
+    }
+    state.ResumeTiming();
+    for (const auto& [full, digest] : frames) {
+      for (NodeId m = 0; m < kMembers; ++m) {
+        net::Transport t(net, m);
+        if (m < kFullSenders) {
+          t.send(kReceiver, net::MsgType::kGroupMsgFull, full);
+        } else {
+          t.send(kReceiver, net::MsgType::kGroupMsgDigest, digest);
+        }
+      }
+    }
+    sim.run();
+  }
+  if (delivered != seq) state.SkipWithError("an id did not deliver exactly once");
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kIdsPerIteration * kMembers));
+}
+BENCHMARK(BM_GroupMessageAccept);
 
 // Observability cells (ISSUE 9). The instrumentation contract is "near
 // zero when idle": a cached Counter* bump is one relaxed fetch_add, a
