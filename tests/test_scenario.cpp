@@ -235,6 +235,30 @@ TEST(ScenarioDriverTest, ByzantineConversionFlipsLiveBehaviorAndCountsIt) {
   EXPECT_GE(storm_m->delivery_ratio(), 0.80);
 }
 
+TEST(ScenarioDriverTest, DegradedLinksLoseAndDelayUntilRestored) {
+  ScenarioSpec s = small_spec(60, 31);
+  Phase base = bcast_phase("base");
+  Phase degraded = bcast_phase("degraded");
+  degraded.degrade = DegradeLinks{12, 0.2, millis(30)};
+  Phase restored = bcast_phase("restored");
+  restored.restore_links = true;
+  s.phases = {base, degraded, restored};
+  ScenarioReport r = ScenarioDriver(s).run();
+  const PhaseMetrics* b = r.phase("base");
+  const PhaseMetrics* d = r.phase("degraded");
+  const PhaseMetrics* after = r.phase("restored");
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(d, nullptr);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(b->msgs_dropped, 0u);
+  // Every link touching a degraded node loses messages and gains latency.
+  EXPECT_GT(d->msgs_dropped, 0u);
+  EXPECT_GT(d->latency_ms_p95, b->latency_ms_p95);
+  // restore_links clears every node fault: no loss, delivery recovers.
+  EXPECT_EQ(after->msgs_dropped, 0u);
+  EXPECT_GE(after->delivery_ratio(), 0.95);
+}
+
 TEST(ScenarioDriverTest, StreamLoadDeliversChunksAndBoundsStores) {
   ScenarioSpec s = small_spec(60, 23);
   Phase stream = bcast_phase("stream", 0.25, seconds(30.0));
