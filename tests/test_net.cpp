@@ -538,6 +538,29 @@ TEST_F(NetFixture, SweepFlowsIsExactAndReportsEvictions) {
   EXPECT_EQ(net->sweep_flows(), 0u);
 }
 
+TEST_F(NetFixture, SweepKeepsRecordsThatHoldOnlyACutOrAFault) {
+  auto net = make(cfg);
+  std::uint64_t got = 0;
+  net->attach(1, [&](const Message&) { ++got; });
+  // Nodes 10-12 have no handler and no traffic: each holds only a fault
+  // state, which the sweeps below must not forget.
+  net->isolate(10, true);
+  net->partition({{11}});
+  net->set_node_fault(12, LinkFault{1.0, 0});
+  // Transient senders run several amortized sweeps; then an exact one.
+  for (NodeId s = 1000; s < 3000; ++s) net->send(Message{s, 1, MsgType::kAppData, {}});
+  sim.run();
+  net->sweep_flows();
+  ASSERT_EQ(got, 2000u);
+
+  for (NodeId n : {10, 11, 12}) net->attach(n, [&](const Message&) { ++got; });
+  for (NodeId n : {10, 11, 12}) net->send(Message{1, n, MsgType::kAppData, {}});
+  sim.run();
+  EXPECT_EQ(got, 2000u);
+  EXPECT_EQ(net->stats().messages_blocked, 2u);  // isolated 10, partitioned 11
+  EXPECT_EQ(net->stats().messages_dropped, 1u);  // total loss on 12
+}
+
 // ---------------------------------------------------------------------------
 // Flow-table eviction (regression: one Flow per node ever seen, forever)
 // ---------------------------------------------------------------------------
