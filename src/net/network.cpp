@@ -74,15 +74,20 @@ void SimNetwork::bind_metrics(obs::Registry& registry) {
   registry.probe("net.messages_dropped", {}, [this] { return stats_.messages_dropped; });
   registry.probe("net.messages_blocked", {}, [this] { return stats_.messages_blocked; });
   registry.probe("net.bytes_sent", {}, [this] { return stats_.bytes_sent; });
-  registry.probe("net.flows", {}, [this] { return static_cast<std::uint64_t>(flows_.size()); });
+  registry.probe("net.flows", {}, [this] { return static_cast<std::uint64_t>(flow_count()); });
+}
+
+SimNetwork::Node* SimNetwork::find(NodeId id) {
+  auto it = nodes_.find(id);
+  return it == nodes_.end() ? nullptr : &it->second;
 }
 
 void SimNetwork::attach(NodeId node, MessageHandler handler) {
-  handlers_[node].fallback = std::move(handler);
+  nodes_[node].fallback = std::move(handler);
 }
 
 void SimNetwork::attach(NodeId node, MsgType type, MessageHandler handler) {
-  auto& typed = handlers_[node].by_type;
+  auto& typed = nodes_[node].by_type;
   auto it = std::find_if(typed.begin(), typed.end(),
                          [type](const auto& entry) { return entry.first == type; });
   if (it != typed.end()) {
@@ -92,28 +97,23 @@ void SimNetwork::attach(NodeId node, MsgType type, MessageHandler handler) {
   }
 }
 
+// Detaching leaves the record in place: it may still hold a horizon, a cut
+// or a fault. The sweep erases it once it is idle.
 void SimNetwork::detach(NodeId node) {
-  auto it = handlers_.find(node);
-  if (it == handlers_.end()) return;
-  it->second.fallback = nullptr;
-  if (it->second.empty()) handlers_.erase(it);
+  if (Node* n = find(node)) n->fallback = nullptr;
 }
 
 void SimNetwork::detach(NodeId node, MsgType type) {
-  auto it = handlers_.find(node);
-  if (it == handlers_.end()) return;
-  std::erase_if(it->second.by_type, [type](const auto& entry) { return entry.first == type; });
-  if (it->second.empty()) handlers_.erase(it);
+  if (Node* n = find(node)) {
+    std::erase_if(n->by_type, [type](const auto& entry) { return entry.first == type; });
+  }
 }
 
-const MessageHandler* SimNetwork::handler_for(NodeId node, MsgType type) const {
-  auto it = handlers_.find(node);
-  if (it == handlers_.end()) return nullptr;
-  for (const auto& [t, handler] : it->second.by_type) {
+const MessageHandler* SimNetwork::Node::handler_for(MsgType type) const {
+  for (const auto& [t, handler] : by_type) {
     if (t == type) return &handler;
   }
-  if (it->second.fallback) return &it->second.fallback;
-  return nullptr;
+  return fallback ? &fallback : nullptr;
 }
 
 std::size_t SimNetwork::region_of(NodeId node) const {
@@ -136,93 +136,64 @@ DurationMicros SimNetwork::latency_between(NodeId from, NodeId to) {
   return base + jitter;
 }
 
-bool SimNetwork::link_ok(NodeId from, NodeId to) const {
-  if (isolated_.contains(from) || isolated_.contains(to)) return false;
-  if (!partition_tag_.empty()) {
-    auto tag = [this](NodeId n) -> std::uint32_t {
-      auto it = partition_tag_.find(n);
-      return it == partition_tag_.end() ? 0 : it->second;
-    };
-    if (tag(from) != tag(to)) return false;
-  }
-  return !blocked_links_.contains(link_key(from, to));
+bool SimNetwork::link_ok(const Message& m, const Node* from, const Node& to) const {
+  const bool from_isolated = from != nullptr && from->isolated;
+  const std::uint32_t from_tag = from == nullptr ? 0 : from->tag;
+  if (from_isolated || to.isolated || from_tag != to.tag) return false;
+  return blocked_links_.empty() || !blocked_links_.contains(link_key(m.from, m.to));
 }
 
 void SimNetwork::partition(const std::vector<std::vector<NodeId>>& sides) {
-  partition_tag_.clear();
+  // lint: unordered-iter-ok(per-record reset, order-free)
+  for (auto& [id, n] : nodes_) n.tag = 0;
   std::uint32_t tag = 0;
   for (const auto& side : sides) {
     ++tag;
-    for (NodeId n : side) partition_tag_[n] = tag;
+    for (NodeId id : side) nodes_[id].tag = tag;
   }
 }
 
-void SimNetwork::heal_partition() {
-  partition_tag_.clear();
-  sweep_flows();
-}
-
-void SimNetwork::set_link_fault(NodeId a, NodeId b, LinkFault fault) {
-  if (fault.none()) {
-    clear_link_fault(a, b);
-  } else {
-    link_faults_[link_key(a, b)] = fault;
-  }
-}
-
-void SimNetwork::clear_link_fault(NodeId a, NodeId b) {
-  link_faults_.erase(link_key(a, b));
+bool SimNetwork::partitioned() const {
+  // lint: unordered-iter-ok(existence test, order-free)
+  return std::any_of(nodes_.begin(), nodes_.end(),
+                     [](const auto& kv) { return kv.second.tag != 0; });
 }
 
 void SimNetwork::set_node_fault(NodeId node, LinkFault fault) {
-  if (fault.none()) {
-    clear_node_fault(node);
-  } else {
-    node_faults_[node] = fault;
+  if (!fault.none()) {
+    nodes_[node].fault = fault;
+  } else if (Node* n = find(node)) {
+    n->fault = {};
   }
 }
 
-void SimNetwork::clear_node_fault(NodeId node) { node_faults_.erase(node); }
-
-void SimNetwork::clear_link_faults() {
-  link_faults_.clear();
-  node_faults_.clear();
-  sweep_flows();
-}
-
-LinkFault SimNetwork::fault_between(NodeId from, NodeId to) const {
-  if (link_faults_.empty() && node_faults_.empty()) return {};
-  LinkFault out;
-  double pass = 1.0;  // probability the message survives every fault
-  auto fold = [&](const LinkFault& f) {
-    pass *= 1.0 - f.drop;
-    out.extra_latency += f.extra_latency;
-  };
-  if (auto it = link_faults_.find(link_key(from, to)); it != link_faults_.end()) {
-    fold(it->second);
-  }
-  if (auto it = node_faults_.find(from); it != node_faults_.end()) fold(it->second);
-  if (auto it = node_faults_.find(to); it != node_faults_.end()) fold(it->second);
-  out.drop = 1.0 - pass;
-  return out;
+void SimNetwork::clear_node_faults() {
+  // lint: unordered-iter-ok(per-record reset, order-free)
+  for (auto& [id, n] : nodes_) n.fault = {};
 }
 
 std::size_t SimNetwork::sweep_flows() {
   const TimeMicros now = sim_.now();
+  auto idle = [now](const auto& kv) { return kv.second.idle(now); };
   // lint: unordered-iter-ok(erase predicate is per-entry, order-free)
-  std::size_t evicted = std::erase_if(flows_, [now](const auto& kv) {
-    return kv.second.egress_free <= now && kv.second.ingress_free <= now;
-  });
+  std::size_t evicted = std::erase_if(nodes_, idle);
   sends_since_flow_prune_ = 0;
-  flow_sweep_allowance_ = flows_.size() + kMinFlowSweep;
+  flow_sweep_allowance_ = nodes_.size() + kMinFlowSweep;
   return evicted;
+}
+
+std::size_t SimNetwork::flow_count() const {
+  const TimeMicros now = sim_.now();
+  auto busy = [now](const auto& kv) { return kv.second.busy(now); };
+  // lint: unordered-iter-ok(a count is order-free)
+  return static_cast<std::size_t>(std::count_if(nodes_.begin(), nodes_.end(), busy));
 }
 
 void SimNetwork::isolate(NodeId node, bool isolated) {
   if (isolated) {
-    isolated_.insert(node);
-  } else {
-    isolated_.erase(node);
+    nodes_[node].isolated = true;
+  } else if (Node* n = find(node)) {
+    n->isolated = false;
   }
 }
 
@@ -235,11 +206,10 @@ void SimNetwork::block_link(NodeId a, NodeId b, bool blocked) {
 }
 
 void SimNetwork::maybe_prune_flows() {
-  // A flow whose serialization horizons are in the past is indistinguishable
-  // from a fresh entry (depart/deliver clamp to now), so sweeping idle
-  // entries is exact: flows_ stays proportional to the nodes with traffic
-  // in flight instead of growing by one entry per node ever seen (unbounded
-  // under million-node churn). The allowance is snapshotted at sweep time
+  // An idle record is indistinguishable from a fresh one (see Node::idle),
+  // so sweeping is exact: nodes_ stays proportional to the live nodes
+  // instead of growing by one record per node ever seen (unbounded under
+  // million-node churn). The allowance is snapshotted at sweep time
   // (not compared against the live size, which can grow one-per-send and
   // outrun any counter), making the sweep O(1) amortized per message.
   if (++sends_since_flow_prune_ < flow_sweep_allowance_) return;
@@ -251,16 +221,29 @@ void SimNetwork::send(Message msg) {
   stats_.bytes_sent += msg.wire_size();
   maybe_prune_flows();
 
-  if (!link_ok(msg.from, msg.to) || !handlers_.contains(msg.to)) {
+  // Record pointers stay valid across the insertion below: unordered_map
+  // never moves its elements.
+  Node* to = find(msg.to);
+  Node* from = find(msg.from);
+  if (to == nullptr || !to->has_handler() || !link_ok(msg, from, *to)) {
     ++stats_.messages_blocked;
     return;
   }
-  const LinkFault fault = fault_between(msg.from, msg.to);
   if (config_.drop_probability > 0.0 && rng_.chance(config_.drop_probability)) {
     ++stats_.messages_dropped;
     return;
   }
-  if (fault.drop > 0.0 && rng_.chance(fault.drop)) {
+  // Both endpoints' faults, sender first: loss as independent events (a
+  // missing or cleared fault multiplies by exactly 1.0), latency additively.
+  double pass = 1.0;
+  DurationMicros extra_latency = 0;
+  for (const Node* n : {from, to}) {
+    if (n == nullptr) continue;
+    pass *= 1.0 - n->fault.drop;
+    extra_latency += n->fault.extra_latency;
+  }
+  const double fault_drop = 1.0 - pass;
+  if (fault_drop > 0.0 && rng_.chance(fault_drop)) {
     ++stats_.messages_dropped;
     return;
   }
@@ -268,7 +251,7 @@ void SimNetwork::send(Message msg) {
   const double size = static_cast<double>(msg.wire_size());
   const TimeMicros now = sim_.now();
 
-  Flow& out = flows_[msg.from];
+  Node& out = from != nullptr ? *from : nodes_[msg.from];
   auto egress_cost = static_cast<DurationMicros>(
       size / config_.egress_bytes_per_sec * kMicrosPerSecond);
   TimeMicros depart = std::max(now, out.egress_free);
@@ -276,20 +259,20 @@ void SimNetwork::send(Message msg) {
 
   TimeMicros arrive = out.egress_free + latency_between(msg.from, msg.to);
 
-  Flow& in = flows_[msg.to];
   auto ingress_cost = static_cast<DurationMicros>(
       size / config_.ingress_bytes_per_sec * kMicrosPerSecond);
-  TimeMicros deliver = std::max(arrive, in.ingress_free) + ingress_cost + config_.per_message_cpu;
-  in.ingress_free = deliver;
+  TimeMicros deliver = std::max(arrive, to->ingress_free) + ingress_cost + config_.per_message_cpu;
+  to->ingress_free = deliver;
   // Injected fault latency is pure propagation: it delays delivery without
   // occupying the ingress horizon, so a cleared fault leaves no far-future
-  // flow entries behind (they would be unsweepable until sim time caught
-  // up with the inflated horizon).
-  deliver += fault.extra_latency;
+  // horizon behind (the record would be unsweepable until sim time caught
+  // up with it).
+  deliver += extra_latency;
 
   sim_.schedule_at(deliver, [this, m = std::move(msg)]() {
-    const MessageHandler* handler = handler_for(m.to, m.type);
-    if (handler == nullptr || !link_ok(m.from, m.to)) {
+    const Node* to = find(m.to);
+    const MessageHandler* handler = to == nullptr ? nullptr : to->handler_for(m.type);
+    if (handler == nullptr || !link_ok(m, find(m.from), *to)) {
       ++stats_.messages_blocked;
       return;
     }

@@ -68,16 +68,17 @@ struct NetworkStats {
 // per-message cost is one indirect call with no allocation — the hot-path
 // allocation problem std::function caused lived in the per-EVENT closures,
 // which sim::EventFn replaced. What a profile of delivery shows is the
-// node lookup in SimNetwork::handler_for, not this call.
+// receiver's node-record lookup, not this call.
 // lint: std-function-ok(bind-time registration; invoke is alloc-free)
 using MessageHandler = std::function<void(const Message&)>;
 
-// Injected link degradation (scenario fault primitives): `drop` is an extra
-// loss probability and `extra_latency` an added path delay (a rerouted or
+// Injected degradation of every link touching one node (scenario fault
+// primitive, SimNetwork::set_node_fault): `drop` is an extra loss
+// probability and `extra_latency` an added path delay (a rerouted or
 // congested WAN path). Injected latency is pure propagation — it delays the
 // delivery event but does NOT occupy the receiver's ingress serialization
-// horizon, so a degraded spell cannot park flow entries with far-future
-// horizons that outlive the fault (see sweep_flows()).
+// horizon, so a degraded spell cannot leave horizons far in the future that
+// outlive the fault and keep node records from being swept.
 struct LinkFault {
   double drop = 0.0;
   DurationMicros extra_latency = 0;
@@ -95,10 +96,10 @@ class SimNetwork {
   void attach(NodeId node, MsgType type, MessageHandler handler);
   void detach(NodeId node);
   void detach(NodeId node, MsgType type);
-  bool attached(NodeId node) const { return handlers_.contains(node); }
 
   // Queues a message for delivery. Never blocks; delivery (or drop) is
-  // scheduled on the simulator.
+  // scheduled on the simulator. Looks up the receiver's and the sender's
+  // records once here and once more at delivery, which re-checks the cuts.
   void send(Message msg);
 
   // Fault injection.
@@ -108,35 +109,24 @@ class SimNetwork {
 
   // --- partitions (scenario engine) ---
   // Splits the network into components: nodes in sides[i] get tag i+1,
-  // every other node keeps tag 0, and a message passes only between nodes
-  // with equal tags. Replaces any previous partition. Messages already in
-  // flight are re-checked at delivery time, so a partition starting now
-  // also cuts them off.
+  // every other node gets tag 0, and a message passes only between nodes
+  // with equal tags. Replaces any previous partition; partition({}) heals.
+  // Messages already in flight are re-checked at delivery time, so a
+  // partition starting now also cuts them off.
   void partition(const std::vector<std::vector<NodeId>>& sides);
-  // Removes the partition and sweeps the flow table exactly (a partition
-  // stalls traffic, and with it the send-driven amortized sweep; healing
-  // must not leave dead serialization entries behind — see flow_count()).
-  void heal_partition();
-  bool partitioned() const { return !partition_tag_.empty(); }
+  bool partitioned() const;
 
-  // --- link degradation (scenario engine) ---
-  // Overrides compose: the effective fault on (from,to) combines the
-  // per-link override and both endpoints' node-level overrides (loss as
-  // independent events, latency additively). Bidirectional, like
-  // block_link.
-  void set_link_fault(NodeId a, NodeId b, LinkFault fault);
-  void clear_link_fault(NodeId a, NodeId b);
-  // Applies to every link touching `node` (a degraded rack uplink).
+  // --- node degradation (scenario engine) ---
+  // Applies to every link touching `node` (a degraded rack uplink); a fault
+  // that is none() clears it. A message between two degraded nodes meets
+  // both faults: loss as independent events, latency additively.
   void set_node_fault(NodeId node, LinkFault fault);
-  void clear_node_fault(NodeId node);
-  // Clears all link and node faults, then sweeps the flow table (same
-  // rationale as heal_partition).
-  void clear_link_faults();
+  void clear_node_faults();
 
-  // Exact, immediate sweep of idle flow entries (the amortized sweep rides
-  // on send() and stalls when traffic does — partitions, quiescent drain
-  // phases). Returns the number of entries evicted. Scenario metrics call
-  // this before reading flow_count().
+  // Erases every idle node record now (see Node::idle) and returns how many
+  // it erased. send() runs the same sweep, amortized, so the table stays
+  // proportional to the nodes that hold a handler, a cut, a fault or
+  // traffic in flight, not to every node ever seen.
   std::size_t sweep_flows();
 
   const NetworkStats& stats() const { return stats_; }
@@ -150,24 +140,17 @@ class SimNetwork {
   // sample() time. The registry must outlive this network.
   void bind_metrics(obs::Registry& registry);
 
-  // Per-node bandwidth-serialization entries currently tracked. Bounded by
-  // the nodes with traffic in flight, not by every node ever seen (idle
-  // entries are swept; see maybe_prune_flows).
-  std::size_t flow_count() const { return flows_.size(); }
+  // Nodes with a serialization horizon still in the future, i.e. with
+  // traffic in flight or queued. Counted over the node table, so it does
+  // not depend on when the last sweep ran.
+  std::size_t flow_count() const;
 
   DurationMicros latency_between(NodeId from, NodeId to);
 
  private:
-  struct Flow {
-    TimeMicros egress_free = 0;
-    TimeMicros ingress_free = 0;
-  };
-  bool link_ok(NodeId from, NodeId to) const;
-  std::size_t region_of(NodeId node) const;
-  void maybe_prune_flows();
-  LinkFault fault_between(NodeId from, NodeId to) const;
-
-  struct NodeHandlers {
+  // Everything the network keeps about one node. A node without a record
+  // behaves as a fresh one: no handler, no cut, no fault, idle horizons.
+  struct Node {
     MessageHandler fallback;
     // Searched linearly: a node registers a couple of dozen types at most,
     // and the scan is cheaper than a second hash lookup per delivery. A
@@ -176,10 +159,28 @@ class SimNetwork {
     // the very MessageHandler it runs in; each one only forwards to a
     // member function, so none touches its closure afterwards.
     std::vector<std::pair<MsgType, MessageHandler>> by_type;
-    bool empty() const { return !fallback && by_type.empty(); }
+    TimeMicros egress_free = 0;   // sender-side serialization horizon
+    TimeMicros ingress_free = 0;  // receiver-side serialization horizon
+    LinkFault fault;
+    std::uint32_t tag = 0;  // partition side; 0 outside any partition
+    bool isolated = false;
+
+    bool has_handler() const { return fallback || !by_type.empty(); }
+    const MessageHandler* handler_for(MsgType type) const;  // typed, else fallback
+    bool busy(TimeMicros now) const { return egress_free > now || ingress_free > now; }
+    // The one lifetime rule: an idle record holds nothing a fresh one would
+    // not (past horizons clamp to now at send), so erasing it is exact.
+    bool idle(TimeMicros now) const {
+      return !has_handler() && !isolated && tag == 0 && fault.none() && !busy(now);
+    }
   };
-  // One hash lookup (the node), then a scan of its typed handlers.
-  const MessageHandler* handler_for(NodeId node, MsgType type) const;
+
+  Node* find(NodeId id);
+  // Whether a message may pass from m.from (record `from`, possibly null)
+  // to m.to (record `to`): neither isolated, equal tags, link not blocked.
+  bool link_ok(const Message& m, const Node* from, const Node& to) const;
+  std::size_t region_of(NodeId node) const;
+  void maybe_prune_flows();
 
   sim::Simulator& sim_;
   NetworkConfig config_;
@@ -196,16 +197,10 @@ class SimNetwork {
 
   static constexpr std::size_t kMinFlowSweep = 256;
 
-  std::unordered_map<NodeId, NodeHandlers> handlers_;
-  std::unordered_map<NodeId, Flow> flows_;
+  std::unordered_map<NodeId, Node> nodes_;
   std::uint64_t sends_since_flow_prune_ = 0;
   std::size_t flow_sweep_allowance_ = kMinFlowSweep;
-  std::unordered_set<NodeId> isolated_;
   std::unordered_set<LinkKey, LinkKeyHash> blocked_links_;
-  // Partition tags: absent = tag 0. Non-empty iff a partition is active.
-  std::unordered_map<NodeId, std::uint32_t> partition_tag_;
-  std::unordered_map<LinkKey, LinkFault, LinkKeyHash> link_faults_;
-  std::unordered_map<NodeId, LinkFault> node_faults_;
   NetworkStats stats_;
 };
 

@@ -186,15 +186,11 @@ void ScenarioDriver::apply_one_shots(std::size_t phase_idx) {
   // Heal / restore first: a phase may clear the previous faults and apply
   // new ones in one step.
   if (ph.heal) {
-    net.heal_partition();
+    net.partition({});
     heal_time_ = sys_->simulator().now();
     heal_phase_ = phase_idx;
   }
-  if (ph.restore_links) {
-    for (NodeId id : degraded_) net.clear_node_fault(id);
-    degraded_.clear();
-    net.clear_link_faults();
-  }
+  if (ph.restore_links) net.clear_node_faults();
 
   if (ph.partition) {
     // Whole vgroups move to the minority side until it holds the requested
@@ -229,7 +225,6 @@ void ScenarioDriver::apply_one_shots(std::size_t phase_idx) {
     for (std::size_t i = 0; i < n; ++i) {
       net.set_node_fault(candidates[i],
                          net::LinkFault{ph.degrade->drop, ph.degrade->extra_latency});
-      degraded_.push_back(candidates[i]);
     }
   }
 
@@ -396,7 +391,6 @@ void ScenarioDriver::schedule_loads(std::size_t phase_idx, TimeMicros start, Tim
 
 void ScenarioDriver::sample_time_series() {
   const obs::Registry& reg = sys_->metrics();
-  sys_->network().sweep_flows();  // exact flow gauge (same sweep as snapshot_phase)
 
   TimeSeriesPoint p;
   p.at = sys_->simulator().now();
@@ -492,7 +486,6 @@ void ScenarioDriver::snapshot_phase(std::size_t phase_idx) {
   pm.group_count_end = sys_->group_map().size();
   pm.live_events_end = sys_->simulator().live_events();
   pm.slot_count_end = sys_->simulator().slot_count();
-  sys_->network().sweep_flows();  // exact gauge: no dead entries linger
   pm.flow_count_end = sys_->network().flow_count();
 }
 

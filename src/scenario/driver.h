@@ -16,8 +16,8 @@
 // records with per-broadcast expected/delivered counts and send timestamps
 // -> delivery ratios and latency percentiles via common/stats Samples), the
 // SimNetwork counters (per-phase deltas of sent/delivered/dropped/blocked/
-// bytes), and runtime gauges (simulator arena + live events, flow table
-// after an exact sweep, joined population, group count,
+// bytes), and runtime gauges (simulator arena + live events, nodes with
+// traffic in flight, joined population, group count,
 // crypto::sha256_digest_count deltas).
 //
 // Determinism: every random choice (origins, contacts, leavers, partition
@@ -137,7 +137,6 @@ class ScenarioDriver {
   NodeId next_fresh_id_ = 0;
 
   // Fault state.
-  std::vector<NodeId> degraded_;     // nodes with active link faults
   TimeMicros heal_time_ = -1;        // most recent heal (for heal_to_full)
   std::size_t heal_phase_ = 0;
 

@@ -70,7 +70,7 @@ struct PhaseMetrics {
   std::uint64_t group_count_end = 0;
   std::uint64_t live_events_end = 0;
   std::uint64_t slot_count_end = 0;  // simulator arena = peak concurrent events so far
-  std::uint64_t flow_count_end = 0;  // after an exact sweep
+  std::uint64_t flow_count_end = 0;  // nodes with traffic in flight (SimNetwork::flow_count)
 
   // Heal phases only: sim time from the heal to the first post-heal
   // broadcast that reached every eligible receiver. -1 elsewhere / never.
@@ -117,7 +117,7 @@ struct TimeSeriesPoint {
   std::uint64_t groups = 0;       // vgroup count
   std::uint64_t live_events = 0;  // simulator queue depth
   std::uint64_t slot_count = 0;   // simulator arena (peak concurrency)
-  std::uint64_t flows = 0;        // network flow table (after exact sweep)
+  std::uint64_t flows = 0;        // nodes with traffic in flight (net.flows)
 };
 
 struct ScenarioReport {

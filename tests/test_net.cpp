@@ -365,7 +365,7 @@ TEST_F(NetFixture, StockConfigsValidate) {
 }
 
 // ---------------------------------------------------------------------------
-// Partitions and link faults (scenario-engine fault primitives)
+// Partitions and node faults (scenario-engine fault primitives)
 // ---------------------------------------------------------------------------
 
 TEST_F(NetFixture, PartitionBlocksAcrossSidesOnly) {
@@ -385,7 +385,7 @@ TEST_F(NetFixture, PartitionBlocksAcrossSidesOnly) {
   EXPECT_EQ(got3, 1);
   EXPECT_EQ(net->stats().messages_blocked, 2u);
 
-  net->heal_partition();
+  net->partition({});
   EXPECT_FALSE(net->partitioned());
   net->send(Message{1, 2, MsgType::kAppData, {}});
   sim.run();
@@ -420,26 +420,6 @@ TEST_F(NetFixture, MultiSidePartitionSeparatesAllComponents) {
   EXPECT_EQ(net->stats().messages_blocked, 3u);
 }
 
-TEST_F(NetFixture, LinkFaultDropsProbabilistically) {
-  auto net = make(cfg);
-  int got12 = 0, got13 = 0;
-  net->attach(2, [&](const Message&) { ++got12; });
-  net->attach(3, [&](const Message&) { ++got13; });
-  net->set_link_fault(1, 2, LinkFault{1.0, 0});
-  for (int i = 0; i < 50; ++i) {
-    net->send(Message{1, 2, MsgType::kAppData, {}});
-    net->send(Message{1, 3, MsgType::kAppData, {}});
-  }
-  sim.run();
-  EXPECT_EQ(got12, 0);  // total loss on the degraded link
-  EXPECT_EQ(got13, 50);  // untouched link unaffected
-  EXPECT_EQ(net->stats().messages_dropped, 50u);
-  net->clear_link_fault(1, 2);
-  net->send(Message{1, 2, MsgType::kAppData, {}});
-  sim.run();
-  EXPECT_EQ(got12, 1);
-}
-
 TEST_F(NetFixture, NodeFaultDegradesEveryTouchingLink) {
   auto net = make(cfg);
   int got = 0;
@@ -455,7 +435,7 @@ TEST_F(NetFixture, NodeFaultDegradesEveryTouchingLink) {
   net->send(Message{2, 3, MsgType::kAppData, {}});  // link not touching 1
   sim.run();
   EXPECT_EQ(got, 1);
-  net->clear_node_fault(1);
+  net->set_node_fault(1, {});
   net->send(Message{1, 2, MsgType::kAppData, {}});
   sim.run();
   EXPECT_EQ(got, 2);
@@ -469,16 +449,15 @@ TEST_F(NetFixture, FaultLatencyDelaysDeliveryWithoutOccupyingIngress) {
   net->attach(2, [&](const Message& m) {
     (m.from == 1 ? slow_at : fast_at) = sim.now();
   });
-  net->set_link_fault(1, 2, LinkFault{0.0, extra});
+  net->set_node_fault(1, LinkFault{0.0, extra});
   net->send(Message{1, 2, MsgType::kAppData, {}});  // delayed 30 s
   net->send(Message{3, 2, MsgType::kAppData, {}});  // must NOT queue behind it
   sim.run();
   EXPECT_GE(slow_at, extra);
   EXPECT_LT(fast_at, seconds(1.0));
   // Injected latency is propagation, not serialization: once the fault is
-  // cleared and time passes, the flow entries are sweepable (no horizon 30 s
-  // in the future).
-  net->clear_link_faults();
+  // cleared and time passes, no horizon is left 30 s in the future.
+  net->clear_node_faults();
   EXPECT_EQ(net->flow_count(), 0u);
 }
 
@@ -490,10 +469,10 @@ TEST_F(NetFixture, HealedPartitionLeavesNoDeadFlowEntriesUnderChurn) {
   for (NodeId n = 0; n < kNodes; ++n) {
     net->attach(n, [&](const Message&) { ++got; });
   }
-  // Build up flow entries on every node.
+  // Build up serialization horizons on every node.
   for (NodeId n = 1; n < kNodes; ++n) net->send(Message{n, 0, MsgType::kAppData, Bytes(256, 1)});
-  sim.run();
   EXPECT_GT(net->flow_count(), 0u);
+  sim.run();
 
   // Partition half away; traffic continues on one side only, and churn
   // detaches some partitioned-away nodes entirely while they are cut off.
@@ -511,11 +490,11 @@ TEST_F(NetFixture, HealedPartitionLeavesNoDeadFlowEntriesUnderChurn) {
   }
   for (NodeId n = kNodes - 8; n < kNodes; ++n) net->detach(n);  // churned away
 
-  // Heal. The partition stalled the send-driven amortized sweep for the
-  // blocked side; heal_partition() performs an exact sweep so no dead
-  // serialization entries survive it (everything idle by now).
-  net->heal_partition();
+  // Heal. Every horizon has passed, and the heal clears the tags, so the
+  // next sweep erases exactly the detached nodes' records.
+  net->partition({});
   EXPECT_EQ(net->flow_count(), 0u);
+  EXPECT_EQ(net->sweep_flows(), 8u);
 
   // Live traffic immediately after the heal works and re-creates entries.
   std::uint64_t before = got;
@@ -531,8 +510,8 @@ TEST_F(NetFixture, SweepFlowsIsExactAndReportsEvictions) {
   net->attach(1, [](const Message&) {});
   for (NodeId n = 2; n < 34; ++n) net->send(Message{n, 1, MsgType::kAppData, {}});
   sim.run();  // all horizons in the past now
-  EXPECT_GT(net->flow_count(), 0u);
-  std::size_t evicted = net->sweep_flows();
+  EXPECT_EQ(net->flow_count(), 0u);
+  std::size_t evicted = net->sweep_flows();  // the never-attached senders
   EXPECT_GT(evicted, 0u);
   EXPECT_EQ(net->flow_count(), 0u);
   EXPECT_EQ(net->sweep_flows(), 0u);
@@ -577,9 +556,9 @@ TEST_F(NetFixture, IdleFlowEntriesAreSwept) {
   }
   sim.run();
   EXPECT_EQ(got, 50000u);
-  // Sweeps are amortized (one per flows_.size() sends), so the table holds
+  // Sweeps are amortized (one per table-size sends), so the table holds
   // at most the nodes active since the last sweep — not all 50k ever seen.
-  EXPECT_LT(net->flow_count(), 4096u);
+  EXPECT_LT(net->sweep_flows(), 4096u);
 }
 
 TEST_F(NetFixture, ActiveFlowsSurviveTheSweep) {
