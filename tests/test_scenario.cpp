@@ -125,7 +125,7 @@ TEST(ScenarioDriverTest, SteadyBroadcastDeliversEverywhere) {
   EXPECT_GE(p.latency_ms_max, p.latency_ms_p50);
   EXPECT_EQ(p.joined_correct_end, s.nodes);
   EXPECT_EQ(p.correct_evicted_end, 0u);
-  // The exact flow sweep ran: no more serialization entries than nodes.
+  // The flow gauge counts nodes with traffic in flight: at most every node.
   EXPECT_LE(p.flow_count_end, s.nodes);
   EXPECT_THROW(driver.run(), std::logic_error);  // single-shot
 }
