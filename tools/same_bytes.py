@@ -26,6 +26,7 @@ import tempfile
 
 SCENARIO = "atum_scenario"
 BENCH = "bench_smr_throughput"
+JOBS = 2  # runs at a time; one run peaks near 200 MB at 1000 nodes
 
 
 def binary(build, name):
@@ -36,16 +37,15 @@ def binary(build, name):
     return path
 
 
-def presets(build):
-    out = subprocess.run([binary(build, SCENARIO), "--list"], capture_output=True,
-                         text=True, check=True).stdout
+def presets(scenario):
+    out = subprocess.run([scenario, "--list"], capture_output=True, text=True, check=True).stdout
     return [line.split()[0] for line in out.splitlines()[1:] if line.strip()]
 
 
-def run_preset(build, preset, nodes, out_dir):
+def run_preset(scenario, preset, nodes, out_dir):
     path = os.path.join(out_dir, preset + ".json")
-    proc = subprocess.run([binary(build, SCENARIO), preset, "--nodes", str(nodes),
-                           "--assert", "--out", path], capture_output=True)
+    proc = subprocess.run([scenario, preset, "--nodes", str(nodes), "--assert", "--out", path],
+                          capture_output=True)
     data = b""
     if os.path.isfile(path):
         with open(path, "rb") as f:
@@ -53,8 +53,8 @@ def run_preset(build, preset, nodes, out_dir):
     return proc.returncode, {preset + ".json": data}
 
 
-def run_bench(build):
-    proc = subprocess.run([binary(build, BENCH)], capture_output=True)
+def run_bench(bench):
+    proc = subprocess.run([bench], capture_output=True)
     return proc.returncode, {BENCH + ".stdout": proc.stdout, BENCH + ".stderr": proc.stderr}
 
 
@@ -63,27 +63,24 @@ def main():
     parser.add_argument("--base", required=True, help="build directory of the reference")
     parser.add_argument("--change", required=True, help="build directory of the change")
     parser.add_argument("--nodes", type=int, default=1000, help="preset population")
-    parser.add_argument("--jobs", type=int, default=2, help="runs in parallel")
     args = parser.parse_args()
-    builds = {"base": args.base, "change": args.change}
-    for build in builds.values():
-        binary(build, SCENARIO)
-        binary(build, BENCH)
+    builds = {side: (binary(build, SCENARIO), binary(build, BENCH))
+              for side, build in (("base", args.base), ("change", args.change))}
 
-    names = presets(args.base)
-    if presets(args.change) != names:
+    names = presets(builds["base"][0])
+    if presets(builds["change"][0]) != names:
         print("DIFFERS  atum_scenario --list")
         return 1
 
     with tempfile.TemporaryDirectory() as tmp, \
-            concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+            concurrent.futures.ThreadPoolExecutor(max_workers=JOBS) as pool:
         jobs = {}  # (side, task) -> future
-        for side, build in builds.items():
+        for side, (scenario, bench) in builds.items():
             out_dir = os.path.join(tmp, side)
             os.mkdir(out_dir)
             for preset in names:
-                jobs[side, preset] = pool.submit(run_preset, build, preset, args.nodes, out_dir)
-            jobs[side, BENCH] = pool.submit(run_bench, build)
+                jobs[side, preset] = pool.submit(run_preset, scenario, preset, args.nodes, out_dir)
+            jobs[side, BENCH] = pool.submit(run_bench, bench)
 
         ok = True
         for task in names + [BENCH]:
