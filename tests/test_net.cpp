@@ -541,7 +541,7 @@ TEST_F(NetFixture, SweepKeepsRecordsThatHoldOnlyACutOrAFault) {
 }
 
 // ---------------------------------------------------------------------------
-// Flow-table eviction (regression: one Flow per node ever seen, forever)
+// Node-table eviction (regression: one record per node ever seen, forever)
 // ---------------------------------------------------------------------------
 
 TEST_F(NetFixture, IdleFlowEntriesAreSwept) {
@@ -549,7 +549,7 @@ TEST_F(NetFixture, IdleFlowEntriesAreSwept) {
   std::uint64_t got = 0;
   net->attach(1, [&](const Message&) { ++got; });
   // 50k distinct transient senders each send once, then fall idle. Without
-  // eviction flows_ keeps one serialization entry per sender forever.
+  // eviction the table keeps one record per sender forever.
   for (NodeId s = 1000; s < 51000; ++s) {
     net->send(Message{s, 1, MsgType::kAppData, Bytes{1}});
     if ((s & 0x3F) == 0) sim.run();  // drain: the senders' horizons pass
