@@ -334,6 +334,48 @@ TEST(ScenarioTelemetryTest, TimeSeriesShowsThePartitionDip) {
   EXPECT_GT(r.time_series.back().groups, 0u);
 }
 
+TEST(ScenarioTelemetryTest, SeriesPhasesAndTotalsCountTheSameTraffic) {
+  // Phases and drain are whole multiples of the interval, so every series
+  // point's window lies inside one phase or inside the drain.
+  ScenarioSpec s = make_preset("partition_heal", 90, 31);
+  for (Phase& ph : s.phases) ph.duration = seconds(15.0);
+  s.phases.front().flash_joiners = 9;
+  s.phases.front().degrade = DegradeLinks{9, 0.1, 0};  // drops in every phase
+  s.drain = seconds(10.0);
+  s.metrics_interval = seconds(1.0);
+  const ScenarioReport r = ScenarioDriver(s).run();
+  ASSERT_EQ(r.time_series.size(), 55u);
+  for (const PhaseMetrics& pm : r.phases) {
+    TimeSeriesPoint sum;
+    for (const TimeSeriesPoint& p : r.time_series) {
+      if (p.at <= pm.start || p.at > pm.end) continue;
+      sum.msgs_sent += p.msgs_sent;
+      sum.msgs_delivered += p.msgs_delivered;
+      sum.msgs_dropped += p.msgs_dropped;
+      sum.bytes_sent += p.bytes_sent;
+      sum.sha256_digests += p.sha256_digests;
+    }
+    EXPECT_GT(pm.msgs_sent, 0u) << pm.name;
+    EXPECT_GT(pm.msgs_dropped, 0u) << pm.name;
+    EXPECT_EQ(sum.msgs_sent, pm.msgs_sent) << pm.name;
+    EXPECT_EQ(sum.msgs_delivered, pm.msgs_delivered) << pm.name;
+    EXPECT_EQ(sum.msgs_dropped, pm.msgs_dropped) << pm.name;
+    EXPECT_EQ(sum.bytes_sent, pm.bytes_sent) << pm.name;
+    EXPECT_EQ(sum.sha256_digests, pm.sha256_digests) << pm.name;
+  }
+  // Deploy sends nothing, so the series covers every message of the run;
+  // the run's digest total also counts deploy's digests.
+  std::uint64_t msgs = 0, bytes = 0, sha = 0;
+  for (const TimeSeriesPoint& p : r.time_series) {
+    msgs += p.msgs_sent;
+    bytes += p.bytes_sent;
+    sha += p.sha256_digests;
+  }
+  EXPECT_EQ(msgs, r.total_msgs_sent);
+  EXPECT_EQ(bytes, r.total_bytes_sent);
+  EXPECT_LE(sha, r.total_sha256_digests);
+}
+
 TEST(ScenarioTelemetryTest, TelemetryOffOmitsTheSectionAndFieldsStayEmpty) {
   ScenarioSpec s = small_spec(60, 29);
   s.phases = {bcast_phase("only")};
