@@ -2,8 +2,18 @@
 
 #include <algorithm>
 #include <bit>
+#include <tuple>
 
 namespace atum::obs {
+
+namespace {
+
+Labels sorted(Labels labels) {
+  std::sort(labels.begin(), labels.end());
+  return labels;
+}
+
+}  // namespace
 
 std::size_t Histogram::bucket_index(std::uint64_t v) {
   if (v < kSubBuckets) return static_cast<std::size_t>(v);  // 0..3 exact
@@ -22,10 +32,6 @@ std::uint64_t Histogram::bucket_lower_bound(std::size_t idx) {
   return (std::uint64_t{1} << e) + (sub << (e - kSubBits));
 }
 
-Labels Registry::sorted(Labels labels) {
-  std::sort(labels.begin(), labels.end());
-  return labels;
-}
 
 Counter& Registry::counter(std::string name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -119,6 +125,16 @@ std::uint64_t Registry::value(const std::string& name, const Labels& labels) con
       return it->second.histogram->count();
   }
   return 0;
+}
+
+std::uint64_t Sample::value(const std::string& name, const Labels& labels) const {
+  const Labels key = sorted(labels);
+  auto it = std::lower_bound(cells.begin(), cells.end(), std::tie(name, key),
+                             [](const SampledCell& c, const auto& k) {
+                               return std::tie(c.name, c.labels) < k;
+                             });
+  if (it == cells.end() || it->name != name || it->labels != key) return 0;
+  return static_cast<std::uint64_t>(it->value);
 }
 
 std::size_t Registry::cell_count() const {

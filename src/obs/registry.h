@@ -7,10 +7,11 @@
 //   Histogram log-linear bucketed value distribution (atomic buckets)
 //
 // plus Probes: registered std::function<u64()> polled only at sample()
-// time. Probes migrate pre-existing hot counters (NetworkStats fields,
-// sha256_digest_count, simulator live_events, per-node delivered counts)
-// onto the registry without touching their hot paths — the cost of a
-// probe is zero between samples.
+// time. Probes put hot counters that stay plain fields (NetworkStats,
+// sha256_digest_count, the simulator's event counts, per-node coalescer
+// counts) on the registry without touching their hot paths — the cost of
+// a probe is zero between samples. ScenarioDriver builds its whole report
+// from Samples, so every probe runs at each phase end and telemetry tick.
 //
 // Determinism rules (enforced by tools/atum_lint.py wall-clock bans):
 //  - no wall-clock anywhere in src/obs/: every Sample is stamped with the
@@ -113,6 +114,10 @@ struct SampledCell {
 struct Sample {
   std::int64_t at = 0;  // sim-time micros supplied by the caller
   std::vector<SampledCell> cells;
+
+  // Point read over the snapshot: what Registry::value read at sample()
+  // time (a histogram reads its count; 0 if absent).
+  std::uint64_t value(const std::string& name, const Labels& labels = {}) const;
 };
 
 class Registry {
@@ -135,9 +140,8 @@ class Registry {
   // Snapshot every cell, sorted by (name, labels), stamped at `at`.
   Sample sample(std::int64_t at) const;
 
-  // Convenience point read (0 if absent); counters/probes only need one
-  // number, so scenario sampling reads by name instead of re-walking a
-  // full Sample.
+  // Point read of one live cell (a histogram reads its count; 0 if
+  // absent). Sample::value is the same read over a snapshot.
   std::uint64_t value(const std::string& name, const Labels& labels = {}) const;
 
   std::size_t cell_count() const;
@@ -158,8 +162,6 @@ class Registry {
     Histogram* histogram = nullptr;
     std::function<std::uint64_t()> probe;
   };
-
-  static Labels sorted(Labels labels);
 
   mutable std::mutex mu_;  // guards the maps/deques, not cell updates
   std::map<Key, Entry> cells_;

@@ -86,6 +86,35 @@ TEST(RegistryTest, SampleIsSortedAndDeterministic) {
   }
 }
 
+TEST(RegistryTest, SampleValueReadsWhatRegistryValueReads) {
+  Registry reg;
+  reg.counter("c").inc(42);
+  reg.gauge("g").set(4);
+  std::uint64_t backing = 99;
+  reg.probe("p", {}, [&backing] { return backing; });
+  reg.histogram("h").record(5);
+  reg.histogram("h").record(700);
+  reg.counter("x", {{"a", "1"}, {"b", "2"}}).inc(3);
+  reg.counter("x", {{"a", "2"}}).inc(5);
+  const Sample s = reg.sample(0);
+  for (const char* name : {"c", "g", "p", "h", "absent"}) {
+    EXPECT_EQ(s.value(name), reg.value(name)) << name;
+  }
+  EXPECT_EQ(s.value("p"), 99u);
+  EXPECT_EQ(s.value("h"), 2u);  // a histogram reads its count
+  for (const Labels& labels : {Labels{{"a", "1"}, {"b", "2"}}, Labels{{"b", "2"}, {"a", "1"}},
+                               Labels{{"a", "2"}}, Labels{{"a", "3"}}, Labels{}}) {
+    EXPECT_EQ(s.value("x", labels), reg.value("x", labels));
+  }
+  EXPECT_EQ(s.value("x", {{"b", "2"}, {"a", "1"}}), 3u);
+  EXPECT_EQ(s.value("x"), 0u);  // the unlabelled name is a different, absent cell
+  EXPECT_EQ(s.value("absent"), 0u);
+
+  backing = 7;  // the snapshot keeps what the probe read at sample() time
+  EXPECT_EQ(s.value("p"), 99u);
+  EXPECT_EQ(reg.value("p"), 7u);
+}
+
 // ---------------------------------------------------------------------------
 // Histogram bucket math
 // ---------------------------------------------------------------------------
