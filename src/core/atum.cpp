@@ -55,18 +55,6 @@ AtumSystem::AtumSystem(Params params, net::NetworkConfig net_config, std::uint64
                   [this] { return static_cast<std::uint64_t>(sim_.slot_count()); });
   registry_.probe("sim.executed_events", {}, [this] { return sim_.executed_events(); });
   registry_.probe("crypto.sha256_digests", {}, [] { return crypto::sha256_digest_count(); });
-  registry_.probe("atum.nodes_joined", {}, [this] {
-    std::uint64_t n = 0;
-    // lint: unordered-iter-ok(sum; order-independent)
-    for (const auto& [id, node] : nodes_) n += node->joined() ? 1 : 0;
-    return n;
-  });
-  registry_.probe("atum.broadcasts_delivered", {}, [this] {
-    std::uint64_t n = 0;
-    // lint: unordered-iter-ok(sum; order-independent)
-    for (const auto& [id, node] : nodes_) n += node->delivered_count();
-    return n;
-  });
   registry_.probe("atum.coalescer.frames_enqueued", {}, [this] {
     std::uint64_t n = 0;
     // lint: unordered-iter-ok(sum; order-independent)
@@ -77,12 +65,6 @@ AtumSystem::AtumSystem(Params params, net::NetworkConfig net_config, std::uint64
     std::uint64_t n = 0;
     // lint: unordered-iter-ok(sum; order-independent)
     for (const auto& [id, node] : nodes_) n += node->coalescer().messages_sent();
-    return n;
-  });
-  registry_.probe("atum.coalescer.envelopes_sent", {}, [this] {
-    std::uint64_t n = 0;
-    // lint: unordered-iter-ok(sum; order-independent)
-    for (const auto& [id, node] : nodes_) n += node->coalescer().envelopes_sent();
     return n;
   });
   registry_.probe("atum.groups", {},
@@ -539,7 +521,6 @@ void AtumNode::accept_broadcast(const BroadcastId& id, const net::Payload& paylo
   // byte-identical to the first under the same group-message id, and every
   // receiver would drop it as a duplicate.
   if (!gossip_.first_sighting(id, sys_.simulator().now())) return;
-  ++delivered_;
   obs::Tracer& tr = sys_.tracer();
   if (tr.enabled()) {
     // frame.digest() is memoized and shared with the vouch/relay paths.

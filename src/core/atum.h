@@ -171,7 +171,6 @@ class AtumNode {
   bool joined() const { return runtime_active_; }
   GroupId group_id() const { return vg_.id(); }
   const group::VGroupState& vgroup() const { return vg_; }
-  std::uint64_t delivered_count() const { return delivered_; }
   std::uint64_t smr_epoch() const { return smr_ ? smr_->epoch() : 0; }
   // Send-coalescing stats (benchmarks: how many per-message fixed costs
   // the envelope path saved at this node).
@@ -249,7 +248,6 @@ class AtumNode {
   // the group's position instead of re-deriving genesis.
   std::optional<smr::EpochState> resume_epoch_;
   std::uint64_t bcast_seq_ = 0;
-  std::uint64_t delivered_ = 0;
   std::uint64_t walk_nonce_ = 0;
 
   // Join handshake state (as the joiner).

@@ -32,7 +32,6 @@ std::uint64_t Histogram::bucket_lower_bound(std::size_t idx) {
   return (std::uint64_t{1} << e) + (sub << (e - kSubBits));
 }
 
-
 Counter& Registry::counter(std::string name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
   Key key{std::move(name), sorted(std::move(labels))};

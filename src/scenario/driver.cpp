@@ -6,8 +6,6 @@
 #include <stdexcept>
 
 #include "common/serde.h"
-#include "crypto/sha256.h"
-#include "obs/registry.h"
 #include "overlay/gossip.h"
 
 namespace atum::scenario {
@@ -31,13 +29,36 @@ Bytes encode_bcast(std::uint64_t index, TimeMicros sent_at, std::size_t payload_
   return out;
 }
 
+std::uint64_t delta(const obs::Sample& from, const obs::Sample& to, const char* name) {
+  return to.value(name) - from.value(name);
+}
+
+// The one path from the registry into the report: every phase, time-series
+// point and run total is a window between two samples.
+WindowMetrics read_window(const obs::Sample& from, const obs::Sample& to) {
+  WindowMetrics w;
+  w.events_executed = delta(from, to, "sim.executed_events");
+  w.msgs_sent = delta(from, to, "net.messages_sent");
+  w.msgs_delivered = delta(from, to, "net.messages_delivered");
+  w.msgs_dropped = delta(from, to, "net.messages_dropped");
+  w.msgs_blocked = delta(from, to, "net.messages_blocked");
+  w.bytes_sent = delta(from, to, "net.bytes_sent");
+  w.sha256_digests = delta(from, to, "crypto.sha256_digests");
+  w.joined = to.value("scenario.joined");
+  w.groups = to.value("atum.groups");
+  w.live_events = to.value("sim.live_events");
+  w.slot_count = to.value("sim.slot_count");
+  w.flows = to.value("net.flows");
+  return w;
+}
+
 }  // namespace
 
 ScenarioDriver::ScenarioDriver(ScenarioSpec spec)
     : spec_(std::move(spec)), rng_(spec_.seed ^ 0x5ce7a110ULL) {
   spec_.validate();
   sys_ = std::make_unique<core::AtumSystem>(spec_.params, spec_.net, spec_.seed);
-  sha_start_ = crypto::sha256_digest_count();
+  deploy_base_ = sample_registry();
 
   all_ids_.reserve(spec_.nodes);
   for (NodeId i = 0; i < spec_.nodes; ++i) all_ids_.push_back(i);
@@ -50,14 +71,12 @@ ScenarioDriver::ScenarioDriver(ScenarioSpec spec)
     }
   }
 
-  // Telemetry (ISSUE 9): the driver's own workload counters join the
-  // system registry, so time-series sampling reads everything — network,
-  // simulator, SMR, and the scenario workload itself — through one
-  // uniform surface.
+  // The driver's own workload joins the system registry, so one sample
+  // holds every value a report window needs.
   obs::Registry& reg = sys_->metrics();
-  reg.probe("scenario.broadcasts_sent", {}, [this] { return total_bcasts_sent_; });
+  reg.probe("scenario.broadcasts_sent", {},
+            [this] { return static_cast<std::uint64_t>(bcasts_.size()); });
   reg.probe("scenario.deliveries", {}, [this] { return total_deliveries_; });
-  reg.probe("scenario.deliveries_expected", {}, [this] { return total_expected_; });
   reg.probe("scenario.joined", {},
             [this] { return static_cast<std::uint64_t>(eligible_receivers()); });
   if (spec_.trace) sys_->tracer().enable(spec_.trace_ring, spec_.trace_sample);
@@ -278,8 +297,6 @@ void ScenarioDriver::send_scenario_broadcast(std::size_t phase_idx) {
   PhaseMetrics& pm = metrics_[phase_idx];
   ++pm.broadcasts_sent;
   pm.deliveries_expected += expected;
-  ++total_bcasts_sent_;
-  total_expected_ += expected;
   sys_->node(*origin).broadcast(
       encode_bcast(index, now, spec_.phases[phase_idx].broadcasts.payload_bytes));
 }
@@ -386,30 +403,21 @@ void ScenarioDriver::schedule_loads(std::size_t phase_idx, TimeMicros start, Tim
 }
 
 // ---------------------------------------------------------------------------
-// Time-series telemetry
+// Registry samples and time-series telemetry
 // ---------------------------------------------------------------------------
 
+obs::Sample ScenarioDriver::sample_registry() {
+  return sys_->metrics().sample(sys_->simulator().now());
+}
+
 void ScenarioDriver::sample_time_series() {
-  const obs::Registry& reg = sys_->metrics();
-
+  obs::Sample now = sample_registry();
   TimeSeriesPoint p;
-  p.at = sys_->simulator().now();
-
-  const std::uint64_t sent = reg.value("scenario.broadcasts_sent");
-  const std::uint64_t deliveries = reg.value("scenario.deliveries");
-  const std::uint64_t msgs_sent = reg.value("net.messages_sent");
-  const std::uint64_t msgs_delivered = reg.value("net.messages_delivered");
-  const std::uint64_t msgs_dropped = reg.value("net.messages_dropped");
-  const std::uint64_t bytes = reg.value("net.bytes_sent");
-  const std::uint64_t sha = reg.value("crypto.sha256_digests");
-
-  p.broadcasts_sent = sent - ts_base_.sent;
-  p.deliveries = deliveries - ts_base_.deliveries;
-  p.msgs_sent = msgs_sent - ts_base_.msgs_sent;
-  p.msgs_delivered = msgs_delivered - ts_base_.msgs_delivered;
-  p.msgs_dropped = msgs_dropped - ts_base_.msgs_dropped;
-  p.bytes_sent = bytes - ts_base_.bytes;
-  p.sha256_digests = sha - ts_base_.sha;
+  p.at = now.at;
+  p.broadcasts_sent = delta(tick_base_, now, "scenario.broadcasts_sent");
+  p.deliveries = delta(tick_base_, now, "scenario.deliveries");
+  p.window = read_window(tick_base_, now);
+  tick_base_ = std::move(now);
 
   // Windowed delivery rate over *settled* broadcasts — records at least
   // one full interval old, so deliveries still in flight (latency is
@@ -435,24 +443,10 @@ void ScenarioDriver::sample_time_series() {
       win_delivered += d;
     }
     if (win_expected > 0) {
-      ts_base_.ratio = static_cast<double>(win_delivered) / static_cast<double>(win_expected);
+      ts_ratio_ = static_cast<double>(win_delivered) / static_cast<double>(win_expected);
     }
   }
-  p.delivery_ratio = ts_base_.ratio;
-
-  p.joined = reg.value("scenario.joined");
-  p.groups = reg.value("atum.groups");
-  p.live_events = reg.value("sim.live_events");
-  p.slot_count = reg.value("sim.slot_count");
-  p.flows = reg.value("net.flows");
-
-  ts_base_.sent = sent;
-  ts_base_.deliveries = deliveries;
-  ts_base_.msgs_sent = msgs_sent;
-  ts_base_.msgs_delivered = msgs_delivered;
-  ts_base_.msgs_dropped = msgs_dropped;
-  ts_base_.bytes = bytes;
-  ts_base_.sha = sha;
+  p.delivery_ratio = ts_ratio_;
   series_.push_back(p);
 }
 
@@ -462,20 +456,11 @@ void ScenarioDriver::sample_time_series() {
 
 void ScenarioDriver::snapshot_phase(std::size_t phase_idx) {
   PhaseMetrics& pm = metrics_[phase_idx];
-  pm.end = sys_->simulator().now();
+  obs::Sample now = sample_registry();
+  pm.end = now.at;
+  pm.window = read_window(phase_base_, now);
+  phase_base_ = std::move(now);
 
-  const net::NetworkStats& stats = sys_->network().stats();
-  pm.msgs_sent = stats.messages_sent - net_base_.messages_sent;
-  pm.msgs_delivered = stats.messages_delivered - net_base_.messages_delivered;
-  pm.msgs_dropped = stats.messages_dropped - net_base_.messages_dropped;
-  pm.msgs_blocked = stats.messages_blocked - net_base_.messages_blocked;
-  pm.bytes_sent = stats.bytes_sent - net_base_.bytes_sent;
-  net_base_ = stats;
-  const std::uint64_t sha = crypto::sha256_digest_count();
-  pm.sha256_digests = sha - sha_base_;
-  sha_base_ = sha;
-
-  pm.joined_correct_end = eligible_receivers();
   std::uint64_t evicted = 0;
   for (NodeId id : all_ids_) {
     if (!ever_joined_.contains(id) || killed_.contains(id)) continue;
@@ -483,10 +468,6 @@ void ScenarioDriver::snapshot_phase(std::size_t phase_idx) {
     if (sys_->has_node(id) && !sys_->node(id).joined()) ++evicted;
   }
   pm.correct_evicted_end = evicted;
-  pm.group_count_end = sys_->group_map().size();
-  pm.live_events_end = sys_->simulator().live_events();
-  pm.slot_count_end = sys_->simulator().slot_count();
-  pm.flow_count_end = sys_->network().flow_count();
 }
 
 ScenarioReport ScenarioDriver::run() {
@@ -496,23 +477,14 @@ ScenarioReport ScenarioDriver::run() {
   metrics_.resize(spec_.phases.size());
   latencies_ms_.resize(spec_.phases.size());
   for (NodeId id : all_ids_) ever_joined_.insert(id);
-  net_base_ = sys_->network().stats();
-  sha_base_ = crypto::sha256_digest_count();
+  phase_base_ = sample_registry();
+  tick_base_ = phase_base_;
 
   sim::Simulator& sim = sys_->simulator();
   // Bookkeeper: polls join/leave completions once per sim-second.
   sim::PeriodicTimer keeper(sim, seconds(1.0), [this] { poll_pending_ops(); });
-
-  // Registry sampler (spec.metrics_interval): counter floors start at the
-  // post-deploy state so the first interval's deltas cover only the run.
   std::optional<sim::PeriodicTimer> sampler;
   if (spec_.metrics_interval > 0) {
-    const obs::Registry& reg = sys_->metrics();
-    ts_base_.msgs_sent = reg.value("net.messages_sent");
-    ts_base_.msgs_delivered = reg.value("net.messages_delivered");
-    ts_base_.msgs_dropped = reg.value("net.messages_dropped");
-    ts_base_.bytes = reg.value("net.bytes_sent");
-    ts_base_.sha = reg.value("crypto.sha256_digests");
     sampler.emplace(sim, spec_.metrics_interval, [this] { sample_time_series(); });
   }
 
@@ -552,12 +524,9 @@ ScenarioReport ScenarioDriver::run() {
   report.phases = metrics_;
   report.metrics_interval = spec_.metrics_interval;
   report.time_series = series_;
-  report.sim_end = sim.now();
-  report.events_executed = sim.executed_events();
-  const net::NetworkStats& stats = sys_->network().stats();
-  report.total_msgs_sent = stats.messages_sent;
-  report.total_bytes_sent = stats.bytes_sent;
-  report.total_sha256_digests = crypto::sha256_digest_count() - sha_start_;
+  const obs::Sample end = sample_registry();
+  report.sim_end = end.at;
+  report.totals = read_window(deploy_base_, end);
   return report;
 }
 

@@ -12,13 +12,16 @@
 // deliveries and joins complete; they stay attributed to the phase that
 // initiated them (see report.h).
 //
-// Metrics come from three places: the driver's own bookkeeping (broadcast
-// records with per-broadcast expected/delivered counts and send timestamps
-// -> delivery ratios and latency percentiles via common/stats Samples), the
-// SimNetwork counters (per-phase deltas of sent/delivered/dropped/blocked/
-// bytes), and runtime gauges (simulator arena + live events, nodes with
-// traffic in flight, joined population, group count,
-// crypto::sha256_digest_count deltas).
+// Metrics come from two places. The driver's own bookkeeping attributes the
+// workload to the phase that initiated it: broadcast records with
+// per-broadcast expected/delivered counts and send timestamps give delivery
+// ratios and latency percentiles (common/stats Samples), and pending ops
+// give churn completions. Everything else (network, crypto and simulator
+// counters, the joined population, the group count) comes from the system's
+// obs::Registry: the driver samples it at construction, at run() start, at
+// each phase end and telemetry tick, and at the end of the run, and fills
+// every report window (phase, time-series point, run totals) from two
+// samples through one function.
 //
 // Determinism: every random choice (origins, contacts, leavers, partition
 // side, degraded/converted/killed samples) flows from one Rng seeded with
@@ -39,6 +42,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/atum.h"
+#include "obs/registry.h"
 #include "scenario/report.h"
 #include "scenario/spec.h"
 
@@ -99,12 +103,12 @@ class ScenarioDriver {
   std::uint32_t eligible_receivers();
   bool eligible(NodeId id);
 
-  // Telemetry (spec.metrics_interval): reads the system's obs::Registry —
-  // the same uniform surface the benches use — and appends one
-  // TimeSeriesPoint of interval deltas + gauges. The driver's own
-  // scenario.* probes (broadcasts sent / deliveries / expected) are
-  // registered at construction so the sampler reads everything, including
-  // its own workload, through the registry.
+  // The system registry's state now. The driver's own scenario.* probes
+  // (broadcasts sent, deliveries, joined population) join it at
+  // construction, so a sample covers the workload too.
+  obs::Sample sample_registry();
+  // Telemetry (spec.metrics_interval): appends one TimeSeriesPoint covering
+  // the interval since the previous tick.
   void sample_time_series();
 
   // Phase machinery.
@@ -146,31 +150,23 @@ class ScenarioDriver {
   NodeId stream_source_ = kInvalidNode;
   std::uint64_t stream_seq_ = 0;
 
-  // Delta baselines for per-phase network counters.
-  net::NetworkStats net_base_;
-  std::uint64_t sha_base_ = 0;
-  std::uint64_t sha_start_ = 0;  // process-global counter floor at construction
+  // Registry samples the report windows start from: before the initial
+  // deploy (run totals), and the previous phase end and telemetry tick
+  // (both first taken at run() start).
+  obs::Sample deploy_base_;
+  obs::Sample phase_base_;
+  obs::Sample tick_base_;
 
   // Time-series telemetry state (spec.metrics_interval > 0).
   std::vector<TimeSeriesPoint> series_;
-  // Previous cumulative registry reads (counters sampled as deltas) plus
-  // the carried-forward delivery ratio for send-free intervals.
-  struct TsBase {
-    std::uint64_t sent = 0, deliveries = 0;
-    std::uint64_t msgs_sent = 0, msgs_delivered = 0, msgs_dropped = 0;
-    std::uint64_t bytes = 0, sha = 0;
-    double ratio = 1.0;
-  } ts_base_;
+  double ts_ratio_ = 1.0;  // carried forward through send-free intervals
   // First bcasts_ record not yet folded into the windowed delivery ratio
   // (records settle once they are a full interval old), plus the trailing
   // window of settled (expected, delivered) pairs the ratio spans.
   static constexpr std::size_t kRatioWindow = 8;
   std::size_t ts_bcast_idx_ = 0;
   std::deque<std::pair<std::uint64_t, std::uint64_t>> ts_window_;
-  // Run totals backing the scenario.* registry probes.
-  std::uint64_t total_bcasts_sent_ = 0;
-  std::uint64_t total_expected_ = 0;
-  std::uint64_t total_deliveries_ = 0;
+  std::uint64_t total_deliveries_ = 0;  // backs the scenario.deliveries probe
 };
 
 }  // namespace atum::scenario

@@ -94,10 +94,10 @@ std::string ScenarioReport::to_json() const {
   j.u64("seed", seed);
   j.u64("initial_nodes", initial_nodes);
   j.f64("sim_seconds", to_seconds(sim_end));
-  j.u64("events_executed", events_executed);
-  j.u64("total_msgs_sent", total_msgs_sent);
-  j.u64("total_bytes_sent", total_bytes_sent);
-  j.u64("total_sha256_digests", total_sha256_digests);
+  j.u64("events_executed", totals.events_executed);
+  j.u64("total_msgs_sent", totals.msgs_sent);
+  j.u64("total_bytes_sent", totals.bytes_sent);
+  j.u64("total_sha256_digests", totals.sha256_digests);
   j.f64("total_delivery_ratio", total_delivery_ratio());
   if (metrics_interval > 0) {
     j.f64("metrics_interval_s", to_seconds(metrics_interval));
@@ -108,16 +108,17 @@ std::string ScenarioReport::to_json() const {
       j.f64("delivery_ratio", p.delivery_ratio);
       j.u64("broadcasts_sent", p.broadcasts_sent);
       j.u64("deliveries", p.deliveries);
-      j.u64("msgs_sent", p.msgs_sent);
-      j.u64("msgs_delivered", p.msgs_delivered);
-      j.u64("msgs_dropped", p.msgs_dropped);
-      j.u64("bytes_sent", p.bytes_sent);
-      j.u64("sha256_digests", p.sha256_digests);
-      j.u64("joined", p.joined);
-      j.u64("groups", p.groups);
-      j.u64("live_events", p.live_events);
-      j.u64("slot_count", p.slot_count);
-      j.u64("flows", p.flows);
+      const WindowMetrics& w = p.window;
+      j.u64("msgs_sent", w.msgs_sent);
+      j.u64("msgs_delivered", w.msgs_delivered);
+      j.u64("msgs_dropped", w.msgs_dropped);
+      j.u64("bytes_sent", w.bytes_sent);
+      j.u64("sha256_digests", w.sha256_digests);
+      j.u64("joined", w.joined);
+      j.u64("groups", w.groups);
+      j.u64("live_events", w.live_events);
+      j.u64("slot_count", w.slot_count);
+      j.u64("flows", w.flows);
       j.close('}');
     }
     j.close(']');
@@ -149,18 +150,19 @@ std::string ScenarioReport::to_json() const {
     j.u64("byzantine_converted", p.byzantine_converted);
     j.u64("groups_killed", p.groups_killed);
     j.u64("nodes_killed", p.nodes_killed);
-    j.u64("msgs_sent", p.msgs_sent);
-    j.u64("msgs_delivered", p.msgs_delivered);
-    j.u64("msgs_dropped", p.msgs_dropped);
-    j.u64("msgs_blocked", p.msgs_blocked);
-    j.u64("bytes_sent", p.bytes_sent);
-    j.u64("sha256_digests", p.sha256_digests);
-    j.u64("joined_correct_end", p.joined_correct_end);
+    const WindowMetrics& w = p.window;
+    j.u64("msgs_sent", w.msgs_sent);
+    j.u64("msgs_delivered", w.msgs_delivered);
+    j.u64("msgs_dropped", w.msgs_dropped);
+    j.u64("msgs_blocked", w.msgs_blocked);
+    j.u64("bytes_sent", w.bytes_sent);
+    j.u64("sha256_digests", w.sha256_digests);
+    j.u64("joined_correct_end", w.joined);
     j.u64("correct_evicted_end", p.correct_evicted_end);
-    j.u64("group_count_end", p.group_count_end);
-    j.u64("live_events_end", p.live_events_end);
-    j.u64("slot_count_end", p.slot_count_end);
-    j.u64("flow_count_end", p.flow_count_end);
+    j.u64("group_count_end", w.groups);
+    j.u64("live_events_end", w.live_events);
+    j.u64("slot_count_end", w.slot_count);
+    j.u64("flow_count_end", w.flows);
     j.i64("heal_to_full_delivery_us", p.heal_to_full_delivery);
     j.close('}');
   }

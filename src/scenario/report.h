@@ -18,6 +18,26 @@
 
 namespace atum::scenario {
 
+// Registry reads over one report window: a phase, a telemetry interval or
+// the whole run. ScenarioDriver fills it from the registry samples taken
+// at the window's two ends: counters as deltas, levels as read at the end.
+struct WindowMetrics {
+  // Counters.
+  std::uint64_t events_executed = 0;  // simulator events
+  std::uint64_t msgs_sent = 0;
+  std::uint64_t msgs_delivered = 0;
+  std::uint64_t msgs_dropped = 0;
+  std::uint64_t msgs_blocked = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t sha256_digests = 0;
+  // Levels (memory/pressure proxies).
+  std::uint64_t joined = 0;       // eligible correct receivers
+  std::uint64_t groups = 0;       // vgroup count
+  std::uint64_t live_events = 0;  // simulator queue depth
+  std::uint64_t slot_count = 0;   // simulator arena = peak concurrent events so far
+  std::uint64_t flows = 0;        // nodes with traffic in flight (net.flows)
+};
+
 struct PhaseMetrics {
   std::string name;
   TimeMicros start = 0;  // sim time
@@ -56,21 +76,9 @@ struct PhaseMetrics {
   std::uint64_t groups_killed = 0;
   std::uint64_t nodes_killed = 0;
 
-  // Network activity during the phase (deltas of SimNetwork counters).
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t msgs_delivered = 0;
-  std::uint64_t msgs_dropped = 0;
-  std::uint64_t msgs_blocked = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t sha256_digests = 0;
-
-  // End-of-phase gauges (memory/pressure proxies).
-  std::uint64_t joined_correct_end = 0;
+  // Activity during the phase and levels at its end.
+  WindowMetrics window;
   std::uint64_t correct_evicted_end = 0;  // correct nodes expelled without asking to leave
-  std::uint64_t group_count_end = 0;
-  std::uint64_t live_events_end = 0;
-  std::uint64_t slot_count_end = 0;  // simulator arena = peak concurrent events so far
-  std::uint64_t flow_count_end = 0;  // nodes with traffic in flight (SimNetwork::flow_count)
 
   // Heal phases only: sim time from the heal to the first post-heal
   // broadcast that reached every eligible receiver. -1 elsewhere / never.
@@ -94,8 +102,8 @@ struct PhaseMetrics {
   }
 };
 
-// One registry sample (spec.metrics_interval): counters as deltas over the
-// interval, gauges as point-in-time reads. delivery_ratio is the windowed
+// One telemetry interval (spec.metrics_interval): counters as deltas over
+// the interval, levels as read at its end. delivery_ratio is the windowed
 // scenario-broadcast delivery rate, computed over broadcasts that settled
 // during the interval (sent at least one full interval ago, so in-flight
 // deliveries don't read as losses); intervals in which nothing settled
@@ -104,20 +112,10 @@ struct PhaseMetrics {
 struct TimeSeriesPoint {
   TimeMicros at = 0;
   double delivery_ratio = 1.0;
-  // Interval deltas (registry counters / probes).
+  // Scenario broadcasts sent and delivered during the interval.
   std::uint64_t broadcasts_sent = 0;
   std::uint64_t deliveries = 0;
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t msgs_delivered = 0;
-  std::uint64_t msgs_dropped = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t sha256_digests = 0;
-  // Point-in-time gauges.
-  std::uint64_t joined = 0;       // eligible correct receivers
-  std::uint64_t groups = 0;       // vgroup count
-  std::uint64_t live_events = 0;  // simulator queue depth
-  std::uint64_t slot_count = 0;   // simulator arena (peak concurrency)
-  std::uint64_t flows = 0;        // nodes with traffic in flight (net.flows)
+  WindowMetrics window;
 };
 
 struct ScenarioReport {
@@ -132,12 +130,10 @@ struct ScenarioReport {
   DurationMicros metrics_interval = 0;
   std::vector<TimeSeriesPoint> time_series;
 
-  // Whole-run summary.
+  // Whole-run summary, from before the initial deploy to the end of the
+  // drain.
   TimeMicros sim_end = 0;
-  std::uint64_t events_executed = 0;
-  std::uint64_t total_msgs_sent = 0;
-  std::uint64_t total_bytes_sent = 0;
-  std::uint64_t total_sha256_digests = 0;
+  WindowMetrics totals;
 
   const PhaseMetrics* phase(const std::string& name) const;
   double total_delivery_ratio() const;

@@ -123,10 +123,10 @@ TEST(ScenarioDriverTest, SteadyBroadcastDeliversEverywhere) {
   EXPECT_EQ(p.latency_samples, p.deliveries);
   EXPECT_GT(p.latency_ms_p50, 0.0);
   EXPECT_GE(p.latency_ms_max, p.latency_ms_p50);
-  EXPECT_EQ(p.joined_correct_end, s.nodes);
+  EXPECT_EQ(p.window.joined, s.nodes);
   EXPECT_EQ(p.correct_evicted_end, 0u);
   // The flow gauge counts nodes with traffic in flight: at most every node.
-  EXPECT_LE(p.flow_count_end, s.nodes);
+  EXPECT_LE(p.window.flows, s.nodes);
   EXPECT_THROW(driver.run(), std::logic_error);  // single-shot
 }
 
@@ -176,7 +176,7 @@ TEST(ScenarioDriverTest, FlashCrowdJoinsComplete) {
   const PhaseMetrics& p = r.phases[0];
   EXPECT_EQ(p.joins_requested, 12u);
   EXPECT_EQ(p.joins_completed, 12u);
-  EXPECT_EQ(p.joined_correct_end, 72u);
+  EXPECT_EQ(p.window.joined, 72u);
 }
 
 TEST(ScenarioDriverTest, ChurnJoinsAndLeavesComplete) {
@@ -206,7 +206,7 @@ TEST(ScenarioDriverTest, CorrelatedGroupKillSparesSurvivors) {
   EXPECT_EQ(f->groups_killed, 2u);
   EXPECT_GT(f->nodes_killed, 0u);
   // Expected receivers shrank to the survivors and they all keep receiving.
-  EXPECT_EQ(f->joined_correct_end, 90u - f->nodes_killed);
+  EXPECT_EQ(f->window.joined, 90u - f->nodes_killed);
   EXPECT_GE(f->delivery_ratio(), 0.99);
 }
 
@@ -224,7 +224,7 @@ TEST(ScenarioDriverTest, ByzantineConversionFlipsLiveBehaviorAndCountsIt) {
   const PhaseMetrics* storm_m = r.phase("storm");
   ASSERT_NE(storm_m, nullptr);
   EXPECT_EQ(storm_m->byzantine_converted, 6u);  // 10% of 60
-  EXPECT_EQ(storm_m->joined_correct_end, 54u);
+  EXPECT_EQ(storm_m->window.joined, 54u);
   // The converted nodes really are Byzantine at the node level now.
   std::size_t byz = 0;
   for (NodeId id : driver.system().node_ids()) {
@@ -250,12 +250,12 @@ TEST(ScenarioDriverTest, DegradedLinksLoseAndDelayUntilRestored) {
   ASSERT_NE(b, nullptr);
   ASSERT_NE(d, nullptr);
   ASSERT_NE(after, nullptr);
-  EXPECT_EQ(b->msgs_dropped, 0u);
+  EXPECT_EQ(b->window.msgs_dropped, 0u);
   // Every link touching a degraded node loses messages and gains latency.
-  EXPECT_GT(d->msgs_dropped, 0u);
+  EXPECT_GT(d->window.msgs_dropped, 0u);
   EXPECT_GT(d->latency_ms_p95, b->latency_ms_p95);
   // restore_links clears every node fault: no loss, delivery recovers.
-  EXPECT_EQ(after->msgs_dropped, 0u);
+  EXPECT_EQ(after->window.msgs_dropped, 0u);
   EXPECT_GE(after->delivery_ratio(), 0.95);
 }
 
@@ -330,8 +330,8 @@ TEST(ScenarioTelemetryTest, TimeSeriesShowsThePartitionDip) {
   EXPECT_LT(min_partition, 0.85);      // visible dip during the partition
   EXPECT_GT(last, 0.95);               // recovered by the end of the drain
   // Gauges are populated, not zero-filled.
-  EXPECT_GT(r.time_series.back().joined, 0u);
-  EXPECT_GT(r.time_series.back().groups, 0u);
+  EXPECT_GT(r.time_series.back().window.joined, 0u);
+  EXPECT_GT(r.time_series.back().window.groups, 0u);
 }
 
 TEST(ScenarioTelemetryTest, SeriesPhasesAndTotalsCountTheSameTraffic) {
@@ -346,34 +346,34 @@ TEST(ScenarioTelemetryTest, SeriesPhasesAndTotalsCountTheSameTraffic) {
   const ScenarioReport r = ScenarioDriver(s).run();
   ASSERT_EQ(r.time_series.size(), 55u);
   for (const PhaseMetrics& pm : r.phases) {
-    TimeSeriesPoint sum;
+    WindowMetrics sum;
     for (const TimeSeriesPoint& p : r.time_series) {
       if (p.at <= pm.start || p.at > pm.end) continue;
-      sum.msgs_sent += p.msgs_sent;
-      sum.msgs_delivered += p.msgs_delivered;
-      sum.msgs_dropped += p.msgs_dropped;
-      sum.bytes_sent += p.bytes_sent;
-      sum.sha256_digests += p.sha256_digests;
+      sum.msgs_sent += p.window.msgs_sent;
+      sum.msgs_delivered += p.window.msgs_delivered;
+      sum.msgs_dropped += p.window.msgs_dropped;
+      sum.bytes_sent += p.window.bytes_sent;
+      sum.sha256_digests += p.window.sha256_digests;
     }
-    EXPECT_GT(pm.msgs_sent, 0u) << pm.name;
-    EXPECT_GT(pm.msgs_dropped, 0u) << pm.name;
-    EXPECT_EQ(sum.msgs_sent, pm.msgs_sent) << pm.name;
-    EXPECT_EQ(sum.msgs_delivered, pm.msgs_delivered) << pm.name;
-    EXPECT_EQ(sum.msgs_dropped, pm.msgs_dropped) << pm.name;
-    EXPECT_EQ(sum.bytes_sent, pm.bytes_sent) << pm.name;
-    EXPECT_EQ(sum.sha256_digests, pm.sha256_digests) << pm.name;
+    EXPECT_GT(pm.window.msgs_sent, 0u) << pm.name;
+    EXPECT_GT(pm.window.msgs_dropped, 0u) << pm.name;
+    EXPECT_EQ(sum.msgs_sent, pm.window.msgs_sent) << pm.name;
+    EXPECT_EQ(sum.msgs_delivered, pm.window.msgs_delivered) << pm.name;
+    EXPECT_EQ(sum.msgs_dropped, pm.window.msgs_dropped) << pm.name;
+    EXPECT_EQ(sum.bytes_sent, pm.window.bytes_sent) << pm.name;
+    EXPECT_EQ(sum.sha256_digests, pm.window.sha256_digests) << pm.name;
   }
   // Deploy sends nothing, so the series covers every message of the run;
   // the run's digest total also counts deploy's digests.
-  std::uint64_t msgs = 0, bytes = 0, sha = 0;
+  WindowMetrics series;
   for (const TimeSeriesPoint& p : r.time_series) {
-    msgs += p.msgs_sent;
-    bytes += p.bytes_sent;
-    sha += p.sha256_digests;
+    series.msgs_sent += p.window.msgs_sent;
+    series.bytes_sent += p.window.bytes_sent;
+    series.sha256_digests += p.window.sha256_digests;
   }
-  EXPECT_EQ(msgs, r.total_msgs_sent);
-  EXPECT_EQ(bytes, r.total_bytes_sent);
-  EXPECT_LE(sha, r.total_sha256_digests);
+  EXPECT_EQ(series.msgs_sent, r.totals.msgs_sent);
+  EXPECT_EQ(series.bytes_sent, r.totals.bytes_sent);
+  EXPECT_LE(series.sha256_digests, r.totals.sha256_digests);
 }
 
 TEST(ScenarioTelemetryTest, TelemetryOffOmitsTheSectionAndFieldsStayEmpty) {
