@@ -22,6 +22,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "obs/trace.h"
@@ -40,7 +42,9 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// "1s" / "500ms" / "250000us" / bare seconds. Exits on nonsense.
+// "1s" / "500ms" / "250000us" / bare seconds; 0 means off. Exits on
+// nonsense, including nan, inf, negatives, values past DurationMicros and
+// positive values under 1us (which would truncate to off).
 atum::DurationMicros parse_duration(const std::string& s, const char* flag) {
   char* end = nullptr;
   double v = std::strtod(s.c_str(), &end);
@@ -53,12 +57,14 @@ atum::DurationMicros parse_duration(const std::string& s, const char* flag) {
   } else if (unit == "us") {
     scale = 1.0;
   }
-  if (end == s.c_str() || scale == 0.0 || v < 0.0) {
+  const double us = v * scale;
+  constexpr auto kMax = static_cast<double>(std::numeric_limits<atum::DurationMicros>::max());
+  if (end == s.c_str() || scale == 0.0 || !(us >= 0.0 && us < kMax) || (us > 0.0 && us < 1.0)) {
     std::fprintf(stderr, "%s: bad duration '%s' (want e.g. 1s, 500ms, 250000us)\n", flag,
                  s.c_str());
     std::exit(2);
   }
-  return static_cast<atum::DurationMicros>(v * scale);
+  return static_cast<atum::DurationMicros>(us);
 }
 
 bool write_file(const std::string& path, const std::string& data) {
@@ -150,8 +156,15 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "scenario %s: %zu nodes, seed %llu, %zu phases\n", spec.name.c_str(),
                spec.nodes, static_cast<unsigned long long>(spec.seed), spec.phases.size());
-  scenario::ScenarioDriver driver(std::move(spec));
-  scenario::ScenarioReport report = driver.run();
+  // The driver validates the spec: a bad one (say, --nodes 1) exits 2.
+  std::optional<scenario::ScenarioDriver> driver;
+  try {
+    driver.emplace(std::move(spec));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  scenario::ScenarioReport report = driver->run();
   std::string json = report.to_json();
 
   if (out_path.empty()) {
@@ -162,7 +175,7 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    const obs::Tracer& tracer = driver.system().tracer();
+    const obs::Tracer& tracer = driver->system().tracer();
     if (!write_file(trace_path, tracer.to_chrome_json())) return 1;
     std::fprintf(stderr, "trace written to %s (%llu events recorded, %zu retained)\n",
                  trace_path.c_str(), static_cast<unsigned long long>(tracer.recorded()),
@@ -180,7 +193,7 @@ int main(int argc, char** argv) {
   }
 
   if (check) {
-    auto violations = scenario::ScenarioDriver::check(driver.spec(), report);
+    auto violations = scenario::ScenarioDriver::check(driver->spec(), report);
     for (const std::string& v : violations) std::fprintf(stderr, "ASSERT FAILED: %s\n", v.c_str());
     if (!violations.empty()) return 1;
     std::fprintf(stderr, "all expectations hold\n");
