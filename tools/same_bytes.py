@@ -10,8 +10,11 @@ and the change's, each holding `atum_scenario` and `bench_smr_throughput`
 (a bench target: `cmake --build BUILD --target bench_smr_throughput`).
 
 On both builds the script runs every preset that `atum_scenario --list`
-prints, as `atum_scenario PRESET --nodes N --assert --out FILE`, plus
-`bench_smr_throughput`, whose stdout and stderr are compared separately.
+prints, as `atum_scenario PRESET --nodes N --assert --out FILE`; one
+telemetry run, `atum_scenario partition_heal --nodes N --metrics-interval=1s
+--trace-out TRACE --out FILE`, whose report (with its time_series section)
+and trace are compared separately; and `bench_smr_throughput`, whose stdout
+and stderr are compared separately.
 It prints one line per artefact: `same`, `DIFFERS`, or `FAILED` when a run
 exits non-zero (an expectation or a self-check failed) on either side. It
 exits 0 only if every artefact is the same and every run succeeded, 1
@@ -26,6 +29,7 @@ import tempfile
 
 SCENARIO = "atum_scenario"
 BENCH = "bench_smr_throughput"
+TELEMETRY = "partition_heal"  # the preset run with the time series and the trace on
 JOBS = 2  # runs at a time; one run peaks near 200 MB at 1000 nodes
 
 
@@ -42,15 +46,27 @@ def presets(scenario):
     return [line.split()[0] for line in out.splitlines()[1:] if line.strip()]
 
 
+def read(path):
+    if not os.path.isfile(path):
+        return b""
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def run_preset(scenario, preset, nodes, out_dir):
     path = os.path.join(out_dir, preset + ".json")
     proc = subprocess.run([scenario, preset, "--nodes", str(nodes), "--assert", "--out", path],
                           capture_output=True)
-    data = b""
-    if os.path.isfile(path):
-        with open(path, "rb") as f:
-            data = f.read()
-    return proc.returncode, {preset + ".json": data}
+    return proc.returncode, {preset + ".json": read(path)}
+
+
+def run_telemetry(scenario, nodes, out_dir):
+    report = TELEMETRY + ".telemetry.json"
+    trace = TELEMETRY + ".trace.json"
+    proc = subprocess.run([scenario, TELEMETRY, "--nodes", str(nodes), "--metrics-interval=1s",
+                           "--trace-out", os.path.join(out_dir, trace),
+                           "--out", os.path.join(out_dir, report)], capture_output=True)
+    return proc.returncode, {name: read(os.path.join(out_dir, name)) for name in (report, trace)}
 
 
 def run_bench(bench):
@@ -80,10 +96,11 @@ def main():
             os.mkdir(out_dir)
             for preset in names:
                 jobs[side, preset] = pool.submit(run_preset, scenario, preset, args.nodes, out_dir)
+            jobs[side, "telemetry"] = pool.submit(run_telemetry, scenario, args.nodes, out_dir)
             jobs[side, BENCH] = pool.submit(run_bench, bench)
 
         ok = True
-        for task in names + [BENCH]:
+        for task in names + ["telemetry", BENCH]:
             base_rc, base_out = jobs["base", task].result()
             change_rc, change_out = jobs["change", task].result()
             for artefact, base_bytes in base_out.items():
