@@ -2,10 +2,15 @@
 // timers, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -294,6 +299,174 @@ TEST(Simulator, DeterministicInterleaving) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Simulator, EqualDueTimesFireInScheduleOrderAcrossTheHorizon) {
+  // A is scheduled while 10 s is far ahead, B only 1 ms before it is due,
+  // and C from inside B with no delay. All three are due at 10 s, so they
+  // fire in the order they were scheduled, wherever the queue keeps them.
+  Simulator s;
+  std::vector<char> order;
+  s.schedule_at(seconds(10.0), [&] { order.push_back('A'); });
+  s.run_until(seconds(10.0) - millis(1));
+  s.schedule_at(seconds(10.0), [&] {
+    order.push_back('B');
+    s.schedule_after(0, [&] { order.push_back('C'); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C'}));
+  EXPECT_EQ(s.now(), seconds(10.0));
+}
+
+// The queue against a reference model: a std::set of (due time, schedule
+// order) pairs, driven side by side with a Simulator by one seeded stream
+// of operations. Delays are 0, uniform over 1 us - 20 ms, 5-10 s, or the
+// exact due time of a pending event; handlers schedule and cancel too.
+struct ReferenceQueue {
+  struct Pending {
+    TimeMicros at;
+    EventId id;
+    std::size_t pos;  // index in `tags`
+  };
+
+  Simulator sim;
+  Rng rng{0x5117u};
+  std::set<std::pair<TimeMicros, std::uint64_t>> due;  // (at, schedule order)
+  std::unordered_map<std::uint64_t, Pending> pending;   // by schedule order
+  std::vector<std::uint64_t> tags;                      // pending, for random picks
+  std::vector<EventId> gone;                            // fired or cancelled handles
+  std::uint64_t next_tag = 0;
+  TimeMicros now = 0;
+  std::uint64_t fired = 0;
+  bool diverged = false;
+
+  DurationMicros draw_delay() {
+    switch (rng.next_below(16)) {
+      case 0:
+        return 0;
+      case 1:
+        return rng.next_in(seconds(5.0), seconds(10.0));
+      case 2:
+        return tags.empty() ? 0 : pending.at(tags[rng.next_below(tags.size())]).at - now;
+      case 3:
+        return early_due() - now;
+      default:
+        return rng.next_in(1, millis(20));
+    }
+  }
+
+  // The due time of one of the 16 earliest pending events; now when none is.
+  TimeMicros early_due() {
+    if (due.empty()) return now;
+    auto it = due.begin();
+    for (std::uint64_t k = rng.next_below(std::min<std::size_t>(due.size(), 16)); k > 0; --k) ++it;
+    return it->first;
+  }
+
+  void schedule(DurationMicros delay) {
+    const std::uint64_t tag = next_tag++;
+    const EventId id = sim.schedule_after(delay, [this, tag] { fire(tag); });
+    due.emplace(now + delay, tag);
+    pending.emplace(tag, Pending{now + delay, id, tags.size()});
+    tags.push_back(tag);
+  }
+
+  void forget(std::uint64_t tag) {
+    auto it = pending.find(tag);
+    due.erase({it->second.at, tag});
+    const std::size_t pos = it->second.pos;
+    tags[pos] = tags.back();
+    pending.at(tags[pos]).pos = pos;
+    tags.pop_back();
+    gone.push_back(it->second.id);
+    pending.erase(it);
+  }
+
+  void cancel_random() {
+    if (!gone.empty() && rng.next_below(4) == 0) {
+      sim.cancel(gone[rng.next_below(gone.size())]);  // fired or cancelled: a no-op
+      return;
+    }
+    if (tags.empty()) return;
+    const std::uint64_t tag = tags[rng.next_below(tags.size())];
+    sim.cancel(pending.at(tag).id);
+    forget(tag);
+  }
+
+  void fire(std::uint64_t tag) {
+    if (diverged) return;
+    if (due.empty() || due.begin()->second != tag || due.begin()->first != sim.now()) {
+      diverged = true;
+      return;
+    }
+    now = sim.now();
+    forget(tag);
+    ++fired;
+    if (sim.live_events() != due.size()) {
+      diverged = true;
+      return;
+    }
+    switch (rng.next_below(6)) {
+      case 0:
+        schedule(0);  // the coalescer's flush
+        break;
+      case 1:
+        cancel_random();
+        break;
+      case 2:
+        schedule(draw_delay());
+        break;
+      default:
+        break;
+    }
+  }
+
+  TimeMicros draw_horizon() {
+    const std::uint64_t r = rng.next_below(128);
+    if (r == 0) return now + rng.next_in(0, seconds(10.0));
+    if (r < 32) return early_due();
+    return now + rng.next_in(0, millis(1));
+  }
+};
+
+TEST(Simulator, MatchesAReferenceModelUnderRandomOperations) {
+  // The stream mostly schedules while fewer than kDepth events are
+  // pending and mostly fires once more are, so the queue stays about that
+  // deep between the rare horizons that drain it.
+  constexpr std::size_t kDepth = 512;
+  ReferenceQueue q;
+  for (int op = 0; op < 200'000; ++op) {
+    const bool shallow = q.due.size() < kDepth;
+    const std::uint64_t r = q.rng.next_below(20);
+    if (r < (shallow ? 16u : 6u)) {
+      q.schedule(q.draw_delay());
+    } else if (r < (shallow ? 17u : 8u)) {
+      q.cancel_random();
+    } else if (r < (shallow ? 19u : 18u)) {
+      const bool expect_fire = !q.due.empty();
+      const std::uint64_t before = q.fired;
+      ASSERT_EQ(q.sim.step(), expect_fire) << "op " << op;
+      ASSERT_EQ(q.fired - before, expect_fire ? 1u : 0u) << "op " << op;
+    } else {
+      const TimeMicros horizon = q.draw_horizon();
+      const std::uint64_t before = q.fired;
+      const std::uint64_t ran = q.sim.run_until(horizon);
+      ASSERT_FALSE(q.diverged) << "op " << op;
+      ASSERT_EQ(ran, q.fired - before) << "op " << op;
+      ASSERT_TRUE(q.due.empty() || q.due.begin()->first > horizon) << "op " << op;
+      q.now = std::max(q.now, horizon);
+    }
+    ASSERT_FALSE(q.diverged) << "op " << op;
+    ASSERT_EQ(q.sim.now(), q.now) << "op " << op;
+    ASSERT_EQ(q.sim.live_events(), q.due.size()) << "op " << op;
+  }
+  const std::uint64_t before = q.fired;
+  const std::uint64_t ran = q.sim.run();
+  EXPECT_EQ(ran, q.fired - before);
+  EXPECT_FALSE(q.diverged);
+  EXPECT_TRUE(q.due.empty());
+  EXPECT_EQ(q.sim.live_events(), 0u);
+  EXPECT_EQ(q.sim.executed_events(), q.fired);
 }
 
 // ---------------------------------------------------------------------------
