@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -29,8 +30,12 @@ EventId Simulator::schedule_at(TimeMicros t, EventFn fn) {
   s.fn = std::move(fn);
   s.armed = true;
   EventId id = make_id(s.gen, idx);
-  heap_.push_back(Entry{t, next_seq_++, id});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  if (t - now_ < kRingSpan) {
+    ring_push(idx, t);
+  } else {
+    heap_.push_back(Entry{t, next_seq_++, id});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
   ++live_;
   return id;
 }
@@ -38,6 +43,62 @@ EventId Simulator::schedule_at(TimeMicros t, EventFn fn) {
 EventId Simulator::schedule_after(DurationMicros delay, EventFn fn) {
   if (delay < 0) throw std::invalid_argument("Simulator: negative delay");
   return schedule_at(now_ + delay, std::move(fn));
+}
+
+void Simulator::ring_push(std::uint32_t idx, TimeMicros t) {
+  if (!ring_) {
+    // lint: hot-path-alloc-ok(once per Simulator: the ring is never freed before it)
+    ring_ = std::make_unique<Ring>();
+  }
+  const std::uint32_t b = static_cast<std::uint32_t>(t) & kRingMask;
+  Slot& s = slot_at(idx);
+  s.bucket = static_cast<std::uint16_t>(b);
+  s.next = kNil;
+  Ring::Fifo& fifo = ring_->buckets[b];
+  std::uint64_t& word = ring_->occupied[b >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+  if ((word & bit) != 0) {
+    s.prev = fifo.tail;
+    slot_at(fifo.tail).next = idx;
+  } else {
+    s.prev = kNil;
+    fifo.head = idx;
+    word |= bit;
+  }
+  fifo.tail = idx;
+  ++in_ring_;
+}
+
+void Simulator::ring_unlink(std::uint32_t idx) {
+  Slot& s = slot_at(idx);
+  Ring::Fifo& fifo = ring_->buckets[s.bucket];
+  if (s.prev == kNil) {
+    fifo.head = s.next;
+  } else {
+    slot_at(s.prev).next = s.next;
+  }
+  if (s.next == kNil) {
+    fifo.tail = s.prev;
+  } else {
+    slot_at(s.next).prev = s.prev;
+  }
+  if (fifo.head == kNil) ring_->occupied[s.bucket >> 6] &= ~(std::uint64_t{1} << (s.bucket & 63));
+  s.bucket = kInHeap;
+  --in_ring_;
+}
+
+std::uint32_t Simulator::next_bucket() const {
+  constexpr std::uint32_t kWordMask = (kRingMask + 1) / 64 - 1;
+  const std::uint32_t from = static_cast<std::uint32_t>(now_) & kRingMask;
+  std::uint32_t w = from >> 6;
+  std::uint64_t bits = ring_->occupied[w] & (~std::uint64_t{0} << (from & 63));
+  // Past the last word the scan wraps to the start of the ring, and back
+  // to `from`'s own word, whose low bits are the window's far end.
+  while (bits == 0) {
+    w = (w + 1) & kWordMask;
+    bits = ring_->occupied[w];
+  }
+  return (w << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
 }
 
 void Simulator::release_slot(std::uint32_t idx) {
@@ -50,8 +111,14 @@ void Simulator::release_slot(std::uint32_t idx) {
 
 void Simulator::cancel(EventId id) {
   if (!slot_matches(id)) return;  // unknown, already fired, or cancelled
-  release_slot(index_of(id));
+  const std::uint32_t idx = index_of(id);
   --live_;
+  if (slot_at(idx).bucket != kInHeap) {
+    ring_unlink(idx);  // no entry stays behind
+    release_slot(idx);
+    return;
+  }
+  release_slot(idx);
   ++stale_in_heap_;  // the heap entry stays behind until popped or swept
   maybe_compact();
 }
@@ -73,12 +140,33 @@ bool Simulator::settle_top() {
   return false;
 }
 
-bool Simulator::step() {
-  if (!settle_top()) return false;
-  Entry e = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
-  std::uint32_t idx = index_of(e.id);
+bool Simulator::next_due(Due& next) {
+  const bool in_heap = settle_top();
+  if (in_ring_ > 0) {
+    const std::uint32_t b = next_bucket();
+    const TimeMicros at =
+        now_ + static_cast<TimeMicros>((b - static_cast<std::uint32_t>(now_)) & kRingMask);
+    // Ties go to the heap: its entry was scheduled first (see the header).
+    if (!in_heap || at < heap_.front().at) {
+      next = Due{at, static_cast<std::uint16_t>(b)};
+      return true;
+    }
+  }
+  if (!in_heap) return false;
+  next = Due{heap_.front().at, kInHeap};
+  return true;
+}
+
+void Simulator::fire(const Due& next) {
+  std::uint32_t idx;
+  if (next.bucket == kInHeap) {
+    idx = index_of(heap_.front().id);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  } else {
+    idx = ring_->buckets[next.bucket].head;
+    ring_unlink(idx);
+  }
   Slot& s = slot_at(idx);
   // Disarm first: the handle dies and cancel() on it no-ops. The chunked
   // arena is address-stable, so the closure runs IN PLACE even if it
@@ -88,7 +176,7 @@ bool Simulator::step() {
   s.armed = false;
   if (++s.gen == 0) s.gen = 1;
   --live_;
-  now_ = e.at;
+  now_ = next.at;
   ++executed_;
   try {
     s.fn();
@@ -101,6 +189,12 @@ bool Simulator::step() {
   }
   s.fn = nullptr;
   free_slots_.push_back(idx);
+}
+
+bool Simulator::step() {
+  Due next;
+  if (!next_due(next)) return false;
+  fire(next);
   return true;
 }
 
@@ -112,8 +206,9 @@ std::uint64_t Simulator::run(std::uint64_t limit) {
 
 std::uint64_t Simulator::run_until(TimeMicros t) {
   std::uint64_t n = 0;
-  while (settle_top() && heap_.front().at <= t) {
-    step();
+  Due next;
+  while (next_due(next) && next.at <= t) {
+    fire(next);
     ++n;
   }
   if (now_ < t) now_ = t;

@@ -7,15 +7,33 @@
 //
 // Storage model: event closures live in a generation-stamped slot arena of
 // fixed-size chunks (stable addresses — closures are placed once and
-// execute in place, never relocated); the heap orders lightweight
-// {time, seq, id} entries. Closures are held in EventFn, a small-buffer-
-// optimized callable sized for the message-delivery closure, so the
-// per-event hot path performs no heap allocation at all. cancel() is O(1)
-// amortized — it frees the closure and recycles the slot immediately, and
-// stale heap entries are swept by periodic compaction once they outnumber
-// the live ones. Under churn (schedule/cancel cycles, e.g. heartbeat
-// timeouts across 100k nodes) memory stays proportional to the number of
-// *pending* events, not to the number ever scheduled or cancelled.
+// execute in place, never relocated). Closures are held in EventFn, a
+// small-buffer-optimized callable sized for the message-delivery closure,
+// so the per-event hot path performs no heap allocation at all.
+//
+// Two structures order the pending events:
+// * A ring of kRingSpan one-microsecond FIFO buckets holds every event due
+//   less than kRingSpan after now() when it is scheduled — the message
+//   deliveries, nearly all events. An event due at t goes to bucket
+//   t mod kRingSpan; slots are linked through the arena, so schedule,
+//   cancel and pop are O(1), and a bitmap of non-empty buckets finds the
+//   next one. All ring events are due in [now, now + kRingSpan), so a
+//   bucket holds one due time, now + ((b - now) mod kRingSpan).
+// * A binary min-heap of lightweight {time, seq, id} entries holds the
+//   later events, mostly timers. Entries stay there until they fire.
+// step() fires the earlier of the first ring bucket and the heap top, and
+// the heap wins ties. That is exactly (time, scheduling order): a heap
+// entry due at T was scheduled while T was kRingSpan or more ahead, and a
+// ring entry only once T was nearer, so the heap entry came first. Within
+// a bucket the FIFO is scheduling order, so ring entries need no seq.
+//
+// cancel() is O(1) amortized and frees the closure and recycles the slot
+// at once. A ring event is unlinked from its bucket; a heap event leaves a
+// stale entry that is swept by periodic compaction once stale entries
+// outnumber the live ones. Under churn (schedule/cancel cycles, e.g.
+// heartbeat timeouts across 100k nodes) memory stays proportional to the
+// number of *pending* events, not to the number ever scheduled or
+// cancelled.
 #pragma once
 
 #include <cstddef>
@@ -197,16 +215,47 @@ class Simulator {
   // Exact count of pending (scheduled, not yet fired or cancelled) events.
   std::uint64_t live_events() const { return live_; }
 
-  // Introspection for memory-bound tests/benches: heap entries (live +
-  // not-yet-swept stale) and arena size (peak concurrent live events).
-  std::size_t heap_size() const { return heap_.size(); }
+  // Introspection for memory-bound tests/benches: queued entries (heap and
+  // ring, live + not-yet-swept stale) and arena size (peak concurrent live
+  // events).
+  std::size_t heap_size() const { return heap_.size() + in_ring_; }
   std::size_t slot_count() const { return slot_count_; }
 
  private:
+  // Ring geometry: one bucket per microsecond over a 4096 us window. Under
+  // receiver ingress queueing half of all deliveries are 1-2 ms ahead, so a
+  // narrower window would send them to the heap.
+  static constexpr std::uint32_t kRingShift = 12;
+  static constexpr DurationMicros kRingSpan = DurationMicros{1} << kRingShift;
+  static constexpr std::uint32_t kRingMask = (std::uint32_t{1} << kRingShift) - 1;
+  static constexpr std::uint32_t kNil = UINT32_MAX;     // no slot
+  static constexpr std::uint16_t kInHeap = UINT16_MAX;  // Slot::bucket of a heap event
+  static_assert(kRingMask < kInHeap);
+
   struct Slot {
     EventFn fn;
     std::uint32_t gen = 1;
+    // Neighbours in the ring bucket's FIFO (slot indices); unused in the heap.
+    std::uint32_t next = kNil;
+    std::uint32_t prev = kNil;
+    std::uint16_t bucket = kInHeap;
     bool armed = false;
+  };
+  // Allocated at the first ring schedule, so constructing a Simulator stays
+  // cheap. A bucket's head and tail are meaningful only while its bit in
+  // `occupied` is set.
+  struct Ring {
+    struct Fifo {
+      std::uint32_t head;
+      std::uint32_t tail;
+    };
+    Fifo buckets[kRingMask + 1];
+    std::uint64_t occupied[(kRingMask + 1) / 64];  // bit b: bucket b is non-empty
+  };
+  // The next event to fire: its due time and where it is queued.
+  struct Due {
+    TimeMicros at;
+    std::uint16_t bucket;  // kInHeap: the heap top
   };
   // Slots live in fixed-size chunks so their addresses are stable: an
   // event's closure executes IN PLACE (no move out of the arena) even when
@@ -252,13 +301,25 @@ class Simulator {
   // Pops heap entries until the top is live; returns false if none is.
   bool settle_top();
   void maybe_compact();
+  // Appends slot idx to the FIFO of the bucket due at t (t - now_ < kRingSpan).
+  void ring_push(std::uint32_t idx, TimeMicros t);
+  // Unlinks slot idx from its bucket's FIFO.
+  void ring_unlink(std::uint32_t idx);
+  // The first non-empty bucket at or after now_, cyclically; in_ring_ > 0.
+  std::uint32_t next_bucket() const;
+  // Finds the next event to fire; returns false if none is pending.
+  bool next_due(Due& next);
+  // Dequeues the event `next` names and runs it at its due time.
+  void fire(const Due& next);
 
   TimeMicros now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t live_ = 0;
   std::uint64_t stale_in_heap_ = 0;
+  std::uint64_t in_ring_ = 0;  // events in ring buckets (all live)
   std::vector<Entry> heap_;  // binary min-heap via std::push_heap/pop_heap
+  std::unique_ptr<Ring> ring_;
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
   // lint: adhoc-counter-ok(arena bookkeeping; exposed via the sim.slot_count registry probe)
   std::size_t slot_count_ = 0;  // slots ever minted (peak concurrent live events)
