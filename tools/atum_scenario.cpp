@@ -19,6 +19,7 @@
 // --trace-ring bounds the per-node event ring. Telemetry is deterministic:
 // same preset + seed => byte-identical report AND trace. All flags accept
 // both `--flag value` and `--flag=value`.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,6 +66,19 @@ atum::DurationMicros parse_duration(const std::string& s, const char* flag) {
     std::exit(2);
   }
   return static_cast<atum::DurationMicros>(us);
+}
+
+// A non-negative decimal integer: digits only, with no sign, no spaces, no
+// trailing characters and no overflow. Exits on anything else.
+std::uint64_t parse_count(const std::string& s, const char* flag) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || stop != end) {
+    std::fprintf(stderr, "%s: bad count '%s' (want a non-negative integer)\n", flag, s.c_str());
+    std::exit(2);
+  }
+  return v;
 }
 
 bool write_file(const std::string& path, const std::string& data) {
@@ -121,9 +135,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--nodes") {
-      nodes = static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
+      nodes = static_cast<std::size_t>(parse_count(value(), "--nodes"));
     } else if (flag == "--seed") {
-      seed = std::strtoull(value().c_str(), nullptr, 10);
+      seed = parse_count(value(), "--seed");
     } else if (flag == "--out") {
       out_path = value();
     } else if (flag == "--metrics-interval") {
@@ -131,9 +145,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--trace-out") {
       trace_path = value();
     } else if (flag == "--trace-sample") {
-      trace_sample = std::strtoull(value().c_str(), nullptr, 10);
+      trace_sample = parse_count(value(), "--trace-sample");
     } else if (flag == "--trace-ring") {
-      trace_ring = static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
+      trace_ring = static_cast<std::size_t>(parse_count(value(), "--trace-ring"));
     } else if (flag == "--assert" && !has_inline) {
       check = true;
     } else {
