@@ -53,6 +53,17 @@ void ScenarioSpec::validate() const {
     if (p.degrade && p.degrade->extra_latency < 0) fail("negative degrade.extra_latency");
     if (p.byzantine) check_fraction(p.byzantine->fraction, "byzantine.fraction");
   }
+  if (metrics_interval > 0) {
+    DurationMicros span = drain;
+    for (const Phase& p : phases) span += p.duration;
+    if (span / metrics_interval > kMaxTimeSeriesPoints) {
+      fail("metrics_interval of " + std::to_string(metrics_interval) + "us gives " +
+           std::to_string(span / metrics_interval) + " time-series points over the phases and " +
+           "drain, more than " + std::to_string(kMaxTimeSeriesPoints) +
+           "; the smallest interval allowed is " +
+           std::to_string(span / (kMaxTimeSeriesPoints + 1) + 1) + "us");
+    }
+  }
   for (const Expectation& e : expectations) {
     if (!names.contains(e.phase)) fail("expectation references unknown phase '" + e.phase + "'");
     if (!e.at_least_phase.empty() && !names.contains(e.at_least_phase)) {

@@ -151,7 +151,10 @@ struct ScenarioSpec {
   // emit the samples as the report's `time_series` section (interval
   // deltas for counters, point-in-time gauges). 0 = off; the report then
   // serializes exactly as before, so pre-telemetry byte baselines hold.
+  // The phases plus the drain may hold at most kMaxTimeSeriesPoints
+  // intervals: each point samples the whole registry.
   DurationMicros metrics_interval = 0;
+  static constexpr std::int64_t kMaxTimeSeriesPoints = 100'000;
   // Enable message-lifecycle tracing (obs::Tracer) for the whole run; the
   // CLI dumps the Chrome trace JSON with --trace-out.
   bool trace = false;
@@ -162,7 +165,8 @@ struct ScenarioSpec {
 
   // Throws std::invalid_argument on nonsense (no phases, duplicate phase
   // names, negative rates/durations, fractions outside [0,1], expectations
-  // referencing unknown phases, undersized broadcast payloads).
+  // referencing unknown phases, undersized broadcast payloads, more than
+  // kMaxTimeSeriesPoints telemetry points).
   void validate() const;
 };
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "scenario/driver.h"
 #include "scenario/presets.h"
@@ -92,6 +94,24 @@ TEST(ScenarioSpecTest, RejectsNonsense) {
   s.expectations.clear();
   s.relay_cycles = {99};
   EXPECT_THROW(s.validate(), std::invalid_argument);  // cycle out of range
+}
+
+TEST(ScenarioSpecTest, BoundsTheTimeSeriesPoints) {
+  ScenarioSpec s = small_spec();  // 10 s drain
+  s.phases = {bcast_phase("only", 0.5, seconds(20.0))};
+  // 30 s of phases and drain: 300 us gives exactly the most points allowed.
+  s.metrics_interval = seconds(30.0) / ScenarioSpec::kMaxTimeSeriesPoints;
+  ASSERT_EQ(s.metrics_interval, 300);
+  EXPECT_NO_THROW(s.validate());
+  s.metrics_interval = 299;  // one more point
+  try {
+    s.validate();
+    ADD_FAILURE() << "a 299 us interval validated";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("the smallest interval allowed is 300us"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ScenarioSpecTest, AllPresetsValidateAndAreListed) {
