@@ -64,6 +64,7 @@ void Simulator::ring_push(std::uint32_t idx, TimeMicros t) {
     s.prev = kNil;
     fifo.head = idx;
     word |= bit;
+    ring_->occupied_words |= std::uint64_t{1} << (b >> 6);
   }
   fifo.tail = idx;
   ++in_ring_;
@@ -82,21 +83,25 @@ void Simulator::ring_unlink(std::uint32_t idx) {
   } else {
     slot_at(s.next).prev = s.prev;
   }
-  if (fifo.head == kNil) ring_->occupied[s.bucket >> 6] &= ~(std::uint64_t{1} << (s.bucket & 63));
+  if (fifo.head == kNil) {
+    std::uint64_t& word = ring_->occupied[s.bucket >> 6];
+    word &= ~(std::uint64_t{1} << (s.bucket & 63));
+    if (word == 0) ring_->occupied_words &= ~(std::uint64_t{1} << (s.bucket >> 6));
+  }
   s.bucket = kInHeap;
   --in_ring_;
 }
 
 std::uint32_t Simulator::next_bucket() const {
-  constexpr std::uint32_t kWordMask = (kRingMask + 1) / 64 - 1;
   const std::uint32_t from = static_cast<std::uint32_t>(now_) & kRingMask;
   std::uint32_t w = from >> 6;
-  std::uint64_t bits = ring_->occupied[w] & (~std::uint64_t{0} << (from & 63));
-  // Past the last word the scan wraps to the start of the ring, and back
-  // to `from`'s own word, whose low bits are the window's far end.
-  while (bits == 0) {
-    w = (w + 1) & kWordMask;
-    bits = ring_->occupied[w];
+  const std::uint64_t bits = ring_->occupied[w] & (~std::uint64_t{0} << (from & 63));
+  if (bits == 0) {
+    // The first non-empty word after w; past the last word the ring wraps
+    // to word 0 and on to w itself, whose low bits are the window's far end.
+    const std::uint64_t later = ring_->occupied_words & ((~std::uint64_t{0} << w) << 1);
+    w = static_cast<std::uint32_t>(std::countr_zero(later != 0 ? later : ring_->occupied_words));
+    return (w << 6) | static_cast<std::uint32_t>(std::countr_zero(ring_->occupied[w]));
   }
   return (w << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
 }

@@ -251,6 +251,7 @@ class Simulator {
     };
     Fifo buckets[kRingMask + 1];
     std::uint64_t occupied[(kRingMask + 1) / 64];  // bit b: bucket b is non-empty
+    std::uint64_t occupied_words;                  // bit w: occupied[w] != 0
   };
   // The next event to fire: its due time and where it is queued.
   struct Due {
