@@ -119,6 +119,25 @@ static void BM_SimulatorThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorThroughput)->Arg(1000)->Arg(20000);
 
+// Arm and cancel one timer over range(0) delivery-shaped pending events.
+// range(1) is the timer's delay in us: 0 is the coalescer's
+// schedule_after(0) flush, which lands in the queue's near-future ring and
+// is unlinked on cancel; 5000 is PBFT's 5 ms batch timer, which lands in
+// the heap and leaves a stale entry for compaction to sweep.
+static void BM_SimulatorTimerCancel(benchmark::State& state) {
+  DeliveryMix mix;
+  for (int64_t i = 0; i < state.range(0); ++i) mix.schedule_next();
+  const DurationMicros delay = state.range(1);
+  for (auto _ : state) {
+    const sim::EventId timer = mix.sim.schedule_after(delay, [] {});
+    benchmark::DoNotOptimize(timer);
+    mix.sim.cancel(timer);
+  }
+  benchmark::DoNotOptimize(mix.sim.heap_size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimulatorTimerCancel)->ArgsProduct({{1000, 20000}, {0, 5000}});
+
 // Group broadcast fan-out: one 4 KiB payload sent to N recipients through
 // the simulated network, then delivered. This is Atum's hot path (every
 // group message is sent to every member of the destination vgroup).
