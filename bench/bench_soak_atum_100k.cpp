@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   ok &= check(after_leave == before_leave - kLeavers, "churn: all leaves completed");
 
   // ---------------------------------------------------------------- memory
-  std::printf("memory: arena %zu slots, heap %zu entries, %llu events executed, "
+  std::printf("memory: arena %zu slots, queue %zu entries, %llu events executed, "
               "flow table %zu\n",
               sys.simulator().slot_count(), sys.simulator().heap_size(),
               static_cast<unsigned long long>(sys.simulator().executed_events()),
