@@ -67,7 +67,6 @@ void Simulator::ring_push(std::uint32_t idx, TimeMicros t) {
     ring_->occupied_words |= std::uint64_t{1} << (b >> 6);
   }
   fifo.tail = idx;
-  ++in_ring_;
 }
 
 void Simulator::ring_unlink(std::uint32_t idx) {
@@ -89,7 +88,6 @@ void Simulator::ring_unlink(std::uint32_t idx) {
     if (word == 0) ring_->occupied_words &= ~(std::uint64_t{1} << (s.bucket >> 6));
   }
   s.bucket = kInHeap;
-  --in_ring_;
 }
 
 std::uint32_t Simulator::next_bucket() const {
@@ -147,7 +145,7 @@ bool Simulator::settle_top() {
 
 bool Simulator::next_due(Due& next) {
   const bool in_heap = settle_top();
-  if (in_ring_ > 0) {
+  if (ring_ && ring_->occupied_words != 0) {
     const std::uint32_t b = next_bucket();
     const TimeMicros at =
         now_ + static_cast<TimeMicros>((b - static_cast<std::uint32_t>(now_)) & kRingMask);

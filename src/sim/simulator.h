@@ -219,8 +219,9 @@ class Simulator {
 
   // Introspection for memory-bound tests/benches: queued entries (heap and
   // ring, live + not-yet-swept stale) and arena size (peak concurrent live
-  // events).
-  std::size_t heap_size() const { return heap_.size() + in_ring_; }
+  // events). Each live event has one entry, and only the heap keeps stale
+  // ones.
+  std::size_t heap_size() const { return live_ + stale_in_heap_; }
   std::size_t slot_count() const { return slot_count_; }
 
  private:
@@ -309,7 +310,8 @@ class Simulator {
   void ring_push(std::uint32_t idx, TimeMicros t);
   // Unlinks slot idx from its bucket's FIFO.
   void ring_unlink(std::uint32_t idx);
-  // The first non-empty bucket at or after now_, cyclically; in_ring_ > 0.
+  // The first non-empty bucket at or after now_, cyclically; the ring holds
+  // at least one event.
   std::uint32_t next_bucket() const;
   // Finds the next event to fire; returns false if none is pending.
   bool next_due(Due& next);
@@ -321,7 +323,6 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::uint64_t live_ = 0;
   std::uint64_t stale_in_heap_ = 0;
-  std::uint64_t in_ring_ = 0;  // events in ring buckets (all live)
   std::vector<Entry> heap_;  // binary min-heap via std::push_heap/pop_heap
   std::unique_ptr<Ring> ring_;
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
