@@ -404,6 +404,60 @@ TEST(Pbft, RepeatedVoteCountsOncePerPhase) {
   EXPECT_EQ(g.decided[1][0].second, op);
 }
 
+// A PREPARE or COMMIT counts only for the digest it names, also when it
+// arrives before the slot's PRE-PREPARE. In a 4-replica group (f = 1) with
+// replicas 0, 2 and 3 silent, replica 1 first gets PREPAREs and COMMITs
+// from 2 and 3 for a digest D', then primary 0's PRE-PREPARE for a batch D.
+// Nobody but the primary supports D, so replica 1 must not decide it. A
+// control group gets the same votes naming D and must decide.
+TEST(Pbft, EarlyVotesCountOnlyForTheirDigest) {
+  const Bytes op = op_bytes("only-the-primary-backs-this");
+  ByteWriter region;
+  region.varint(1);
+  region.u64(0);  // origin: the primary's own op needs no client copy
+  region.u64(1);  // origin seq
+  region.bytes(op);
+  const Bytes ops_region = region.take();
+  const crypto::Digest digest = crypto::sha256(ops_region);
+  crypto::Digest other = digest;
+  other[0] ^= 0xFF;
+
+  auto run = [&](const crypto::Digest& early_votes) {
+    PbftOptions opt;
+    opt.view_change_timeout = seconds(60.0);  // no view change inside the test
+    AsyncGroup g(4, opt,
+                 {{0, PbftFaultMode::kSilent}, {2, PbftFaultMode::kSilent},
+                  {3, PbftFaultMode::kSilent}});
+    const std::uint64_t tag = g.at(1).instance_tag();
+    auto vote = [&](NodeId from, net::MsgType type, const crypto::Digest& d) {
+      ByteWriter w;
+      w.u64(tag);
+      w.u64(0);  // view
+      w.u64(1);  // seq
+      w.raw(d.data(), d.size());
+      g.net.send(net::Message{from, 1, type, w.take()});
+    };
+    for (NodeId from : {2u, 3u}) vote(from, net::MsgType::kPbftPrepare, early_votes);
+    for (NodeId from : {2u, 3u}) vote(from, net::MsgType::kPbftCommit, early_votes);
+    g.run_for(millis(50));
+
+    ByteWriter pp;
+    pp.u64(tag);
+    pp.u64(0);  // view
+    pp.u64(1);  // seq
+    pp.raw(digest.data(), digest.size());
+    pp.bytes(ops_region);
+    g.net.send(net::Message{0, 1, net::MsgType::kPbftPrePrepare, pp.take()});
+    g.run_for(millis(50));
+    return g.decided[1];
+  };
+
+  EXPECT_TRUE(run(other).empty()) << "votes for D' decided the primary's D";
+  const auto decided = run(digest);
+  ASSERT_EQ(decided.size(), 1u) << "matching early votes must decide D";
+  EXPECT_EQ(decided[0].second, op);
+}
+
 // Property sweep: agreement for each group size with max silent faults.
 class PbftSweep : public ::testing::TestWithParam<std::size_t> {};
 

@@ -167,6 +167,41 @@ TEST_P(ReconfigBothEngines, EmptyReconfigRefused) {
   EXPECT_TRUE(h.nodes[0]->active());
 }
 
+// A removal notice counts one vote per sender: the sender's latest notice.
+// Node 3's last-known config has 4 members, so f+1 = 2 matching notices
+// switch it. Member 0 sends notice N1 and then a different N2, so only its
+// N2 counts; member 1's N1 alone must not switch node 3, member 2's must.
+TEST_P(ReconfigBothEngines, RemovalNoticeCountsOneVotePerSender) {
+  ReconfigHarness h(GetParam());
+  h.add_node(3, members({0, 1, 2, 3}));
+  auto notice = [](std::uint8_t hash_byte) {
+    ByteWriter w;
+    w.u64(1);  // epoch
+    crypto::Digest hash{};
+    hash.fill(hash_byte);
+    w.raw(hash.data(), hash.size());
+    w.vec(std::vector<NodeId>{0, 1, 2}, [](ByteWriter& bw, NodeId n) { bw.u64(n); });
+    return w.take();
+  };
+  const Bytes n1 = notice(0x01);
+  const Bytes n2 = notice(0x02);
+  auto send = [&](NodeId from, const Bytes& body) {
+    h.net.send(net::Message{from, 3, net::MsgType::kSmrRemovalNotice, net::Payload(body)});
+    h.run_for(millis(50));
+  };
+
+  send(0, n1);
+  send(0, n2);
+  send(1, n1);
+  EXPECT_TRUE(h.epochs_seen[3].empty()) << "member 0's replaced N1 vote still counted";
+  EXPECT_TRUE(h.nodes[3]->active());
+
+  send(2, n1);
+  ASSERT_EQ(h.epochs_seen[3].size(), 1u);
+  EXPECT_EQ(h.epochs_seen[3][0], 1u);
+  EXPECT_FALSE(h.nodes[3]->active());
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, ReconfigBothEngines,
                          ::testing::Values(EngineKind::kSync, EngineKind::kAsync),
                          [](const ::testing::TestParamInfo<EngineKind>& info) {
