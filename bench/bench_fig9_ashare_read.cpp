@@ -42,7 +42,7 @@ double nfs_latency_per_mb(std::size_t mb) {
   sim::Simulator sim;
   net::SimNetwork net(sim, bench_net(), 1);
   TimeMicros done = -1;
-  net.attach(2, [&](const net::Message&) { done = sim.now(); });
+  net.attach(2, net::MsgType::kChunkReply, [&](const net::Message&) { done = sim.now(); });
   net.send(net::Message{1, 2, net::MsgType::kChunkReply, Bytes(mb * 1'000'000, 0x11)});
   sim.run();
   return to_seconds(done) / static_cast<double>(mb);

@@ -4,7 +4,6 @@
 
 #include <array>
 #include <cstring>
-#include <optional>
 #include <vector>
 
 #include "common/binomial.h"
@@ -82,27 +81,33 @@ static void BM_SerdeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SerdeRoundTrip);
 
-// The event queue under a delivery-shaped load. range(0) events stay
-// pending: each fired event schedules its successor 250-1000 us ahead (a
-// message delivery) or, one time in 50, 5-10 s ahead (a timer). Each
-// closure captures 64 bytes, as SimNetwork's delivery closure does, so it
-// stays in EventFn's inline storage. bcast_steady peaks at 19,205 pending
-// events. One iteration fires 1000 events.
+// The event queue under a delivery-shaped load. range(0) chains of events
+// stay pending, one event each: every 50th chain is a timer that re-arms
+// 5-10 s ahead, and the others are deliveries that re-arm 0-2 ms ahead,
+// bcast_steady's spread under receiver ingress queueing (49% under 1 ms,
+// 51% at 1-2 ms). After warm-up 980 of 1000 and 19,600 of 20,000 pending
+// events are due within the queue's 4096 us near-future ring, as in
+// bcast_steady, which peaks at 19,205 pending events. Each closure captures
+// 64 bytes, as SimNetwork's delivery closure does, so it stays in
+// EventFn's inline storage. One iteration fires 1000 events.
 namespace {
 struct DeliveryMix {
   sim::Simulator sim;
   Rng rng{0x51u};
   std::uint64_t fired = 0;
+  std::uint64_t chains = 0;
 
-  void schedule_next() {
-    const DurationMicros delay = rng.next_below(50) == 0
-                                     ? rng.next_in(seconds(5.0), seconds(10.0))
-                                     : rng.next_in(250, 1000);
+  void add_chain() { schedule_next(chains++ % 50 == 0); }
+
+  void schedule_next(bool timer) {
+    const DurationMicros delay =
+        timer ? rng.next_in(seconds(5.0), seconds(10.0)) : rng.next_in(0, 2000);
     std::array<std::uint64_t, 7> pad{};
     pad[0] = 1;
+    pad[1] = timer ? 1 : 0;
     sim.schedule_after(delay, [this, pad] {
       fired += pad[0];
-      schedule_next();
+      schedule_next(pad[1] != 0);
     });
   }
 };
@@ -110,7 +115,7 @@ struct DeliveryMix {
 
 static void BM_SimulatorThroughput(benchmark::State& state) {
   DeliveryMix mix;
-  for (int64_t i = 0; i < state.range(0); ++i) mix.schedule_next();
+  for (int64_t i = 0; i < state.range(0); ++i) mix.add_chain();
   for (auto _ : state) {
     benchmark::DoNotOptimize(mix.sim.run(1000));
   }
@@ -126,7 +131,7 @@ BENCHMARK(BM_SimulatorThroughput)->Arg(1000)->Arg(20000);
 // the heap and leaves a stale entry for compaction to sweep.
 static void BM_SimulatorTimerCancel(benchmark::State& state) {
   DeliveryMix mix;
-  for (int64_t i = 0; i < state.range(0); ++i) mix.schedule_next();
+  for (int64_t i = 0; i < state.range(0); ++i) mix.add_chain();
   const DurationMicros delay = state.range(1);
   for (auto _ : state) {
     const sim::EventId timer = mix.sim.schedule_after(delay, [] {});
@@ -151,7 +156,7 @@ void run_fanout_bench(benchmark::State& state, SendFn&& send_one) {
   net::SimNetwork net(sim, net::NetworkConfig::datacenter());
   std::uint64_t delivered = 0;
   for (NodeId n = 1; n <= recipients; ++n) {
-    net.attach(n, [&delivered](const net::Message&) { ++delivered; });
+    net.attach(n, net::MsgType::kAppData, [&delivered](const net::Message&) { ++delivered; });
   }
   for (auto _ : state) {
     for (NodeId n = 1; n <= recipients; ++n) send_one(net, n);
@@ -213,7 +218,8 @@ void run_vouch_bench(benchmark::State& state, DigestFn&& digest_of) {
   net::SimNetwork net(sim, net::NetworkConfig::datacenter());
   std::uint64_t sink = 0;
   for (NodeId n = 1; n <= recipients; ++n) {
-    net.attach(n, [&](const net::Message& m) { sink += digest_of(m.payload)[0]; });
+    net.attach(n, net::MsgType::kAppData,
+               [&](const net::Message& m) { sink += digest_of(m.payload)[0]; });
   }
   for (auto _ : state) {
     net::Payload frame(Bytes(kFanoutPayloadBytes, 0xCD));  // fresh frame per round
@@ -295,7 +301,9 @@ static void BM_GossipCoalescedSend(benchmark::State& state) {
   Rng rng(9);
   std::uint64_t delivered = 0;
   for (NodeId d = 1; d <= dests; ++d) {
-    net.attach(d, [&delivered](const net::Message&) { ++delivered; });
+    for (net::MsgType type : {net::MsgType::kGroupMsgFull, net::MsgType::kGroupMsgEnvelope}) {
+      net.attach(d, type, [&delivered](const net::Message&) { ++delivered; });
+    }
   }
   overlay::SendCoalescer coalescer(net::Transport(net, 0), rng);
   std::vector<net::Payload> payloads;
@@ -322,12 +330,13 @@ BENCHMARK(BM_GossipCoalescedSend)
 
 // Group-message acceptance at one receiver: each member of a 10-member
 // vgroup sends one frame per id over the simulated network, six the full
-// 128-byte payload and four its digest. A majority is six, so every id
-// delivers on its sixth frame and exactly four frames per id arrive after
-// acceptance; the delivered-id set drops those. An iteration spans ~18 ms
-// of simulated time, so the 50 ms TTL rotates the set every ~22
-// iterations. Wall-clock per frame, 64 fresh ids per iteration; building
-// the frames is not timed.
+// 128-byte payload and four its digest. Each frame pays the sender check
+// and the majority lookup that AtumNode's receiver pays. A majority is
+// six, so every id delivers on its sixth frame and exactly four frames per
+// id arrive after acceptance; the delivered-id set drops those. An
+// iteration spans ~18 ms of simulated time, so the 50 ms TTL rotates the
+// set every ~22 iterations. Wall-clock per frame, 64 fresh ids per
+// iteration; building the frames is not timed.
 static void BM_GroupMessageAccept(benchmark::State& state) {
   constexpr std::size_t kIdsPerIteration = 64;
   constexpr std::size_t kMembers = 10;
@@ -337,10 +346,12 @@ static void BM_GroupMessageAccept(benchmark::State& state) {
   sim::Simulator sim;
   net::SimNetwork net(sim, net::NetworkConfig::datacenter(), 0x5417);
   std::uint64_t delivered = 0;
+  std::vector<NodeId> members(kMembers);
+  for (NodeId m = 0; m < kMembers; ++m) members[m] = m;
   overlay::GroupMessageReceiver rx(
       net::Transport(net, kReceiver),
+      [&members](GroupId g) { return g == kGroup ? &members : nullptr; },
       [&delivered](const overlay::GroupMessageId&, net::Payload) { ++delivered; });
-  rx.set_group_size_fn([](GroupId) -> std::optional<std::size_t> { return kMembers; });
   rx.set_ttl(millis(50));
   const Bytes body(128, 0x5a);
   std::uint64_t seq = 0;

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   net::SimNetwork net(sim, net::NetworkConfig::datacenter(), /*seed=*/7);
   std::uint64_t delivered = 0;
   for (NodeId n = 0; n < target_nodes; ++n) {
-    net.attach(n, [&delivered](const net::Message&) { ++delivered; });
+    net.attach(n, net::MsgType::kAppData, [&delivered](const net::Message&) { ++delivered; });
   }
   const Bytes frame(1024, 0x5a);
   std::uint64_t frames_sent = 0;

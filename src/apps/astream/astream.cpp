@@ -12,6 +12,9 @@ constexpr std::uint8_t kMsgDigest = 0x51;
 // Tier-2 wire tags (kStreamPush payload).
 constexpr std::uint8_t kAdopt = 1;  // child -> parent registration
 
+// Pull retry deadline before failing over to the next parent.
+constexpr DurationMicros kPullTimeout = seconds(1.0);
+
 std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -54,9 +57,7 @@ void AStreamNode::join_stream(NodeId source) {
   int d = static_cast<int>(mix64(config_.stream_id ^ 0xd1d1) % 2);
 
   // f+1 parents guarantee one correct parent when the vgroup is robust.
-  std::size_t f = sys_.params().engine == smr::EngineKind::kSync
-                      ? smr::sync_max_faults(vg.size())
-                      : smr::async_max_faults(vg.size());
+  const std::size_t f = smr::max_faults(sys_.params().engine, vg.size());
 
   const group::GroupView& tree_group =
       d == 0 ? vg.cycle(w).predecessor : vg.cycle(w).successor;
@@ -290,14 +291,8 @@ void AStreamNode::try_verify_buffered() {
     }
     // Verified: store, deliver in order, serve pending pulls, push chunk 1
     // (the push phase applies only to the first chunk of the stream).
-    // Small chunks are copied out of their arrival frame at store time
-    // (copy_out_threshold) so the long-lived store does not pin it.
     std::uint64_t seq = it->first;
-    if (data.size() <= config_.copy_out_threshold && data.frame_size() > data.size()) {
-      verified_[seq] = net::Payload(data.to_bytes());
-    } else {
-      verified_[seq] = std::move(data);
-    }
+    verified_[seq] = std::move(data);
     it = unverified_.erase(it);
     fan_out_chunk(seq, /*include_children=*/seq == 1);
     progressed = true;
@@ -341,7 +336,7 @@ void AStreamNode::pull_next() {
 
 void AStreamNode::arm_pull_timer(std::uint64_t seq) {
   sys_.simulator().cancel(pull_timer_);
-  pull_timer_ = sys_.simulator().schedule_after(config_.pull_timeout, [this, seq] {
+  pull_timer_ = sys_.simulator().schedule_after(kPullTimeout, [this, seq] {
     if (delivered_up_to_ >= seq) return;  // arrived in time
     // Fail over to the next parent and retry (§4.3).
     if (!parents_.empty()) {

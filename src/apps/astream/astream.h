@@ -29,21 +29,6 @@ namespace atum::astream {
 
 struct StreamConfig {
   std::uint64_t stream_id = 1;
-  // Pull retry deadline before failing over to the next parent.
-  DurationMicros pull_timeout = seconds(1.0);
-  // Frame-pinning control for the long-lived chunk store (`verified_`).
-  // A verified chunk is normally kept as a zero-copy slice of the
-  // kStreamChunk frame it arrived in, which pins that whole frame for the
-  // lifetime of the store — the documented Payload LIFETIME hazard, since
-  // verified_ keeps every chunk of the stream. Chunks of size <=
-  // copy_out_threshold are instead copied out (Payload::to_bytes) into an
-  // owned buffer at store time, releasing the frame: small chunks are
-  // cheap to copy and proportionally pin the most framing. Chunks above
-  // the threshold stay slices (copying them is the cost the zero-copy
-  // path exists to avoid; their ~20-byte framing overhead is negligible).
-  // 0 (default) keeps today's pure zero-copy behavior; long-lived
-  // deployments that archive streams should set it (e.g. to a few KiB).
-  std::size_t copy_out_threshold = 0;
   // Bounded chunk store (ROADMAP: verified_ otherwise keeps every chunk of
   // the stream forever). When > 0, chunks more than store_window behind the
   // stream head — the furthest of this node's own delivery horizon and the
@@ -128,11 +113,9 @@ class AStreamNode {
 
   std::map<std::uint64_t, crypto::Digest> digests_;   // tier-1 metadata
   // Chunk stores hold refcounted views: a received chunk stays a slice of
-  // the frame it arrived in (zero-copy receive path). HAZARD: verified_ is
-  // a long-lived store — every retained slice pins its whole arrival frame
-  // for the stream's lifetime. StreamConfig::copy_out_threshold bounds
-  // this by copying small chunks out at store time; large chunks stay
-  // slices because their framing overhead is proportionally tiny.
+  // the frame it arrived in (zero-copy receive path), which pins that whole
+  // frame while the chunk is stored. A frame is the chunk plus ~20 bytes of
+  // framing; StreamConfig::store_window bounds how many chunks stay stored.
   std::map<std::uint64_t, net::Payload> verified_;    // chunk store (serves pulls)
   std::map<std::uint64_t, std::pair<net::Payload, NodeId>> unverified_;
   std::map<std::uint64_t, std::vector<NodeId>> pending_pulls_;  // seq -> waiting children

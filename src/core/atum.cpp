@@ -27,6 +27,9 @@ constexpr std::uint8_t kJoinPhaseAddMe = 2;    // joiner -> contact vgroup
 constexpr std::uint8_t kReplyPhaseContact = 1; // contact -> joiner (group view)
 constexpr std::uint8_t kReplyPhaseState = 2;   // admitting group -> joiner
 
+// Heartbeat periods of silence before a member suspects a peer.
+constexpr int kHeartbeatMissLimit = 3;
+
 std::uint64_t join_nonce(NodeId joiner, std::uint64_t attempt) {
   ByteWriter w;
   w.str("atum-join");
@@ -229,12 +232,9 @@ void AtumNode::setup_runtime() {
   opt.pbft.checkpoint_interval = sys_.params().checkpoint_interval;
   opt.pbft.metrics = &sys_.metrics();
   opt.pbft.tracer = &sys_.tracer();
-  if (behavior_ != NodeBehavior::kCorrect) {
-    // §6.1.3: faulty nodes do not participate in any protocol (the
-    // evictor keeps heartbeating so it is not removed).
-    opt.ds_fault = smr::DsFaultMode::kSilent;
-    opt.pbft_fault = smr::PbftFaultMode::kSilent;
-  }
+  // §6.1.3: faulty nodes do not participate in any protocol (the evictor
+  // keeps heartbeating so it is not removed).
+  opt.silent = behavior_ != NodeBehavior::kCorrect;
 
   smr::GroupConfig cfg;
   cfg.members = vg_.members();
@@ -253,18 +253,13 @@ void AtumNode::setup_runtime() {
 
   gm_rx_ = std::make_unique<overlay::GroupMessageReceiver>(
       net::Transport(sys_.network(), id_),
+      [this](GroupId g) -> const std::vector<NodeId>* {
+        const group::GroupView* v = vg_.find_group(g);
+        return v == nullptr ? nullptr : &v->members;
+      },
       [this](const overlay::GroupMessageId& id, net::Payload payload) {
         on_group_message(id, std::move(payload));
       });
-  gm_rx_->set_group_size_fn([this](GroupId g) -> std::optional<std::size_t> {
-    const group::GroupView* v = vg_.find_group(g);
-    if (v == nullptr) return std::nullopt;
-    return v->members.size();
-  });
-  gm_rx_->set_membership_fn([this](GroupId g, NodeId n) {
-    const group::GroupView* v = vg_.find_group(g);
-    return v != nullptr && v->has_member(n);
-  });
   gm_rx_->set_tracer(&sys_.tracer());
 
   if (behavior_ != NodeBehavior::kSilent) {
@@ -285,13 +280,7 @@ void AtumNode::set_behavior(NodeBehavior behavior) {
   if (behavior == behavior_) return;
   behavior_ = behavior;
   if (!runtime_active_) return;
-  if (smr_) {
-    if (behavior_ == NodeBehavior::kCorrect) {
-      smr_->set_fault(smr::DsFaultMode::kCorrect, smr::PbftFaultMode::kCorrect);
-    } else {
-      smr_->set_fault(smr::DsFaultMode::kSilent, smr::PbftFaultMode::kSilent);
-    }
-  }
+  if (smr_) smr_->set_silent(behavior_ != NodeBehavior::kCorrect);
   // Heartbeating follows the behavior: silent nodes fall quiet (and get
   // evicted), every other behavior keeps the timer (the evictor depends on
   // it to avoid eviction).
@@ -431,9 +420,7 @@ void AtumNode::on_config_change(std::uint64_t, const smr::GroupConfig& config) {
 }
 
 void AtumNode::evaluate_suspicions() {
-  std::size_t f = sys_.params().engine == smr::EngineKind::kSync
-                      ? smr::sync_max_faults(vg_.size())
-                      : smr::async_max_faults(vg_.size());
+  const std::size_t f = smr::max_faults(sys_.params().engine, vg_.size());
   for (const auto& [suspect, accusers] : accusations_) {
     if (accusers.size() < f + 1) continue;
     std::vector<NodeId> rest;
@@ -712,15 +699,12 @@ void AtumNode::on_direct(const net::Message& msg) {
           group::VGroupState state = decode_state(snapshot, sys_.params().hc, epoch);
           if (!state.has_member(id_) || !state.has_member(msg.from)) return;
           crypto::Digest d = crypto::sha256(snapshot);
-          auto& votes = join_wait_.votes[d];
-          if (std::find(votes.begin(), votes.end(), msg.from) == votes.end()) {
-            votes.push_back(msg.from);
-          }
+          join_wait_.votes.add(msg.from, d, state.size());
           // Accept once a majority of the PREVIOUS composition (everyone in
           // the view except ourselves) vouches for the identical state.
           std::size_t senders = state.size() > 1 ? state.size() - 1 : 1;
           std::size_t majority = senders / 2 + 1;
-          if (votes.size() >= majority) {
+          if (join_wait_.votes.reaches(d, majority)) {
             // The vouched snapshot carries the group's chain position; the
             // runtime below resumes the epoch chain there.
             resume_epoch_ = epoch;
@@ -757,8 +741,7 @@ void AtumNode::heartbeat_tick() {
   }
   if (behavior_ != NodeBehavior::kCorrect) return;
 
-  DurationMicros deadline = static_cast<DurationMicros>(sys_.params().heartbeat_miss_limit) *
-                            sys_.params().heartbeat_period;
+  const DurationMicros deadline = kHeartbeatMissLimit * sys_.params().heartbeat_period;
   for (NodeId peer : vg_.members()) {
     if (peer == id_) continue;
     auto it = last_seen_.find(peer);

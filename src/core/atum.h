@@ -252,7 +252,7 @@ class AtumNode {
 
   // Join handshake state (as the joiner).
   struct JoinWait {
-    std::map<crypto::Digest, std::vector<NodeId>> votes;  // state digest -> voters
+    smr::VoteRecord votes;  // each member's latest snapshot digest
     bool active = false;
   } join_wait_;
 

@@ -15,7 +15,6 @@ void Params::validate() const {
   if (round_duration <= 0) throw std::invalid_argument("Params: round_duration must be positive");
   if (checkpoint_interval < 1) throw std::invalid_argument("Params: checkpoint_interval must be >= 1");
   if (heartbeat_period <= 0) throw std::invalid_argument("Params: heartbeat_period must be positive");
-  if (heartbeat_miss_limit < 1) throw std::invalid_argument("Params: miss limit must be >= 1");
 }
 
 std::size_t target_group_size(std::size_t expected_nodes, std::size_t k) {

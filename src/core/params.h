@@ -5,7 +5,7 @@
 #include <string>
 
 #include "common/types.h"
-#include "smr/reconfig.h"
+#include "smr/smr.h"
 
 namespace atum::core {
 
@@ -26,7 +26,6 @@ struct Params {
   // it so short runs cross many boundaries.
   std::uint64_t checkpoint_interval = 64;
   DurationMicros heartbeat_period = seconds(60.0);       // §5.1: coarse, ~1/min
-  std::size_t heartbeat_miss_limit = 3;                  // silence before suspicion
   bool verify_signatures = true;
 
   // Throws std::invalid_argument when inconsistent.

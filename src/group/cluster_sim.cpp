@@ -30,7 +30,7 @@ DurationMicros ClusterSim::agreement_latency(std::size_t group_size) const {
                                                      ? config_.round_duration / 50
                                                      : config_.net_rtt / 2);
   if (config_.kind == smr::EngineKind::kSync) {
-    std::size_t f = group_size == 0 ? 0 : (group_size - 1) / 2;
+    const std::size_t f = smr::sync_max_faults(group_size);
     return static_cast<DurationMicros>(f + 2) * config_.round_duration + state_transfer;
   }
   // PBFT: request + three phases, a handful of RTTs.
@@ -52,17 +52,6 @@ ClusterSim::Group& ClusterSim::group(GroupId g) {
 const ClusterSim::Group* ClusterSim::find(GroupId g) const {
   auto it = groups_.find(g);
   return it == groups_.end() ? nullptr : &it->second;
-}
-
-bool ClusterSim::is_busy(GroupId g) const {
-  const Group* grp = find(g);
-  return grp != nullptr && grp->busy;
-}
-
-std::size_t ClusterSim::queued_ops() const {
-  std::size_t n = 0;
-  for (const auto& [g, grp] : groups_) n += grp.pending.size();
-  return n;
 }
 
 std::optional<GroupId> ClusterSim::group_of(NodeId n) const {
@@ -463,9 +452,7 @@ std::vector<ClusterSim::GroupRobustness> ClusterSim::robustness_report() const {
     r.size = grp.members.size();
     r.byzantine = 0;
     for (NodeId n : grp.members) r.byzantine += byzantine_.contains(n);
-    r.threshold = config_.kind == smr::EngineKind::kSync
-                      ? smr::sync_max_faults(r.size)
-                      : smr::async_max_faults(r.size);
+    r.threshold = smr::max_faults(config_.kind, r.size);
     out.push_back(r);
   }
   return out;

@@ -35,7 +35,7 @@
 #include "common/types.h"
 #include "overlay/hgraph.h"
 #include "sim/simulator.h"
-#include "smr/reconfig.h"
+#include "smr/smr.h"
 
 namespace atum::group {
 
@@ -47,9 +47,6 @@ struct ClusterSimConfig {
   smr::EngineKind kind = smr::EngineKind::kSync;
   DurationMicros round_duration = seconds(1.0);  // sync round
   DurationMicros net_rtt = millis(2);            // async cost basis
-  // Fraction of joining nodes that are Byzantine (placement tracking only;
-  // faulty nodes do not disrupt the simulated protocols).
-  double byzantine_fraction = 0.0;
   bool shuffle_enabled = true;
   std::uint64_t seed = 0xc1a5c1a5ULL;
 };
@@ -88,8 +85,6 @@ class ClusterSim {
   std::size_t group_count() const { return groups_.size(); }
   std::optional<GroupId> group_of(NodeId n) const;
   std::vector<NodeId> members_of(GroupId g) const;
-  bool is_busy(GroupId g) const;
-  std::size_t queued_ops() const;
 
   const overlay::HGraph& graph() const { return graph_; }
   const ClusterSimStats& stats() const { return stats_; }

@@ -65,8 +65,9 @@ enum class MsgType : std::uint16_t {
 //  * LIFETIME: a slice pins the whole parent frame (frame_size() exposes
 //    how much). That is the right trade for protocol frames (delivered
 //    promptly, then dropped); code that archives a tiny slice of a huge
-//    frame long-term should copy via to_bytes() instead — see AStream's
-//    copy_out_threshold for the knob pattern.
+//    frame long-term should copy via to_bytes() instead, and a long-lived
+//    store of slices should bound how many it keeps (AStream's
+//    store_window).
 //
 // Digest cache: digest() returns the SHA-256 of the viewed range and
 // memoizes it on the shared buffer control block, so every holder of the

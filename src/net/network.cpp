@@ -42,7 +42,6 @@ void NetworkConfig::validate() const {
 
 NetworkConfig NetworkConfig::wide_area() {
   NetworkConfig c;
-  c.wan = true;
   c.jitter_mean = 2'000;
   // One-way latencies in ms between: eu-west, eu-central, us-east, us-west,
   // ap-tokyo, ap-singapore, ap-sydney, sa-east. Values follow public
@@ -82,10 +81,6 @@ SimNetwork::Node* SimNetwork::find(NodeId id) {
   return it == nodes_.end() ? nullptr : &it->second;
 }
 
-void SimNetwork::attach(NodeId node, MessageHandler handler) {
-  nodes_[node].fallback = std::move(handler);
-}
-
 void SimNetwork::attach(NodeId node, MsgType type, MessageHandler handler) {
   auto& typed = nodes_[node].by_type;
   auto it = std::find_if(typed.begin(), typed.end(),
@@ -99,10 +94,6 @@ void SimNetwork::attach(NodeId node, MsgType type, MessageHandler handler) {
 
 // Detaching leaves the record in place: it may still hold a horizon, a cut
 // or a fault. The sweep erases it once it is idle.
-void SimNetwork::detach(NodeId node) {
-  if (Node* n = find(node)) n->fallback = nullptr;
-}
-
 void SimNetwork::detach(NodeId node, MsgType type) {
   if (Node* n = find(node)) {
     std::erase_if(n->by_type, [type](const auto& entry) { return entry.first == type; });
@@ -113,7 +104,7 @@ const MessageHandler* SimNetwork::Node::handler_for(MsgType type) const {
   for (const auto& [t, handler] : by_type) {
     if (t == type) return &handler;
   }
-  return fallback ? &fallback : nullptr;
+  return nullptr;
 }
 
 std::size_t SimNetwork::region_of(NodeId node) const {
@@ -122,7 +113,7 @@ std::size_t SimNetwork::region_of(NodeId node) const {
 
 DurationMicros SimNetwork::latency_between(NodeId from, NodeId to) {
   DurationMicros base;
-  if (config_.wan && !config_.region_latency.empty()) {
+  if (!config_.region_latency.empty()) {
     base = config_.region_latency[region_of(from)][region_of(to)];
   } else {
     base = config_.base_latency;

@@ -6,7 +6,8 @@
 //   arrive  = depart + size/egress_bw + latency(from,to)
 //   deliver = max(arrive, receiver ingress free) + size/ingress_bw
 // plus optional drop probability and link/node partitions. Latency is
-// base + exponential jitter, or a region matrix in WAN mode.
+// base + exponential jitter, or a region matrix in WAN mode. A message is
+// delivered to the receiver's handler for its type, or blocked.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +39,9 @@ struct NetworkConfig {
   // instance's limited CPU. 0 disables the model.
   DurationMicros per_message_cpu = 15;
 
-  // WAN mode: nodes are assigned to regions round-robin; latency(from,to)
-  // comes from the matrix (micros, one-way) instead of base_latency.
-  bool wan = false;
+  // WAN mode, on whenever the matrix is non-empty: nodes are assigned to
+  // regions round-robin, and latency(from,to) comes from the matrix
+  // (micros, one-way) instead of base_latency.
   std::vector<std::vector<DurationMicros>> region_latency;
 
   static NetworkConfig datacenter();
@@ -89,12 +90,9 @@ class SimNetwork {
  public:
   SimNetwork(sim::Simulator& sim, NetworkConfig config, std::uint64_t seed = 0x7e77e7ULL);
 
-  // Registers (or replaces) a node's default receive handler.
-  void attach(NodeId node, MessageHandler handler);
-  // Registers a handler for one message type; takes precedence over the
-  // default handler. Lets several protocol components share one node.
+  // Registers (or replaces) a node's handler for one message type. Several
+  // protocol components share one node, each with its own types.
   void attach(NodeId node, MsgType type, MessageHandler handler);
-  void detach(NodeId node);
   void detach(NodeId node, MsgType type);
 
   // Queues a message for delivery. Never blocks; delivery (or drop) is
@@ -151,7 +149,6 @@ class SimNetwork {
   // Everything the network keeps about one node. A node without a record
   // behaves as a fresh one: no handler, no cut, no fault, idle horizons.
   struct Node {
-    MessageHandler fallback;
     // Searched linearly: a node registers a couple of dozen types at most,
     // and the scan is cheaper than a second hash lookup per delivery. A
     // handler may attach or detach its own node's handlers while it runs
@@ -165,8 +162,8 @@ class SimNetwork {
     std::uint32_t tag = 0;  // partition side; 0 outside any partition
     bool isolated = false;
 
-    bool has_handler() const { return fallback || !by_type.empty(); }
-    const MessageHandler* handler_for(MsgType type) const;  // typed, else fallback
+    bool has_handler() const { return !by_type.empty(); }
+    const MessageHandler* handler_for(MsgType type) const;  // null when none
     bool busy(TimeMicros now) const { return egress_free > now || ingress_free > now; }
     // The one lifetime rule: an idle record holds nothing a fresh one would
     // not (past horizons clamp to now at send), so erasing it is exact.
@@ -230,11 +227,6 @@ class Transport {
   void send(NodeId to, MsgType type, Payload payload) {
     net_->send(Message{self_, to, type, std::move(payload)});
   }
-  // Registers the node's default handler (owned by this Transport).
-  void listen(MessageHandler handler) {
-    net_->attach(self_, std::move(handler));
-    owns_fallback_ = true;
-  }
   // Registers handlers for an explicit set of message types.
   void listen(std::initializer_list<MsgType> types, const MessageHandler& handler) {
     for (MsgType t : types) {
@@ -243,10 +235,6 @@ class Transport {
     }
   }
   void close() {
-    if (owns_fallback_) {
-      net_->detach(self_);
-      owns_fallback_ = false;
-    }
     for (MsgType t : owned_types_) net_->detach(self_, t);
     owned_types_.clear();
   }
@@ -256,7 +244,6 @@ class Transport {
  private:
   SimNetwork* net_;
   NodeId self_;
-  bool owns_fallback_ = false;
   std::vector<MsgType> owned_types_;
 };
 

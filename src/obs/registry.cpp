@@ -43,17 +43,6 @@ Counter& Registry::counter(std::string name, Labels labels) {
   return *e.counter;
 }
 
-Gauge& Registry::gauge(std::string name, Labels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Key key{std::move(name), sorted(std::move(labels))};
-  Entry& e = cells_[std::move(key)];
-  if (e.gauge == nullptr) {
-    e.kind = CellKind::kGauge;
-    e.gauge = &gauges_.emplace_back();
-  }
-  return *e.gauge;
-}
-
 Histogram& Registry::histogram(std::string name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
   Key key{std::move(name), sorted(std::move(labels))};
@@ -87,9 +76,6 @@ Sample Registry::sample(std::int64_t at) const {
       case CellKind::kCounter:
         cell.value = static_cast<std::int64_t>(entry.counter->value());
         break;
-      case CellKind::kGauge:
-        cell.value = entry.gauge->value();
-        break;
       case CellKind::kProbe:
         cell.value = static_cast<std::int64_t>(entry.probe());
         break;
@@ -116,8 +102,6 @@ std::uint64_t Registry::value(const std::string& name, const Labels& labels) con
   switch (it->second.kind) {
     case CellKind::kCounter:
       return it->second.counter->value();
-    case CellKind::kGauge:
-      return static_cast<std::uint64_t>(it->second.gauge->value());
     case CellKind::kProbe:
       return it->second.probe();
     case CellKind::kHistogram:

@@ -1,13 +1,13 @@
 // obs::Registry — the one deterministic metrics surface for the whole
-// runtime (ISSUE 9 tentpole). Three cell kinds:
+// runtime (ISSUE 9 tentpole). Two cell kinds:
 //
 //   Counter   monotonically increasing u64 (atomic, relaxed — safe to
 //             bump from the TSan-stressed threads without ordering cost)
-//   Gauge     signed level that moves both ways (atomic i64)
 //   Histogram log-linear bucketed value distribution (atomic buckets)
 //
 // plus Probes: registered std::function<u64()> polled only at sample()
-// time. Probes put hot counters that stay plain fields (NetworkStats,
+// time. Every level (a size, a live count) is a probe. Probes put hot
+// counters that stay plain fields (NetworkStats,
 // sha256_digest_count, the simulator's event counts, per-node coalescer
 // counts) on the registry without touching their hot paths — the cost of
 // a probe is zero between samples. ScenarioDriver builds its whole report
@@ -50,16 +50,6 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-class Gauge {
- public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t by) { v_.fetch_add(by, std::memory_order_relaxed); }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
-
 // Log-linear histogram: each power of two is split into kSubBuckets
 // linear sub-buckets, so relative error is bounded at ~1/kSubBuckets
 // across the full u64 range with a fixed ~256-slot footprint. Values
@@ -95,7 +85,7 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-enum class CellKind { kCounter, kGauge, kHistogram, kProbe };
+enum class CellKind { kCounter, kHistogram, kProbe };
 
 // One cell's value at sample() time. Histograms flatten to (count, sum)
 // plus the non-empty buckets as (lower_bound, count) pairs.
@@ -103,7 +93,7 @@ struct SampledCell {
   std::string name;
   Labels labels;
   CellKind kind = CellKind::kCounter;
-  std::int64_t value = 0;  // counter/gauge/probe value; histogram count
+  std::int64_t value = 0;  // counter/probe value; histogram count
   std::uint64_t sum = 0;   // histogram only
   std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;  // histogram only
 };
@@ -130,7 +120,6 @@ class Registry {
   // (name, labels) return the same cell. Registration takes a lock —
   // do it at setup, cache the pointer, bump lock-free afterwards.
   Counter& counter(std::string name, Labels labels = {});
-  Gauge& gauge(std::string name, Labels labels = {});
   Histogram& histogram(std::string name, Labels labels = {});
 
   // Polled source: `fn` is invoked once per sample() and must be pure
@@ -158,7 +147,6 @@ class Registry {
   struct Entry {
     CellKind kind = CellKind::kCounter;
     Counter* counter = nullptr;
-    Gauge* gauge = nullptr;
     Histogram* histogram = nullptr;
     std::function<std::uint64_t()> probe;
   };
@@ -166,7 +154,6 @@ class Registry {
   mutable std::mutex mu_;  // guards the maps/deques, not cell updates
   std::map<Key, Entry> cells_;
   std::deque<Counter> counters_;
-  std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
 };
 

@@ -133,7 +133,6 @@ void SendCoalescer::flush() {
       }
       transport_.send(dest, net::MsgType::kGroupMsgEnvelope, w.take());
       ++messages_sent_;
-      ++envelopes_sent_;
     }
   }
 }

@@ -114,8 +114,6 @@ class SendCoalescer {
   std::uint64_t frames_enqueued() const { return frames_enqueued_; }
   // Transport messages actually sent (singles + envelopes).
   std::uint64_t messages_sent() const { return messages_sent_; }
-  // Multi-frame envelopes among them.
-  std::uint64_t envelopes_sent() const { return envelopes_sent_; }
   // Per-message fixed costs avoided: frames that shared an envelope or
   // were suppressed as duplicates instead of travelling alone.
   std::uint64_t messages_saved() const { return frames_enqueued_ - messages_sent_; }
@@ -147,7 +145,6 @@ class SendCoalescer {
   // lint: adhoc-counter-ok(pre-registry stats; summed onto the registry by AtumSystem probes)
   std::uint64_t frames_enqueued_ = 0;
   std::uint64_t messages_sent_ = 0;
-  std::uint64_t envelopes_sent_ = 0;
 };
 
 // Per-vgroup-member dedup and relay bookkeeping for broadcasts. Pure logic:

@@ -44,15 +44,6 @@ PreparedGroupMessage::PreparedGroupMessage(const std::vector<NodeId>& senders, N
   type_ = send_full ? net::MsgType::kGroupMsgFull : net::MsgType::kGroupMsgDigest;
 }
 
-void PreparedGroupMessage::send_to(net::Transport& transport,
-                                   const std::vector<NodeId>& destination, Rng& rng) const {
-  std::vector<NodeId> order = destination;
-  rng.shuffle(order);
-  for (NodeId d : order) {
-    transport.send(d, type_, wire_);
-  }
-}
-
 void PreparedGroupMessage::send_to(SendCoalescer& coalescer,
                                    const std::vector<NodeId>& destination) const {
   for (NodeId d : destination) {
@@ -60,14 +51,9 @@ void PreparedGroupMessage::send_to(SendCoalescer& coalescer,
   }
 }
 
-void send_group_message(net::Transport& transport, const std::vector<NodeId>& senders,
-                        GroupMessageId id, const std::vector<NodeId>& destination,
-                        const net::Payload& payload, Rng& rng) {
-  PreparedGroupMessage(senders, transport.self(), id, payload).send_to(transport, destination, rng);
-}
-
-GroupMessageReceiver::GroupMessageReceiver(net::Transport transport, DeliverFn deliver)
-    : transport_(std::move(transport)), deliver_(std::move(deliver)) {
+GroupMessageReceiver::GroupMessageReceiver(net::Transport transport, MembersFn members,
+                                           DeliverFn deliver)
+    : transport_(std::move(transport)), members_(std::move(members)), deliver_(std::move(deliver)) {
   transport_.listen({net::MsgType::kGroupMsgFull, net::MsgType::kGroupMsgDigest,
                      net::MsgType::kGroupMsgEnvelope},
                     [this](const net::Message& m) { on_message(m); });
@@ -141,13 +127,16 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
     return;  // malformed: faulty sender
   }
 
-  if (membership_ && !membership_(id.from_group, from)) return;
+  const std::vector<NodeId>* members = members_(id.from_group);
+  if (members == nullptr || std::find(members->begin(), members->end(), from) == members->end()) {
+    return;
+  }
   auto it = entries_.find(id);
   if (it == entries_.end()) {
     // No entry: the id is new, or it was delivered and the set drops it.
     if (delivered_.contains(id)) return;
     // New entry: even if it never delivers (digest-only flood, content
-    // short of majority, unknown sender group) it expires after one TTL.
+    // short of majority) it expires after one TTL.
     it = entries_.try_emplace(id).first;
     gc_queue_.emplace_back(transport_.simulator().now() + ttl_, id);
   }
@@ -156,16 +145,11 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
     c.voters.push_back(from);
   }
   if (is_full && !c.payload) c.payload = std::move(payload);
-  try_deliver(it);
+  try_deliver(it, members->size() / 2 + 1);
 }
 
-void GroupMessageReceiver::try_deliver(Entries::iterator it) {
+void GroupMessageReceiver::try_deliver(Entries::iterator it, std::size_t majority) {
   const GroupMessageId id = it->first;
-  std::optional<std::size_t> size;
-  if (group_size_) size = group_size_(id.from_group);
-  if (!size) return;  // unknown sender group: keep buffering
-  std::size_t majority = *size / 2 + 1;
-
   for (auto& [digest, c] : it->second) {
     if (c.voters.size() < majority) continue;
     if (!c.payload) continue;  // majority but no full copy yet
@@ -192,7 +176,9 @@ void GroupMessageReceiver::reevaluate() {
   // later ids first; their entries are gone by then.
   for (const GroupMessageId& id : ids) {
     auto it = entries_.find(id);
-    if (it != entries_.end()) try_deliver(it);
+    if (it == entries_.end()) continue;
+    const std::vector<NodeId>* members = members_(id.from_group);
+    if (members != nullptr) try_deliver(it, members->size() / 2 + 1);
   }
 }
 

@@ -8,8 +8,9 @@
 //  * digest optimization — only a majority of A's members transmit the full
 //    payload, the rest send its SHA-256 digest; any majority contains a
 //    correct node, so at least one full copy always arrives;
-//  * randomized send order — each sender permutes the destination list to
-//    avoid the synchronized bursts that cause incast throughput collapse.
+//  * randomized send order — each sender's SendCoalescer shuffles the
+//    order of its destinations at every flush, to avoid the synchronized
+//    bursts that cause incast throughput collapse.
 //
 // Payload ownership (zero-copy path): the sender encodes + freezes the wire
 // frame exactly once per node (PreparedGroupMessage) and every destination
@@ -27,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/types.h"
 #include "crypto/sha256.h"
 #include "net/network.h"
@@ -70,27 +70,19 @@ class PreparedGroupMessage {
   PreparedGroupMessage(const std::vector<NodeId>& senders, NodeId self, GroupMessageId id,
                        const net::Payload& payload);
 
-  // Sends to every member of `destination`, in randomized order (§5.1:
-  // avoid the synchronized bursts that cause incast throughput collapse).
-  void send_to(net::Transport& transport, const std::vector<NodeId>& destination,
-               Rng& rng) const;
-
-  // Same fan-out routed through the per-node SendCoalescer: this frame and
-  // every other frame bound for the same destination in the current tick
-  // leave as one envelope. No per-member shuffle here — coalescing caps
-  // the sender at one message per (destination, tick) and the coalescer
-  // randomizes the destination order at flush.
+  // Sends to every member of `destination` through the per-node
+  // SendCoalescer: this frame and every other frame bound for the same
+  // destination in the current tick leave as one envelope. No per-member
+  // shuffle here — coalescing caps the sender at one message per
+  // (destination, tick) and the coalescer randomizes the destination order
+  // at flush (§5.1: avoid the synchronized bursts that cause incast
+  // throughput collapse).
   void send_to(SendCoalescer& coalescer, const std::vector<NodeId>& destination) const;
 
  private:
   net::Payload wire_;
   net::MsgType type_;
 };
-
-// Convenience wrapper: prepare + send to one destination group.
-void send_group_message(net::Transport& transport, const std::vector<NodeId>& senders,
-                        GroupMessageId id, const std::vector<NodeId>& destination,
-                        const net::Payload& payload, Rng& rng);
 
 // Per-node acceptance logic. Collects vouches until a majority of the
 // sending group agrees on one digest and a full payload with that digest
@@ -101,21 +93,19 @@ class GroupMessageReceiver {
   // wire frame (zero-copy); keep it as a Payload or slice it further,
   // don't copy.
   using DeliverFn = std::function<void(const GroupMessageId& id, net::Payload payload)>;
-  // Resolves the size of a sending vgroup; acceptance needs the true size,
-  // not a size claimed on the wire by a possibly-Byzantine sender. Return
-  // nullopt for unknown groups (their messages stay buffered).
-  using GroupSizeFn = std::function<std::optional<std::size_t>(GroupId)>;
-  // Membership check: is `node` a member of `group`? Vouches from
-  // non-members are ignored.
-  using MembershipFn = std::function<bool(GroupId, NodeId)>;
+  // The sending vgroup's members as this node knows them, or null for an
+  // unknown group. One lookup per frame serves both acceptance checks: a
+  // frame from a non-member or an unknown group is dropped, and the
+  // majority is counted against the true size, not a size claimed on the
+  // wire by a possibly-Byzantine sender. The vector must stay valid until
+  // the receiver's call returns.
+  using MembersFn = std::function<const std::vector<NodeId>*(GroupId)>;
 
-  GroupMessageReceiver(net::Transport transport, DeliverFn deliver);
+  GroupMessageReceiver(net::Transport transport, MembersFn members, DeliverFn deliver);
   ~GroupMessageReceiver();
   GroupMessageReceiver(const GroupMessageReceiver&) = delete;
   GroupMessageReceiver& operator=(const GroupMessageReceiver&) = delete;
 
-  void set_group_size_fn(GroupSizeFn fn) { group_size_ = std::move(fn); }
-  void set_membership_fn(MembershipFn fn) { membership_ = std::move(fn); }
   // Message-lifecycle tracing: a kVouch event is recorded once per
   // delivery (key = id.seq = the broadcast digest prefix, a = voucher
   // count) at the instant majority vouching completes.
@@ -123,9 +113,9 @@ class GroupMessageReceiver {
 
   // An id is buffered from its first frame until it delivers or one TTL of
   // simulated time has passed, whichever comes first. Undelivered buffering
-  // (digest-only floods from a Byzantine member, below-majority content,
-  // unknown sender groups) must expire: without an expiry one faulty node
-  // minting fresh ids grows the table without bound.
+  // (digest-only floods from a Byzantine member, below-majority content)
+  // must expire: without an expiry one faulty node minting fresh ids grows
+  // the table without bound.
   // A delivered id keeps no entry. The rolling delivered-id set (two
   // generations rotated every kDedupWindowTtls TTLs) is its only record
   // and drops every later frame for it for at least that long; such a
@@ -135,8 +125,8 @@ class GroupMessageReceiver {
   // over two rotation windows.
   void set_ttl(DurationMicros ttl) { ttl_ = ttl; }
 
-  // Re-evaluates buffered messages (e.g. after learning a group's
-  // composition through a neighbor update). Deliveries come in
+  // Re-evaluates buffered messages against the current group sizes (e.g.
+  // after a neighbor update shrinks a group). Deliveries come in
   // GroupMessageId order, whatever order the entries are stored in.
   void reevaluate();
 
@@ -161,15 +151,14 @@ class GroupMessageReceiver {
   // message body or one inner frame of a coalesced envelope (`wire` is a
   // zero-copy slice of the envelope in that case).
   void on_frame(NodeId from, bool is_full, const net::Payload& wire);
-  // Delivers the entry's first candidate with a majority and a full copy,
-  // erasing the entry first.
-  void try_deliver(Entries::iterator it);
+  // Delivers the entry's first candidate with `majority` voters and a full
+  // copy, erasing the entry first.
+  void try_deliver(Entries::iterator it, std::size_t majority);
   void gc_expired();
 
   net::Transport transport_;
+  MembersFn members_;
   DeliverFn deliver_;
-  GroupSizeFn group_size_;
-  MembershipFn membership_;
   obs::Tracer* tracer_ = nullptr;
   // Undelivered ids. Hashed: every arriving frame looks its id up here
   // first. Only reevaluate() iterates it, and it sorts the ids before

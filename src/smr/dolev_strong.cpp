@@ -64,10 +64,9 @@ DolevStrongSmr::DolevStrongSmr(net::Transport transport, GroupConfig config,
 
   // Align to the next round boundary and tick from there.
   TimeMicros now = transport_.simulator().now();
-  TimeMicros since = now - options_.epoch_start;
   std::int64_t rounds_elapsed =
-      since <= 0 ? 0 : (since + options_.round_duration - 1) / options_.round_duration;
-  TimeMicros next_boundary = options_.epoch_start + rounds_elapsed * options_.round_duration;
+      now <= 0 ? 0 : (now + options_.round_duration - 1) / options_.round_duration;
+  TimeMicros next_boundary = rounds_elapsed * options_.round_duration;
   auto total = static_cast<std::uint64_t>(rounds_elapsed);
   slot_ = total / rounds_per_slot();
   round_in_slot_ = static_cast<std::size_t>(total % rounds_per_slot());

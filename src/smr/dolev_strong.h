@@ -35,10 +35,9 @@
 namespace atum::smr {
 
 struct DolevStrongOptions {
+  // Rounds count from simulated time 0 at every replica (the paper's Sync
+  // deployment assumes synchronized clocks).
   DurationMicros round_duration = seconds(1.0);
-  // Absolute time of round 0 of slot 0; all replicas of a group must agree
-  // (the paper's Sync deployment assumes synchronized clocks).
-  TimeMicros epoch_start = 0;
   bool verify_signatures = true;  // off = trusted-crypto fast path for big sims
 };
 
@@ -62,11 +61,11 @@ class DolevStrongSmr final : public SmrEngine {
   std::uint64_t decided_count() const override { return decided_; }
   void stop() override;
 
-  // Runtime fault conversion (scenario Byzantine-storm primitive): fault_
-  // is consulted at every send/propose/relay decision, so flipping it on a
-  // live replica takes effect from the next protocol action.
-  void set_fault(DsFaultMode fault) { fault_ = fault; }
-  DsFaultMode fault() const { return fault_; }
+  // fault_ is consulted at every send/propose/relay decision, so flipping
+  // it on a live replica takes effect from the next protocol action.
+  void set_silent(bool silent) override {
+    fault_ = silent ? DsFaultMode::kSilent : DsFaultMode::kCorrect;
+  }
 
   std::size_t max_faults() const { return sync_max_faults(config_.size()); }
   // Rounds per slot: f+1 relay rounds plus the initial broadcast round.

@@ -22,24 +22,6 @@ crypto::Digest read_digest(ByteReader& r) {
   return d;
 }
 
-bool has_voter(const std::vector<NodeId>& voters, NodeId voter) {
-  return std::find(voters.begin(), voters.end(), voter) != voters.end();
-}
-
-// One phase's vote from voter, counted once however often it arrives.
-void add_voter(std::vector<NodeId>& voters, NodeId voter, std::size_t group_size) {
-  if (has_voter(voters, voter)) return;
-  if (voters.empty()) voters.reserve(group_size);
-  voters.push_back(voter);
-}
-
-// Checkpoint votes (voter -> body digest) for digest d; no votes count 0.
-std::size_t count_matching(const std::map<NodeId, crypto::Digest>* votes, const crypto::Digest& d) {
-  if (votes == nullptr) return 0;
-  return static_cast<std::size_t>(
-      std::count_if(votes->begin(), votes->end(), [&](const auto& v) { return v.second == d; }));
-}
-
 }  // namespace
 
 PbftSmr::PbftSmr(net::Transport transport, GroupConfig config, crypto::KeyStore& keys,
@@ -387,7 +369,7 @@ void PbftSmr::flush_batch() {
     if (ctr_pre_prepares_ != nullptr) ctr_pre_prepares_->inc();
     trace(obs::TracePoint::kPrePrepare, crypto::digest_prefix64(d), seq, entry.batch.size());
     broadcast(net::MsgType::kPbftPrePrepare, encode(entry.batch, d));
-    add_voter(entry.prepares, transport_.self(), config_.size());  // the pre-prepare is our prepare
+    entry.prepares.add(transport_.self(), d, config_.size());  // the pre-prepare is our prepare
     maybe_send_commit(seq);
   }
   flushing_ = false;
@@ -459,7 +441,7 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
   if (ctr_prepares_ != nullptr) ctr_prepares_->inc();
   trace(obs::TracePoint::kPrepare, crypto::digest_prefix64(digest), seq, entry.batch.size());
   broadcast(net::MsgType::kPbftPrepare, vote_frame(view, seq, digest));
-  add_voter(entry.prepares, transport_.self(), config_.size());
+  entry.prepares.add(transport_.self(), digest, config_.size());
   maybe_send_commit(seq);
   arm_view_timer();
 }
@@ -477,21 +459,20 @@ void PbftSmr::handle_prepare(const net::Message& msg) {
 
   Agreement& entry = slot(seq).agreement;
   if (entry.pre_prepared && entry.digest != digest) return;
-  add_voter(entry.prepares, msg.from, config_.size());
+  entry.prepares.add(msg.from, digest, config_.size());
   maybe_send_commit(seq);
 }
 
 void PbftSmr::maybe_send_commit(std::uint64_t seq) {
   Agreement& entry = slot(seq).agreement;
-  // Prepared: pre-prepare + 2f prepares (from distinct replicas, self incl).
-  if (!entry.pre_prepared) return;
-  if (has_voter(entry.commits, transport_.self())) return;
-  if (entry.prepares.size() < 2 * max_faults()) return;
+  // Prepared: pre-prepare + 2f prepares on its digest (self included).
+  if (entry.commits.vote_of(transport_.self()) != nullptr) return;
+  if (!entry.prepared(max_faults())) return;
 
   if (ctr_commits_ != nullptr) ctr_commits_->inc();
   trace(obs::TracePoint::kCommit, crypto::digest_prefix64(entry.digest), seq);
   broadcast(net::MsgType::kPbftCommit, vote_frame(view_, seq, entry.digest));
-  add_voter(entry.commits, transport_.self(), config_.size());
+  entry.commits.add(transport_.self(), entry.digest, config_.size());
   try_execute();
 }
 
@@ -505,17 +486,15 @@ void PbftSmr::handle_commit(const net::Message& msg) {
   Agreement& entry = slot(seq).agreement;
   if (entry.pre_prepared && entry.digest != digest) return;
   (void)view;  // commits from any view count once the digest matches
-  add_voter(entry.commits, msg.from, config_.size());
+  entry.commits.add(msg.from, digest, config_.size());
   try_execute();
 }
 
 void PbftSmr::try_execute() {
   while (next_exec_ < log_end()) {
     Slot& s = slot(next_exec_ + 1);
-    bool committed = s.agreement.pre_prepared &&
-                     s.agreement.prepares.size() >= 2 * max_faults() &&
-                     s.agreement.commits.size() >= quorum();
-    if (!committed) break;
+    const Agreement& a = s.agreement;
+    if (!a.prepared(max_faults()) || !a.commits.reaches(a.digest, quorum())) break;
     execute_entry(next_exec_ + 1, s);
   }
   maybe_fetch_missing_head();
@@ -540,7 +519,9 @@ void PbftSmr::maybe_fetch_missing_head() {
   const TimeMicros now = transport_.simulator().now();
   if (now - last_head_fetch_ < options_.view_change_timeout) return;
   if (head_fetch_rounds_ >= kMaxHeadFetchRounds) return;
-  std::uint64_t anchor = 0;  // first quorum-committed seq at/beyond the head
+  // First seq at/beyond the head with a quorum of distinct committers,
+  // whatever digests they named: the slot may have no digest here.
+  std::uint64_t anchor = 0;
   for (std::uint64_t seq = next_exec_ + 1; seq <= log_end(); ++seq) {
     if (find_slot(seq)->agreement.commits.size() >= quorum()) {
       anchor = seq;
@@ -663,8 +644,8 @@ crypto::Digest PbftSmr::checkpoint_digest(const Checkpoint& c) {
   return crypto::sha256(w.data());
 }
 
-const PbftSmr::Votes* PbftSmr::votes_at(std::uint64_t seq) const {
-  const Votes* votes = nullptr;
+const VoteRecord* PbftSmr::votes_at(std::uint64_t seq) const {
+  const VoteRecord* votes = nullptr;
   if (in_window(seq)) {
     if (const Slot* s = find_slot(seq)) votes = &s->votes;
   } else if (auto it = checkpoints_.find(seq); it != checkpoints_.end()) {
@@ -673,13 +654,18 @@ const PbftSmr::Votes* PbftSmr::votes_at(std::uint64_t seq) const {
   return votes != nullptr && !votes->empty() ? votes : nullptr;
 }
 
+bool PbftSmr::vouched(std::uint64_t seq, const crypto::Digest& body_digest) const {
+  const VoteRecord* votes = votes_at(seq);
+  return votes != nullptr && votes->reaches(body_digest, max_faults() + 1);
+}
+
 // Precondition: seq > stable_seq_ (votes at or below it are moot).
 void PbftSmr::record_vote(std::uint64_t seq, NodeId voter, const crypto::Digest& body_digest) {
   if (in_window(seq)) {
-    slot(seq).votes[voter] = body_digest;
+    slot(seq).votes.add(voter, body_digest, config_.size());
     return;
   }
-  checkpoints_[seq][voter] = body_digest;
+  checkpoints_[seq].add(voter, body_digest, config_.size());
   // Above the window a voter keeps only its newest boundaries, as many as a
   // window spans plus one: a member voting for endless future boundaries
   // cannot grow the store.
@@ -688,7 +674,7 @@ void PbftSmr::record_vote(std::uint64_t seq, NodeId voter, const crypto::Digest&
   std::uint64_t held = 0;
   for (auto it = checkpoints_.end(); it != checkpoints_.begin();) {
     --it;
-    if (!it->second.contains(voter) || ++held <= keep) continue;
+    if (it->second.vote_of(voter) == nullptr || ++held <= keep) continue;
     it->second.erase(voter);
     if (it->second.empty()) it = checkpoints_.erase(it);
   }
@@ -740,8 +726,7 @@ void PbftSmr::handle_checkpoint(const net::Message& msg) {
   record_vote(seq, msg.from, d);
   if (seq <= next_exec_) {
     maybe_stabilize();  // this vote may complete a quorum
-  } else if (seq > next_exec_ + options_.watermark_window / 2 &&
-             count_matching(votes_at(seq), d) >= max_faults() + 1) {
+  } else if (seq > next_exec_ + options_.watermark_window / 2 && vouched(seq, d)) {
     // We have fallen behind a vouched checkpoint: fetch state.
     request_state_transfer();
   }
@@ -755,11 +740,11 @@ void PbftSmr::maybe_stabilize() {
   const std::uint64_t interval = options_.checkpoint_interval;
   for (std::uint64_t seq = next_exec_ - next_exec_ % interval; seq > stable_seq_;
        seq -= interval) {
-    const Votes* votes = votes_at(seq);
+    const VoteRecord* votes = votes_at(seq);
     if (votes == nullptr) continue;
-    auto self_it = votes->find(transport_.self());
-    if (self_it == votes->end()) continue;
-    if (count_matching(votes, self_it->second) >= quorum()) {
+    const crypto::Digest* mine = votes->vote_of(transport_.self());
+    if (mine == nullptr) continue;
+    if (votes->reaches(*mine, quorum())) {
       if (ctr_checkpoints_ != nullptr) ctr_checkpoints_->inc();
       collect_garbage(seq);
       return;
@@ -829,16 +814,18 @@ void PbftSmr::erase_pending(const RequestId& id) {
 
 void PbftSmr::request_state_transfer() {
   // Ask a voter of the freshest vouched checkpoint for history: boundaries
-  // above the window first, then the window's, newest first.
-  auto ask_voter = [&](const Votes& votes) {
+  // above the window first, then the window's, newest first. The lowest-id
+  // voter other than this replica is asked.
+  auto ask_voter = [&](const VoteRecord& votes) {
     if (votes.size() < max_faults() + 1) return false;
-    for (const auto& [node, digest] : votes) {
-      if (node == transport_.self()) continue;
-      // No range cap: the reply is validated against the vouched checkpoint.
-      transport_.send(node, net::MsgType::kPbftStateFetch, fetch_frame(0));
-      return true;  // one fetch at a time; retried on the next checkpoint signal
+    NodeId asked = kInvalidNode;
+    for (const VoteRecord::Vote& v : votes) {
+      if (v.voter != transport_.self()) asked = std::min(asked, v.voter);
     }
-    return false;
+    if (asked == kInvalidNode) return false;
+    // No range cap: the reply is validated against the vouched checkpoint.
+    transport_.send(asked, net::MsgType::kPbftStateFetch, fetch_frame(0));
+    return true;  // one fetch at a time; retried on the next checkpoint signal
   };
   for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
     if (ask_voter(it->second)) return;
@@ -846,7 +833,7 @@ void PbftSmr::request_state_transfer() {
   const std::uint64_t interval = options_.checkpoint_interval;
   std::uint64_t top = std::min(stable_seq_ + options_.watermark_window, log_end());
   for (std::uint64_t seq = top - top % interval; seq > stable_seq_; seq -= interval) {
-    const Votes* votes = votes_at(seq);
+    const VoteRecord* votes = votes_at(seq);
     if (votes != nullptr && ask_voter(*votes)) return;
   }
 }
@@ -922,12 +909,10 @@ std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries) co
       if (ledger.insert(op.id.origin, op.id.seq)) ++ops;
     }
     if (seq % options_.checkpoint_interval != 0) continue;
-    const Votes* votes = votes_at(seq);
-    if (votes == nullptr) continue;
+    if (votes_at(seq) == nullptr) continue;
     ByteWriter lw;
     ledger.encode(lw);
-    const crypto::Digest body = checkpoint_digest(Checkpoint{seq, digest, ops, lw.take()});
-    if (count_matching(votes, body) >= max_faults() + 1) best = seq;
+    if (vouched(seq, checkpoint_digest(Checkpoint{seq, digest, ops, lw.take()}))) best = seq;
   }
   return best;
 }
@@ -959,13 +944,12 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
   // correct, and correct replicas serve only what they executed, so a reply
   // vouched whole is adopted in full.
   std::uint64_t vouched_to = 0;
-  const bool evidence =
-      ckpt ? count_matching(votes_at(ckpt->seq), checkpoint_digest(*ckpt)) >= max_faults() + 1
-           : (vouched_to = validate_chain(records)) > next_exec_;
+  const bool evidence = ckpt ? vouched(ckpt->seq, checkpoint_digest(*ckpt))
+                             : (vouched_to = validate_chain(records)) > next_exec_;
   if (!evidence) {
     const crypto::Digest d = msg.payload.digest();
-    state_reply_votes_[msg.from] = d;
-    if (count_matching(&state_reply_votes_, d) < max_faults() + 1) return;
+    state_reply_votes_.add(msg.from, d, config_.size());
+    if (!state_reply_votes_.reaches(d, max_faults() + 1)) return;
     state_reply_votes_.clear();
   }
 
@@ -1112,8 +1096,7 @@ void PbftSmr::start_view_change(std::uint64_t explicit_target) {
   vc.sender = transport_.self();
   for (std::uint64_t seq = stable_seq_ + 1; seq <= log_end(); ++seq) {
     const Agreement& entry = find_slot(seq)->agreement;
-    if (!entry.pre_prepared) continue;
-    if (entry.prepares.size() >= 2 * max_faults()) {
+    if (entry.prepared(max_faults())) {
       vc.prepared.push_back(PreparedProof{seq, entry.view, entry.digest, entry.batch});
     }
   }
@@ -1319,7 +1302,7 @@ void PbftSmr::handle_new_view(const net::Message& msg) {
   // a batch we hold a prepared certificate for (higher or equal view).
   for (std::uint64_t seq = stable_seq_ + 1; seq <= log_end(); ++seq) {
     const Agreement& entry = find_slot(seq)->agreement;
-    if (!entry.pre_prepared || entry.prepares.size() < 2 * max_faults()) continue;
+    if (!entry.prepared(max_faults())) continue;
     if (seq <= stable) continue;
     for (const auto& p : carried) {
       if (p.seq == seq && !p.batch.empty() && p.digest != entry.digest &&
@@ -1371,7 +1354,7 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
     Agreement& entry = slot(p.seq).agreement;
     entry = Agreement{.view = v, .digest = p.digest, .batch = p.batch, .pre_prepared = true,
                       .prepares = {}, .commits = {}};
-    add_voter(entry.prepares, transport_.self(), config_.size());
+    entry.prepares.add(transport_.self(), p.digest, config_.size());
     broadcast(net::MsgType::kPbftPrepare, vote_frame(v, p.seq, p.digest));
   }
 

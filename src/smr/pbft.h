@@ -236,11 +236,11 @@ class PbftSmr final : public SmrEngine {
   std::size_t stored_votes() const;
   std::uint64_t instance_tag() const { return instance_tag_; }
 
-  // Runtime fault conversion (scenario Byzantine-storm primitive): fault_
-  // is consulted per message/phase, so flipping it on a live replica takes
-  // effect from the next protocol action.
-  void set_fault(PbftFaultMode fault) { fault_ = fault; }
-  PbftFaultMode fault() const { return fault_; }
+  // fault_ is consulted per message/phase, so flipping it on a live
+  // replica takes effect from the next protocol action.
+  void set_silent(bool silent) override {
+    fault_ = silent ? PbftFaultMode::kSilent : PbftFaultMode::kCorrect;
+  }
 
   std::size_t max_faults() const { return async_max_faults(config_.size()); }
   std::size_t quorum() const { return 2 * max_faults() + 1; }
@@ -265,17 +265,20 @@ class PbftSmr final : public SmrEngine {
   };
   // Agreement state of one seq: one BATCH of requests. An empty batch is
   // the null filler a new view uses for gaps (digest all-zero, executes as
-  // a no-op). The vote lists hold each phase's distinct voters: a list is
-  // reserved to the group size at its first vote, and add_voter appends a
-  // voter only if it is not there yet, so a repeated PREPARE or COMMIT
-  // counts once. Nothing asks them more than size() and membership.
+  // a no-op). Each phase keeps one vote per voter with the digest it named,
+  // so a repeated PREPARE or COMMIT counts once, and a vote that arrived
+  // before the PRE-PREPARE counts only if it names the batch's digest.
   struct Agreement {
     std::uint64_t view = 0;
     crypto::Digest digest{};
     std::vector<Request> batch;
     bool pre_prepared = false;
-    std::vector<NodeId> prepares;
-    std::vector<NodeId> commits;
+    VoteRecord prepares;
+    VoteRecord commits;
+    // Pre-prepared with 2f prepares on its digest.
+    bool prepared(std::size_t f) const {
+      return pre_prepared && prepares.reaches(digest, 2 * f);
+    }
   };
   // The executed record of one seq: its whole batch in delivery order. Ops
   // that executed as no-ops (duplicates) are recorded with the null origin
@@ -290,14 +293,13 @@ class PbftSmr final : public SmrEngine {
     std::uint64_t ops = 0;
     Bytes ledger_wire;
   };
-  using Votes = std::map<NodeId, crypto::Digest>;  // voter -> digest voted for
   // Every seq-indexed fact about one seq. An adopted slot carries no
   // agreement state (a late pre-prepare may set some; the record stays).
   struct Slot {
     Agreement agreement;
     ExecRecord record;                    // filled once seq <= next_exec_
     std::unique_ptr<Checkpoint> capture;  // our boundary capture, if executed
-    Votes votes;                          // boundary votes while in the window
+    VoteRecord votes;                     // boundary votes while in the window
   };
   struct PreparedProof {
     std::uint64_t seq;
@@ -467,7 +469,7 @@ class PbftSmr final : public SmrEngine {
   // CHECKPOINT votes above the window (a laggard's evidence that the group
   // moved on), bounded per voter by record_vote; votes inside the window
   // live in their slots. The vote is the SHA-256 of the full checkpoint body.
-  std::map<std::uint64_t, Votes> checkpoints_;
+  std::map<std::uint64_t, VoteRecord> checkpoints_;
   // Incremental executed-state digest: folded per record as
   // sha256(prev_digest || canonical record encoding). Equal across replicas
   // iff their executed prefixes are identical; checkpoint bodies carry it,
@@ -485,7 +487,9 @@ class PbftSmr final : public SmrEngine {
   static crypto::Digest checkpoint_digest(const Checkpoint& c);
   // Votes at a boundary above the stable checkpoint (null when none): read
   // from its slot inside the window, from checkpoints_ above it.
-  const Votes* votes_at(std::uint64_t seq) const;
+  const VoteRecord* votes_at(std::uint64_t seq) const;
+  // Whether f+1 votes at boundary seq name body_digest: one is correct.
+  bool vouched(std::uint64_t seq, const crypto::Digest& body_digest) const;
   void record_vote(std::uint64_t seq, NodeId voter, const crypto::Digest& body_digest);
   void maybe_stabilize();
   void trim_history();
@@ -522,7 +526,7 @@ class PbftSmr final : public SmrEngine {
   static constexpr int kMaxHeadFetchRounds = 8;
   int head_fetch_rounds_ = 0;
   // Each sender's latest reply digest; f+1 equal ones vouch for a reply.
-  Votes state_reply_votes_;
+  VoteRecord state_reply_votes_;
 
   // Primary-side batch buffer: ops waiting for the next flush. They stay in
   // pending_ too (the view-change timer watches pending_), so a cleared

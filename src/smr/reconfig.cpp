@@ -33,11 +33,13 @@ crypto::Digest chain_hash(const crypto::Digest& prev, const crypto::Digest& conf
 std::unique_ptr<SmrEngine> make_engine(net::Transport transport, GroupConfig config,
                                        crypto::KeyStore& keys, const EngineOptions& options) {
   if (options.kind == EngineKind::kSync) {
-    return std::make_unique<DolevStrongSmr>(std::move(transport), std::move(config), keys,
-                                            options.ds, options.ds_fault);
+    return std::make_unique<DolevStrongSmr>(
+        std::move(transport), std::move(config), keys, options.ds,
+        options.silent ? DsFaultMode::kSilent : DsFaultMode::kCorrect);
   }
-  return std::make_unique<PbftSmr>(std::move(transport), std::move(config), keys, options.pbft,
-                                   options.pbft_fault);
+  return std::make_unique<PbftSmr>(
+      std::move(transport), std::move(config), keys, options.pbft,
+      options.silent ? PbftFaultMode::kSilent : PbftFaultMode::kCorrect);
 }
 
 ReconfigurableSmr::ReconfigurableSmr(net::SimNetwork& net, NodeId self, GroupConfig initial,
@@ -77,11 +79,9 @@ void ReconfigurableSmr::stop() {
   }
 }
 
-void ReconfigurableSmr::set_fault(DsFaultMode ds, PbftFaultMode pbft) {
-  options_.ds_fault = ds;
-  options_.pbft_fault = pbft;
-  if (auto* e = dynamic_cast<DolevStrongSmr*>(engine_.get())) e->set_fault(ds);
-  if (auto* e = dynamic_cast<PbftSmr*>(engine_.get())) e->set_fault(pbft);
+void ReconfigurableSmr::set_silent(bool silent) {
+  options_.silent = silent;
+  if (engine_) engine_->set_silent(silent);
 }
 
 void ReconfigurableSmr::start_engine() {
@@ -246,12 +246,9 @@ void ReconfigurableSmr::on_removal_notice(const net::Message& msg) {
   // No prev-hash link check: a laggard several epochs behind cannot verify
   // the chain segment it missed. f+1 byte-identical notices from members of
   // its own last-known config guarantee one correct sender instead.
-  std::set<NodeId>& voters = notice_votes_[msg.payload.digest()];
-  voters.insert(msg.from);
-  std::size_t faults = options_.kind == EngineKind::kSync
-                           ? sync_max_faults(config_.size())
-                           : async_max_faults(config_.size());
-  if (voters.size() < faults + 1) return;
+  const crypto::Digest d = msg.payload.digest();
+  notice_votes_.add(msg.from, d, config_.size());
+  if (!notice_votes_.reaches(d, max_faults(options_.kind, config_.size()) + 1)) return;
   notice_votes_.clear();
 
   epoch_ = epoch;

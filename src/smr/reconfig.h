@@ -31,10 +31,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "crypto/keys.h"
@@ -46,14 +44,12 @@
 
 namespace atum::smr {
 
-enum class EngineKind { kSync, kAsync };
-
 struct EngineOptions {
   EngineKind kind = EngineKind::kSync;
   DolevStrongOptions ds;
   PbftOptions pbft;
-  DsFaultMode ds_fault = DsFaultMode::kCorrect;
-  PbftFaultMode pbft_fault = PbftFaultMode::kCorrect;
+  // §6.1.3: a faulty node's replica takes part in nothing.
+  bool silent = false;
 };
 
 // Position in the config-history hash chain; rides in the join snapshot so
@@ -94,7 +90,7 @@ class ReconfigurableSmr {
   // Runtime fault conversion: applies to the live engine immediately and to
   // every engine started for later epochs (scenario Byzantine primitives
   // convert correct nodes mid-run).
-  void set_fault(DsFaultMode ds, PbftFaultMode pbft);
+  void set_silent(bool silent);
 
   const GroupConfig& config() const { return config_; }
   std::uint64_t epoch() const { return epoch_; }
@@ -138,8 +134,9 @@ class ReconfigurableSmr {
   std::vector<NodeId> pre_switch_members_;
   // Removal-notice retry timers (canceled in stop()).
   std::vector<sim::EventId> notice_timers_;
-  // Notice digest -> senders; accepted at f+1 of the last-known config.
-  std::map<crypto::Digest, std::set<NodeId>> notice_votes_;
+  // Each sender's latest notice digest; accepted at f+1 matching votes
+  // from the last-known config.
+  VoteRecord notice_votes_;
   bool stopped_ = false;
 };
 

@@ -178,9 +178,8 @@ TEST_F(AStreamFixture, DistinctStreamsAreIsolated) {
 }
 
 // ---------------------------------------------------------------------------
-// verified_ frame-pinning contract: chunks alias their arrival frames by
-// default (zero-copy), and copy_out_threshold unpins small chunks for
-// long-lived stores.
+// verified_ frame-pinning contract: chunks alias their arrival frames
+// (zero-copy); store_window bounds how many stay pinned.
 // ---------------------------------------------------------------------------
 
 TEST_F(AStreamFixture, VerifiedChunksAliasArrivalFramesByDefault) {
@@ -190,8 +189,7 @@ TEST_F(AStreamFixture, VerifiedChunksAliasArrivalFramesByDefault) {
   for (auto& [id, n] : nodes) {
     if (id == 0) continue;
     n->set_chunk_handler([&](std::uint64_t, const net::Payload& data) {
-      // The delivered payload IS the stored chunk: with the default
-      // threshold (0) it must still be a slice of the larger
+      // The delivered payload IS the stored chunk: a slice of the larger
       // kStreamChunk frame (stream_id + seq + length prefix + body).
       (data.frame_size() > data.size() ? aliased : owned) += 1;
     });
@@ -200,26 +198,6 @@ TEST_F(AStreamFixture, VerifiedChunksAliasArrivalFramesByDefault) {
   run_for(seconds(30));
   EXPECT_GT(aliased, 0u);
   EXPECT_EQ(owned, 0u);
-}
-
-TEST_F(AStreamFixture, CopyOutThresholdUnpinsSmallChunks) {
-  StreamConfig cfg;
-  cfg.copy_out_threshold = 1 << 20;  // copy out everything below 1 MiB
-  deploy(24, cfg);
-  join_all(0);
-  std::size_t aliased = 0, owned = 0;
-  for (auto& [id, n] : nodes) {
-    if (id == 0) continue;
-    n->set_chunk_handler([&](std::uint64_t, const net::Payload& data) {
-      (data.frame_size() > data.size() ? aliased : owned) += 1;
-    });
-  }
-  nodes[0]->stream_chunk(Bytes(600, 0x3d));
-  run_for(seconds(30));
-  // Every stored chunk was copied out at store time: it owns its buffer
-  // and pins no transport frame.
-  EXPECT_EQ(aliased, 0u);
-  EXPECT_GT(owned, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ Params fast_params(smr::EngineKind kind = smr::EngineKind::kSync) {
   p.round_duration = millis(20);
   p.view_change_timeout = millis(500);
   p.heartbeat_period = millis(200);
-  p.heartbeat_miss_limit = 3;
   return p;
 }
 

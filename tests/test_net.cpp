@@ -23,7 +23,7 @@ struct NetFixture : ::testing::Test {
 TEST_F(NetFixture, DeliversToAttachedHandler) {
   auto net = make(cfg);
   std::vector<net::Payload> got;
-  net->attach(2, [&](const Message& m) { got.push_back(m.payload); });
+  net->attach(2, MsgType::kAppData, [&](const Message& m) { got.push_back(m.payload); });
   net->send(Message{1, 2, MsgType::kAppData, Bytes{42}});
   sim.run();
   ASSERT_EQ(got.size(), 1u);
@@ -34,7 +34,7 @@ TEST_F(NetFixture, DeliveryTakesLatency) {
   cfg.jitter_mean = 0;
   auto net = make(cfg);
   TimeMicros arrival = -1;
-  net->attach(2, [&](const Message&) { arrival = sim.now(); });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { arrival = sim.now(); });
   net->send(Message{1, 2, MsgType::kAppData, {}});
   sim.run();
   EXPECT_GE(arrival, cfg.base_latency);
@@ -52,7 +52,7 @@ TEST_F(NetFixture, DropProbabilityOneDropsEverything) {
   cfg.drop_probability = 1.0;
   auto net = make(cfg);
   int got = 0;
-  net->attach(2, [&](const Message&) { ++got; });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { ++got; });
   for (int i = 0; i < 20; ++i) net->send(Message{1, 2, MsgType::kAppData, {}});
   sim.run();
   EXPECT_EQ(got, 0);
@@ -63,7 +63,7 @@ TEST_F(NetFixture, DropProbabilityHalfDropsAboutHalf) {
   cfg.drop_probability = 0.5;
   auto net = make(cfg);
   int got = 0;
-  net->attach(2, [&](const Message&) { ++got; });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { ++got; });
   for (int i = 0; i < 2000; ++i) net->send(Message{1, 2, MsgType::kAppData, {}});
   sim.run();
   EXPECT_NEAR(got, 1000, 100);
@@ -72,8 +72,8 @@ TEST_F(NetFixture, DropProbabilityHalfDropsAboutHalf) {
 TEST_F(NetFixture, IsolationBlocksBothDirections) {
   auto net = make(cfg);
   int got1 = 0, got2 = 0;
-  net->attach(1, [&](const Message&) { ++got1; });
-  net->attach(2, [&](const Message&) { ++got2; });
+  net->attach(1, MsgType::kAppData, [&](const Message&) { ++got1; });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { ++got2; });
   net->isolate(2, true);
   net->send(Message{1, 2, MsgType::kAppData, {}});
   net->send(Message{2, 1, MsgType::kAppData, {}});
@@ -89,8 +89,8 @@ TEST_F(NetFixture, IsolationBlocksBothDirections) {
 TEST_F(NetFixture, LinkBlockIsBidirectionalAndReversible) {
   auto net = make(cfg);
   int got = 0;
-  net->attach(1, [&](const Message&) { ++got; });
-  net->attach(2, [&](const Message&) { ++got; });
+  net->attach(1, MsgType::kAppData, [&](const Message&) { ++got; });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { ++got; });
   net->block_link(1, 2, true);
   net->send(Message{1, 2, MsgType::kAppData, {}});
   net->send(Message{2, 1, MsgType::kAppData, {}});
@@ -106,7 +106,7 @@ TEST_F(NetFixture, PartitionAppliedAtDeliveryTime) {
   // A message in flight when the partition forms is lost (models TCP reset).
   auto net = make(cfg);
   int got = 0;
-  net->attach(2, [&](const Message&) { ++got; });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { ++got; });
   net->send(Message{1, 2, MsgType::kAppData, {}});
   net->isolate(2, true);  // before the event fires
   sim.run();
@@ -119,7 +119,7 @@ TEST_F(NetFixture, BandwidthSerializesLargeTransfers) {
   cfg.ingress_bytes_per_sec = 1e6;
   auto net = make(cfg);
   TimeMicros arrival = -1;
-  net->attach(2, [&](const Message&) { arrival = sim.now(); });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { arrival = sim.now(); });
   net->send(Message{1, 2, MsgType::kAppData, Bytes(1'000'000, 0)});  // 1 MB
   sim.run();
   // ~1 s egress + ~1 s ingress serialization at 1 MB/s.
@@ -133,7 +133,7 @@ TEST_F(NetFixture, BackToBackMessagesQueueOnEgress) {
   cfg.ingress_bytes_per_sec = 1e9;  // receiver not the bottleneck
   auto net = make(cfg);
   std::vector<TimeMicros> arrivals;
-  net->attach(2, [&](const Message&) { arrivals.push_back(sim.now()); });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { arrivals.push_back(sim.now()); });
   for (int i = 0; i < 3; ++i) net->send(Message{1, 2, MsgType::kAppData, Bytes(100'000, 0)});
   sim.run();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -144,7 +144,7 @@ TEST_F(NetFixture, BackToBackMessagesQueueOnEgress) {
 
 TEST_F(NetFixture, StatsCountersAreConsistent) {
   auto net = make(cfg);
-  net->attach(2, [](const Message&) {});
+  net->attach(2, MsgType::kAppData, [](const Message&) {});
   for (int i = 0; i < 5; ++i) net->send(Message{1, 2, MsgType::kAppData, {}});
   net->send(Message{1, 3, MsgType::kAppData, {}});  // unattached
   sim.run();
@@ -153,30 +153,6 @@ TEST_F(NetFixture, StatsCountersAreConsistent) {
   EXPECT_EQ(st.messages_delivered, 5u);
   EXPECT_EQ(st.messages_blocked, 1u);
   EXPECT_GT(st.bytes_sent, 0u);
-}
-
-TEST_F(NetFixture, TypedHandlerTakesPrecedence) {
-  auto net = make(cfg);
-  int typed = 0, fallback = 0;
-  net->attach(2, [&](const Message&) { ++fallback; });
-  net->attach(2, MsgType::kHeartbeat, [&](const Message&) { ++typed; });
-  net->send(Message{1, 2, MsgType::kHeartbeat, {}});
-  net->send(Message{1, 2, MsgType::kAppData, {}});
-  sim.run();
-  EXPECT_EQ(typed, 1);
-  EXPECT_EQ(fallback, 1);
-}
-
-TEST_F(NetFixture, DetachTypeKeepsFallback) {
-  auto net = make(cfg);
-  int typed = 0, fallback = 0;
-  net->attach(2, [&](const Message&) { ++fallback; });
-  net->attach(2, MsgType::kHeartbeat, [&](const Message&) { ++typed; });
-  net->detach(2, MsgType::kHeartbeat);
-  net->send(Message{1, 2, MsgType::kHeartbeat, {}});
-  sim.run();
-  EXPECT_EQ(typed, 0);
-  EXPECT_EQ(fallback, 1);
 }
 
 TEST_F(NetFixture, TransportClosesOnlyOwnRegistrations) {
@@ -200,8 +176,8 @@ TEST_F(NetFixture, WanLatencyFollowsRegionMatrix) {
   // Node ids map to regions by id % 8: nodes 0 and 1 are eu-west/eu-central
   // (12 ms), nodes 0 and 6 are eu-west/ap-sydney (140 ms).
   TimeMicros near_arrival = -1, far_arrival = -1;
-  net->attach(1, [&](const Message&) { near_arrival = sim.now(); });
-  net->attach(6, [&](const Message&) { far_arrival = sim.now(); });
+  net->attach(1, MsgType::kAppData, [&](const Message&) { near_arrival = sim.now(); });
+  net->attach(6, MsgType::kAppData, [&](const Message&) { far_arrival = sim.now(); });
   net->send(Message{0, 1, MsgType::kAppData, {}});
   sim.run();
   TimeMicros near_latency = near_arrival;  // sent at t=0
@@ -218,7 +194,7 @@ TEST_F(NetFixture, WanLatencyFollowsRegionMatrix) {
 TEST_F(NetFixture, SelfSendIsDelivered) {
   auto net = make(cfg);
   int got = 0;
-  net->attach(1, [&](const Message&) { ++got; });
+  net->attach(1, MsgType::kAppData, [&](const Message&) { ++got; });
   net->send(Message{1, 1, MsgType::kAppData, {}});
   sim.run();
   EXPECT_EQ(got, 1);
@@ -233,7 +209,7 @@ TEST_F(NetFixture, JitterVariesLatency) {
   cfg.jitter_mean = 1000;
   auto net = make(cfg);
   std::vector<TimeMicros> arrivals;
-  net->attach(2, [&](const Message&) { arrivals.push_back(sim.now()); });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { arrivals.push_back(sim.now()); });
   // Use distinct senders so egress queuing does not mask jitter.
   for (NodeId n = 10; n < 40; ++n) net->send(Message{n, 2, MsgType::kAppData, {}});
   sim.run();
@@ -250,7 +226,7 @@ TEST_F(NetFixture, JitterVariesLatency) {
 TEST_F(NetFixture, MutatingSentBufferDoesNotAffectInFlightMessage) {
   auto net = make(cfg);
   Bytes received;
-  net->attach(2, [&](const Message& m) { received = m.payload.to_bytes(); });
+  net->attach(2, MsgType::kAppData, [&](const Message& m) { received = m.payload.to_bytes(); });
   Bytes buf{1, 2, 3};
   net->send(Message{1, 2, MsgType::kAppData, buf});  // frozen at send time
   buf[0] = 99;                                       // sender scribbles afterwards
@@ -263,7 +239,8 @@ TEST_F(NetFixture, FanOutSharesOneBufferAcrossRecipients) {
   auto net = make(cfg);
   std::vector<const std::uint8_t*> seen_data;
   for (NodeId n = 1; n <= 8; ++n) {
-    net->attach(n, [&](const Message& m) { seen_data.push_back(m.payload.data()); });
+    net->attach(n, MsgType::kAppData,
+                [&](const Message& m) { seen_data.push_back(m.payload.data()); });
   }
   Payload shared(Bytes(4096, 0xAB));
   EXPECT_EQ(shared.use_count(), 1);
@@ -310,8 +287,8 @@ TEST_F(NetFixture, BlockedLinksDoNotAliasForLargeNodeIds) {
   const NodeId c = 2, d = (4ULL << 32) | 9;                 // (2<<32) ^ d
   auto net = make(cfg);
   int got_cd = 0, got_ab = 0;
-  net->attach(b, [&](const Message&) { ++got_ab; });
-  net->attach(d, [&](const Message&) { ++got_cd; });
+  net->attach(b, MsgType::kAppData, [&](const Message&) { ++got_ab; });
+  net->attach(d, MsgType::kAppData, [&](const Message&) { ++got_cd; });
   net->block_link(a, b, true);
   net->send(Message{c, d, MsgType::kAppData, {}});  // must NOT be blocked
   net->send(Message{a, b, MsgType::kAppData, {}});  // must be blocked
@@ -371,9 +348,9 @@ TEST_F(NetFixture, StockConfigsValidate) {
 TEST_F(NetFixture, PartitionBlocksAcrossSidesOnly) {
   auto net = make(cfg);
   int got1 = 0, got2 = 0, got3 = 0;
-  net->attach(1, [&](const Message&) { ++got1; });
-  net->attach(2, [&](const Message&) { ++got2; });
-  net->attach(3, [&](const Message&) { ++got3; });
+  net->attach(1, MsgType::kAppData, [&](const Message&) { ++got1; });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { ++got2; });
+  net->attach(3, MsgType::kAppData, [&](const Message&) { ++got3; });
   net->partition({{1}});  // 1 alone vs everyone else
   EXPECT_TRUE(net->partitioned());
   net->send(Message{1, 2, MsgType::kAppData, {}});  // across: blocked
@@ -396,7 +373,7 @@ TEST_F(NetFixture, PartitionCutsMessagesAlreadyInFlight) {
   cfg.jitter_mean = 0;
   auto net = make(cfg);
   int got = 0;
-  net->attach(2, [&](const Message&) { ++got; });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { ++got; });
   net->send(Message{1, 2, MsgType::kAppData, {}});
   net->partition({{1}});  // starts while the message is in flight
   sim.run();
@@ -407,7 +384,7 @@ TEST_F(NetFixture, PartitionCutsMessagesAlreadyInFlight) {
 TEST_F(NetFixture, MultiSidePartitionSeparatesAllComponents) {
   auto net = make(cfg);
   int got = 0;
-  for (NodeId n = 1; n <= 6; ++n) net->attach(n, [&](const Message&) { ++got; });
+  for (NodeId n = 1; n <= 6; ++n) net->attach(n, MsgType::kAppData, [&](const Message&) { ++got; });
   net->partition({{1, 2}, {3, 4}});  // sides: {1,2}, {3,4}, rest
   net->send(Message{1, 2, MsgType::kAppData, {}});  // within side 1
   net->send(Message{3, 4, MsgType::kAppData, {}});  // within side 2
@@ -423,9 +400,9 @@ TEST_F(NetFixture, MultiSidePartitionSeparatesAllComponents) {
 TEST_F(NetFixture, NodeFaultDegradesEveryTouchingLink) {
   auto net = make(cfg);
   int got = 0;
-  net->attach(1, [&](const Message&) { ++got; });
-  net->attach(2, [&](const Message&) { ++got; });
-  net->attach(3, [&](const Message&) { ++got; });
+  net->attach(1, MsgType::kAppData, [&](const Message&) { ++got; });
+  net->attach(2, MsgType::kAppData, [&](const Message&) { ++got; });
+  net->attach(3, MsgType::kAppData, [&](const Message&) { ++got; });
   net->set_node_fault(1, LinkFault{1.0, 0});
   net->send(Message{1, 2, MsgType::kAppData, {}});  // outbound from 1
   net->send(Message{3, 1, MsgType::kAppData, {}});  // inbound to 1
@@ -446,7 +423,7 @@ TEST_F(NetFixture, FaultLatencyDelaysDeliveryWithoutOccupyingIngress) {
   auto net = make(cfg);
   const DurationMicros extra = seconds(30.0);
   TimeMicros slow_at = -1, fast_at = -1;
-  net->attach(2, [&](const Message& m) {
+  net->attach(2, MsgType::kAppData, [&](const Message& m) {
     (m.from == 1 ? slow_at : fast_at) = sim.now();
   });
   net->set_node_fault(1, LinkFault{0.0, extra});
@@ -467,7 +444,7 @@ TEST_F(NetFixture, HealedPartitionLeavesNoDeadFlowEntriesUnderChurn) {
   std::uint64_t got = 0;
   constexpr NodeId kNodes = 64;
   for (NodeId n = 0; n < kNodes; ++n) {
-    net->attach(n, [&](const Message&) { ++got; });
+    net->attach(n, MsgType::kAppData, [&](const Message&) { ++got; });
   }
   // Build up serialization horizons on every node.
   for (NodeId n = 1; n < kNodes; ++n) net->send(Message{n, 0, MsgType::kAppData, Bytes(256, 1)});
@@ -488,7 +465,7 @@ TEST_F(NetFixture, HealedPartitionLeavesNoDeadFlowEntriesUnderChurn) {
     }
     sim.run();
   }
-  for (NodeId n = kNodes - 8; n < kNodes; ++n) net->detach(n);  // churned away
+  for (NodeId n = kNodes - 8; n < kNodes; ++n) net->detach(n, MsgType::kAppData);  // churned away
 
   // Heal. Every horizon has passed, and the heal clears the tags, so the
   // next sweep erases exactly the detached nodes' records.
@@ -507,7 +484,7 @@ TEST_F(NetFixture, HealedPartitionLeavesNoDeadFlowEntriesUnderChurn) {
 TEST_F(NetFixture, SweepFlowsIsExactAndReportsEvictions) {
   cfg.jitter_mean = 0;
   auto net = make(cfg);
-  net->attach(1, [](const Message&) {});
+  net->attach(1, MsgType::kAppData, [](const Message&) {});
   for (NodeId n = 2; n < 34; ++n) net->send(Message{n, 1, MsgType::kAppData, {}});
   sim.run();  // all horizons in the past now
   EXPECT_EQ(net->flow_count(), 0u);
@@ -520,7 +497,7 @@ TEST_F(NetFixture, SweepFlowsIsExactAndReportsEvictions) {
 TEST_F(NetFixture, SweepKeepsRecordsThatHoldOnlyACutOrAFault) {
   auto net = make(cfg);
   std::uint64_t got = 0;
-  net->attach(1, [&](const Message&) { ++got; });
+  net->attach(1, MsgType::kAppData, [&](const Message&) { ++got; });
   // Nodes 10-12 have no handler and no traffic: each holds only a fault
   // state, which the sweeps below must not forget.
   net->isolate(10, true);
@@ -532,7 +509,7 @@ TEST_F(NetFixture, SweepKeepsRecordsThatHoldOnlyACutOrAFault) {
   net->sweep_flows();
   ASSERT_EQ(got, 2000u);
 
-  for (NodeId n : {10, 11, 12}) net->attach(n, [&](const Message&) { ++got; });
+  for (NodeId n : {10, 11, 12}) net->attach(n, MsgType::kAppData, [&](const Message&) { ++got; });
   for (NodeId n : {10, 11, 12}) net->send(Message{1, n, MsgType::kAppData, {}});
   sim.run();
   EXPECT_EQ(got, 2000u);
@@ -547,7 +524,7 @@ TEST_F(NetFixture, SweepKeepsRecordsThatHoldOnlyACutOrAFault) {
 TEST_F(NetFixture, IdleFlowEntriesAreSwept) {
   auto net = make(cfg);
   std::uint64_t got = 0;
-  net->attach(1, [&](const Message&) { ++got; });
+  net->attach(1, MsgType::kAppData, [&](const Message&) { ++got; });
   // 50k distinct transient senders each send once, then fall idle. Without
   // eviction the table keeps one record per sender forever.
   for (NodeId s = 1000; s < 51000; ++s) {
@@ -565,7 +542,7 @@ TEST_F(NetFixture, ActiveFlowsSurviveTheSweep) {
   auto net = make(cfg);
   TimeMicros last = 0;
   std::uint64_t got = 0;
-  net->attach(2, [&](const Message&) {
+  net->attach(2, MsgType::kAppData, [&](const Message&) {
     last = sim.now();
     ++got;
   });
@@ -666,7 +643,7 @@ TEST_F(NetFixture, DigestCacheSurvivesDeliveryAcrossRecipients) {
   std::size_t handled = 0;
   crypto::Digest expect{};
   for (NodeId n = 1; n <= 8; ++n) {
-    net->attach(n, [&](const Message& m) {
+    net->attach(n, MsgType::kAppData, [&](const Message& m) {
       // Every recipient wants the digest of the same shared frame; only
       // the first computes it.
       EXPECT_EQ(m.payload.digest(), expect);

@@ -16,16 +16,17 @@ using namespace atum::obs;
 // Registry
 // ---------------------------------------------------------------------------
 
-TEST(RegistryTest, CountersGaugesAndProbes) {
+// A level that moves both ways is a probe over the field that holds it.
+TEST(RegistryTest, CountersAndProbes) {
   Registry reg;
   Counter& c = reg.counter("c");
   c.inc();
   c.inc(41);
   EXPECT_EQ(reg.value("c"), 42u);
 
-  Gauge& g = reg.gauge("g");
-  g.set(7);
-  g.add(-3);
+  std::uint64_t level = 7;
+  reg.probe("g", {}, [&level] { return level; });
+  level -= 3;
   EXPECT_EQ(reg.value("g"), 4u);
 
   std::uint64_t backing = 0;
@@ -65,14 +66,14 @@ TEST(RegistryTest, SampleIsSortedAndDeterministic) {
   // (name, labels) with the caller's sim-time stamp.
   Registry reg;
   reg.counter("zeta").inc(3);
-  reg.gauge("alpha").set(-5);
+  reg.probe("alpha", {}, [] { return 5; });
   reg.counter("mid", {{"k", "2"}}).inc();
   reg.counter("mid", {{"k", "10"}}).inc(2);
   Sample s = reg.sample(123456);
   EXPECT_EQ(s.at, 123456);
   ASSERT_EQ(s.cells.size(), 4u);
   EXPECT_EQ(s.cells[0].name, "alpha");
-  EXPECT_EQ(s.cells[0].value, -5);
+  EXPECT_EQ(s.cells[0].value, 5);
   EXPECT_EQ(s.cells[1].name, "mid");  // "10" < "2" lexicographically
   EXPECT_EQ(s.cells[1].labels, (Labels{{"k", "10"}}));
   EXPECT_EQ(s.cells[2].labels, (Labels{{"k", "2"}}));
@@ -89,7 +90,6 @@ TEST(RegistryTest, SampleIsSortedAndDeterministic) {
 TEST(RegistryTest, SampleValueReadsWhatRegistryValueReads) {
   Registry reg;
   reg.counter("c").inc(42);
-  reg.gauge("g").set(4);
   std::uint64_t backing = 99;
   reg.probe("p", {}, [&backing] { return backing; });
   reg.histogram("h").record(5);
@@ -97,7 +97,7 @@ TEST(RegistryTest, SampleValueReadsWhatRegistryValueReads) {
   reg.counter("x", {{"a", "1"}, {"b", "2"}}).inc(3);
   reg.counter("x", {{"a", "2"}}).inc(5);
   const Sample s = reg.sample(0);
-  for (const char* name : {"c", "g", "p", "h", "absent"}) {
+  for (const char* name : {"c", "p", "h", "absent"}) {
     EXPECT_EQ(s.value(name), reg.value(name)) << name;
   }
   EXPECT_EQ(s.value("p"), 99u);

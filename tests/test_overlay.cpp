@@ -129,28 +129,39 @@ struct GmFixture : ::testing::Test {
   sim::Simulator sim;
   net::SimNetwork net{sim, net::NetworkConfig::datacenter(), 77};
   Rng rng{11};
-  std::vector<NodeId> group_a{1, 2, 3, 4, 5};  // sending vgroup
+  std::vector<NodeId> group_a{1, 2, 3, 4, 5};  // sending vgroup 50
+  // The receivers' view of the sending vgroups.
+  std::map<GroupId, std::vector<NodeId>> known{{50, group_a}};
   NodeId receiver = 100;
   std::vector<std::pair<GroupMessageId, net::Payload>> delivered;
   std::unique_ptr<GroupMessageReceiver> rx;
 
-  void make_receiver(std::size_t claimed_size = 5) {
+  GroupMessageReceiver::MembersFn members_of() {
+    return [this](GroupId g) -> const std::vector<NodeId>* {
+      auto it = known.find(g);
+      return it == known.end() ? nullptr : &it->second;
+    };
+  }
+
+  void make_receiver() {
     rx = std::make_unique<GroupMessageReceiver>(
-        net::Transport(net, receiver),
+        net::Transport(net, receiver), members_of(),
         [this](const GroupMessageId& id, net::Payload p) {
           delivered.emplace_back(id, std::move(p));
         });
-    rx->set_group_size_fn([claimed_size](GroupId g) -> std::optional<std::size_t> {
-      if (g == 50) return claimed_size;
-      return std::nullopt;
-    });
+  }
+
+  // What one member of vgroup 50 sends: its prepared frame to every member
+  // of `dest`, through its own coalescer, flushed at once.
+  void send_group(NodeId sender, GroupMessageId id, const std::vector<NodeId>& dest,
+                  const net::Payload& payload) {
+    SendCoalescer c(net::Transport(net, sender), rng);
+    PreparedGroupMessage(known[50], sender, id, payload).send_to(c, dest);
+    c.flush();
   }
 
   void send_from_all(const Bytes& payload, const std::vector<NodeId>& senders) {
-    for (NodeId s : senders) {
-      net::Transport t(net, s);
-      send_group_message(t, group_a, GroupMessageId{50, 9}, {receiver}, payload, rng);
-    }
+    for (NodeId s : senders) send_group(s, GroupMessageId{50, 9}, {receiver}, payload);
   }
 };
 
@@ -199,10 +210,7 @@ TEST_F(GmFixture, PostTtlDuplicateIsNotRedelivered) {
   // Let a TTL pass; an unrelated id then delivers, and the receiver keeps
   // no entry for either delivered id.
   sim.run_until(sim.now() + seconds(3));
-  for (NodeId s : group_a) {
-    net::Transport t(net, s);
-    send_group_message(t, group_a, GroupMessageId{50, 10}, {receiver}, Bytes{0x11}, rng);
-  }
+  for (NodeId s : group_a) send_group(s, GroupMessageId{50, 10}, {receiver}, Bytes{0x11});
   sim.run();
   ASSERT_EQ(delivered.size(), 2u);
   EXPECT_EQ(rx->pending_count(), 0u) << "a delivered id kept its entry";
@@ -238,48 +246,29 @@ TEST_F(GmFixture, ByzantineMinorityCannotForgeContent) {
   EXPECT_EQ(delivered[0].second, Bytes{0x02});
 }
 
-TEST_F(GmFixture, UnknownGroupBuffersUntilReevaluate) {
-  make_receiver();
-  std::size_t known_size = 0;  // group unknown initially
-  rx->set_group_size_fn([&known_size](GroupId) -> std::optional<std::size_t> {
-    if (known_size == 0) return std::nullopt;
-    return known_size;
-  });
-  send_from_all(Bytes{0x77}, group_a);
-  sim.run();
-  EXPECT_TRUE(delivered.empty());
-  EXPECT_GT(rx->pending_count(), 0u);
-  known_size = 5;  // composition learned via a neighbor update
-  rx->reevaluate();
-  ASSERT_EQ(delivered.size(), 1u);
-}
-
 // reevaluate() delivers in ascending GroupMessageId order, whatever order
 // the ids arrived in or are stored in: each delivery runs the node's accept
-// path, and the node's later RNG draws depend on that order.
+// path, and the node's later RNG draws depend on that order. Vgroup 50 has
+// 7 members, so 3 vouchers are short of its majority of 4 until a neighbor
+// update shrinks it to 5.
 TEST_F(GmFixture, ReevaluateDeliversInIdOrder) {
+  known[50] = {1, 2, 3, 4, 5, 6, 7};
   make_receiver();
-  bool known = false;
-  rx->set_group_size_fn([&known](GroupId) -> std::optional<std::size_t> {
-    if (!known) return std::nullopt;
-    return 5;
-  });
   // Seqs spread like the digest prefixes real ids carry, sent in
   // descending order.
   std::vector<GroupMessageId> ids;
   for (std::uint64_t k = 1; k <= 16; ++k) ids.push_back({50, k * 0x9e3779b97f4a7c15ULL});
   std::sort(ids.rbegin(), ids.rend());
   for (const GroupMessageId& id : ids) {
-    for (NodeId s : {1, 2, 3}) {  // a majority, all full-payload ranks
-      net::Transport t(net, s);
-      send_group_message(t, group_a, id, {receiver}, Bytes{0x42}, rng);
+    for (NodeId s : {1, 2, 3}) {  // full-payload ranks, short of a majority
+      send_group(s, id, {receiver}, Bytes{0x42});
     }
     sim.run();
   }
   ASSERT_TRUE(delivered.empty());
   ASSERT_EQ(rx->pending_count(), ids.size());
 
-  known = true;
+  known[50] = group_a;  // the neighbor update: 3 of 5 is a majority
   rx->reevaluate();
   std::vector<GroupMessageId> order;
   for (const auto& [id, payload] : delivered) order.push_back(id);
@@ -289,13 +278,16 @@ TEST_F(GmFixture, ReevaluateDeliversInIdOrder) {
 
 TEST_F(GmFixture, MembershipFilterDropsOutsiders) {
   make_receiver();
-  rx->set_membership_fn([this](GroupId g, NodeId n) {
-    return g == 50 && std::find(group_a.begin(), group_a.end(), n) != group_a.end();
-  });
   // Five outsiders flood identical content; must not be accepted.
   send_from_all(Bytes{0x99}, {200, 201, 202, 203, 204});
   sim.run();
   EXPECT_TRUE(delivered.empty());
+  // Neither may a vgroup the receiver does not know: its frames are
+  // dropped on arrival, not buffered.
+  for (NodeId s : group_a) send_group(s, GroupMessageId{60, 9}, {receiver}, Bytes{0x97});
+  sim.run();
+  EXPECT_TRUE(delivered.empty());
+  EXPECT_EQ(rx->pending_count(), 0u);
   // Genuine members still get through.
   send_from_all(Bytes{0x98}, group_a);
   sim.run();
@@ -380,14 +372,11 @@ TEST_F(GmFixture, FanOutSharesOneWireBufferAcrossReceivers) {
   // materializes one buffer per *sender*, not one per recipient.
   std::vector<net::Payload> got;
   auto rx2 = std::make_unique<GroupMessageReceiver>(
-      net::Transport(net, 101),
+      net::Transport(net, 101), members_of(),
       [&](const GroupMessageId&, net::Payload p) { got.push_back(std::move(p)); });
-  rx2->set_group_size_fn([](GroupId) -> std::optional<std::size_t> { return 5; });
   make_receiver();
   for (NodeId s : group_a) {
-    net::Transport t(net, s);
-    send_group_message(t, group_a, GroupMessageId{50, 9}, {receiver, 101},
-                       net::Payload(Bytes(2048, 0x5A)), rng);
+    send_group(s, GroupMessageId{50, 9}, {receiver, 101}, net::Payload(Bytes(2048, 0x5A)));
   }
   sim.run();
   ASSERT_EQ(delivered.size(), 1u);
@@ -422,7 +411,6 @@ TEST_F(GmFixture, CoalescerPassesALoneFrameThroughUnwrapped) {
   EXPECT_EQ(full, 1u);
   EXPECT_EQ(envelopes, 0u);
   EXPECT_EQ(c.messages_sent(), 1u);
-  EXPECT_EQ(c.envelopes_sent(), 0u);
   EXPECT_EQ(c.messages_saved(), 0u);
 }
 
@@ -485,10 +473,12 @@ TEST_F(GmFixture, CoalescerDedupsAcrossInterleavedDestinations) {
   std::vector<NodeId> receive_order;
   std::map<NodeId, std::vector<std::vector<net::Payload>>> got;  // per message
   for (NodeId d : {a, b, c}) {
-    quiet.attach(d, [&, d](const net::Message& m) {
+    auto record = [&, d](const net::Message& m) {
       receive_order.push_back(d);
       got[d].push_back(frames_of(m));
-    });
+    };
+    quiet.attach(d, net::MsgType::kGroupMsgFull, record);
+    quiet.attach(d, net::MsgType::kGroupMsgEnvelope, record);
   }
   const net::Payload f1 = full_frame({50, 1}, Bytes{0x01});
   const net::Payload f2 = full_frame({50, 2}, Bytes{0x02});
@@ -641,19 +631,15 @@ TEST_F(GmFixture, EntriesAreFreedAtDeliveryOrAfterTtl) {
   // buffered for one TTL after its first frame, then is swept on the next
   // arrival.
   const TimeMicros first = sim.now();
-  net::Transport t(net, 1);
-  send_group_message(t, group_a, GroupMessageId{50, 77}, {receiver}, net::Payload(Bytes{0x22}),
-                     rng);
+  send_group(1, GroupMessageId{50, 77}, {receiver}, net::Payload(Bytes{0x22}));
   sim.run();
   EXPECT_EQ(rx->pending_count(), 1u);
   sim.run_until(first + seconds(4.0));
-  send_group_message(t, group_a, GroupMessageId{50, 77}, {receiver}, net::Payload(Bytes{0x22}),
-                     rng);
+  send_group(1, GroupMessageId{50, 77}, {receiver}, net::Payload(Bytes{0x22}));
   sim.run();
   EXPECT_EQ(rx->pending_count(), 1u) << "expired before its TTL";
   sim.run_until(first + seconds(6.0));
-  send_group_message(t, group_a, GroupMessageId{50, 78}, {receiver}, net::Payload(Bytes{0x33}),
-                     rng);
+  send_group(1, GroupMessageId{50, 78}, {receiver}, net::Payload(Bytes{0x33}));
   sim.run();
   EXPECT_EQ(rx->pending_count(), 1u);  // only the newer undelivered id remains
   EXPECT_EQ(delivered.size(), 1u);
@@ -688,9 +674,7 @@ TEST_F(GmFixture, PendingStaysBoundedUnderSustainedBroadcast) {
   constexpr std::uint64_t kRounds = 200;
   for (std::uint64_t seq = 0; seq < kRounds; ++seq) {
     for (NodeId s : group_a) {
-      net::Transport t(net, s);
-      send_group_message(t, group_a, GroupMessageId{50, seq}, {receiver},
-                        net::Payload(Bytes{0x33}), rng);
+      send_group(s, GroupMessageId{50, seq}, {receiver}, net::Payload(Bytes{0x33}));
     }
     sim.run_until(sim.now() + millis(100));
   }
@@ -706,9 +690,7 @@ TEST_F(GmFixture, DeliveredIdSetIsBoundedByTwoWindows) {
   constexpr std::uint64_t kRounds = 300;  // 30 s: more than three windows
   for (std::uint64_t seq = 0; seq < kRounds; ++seq) {
     for (NodeId s : group_a) {
-      net::Transport t(net, s);
-      send_group_message(t, group_a, GroupMessageId{50, seq}, {receiver},
-                        net::Payload(Bytes{0x44}), rng);
+      send_group(s, GroupMessageId{50, seq}, {receiver}, net::Payload(Bytes{0x44}));
     }
     sim.run_until(sim.now() + millis(100));
   }
@@ -725,17 +707,14 @@ TEST_F(GmFixture, DeliveredIdSetIsBoundedByTwoWindows) {
 
 TEST_F(GmFixture, SameFrameVouchedAtManyReceiversHashesOnce) {
   make_receiver();
-  GroupMessageReceiver rx2(net::Transport(net, 101),
+  GroupMessageReceiver rx2(net::Transport(net, 101), members_of(),
                            [&](const GroupMessageId&, net::Payload) {});
-  rx2.set_group_size_fn([](GroupId) -> std::optional<std::size_t> { return 5; });
 
   // Member 1 has rank 0 of 5: a full-payload sender. One frozen wire frame
   // fans out to both receivers.
   net::Payload payload(Bytes(512, 0xEE));
-  PreparedGroupMessage msg(group_a, /*self=*/1, GroupMessageId{50, 9}, payload);
-  net::Transport t(net, 1);
   const std::uint64_t base = crypto::sha256_digest_count();
-  msg.send_to(t, {receiver, 101}, rng);
+  send_group(1, GroupMessageId{50, 9}, {receiver, 101}, payload);
   sim.run();
   // Both receivers vouched for the SAME frame slice; the digest memo on
   // the frame's control block means exactly one SHA-256 ran.
@@ -745,22 +724,17 @@ TEST_F(GmFixture, SameFrameVouchedAtManyReceiversHashesOnce) {
 TEST_F(GmFixture, FullGroupSendHashesOncePerFrameAndOncePerSharedPayload) {
   make_receiver();
   std::vector<net::Payload> got2;
-  GroupMessageReceiver rx2(net::Transport(net, 101),
+  GroupMessageReceiver rx2(net::Transport(net, 101), members_of(),
                            [&](const GroupMessageId&, net::Payload p) {
                              got2.push_back(std::move(p));
                            });
-  rx2.set_group_size_fn([](GroupId) -> std::optional<std::size_t> { return 5; });
 
   // All five members send the same frozen payload to both receivers: ranks
   // 0-2 send full frames (one frozen frame each), ranks 3-4 send digests
   // derived from the SHARED payload buffer.
   net::Payload payload(Bytes(512, 0xEE));
   const std::uint64_t base = crypto::sha256_digest_count();
-  for (NodeId s : group_a) {
-    net::Transport t(net, s);
-    PreparedGroupMessage(group_a, s, GroupMessageId{50, 9}, payload)
-        .send_to(t, {receiver, 101}, rng);
-  }
+  for (NodeId s : group_a) send_group(s, GroupMessageId{50, 9}, {receiver, 101}, payload);
   sim.run();
   ASSERT_EQ(delivered.size(), 1u);
   ASSERT_EQ(got2.size(), 1u);

@@ -349,7 +349,7 @@ TEST(ScenarioTelemetryTest, TimeSeriesShowsThePartitionDip) {
   EXPECT_GT(min_baseline, 0.95);       // level before the cut
   EXPECT_LT(min_partition, 0.85);      // visible dip during the partition
   EXPECT_GT(last, 0.95);               // recovered by the end of the drain
-  // Gauges are populated, not zero-filled.
+  // Levels are populated, not zero-filled.
   EXPECT_GT(r.time_series.back().window.joined, 0u);
   EXPECT_GT(r.time_series.back().window.groups, 0u);
 }

@@ -172,7 +172,7 @@ TEST(PbftBatching, ViewChangeRescuesOpsStrandedInTheBatchBuffer) {
   BatchGroup g(4, opt);
   for (int i = 0; i < 3; ++i) g.at(0).propose(op_bytes("stranded" + std::to_string(i)));
   // The ops sit in replica 0's batch buffer; kill it before any flush.
-  g.at(0).set_fault(PbftFaultMode::kSilent);
+  g.at(0).set_silent(true);
   g.run_for(seconds(10));
   for (NodeId n = 1; n < 4; ++n) {
     ASSERT_EQ(g.decided[n].size(), 3u) << "replica " << n;

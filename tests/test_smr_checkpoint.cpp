@@ -112,7 +112,7 @@ TEST(PbftCheckpoint, WindowSurvivesViewChange) {
   g.run_for(seconds(5));
   ASSERT_EQ(g.decided[1].size(), 20u);
 
-  g.at(0).set_fault(PbftFaultMode::kSilent);  // primary of view 0 dies
+  g.at(0).set_silent(true);  // primary of view 0 dies
   for (int i = 0; i < 20; ++i) g.at(1).propose(op_bytes("b" + std::to_string(i)));
   g.run_for(seconds(20));
 

@@ -158,7 +158,7 @@ TEST_P(PbftRandomSchedule, InvariantsHoldAcrossChurnPartitionsAndCheckpoints) {
           auto victim = static_cast<NodeId>(rng.next_below(g));
           if (std::find(isolated.begin(), isolated.end(), victim) == isolated.end() &&
               std::find(silenced.begin(), silenced.end(), victim) == silenced.end()) {
-            grp.at(victim).set_fault(PbftFaultMode::kSilent);
+            grp.at(victim).set_silent(true);
             silenced.push_back(victim);
           }
         }
@@ -167,7 +167,7 @@ TEST_P(PbftRandomSchedule, InvariantsHoldAcrossChurnPartitionsAndCheckpoints) {
       case 4: {  // heal everything
         for (NodeId n : isolated) grp.net.isolate(n, false);
         isolated.clear();
-        for (NodeId n : silenced) grp.at(n).set_fault(PbftFaultMode::kCorrect);
+        for (NodeId n : silenced) grp.at(n).set_silent(false);
         silenced.clear();
         break;
       }
@@ -180,7 +180,7 @@ TEST_P(PbftRandomSchedule, InvariantsHoldAcrossChurnPartitionsAndCheckpoints) {
   // state when fresh checkpoint votes reveal its gap, so keep proposing
   // until every replica accounts for the same total (bounded rounds).
   for (NodeId n : isolated) grp.net.isolate(n, false);
-  for (NodeId n : silenced) grp.at(n).set_fault(PbftFaultMode::kCorrect);
+  for (NodeId n : silenced) grp.at(n).set_silent(false);
 
   // Drive the frontier across the acceptance floor first: with op batching,
   // a light schedule can decide all its ops in a handful of seqs, so the
