@@ -1,5 +1,5 @@
 // obs::Registry — the one deterministic metrics surface for the whole
-// runtime (ISSUE 9 tentpole). Two cell kinds:
+// runtime. Two cell kinds:
 //
 //   Counter   monotonically increasing u64 (atomic, relaxed — safe to
 //             bump from the TSan-stressed threads without ordering cost)
@@ -7,11 +7,11 @@
 //
 // plus Probes: registered std::function<u64()> polled only at sample()
 // time. Every level (a size, a live count) is a probe. Probes put hot
-// counters that stay plain fields (NetworkStats,
-// sha256_digest_count, the simulator's event counts, per-node coalescer
-// counts) on the registry without touching their hot paths — the cost of
-// a probe is zero between samples. ScenarioDriver builds its whole report
-// from Samples, so every probe runs at each phase end and telemetry tick.
+// counters that stay plain fields (NetworkStats, sha256_digest_count, the
+// simulator's event counts, per-node coalescer counts) on the registry
+// without touching their hot paths — the cost of a probe is zero between
+// samples. ScenarioDriver builds its whole report from Samples, so every
+// probe runs at each phase end and telemetry tick.
 //
 // Determinism rules (enforced by tools/atum_lint.py wall-clock bans):
 //  - no wall-clock anywhere in src/obs/: every Sample is stamped with the

@@ -20,8 +20,9 @@
 // members send the removed set a kSmrRemovalNotice carrying the new epoch,
 // its chain hash and member list (retried on a short backoff); a removed
 // node accepts once f+1 members of its own last-known config sent
-// byte-identical notices — at least one is correct — and fires the config
-// handler as if it had decided the op itself. The scenario driver's
+// byte-identical notices — at least one is correct; a member's latest
+// notice is its one vote — and fires the config handler as if it had
+// decided the op itself. The scenario driver's
 // announce/retry/timeout flow stays as the client-side fallback.
 //
 // The wrapper manages only the *local* replica's lifecycle. Creating
