@@ -2,8 +2,10 @@
 // serialization, the event queue, H-graph maintenance, and walk stepping.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/binomial.h"
@@ -328,35 +330,44 @@ BENCHMARK(BM_GossipCoalescedSend)
     ->ArgNames({"frames", "dests"})
     ->ArgsProduct({{1, 8, 32}, {1, 40}});
 
-// Group-message acceptance at one receiver: each member of a 10-member
-// vgroup sends one frame per id over the simulated network, six the full
-// 128-byte payload and four its digest. Each frame pays the sender check
-// and the majority lookup that AtumNode's receiver pays. A majority is
-// six, so every id delivers on its sixth frame and exactly four frames per
-// id arrive after acceptance; the delivered-id set drops those. An
-// iteration spans ~18 ms of simulated time, so the 50 ms TTL rotates the
-// set every ~22 iterations. Wall-clock per frame, 64 fresh ids per
-// iteration; building the frames is not timed.
+// Group-message acceptance: each member of a 10-member vgroup sends one
+// frame per id to every receiver over the simulated network, six the full
+// 128-byte payload and four its digest. Each receiver is a
+// GroupMessageReceiver on its own node, and each frame pays the sender
+// check and the majority lookup that AtumNode's receiver pays. A majority
+// is six, so every id delivers on its sixth frame and exactly four frames
+// per id arrive after acceptance; the delivered-id set drops those. With
+// one receiver its tables stay in the core's caches; with 1000 they do
+// not, which is the regime of a 1000-node system such as bcast_steady.
+// Wall-clock per frame, with about 40k frames per iteration at 1000
+// receivers (64 fresh ids at one); building the frames is not timed. The
+// 50 ms TTL expires entries and rotates the delivered-id sets as
+// simulated time passes.
 static void BM_GroupMessageAccept(benchmark::State& state) {
-  constexpr std::size_t kIdsPerIteration = 64;
   constexpr std::size_t kMembers = 10;
   constexpr std::size_t kFullSenders = kMembers / 2 + 1;
   constexpr GroupId kGroup = 50;
-  constexpr NodeId kReceiver = 100;
+  constexpr NodeId kFirstReceiver = 100;
+  const auto receivers = static_cast<std::size_t>(state.range(0));
+  const std::size_t ids_per_iteration =
+      std::clamp<std::size_t>(40'000 / (kMembers * receivers), 1, 64);
   sim::Simulator sim;
   net::SimNetwork net(sim, net::NetworkConfig::datacenter(), 0x5417);
   std::uint64_t delivered = 0;
   std::vector<NodeId> members(kMembers);
   for (NodeId m = 0; m < kMembers; ++m) members[m] = m;
-  overlay::GroupMessageReceiver rx(
-      net::Transport(net, kReceiver),
-      [&members](GroupId g) { return g == kGroup ? &members : nullptr; },
-      [&delivered](const overlay::GroupMessageId&, net::Payload) { ++delivered; });
-  rx.set_ttl(millis(50));
+  std::vector<std::unique_ptr<overlay::GroupMessageReceiver>> rx;
+  for (std::size_t r = 0; r < receivers; ++r) {
+    rx.push_back(std::make_unique<overlay::GroupMessageReceiver>(
+        net::Transport(net, kFirstReceiver + r),
+        [&members](GroupId g) { return g == kGroup ? &members : nullptr; },
+        [&delivered](const overlay::GroupMessageId&, net::Payload) { ++delivered; }));
+    rx.back()->set_ttl(millis(50));
+  }
   const Bytes body(128, 0x5a);
   std::uint64_t seq = 0;
   // One full and one digest frame per id; the members of each kind share it.
-  std::vector<std::pair<net::Payload, net::Payload>> frames(kIdsPerIteration);
+  std::vector<std::pair<net::Payload, net::Payload>> frames(ids_per_iteration);
   for (auto _ : state) {
     state.PauseTiming();
     for (auto& [full, digest] : frames) {
@@ -379,20 +390,21 @@ static void BM_GroupMessageAccept(benchmark::State& state) {
     for (const auto& [full, digest] : frames) {
       for (NodeId m = 0; m < kMembers; ++m) {
         net::Transport t(net, m);
-        if (m < kFullSenders) {
-          t.send(kReceiver, net::MsgType::kGroupMsgFull, full);
-        } else {
-          t.send(kReceiver, net::MsgType::kGroupMsgDigest, digest);
+        const bool is_full = m < kFullSenders;
+        for (std::size_t r = 0; r < receivers; ++r) {
+          t.send(kFirstReceiver + r,
+                 is_full ? net::MsgType::kGroupMsgFull : net::MsgType::kGroupMsgDigest,
+                 is_full ? full : digest);
         }
       }
     }
     sim.run();
   }
-  if (delivered != seq) state.SkipWithError("an id did not deliver exactly once");
+  if (delivered != seq * receivers) state.SkipWithError("an id did not deliver exactly once");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kIdsPerIteration * kMembers));
+                          static_cast<int64_t>(ids_per_iteration * kMembers * receivers));
 }
-BENCHMARK(BM_GroupMessageAccept);
+BENCHMARK(BM_GroupMessageAccept)->ArgName("receivers")->Arg(1)->Arg(1000);
 
 // Observability cells (ISSUE 9). The instrumentation contract is "near
 // zero when idle": a cached Counter* bump is one relaxed fetch_add, a

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 
@@ -51,11 +50,3 @@ inline std::string to_string(const BroadcastId& id) {
 }
 
 }  // namespace atum
-
-template <>
-struct std::hash<atum::BroadcastId> {
-  std::size_t operator()(const atum::BroadcastId& id) const noexcept {
-    std::size_t h = std::hash<atum::NodeId>{}(id.origin);
-    return h ^ (std::hash<std::uint64_t>{}(id.seq) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-  }
-};

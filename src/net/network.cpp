@@ -76,35 +76,34 @@ void SimNetwork::bind_metrics(obs::Registry& registry) {
   registry.probe("net.flows", {}, [this] { return static_cast<std::uint64_t>(flow_count()); });
 }
 
-SimNetwork::Node* SimNetwork::find(NodeId id) {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : &it->second;
-}
-
 void SimNetwork::attach(NodeId node, MsgType type, MessageHandler handler) {
-  auto& typed = nodes_[node].by_type;
-  auto it = std::find_if(typed.begin(), typed.end(),
-                         [type](const auto& entry) { return entry.first == type; });
-  if (it != typed.end()) {
-    it->second = std::move(handler);
+  Node& n = nodes_[node];
+  if (n.types.empty()) {
+    // A full AtumNode registers 16 types: its 3 direct ones, PBFT's 9, the
+    // removal notice and the group-message receiver's 3. Reserving them
+    // allocates each vector once instead of growing it five times.
+    constexpr std::size_t kTypesPerNode = 16;
+    n.types.reserve(kTypesPerNode);
+    n.handlers.reserve(kTypesPerNode);
+  }
+  auto it = std::find(n.types.begin(), n.types.end(), type);
+  if (it != n.types.end()) {
+    n.handlers[static_cast<std::size_t>(it - n.types.begin())] = std::move(handler);
   } else {
-    typed.emplace_back(type, std::move(handler));
+    n.types.push_back(type);
+    n.handlers.push_back(std::move(handler));
   }
 }
 
 // Detaching leaves the record in place: it may still hold a horizon, a cut
 // or a fault. The sweep erases it once it is idle.
 void SimNetwork::detach(NodeId node, MsgType type) {
-  if (Node* n = find(node)) {
-    std::erase_if(n->by_type, [type](const auto& entry) { return entry.first == type; });
-  }
-}
-
-const MessageHandler* SimNetwork::Node::handler_for(MsgType type) const {
-  for (const auto& [t, handler] : by_type) {
-    if (t == type) return &handler;
-  }
-  return nullptr;
+  Node* n = nodes_.find(node);
+  if (n == nullptr) return;
+  auto it = std::find(n->types.begin(), n->types.end(), type);
+  if (it == n->types.end()) return;
+  n->handlers.erase(n->handlers.begin() + (it - n->types.begin()));
+  n->types.erase(it);
 }
 
 std::size_t SimNetwork::region_of(NodeId node) const {
@@ -153,7 +152,7 @@ bool SimNetwork::partitioned() const {
 void SimNetwork::set_node_fault(NodeId node, LinkFault fault) {
   if (!fault.none()) {
     nodes_[node].fault = fault;
-  } else if (Node* n = find(node)) {
+  } else if (Node* n = nodes_.find(node)) {
     n->fault = {};
   }
 }
@@ -167,7 +166,7 @@ std::size_t SimNetwork::sweep_flows() {
   const TimeMicros now = sim_.now();
   auto idle = [now](const auto& kv) { return kv.second.idle(now); };
   // lint: unordered-iter-ok(erase predicate is per-entry, order-free)
-  std::size_t evicted = std::erase_if(nodes_, idle);
+  std::size_t evicted = nodes_.erase_if(idle);
   sends_since_flow_prune_ = 0;
   flow_sweep_allowance_ = nodes_.size() + kMinFlowSweep;
   return evicted;
@@ -183,7 +182,7 @@ std::size_t SimNetwork::flow_count() const {
 void SimNetwork::isolate(NodeId node, bool isolated) {
   if (isolated) {
     nodes_[node].isolated = true;
-  } else if (Node* n = find(node)) {
+  } else if (Node* n = nodes_.find(node)) {
     n->isolated = false;
   }
 }
@@ -212,10 +211,8 @@ void SimNetwork::send(Message msg) {
   stats_.bytes_sent += msg.wire_size();
   maybe_prune_flows();
 
-  // Record pointers stay valid across the insertion below: unordered_map
-  // never moves its elements.
-  Node* to = find(msg.to);
-  Node* from = find(msg.from);
+  Node* to = nodes_.find(msg.to);
+  Node* from = nodes_.find(msg.from);
   if (to == nullptr || !to->has_handler() || !link_ok(msg, from, *to)) {
     ++stats_.messages_blocked;
     return;
@@ -242,7 +239,13 @@ void SimNetwork::send(Message msg) {
   const double size = static_cast<double>(msg.wire_size());
   const TimeMicros now = sim_.now();
 
-  Node& out = from != nullptr ? *from : nodes_[msg.from];
+  if (from == nullptr) {
+    // Creating the sender's record can grow the table, which moves every
+    // record: find the receiver's again.
+    from = &nodes_[msg.from];
+    to = nodes_.find(msg.to);
+  }
+  Node& out = *from;
   auto egress_cost = static_cast<DurationMicros>(
       size / config_.egress_bytes_per_sec * kMicrosPerSecond);
   TimeMicros depart = std::max(now, out.egress_free);
@@ -261,13 +264,15 @@ void SimNetwork::send(Message msg) {
   deliver += extra_latency;
 
   sim_.schedule_at(deliver, [this, m = std::move(msg)]() {
-    const Node* to = find(m.to);
+    const Node* to = nodes_.find(m.to);
     const MessageHandler* handler = to == nullptr ? nullptr : to->handler_for(m.type);
-    if (handler == nullptr || !link_ok(m, find(m.from), *to)) {
+    if (handler == nullptr || !link_ok(m, nodes_.find(m.from), *to)) {
       ++stats_.messages_blocked;
       return;
     }
     ++stats_.messages_delivered;
+    // The handler may attach nodes and grow the table, which moves `to`;
+    // nothing here touches the record after the call.
     (*handler)(m);
   });
 }

@@ -13,10 +13,10 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "net/message.h"
@@ -148,22 +148,31 @@ class SimNetwork {
  private:
   // Everything the network keeps about one node. A node without a record
   // behaves as a fresh one: no handler, no cut, no fault, idle horizons.
+  // Records move when the table grows or shifts on erase; a handler's
+  // closure does not, since it lives in `handlers`' heap buffer.
   struct Node {
-    // Searched linearly: a node registers a couple of dozen types at most,
-    // and the scan is cheaper than a second hash lookup per delivery. A
-    // handler may attach or detach its own node's handlers while it runs
-    // (a join reply starts the node's runtime), which can move or destroy
-    // the very MessageHandler it runs in; each one only forwards to a
-    // member function, so none touches its closure afterwards.
-    std::vector<std::pair<MsgType, MessageHandler>> by_type;
+    // handlers[i] serves types[i]. Delivery scans `types` linearly: a node
+    // registers a couple of dozen types at most, and 2 bytes per type keep
+    // the scan to a cache line where (type, handler) pairs took 40 bytes
+    // each. A handler may attach or detach its own node's handlers while
+    // it runs (a join reply starts the node's runtime), which can move or
+    // destroy the very MessageHandler it runs in; each one only forwards
+    // to a member function, so none touches its closure afterwards.
+    std::vector<MsgType> types;
+    std::vector<MessageHandler> handlers;
     TimeMicros egress_free = 0;   // sender-side serialization horizon
     TimeMicros ingress_free = 0;  // receiver-side serialization horizon
     LinkFault fault;
     std::uint32_t tag = 0;  // partition side; 0 outside any partition
     bool isolated = false;
 
-    bool has_handler() const { return !by_type.empty(); }
-    const MessageHandler* handler_for(MsgType type) const;  // null when none
+    bool has_handler() const { return !types.empty(); }
+    const MessageHandler* handler_for(MsgType type) const {  // null when none
+      for (std::size_t i = 0; i < types.size(); ++i) {
+        if (types[i] == type) return &handlers[i];
+      }
+      return nullptr;
+    }
     bool busy(TimeMicros now) const { return egress_free > now || ingress_free > now; }
     // The one lifetime rule: an idle record holds nothing a fresh one would
     // not (past horizons clamp to now at send), so erasing it is exact.
@@ -172,7 +181,6 @@ class SimNetwork {
     }
   };
 
-  Node* find(NodeId id);
   // Whether a message may pass from m.from (record `from`, possibly null)
   // to m.to (record `to`): neither isolated, equal tags, link not blocked.
   bool link_ok(const Message& m, const Node* from, const Node& to) const;
@@ -194,7 +202,7 @@ class SimNetwork {
 
   static constexpr std::size_t kMinFlowSweep = 256;
 
-  std::unordered_map<NodeId, Node> nodes_;
+  FlatMap<NodeId, Node> nodes_;
   std::uint64_t sends_since_flow_prune_ = 0;
   std::size_t flow_sweep_allowance_ = kMinFlowSweep;
   std::unordered_set<LinkKey, LinkKeyHash> blocked_links_;

@@ -131,26 +131,30 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
   if (members == nullptr || std::find(members->begin(), members->end(), from) == members->end()) {
     return;
   }
-  auto it = entries_.find(id);
-  if (it == entries_.end()) {
+  Pending* pending = entries_.find(id);
+  if (pending == nullptr) {
     // No entry: the id is new, or it was delivered and the set drops it.
     if (delivered_.contains(id)) return;
     // New entry: even if it never delivers (digest-only flood, content
     // short of majority) it expires after one TTL.
-    it = entries_.try_emplace(id).first;
+    pending = &entries_[id];
     gc_queue_.emplace_back(transport_.simulator().now() + ttl_, id);
   }
-  Candidate& c = it->second[digest];
-  if (std::find(c.voters.begin(), c.voters.end(), from) == c.voters.end()) {
-    c.voters.push_back(from);
+  auto c = std::lower_bound(pending->begin(), pending->end(), digest,
+                            [](const Candidate& a, const crypto::Digest& d) { return a.digest < d; });
+  if (c == pending->end() || c->digest != digest) {
+    c = pending->insert(c, Candidate{digest, {}, std::nullopt});
+    c->voters.reserve(members->size());
   }
-  if (is_full && !c.payload) c.payload = std::move(payload);
-  try_deliver(it, members->size() / 2 + 1);
+  if (std::find(c->voters.begin(), c->voters.end(), from) == c->voters.end()) {
+    c->voters.push_back(from);
+  }
+  if (is_full && !c->payload) c->payload = std::move(payload);
+  try_deliver(id, *pending, members->size() / 2 + 1);
 }
 
-void GroupMessageReceiver::try_deliver(Entries::iterator it, std::size_t majority) {
-  const GroupMessageId id = it->first;
-  for (auto& [digest, c] : it->second) {
+void GroupMessageReceiver::try_deliver(GroupMessageId id, Pending& pending, std::size_t majority) {
+  for (Candidate& c : pending) {
     if (c.voters.size() < majority) continue;
     if (!c.payload) continue;  // majority but no full copy yet
     if (tracer_ != nullptr && tracer_->enabled()) {
@@ -158,7 +162,7 @@ void GroupMessageReceiver::try_deliver(Entries::iterator it, std::size_t majorit
                       id.seq, c.voters.size(), id.from_group);
     }
     net::Payload payload = std::move(*c.payload);
-    entries_.erase(it);  // `c` dangles from here on
+    entries_.erase(id);  // `pending` and `c` dangle from here on
     delivered_.insert(id);
     deliver_(id, std::move(payload));
     return;
@@ -169,16 +173,16 @@ void GroupMessageReceiver::reevaluate() {
   // Deliver in id order, not hash order: each delivery runs the node's
   // accept path, and the RNG draws and sends it makes depend on the order.
   std::vector<GroupMessageId> ids;
+  ids.reserve(entries_.size());
   // lint: unordered-iter-ok(the snapshot is sorted before anything is delivered)
   for (const auto& [id, p] : entries_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   // A delivery may re-enter reevaluate() (a neighbor update) and deliver
   // later ids first; their entries are gone by then.
   for (const GroupMessageId& id : ids) {
-    auto it = entries_.find(id);
-    if (it == entries_.end()) continue;
     const std::vector<NodeId>* members = members_(id.from_group);
-    if (members != nullptr) try_deliver(it, members->size() / 2 + 1);
+    Pending* pending = entries_.find(id);
+    if (members != nullptr && pending != nullptr) try_deliver(id, *pending, members->size() / 2 + 1);
   }
 }
 

@@ -23,11 +23,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/types.h"
 #include "crypto/sha256.h"
 #include "net/network.h"
@@ -46,18 +45,6 @@ struct GroupMessageId {
   std::uint64_t seq = 0;
   friend auto operator<=>(const GroupMessageId&, const GroupMessageId&) = default;
 };
-
-}  // namespace atum::overlay
-
-template <>
-struct std::hash<atum::overlay::GroupMessageId> {
-  std::size_t operator()(const atum::overlay::GroupMessageId& id) const noexcept {
-    std::size_t h = std::hash<atum::GroupId>{}(id.from_group);
-    return h ^ (std::hash<std::uint64_t>{}(id.seq) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-  }
-};
-
-namespace atum::overlay {
 
 // One group message encoded on behalf of the local node, ready to fan out.
 // `senders` is the sorted membership of the local vgroup (must include
@@ -139,21 +126,23 @@ class GroupMessageReceiver {
  private:
   // Everything one undelivered id has received for one digest.
   struct Candidate {
+    crypto::Digest digest;
     std::vector<NodeId> voters;           // distinct vouching senders
     std::optional<net::Payload> payload;  // the first full copy, once one arrives
   };
-  // An undelivered id's candidates, walked in digest order.
-  using Pending = std::map<crypto::Digest, Candidate>;
-  using Entries = std::unordered_map<GroupMessageId, Pending>;
+  // An undelivered id's candidates, sorted by digest: try_deliver walks
+  // them in digest order, so the same candidate wins wherever several
+  // qualify at once.
+  using Pending = std::vector<Candidate>;
 
   void on_message(const net::Message& msg);
   // One group-message frame: either a whole kGroupMsgFull/kGroupMsgDigest
   // message body or one inner frame of a coalesced envelope (`wire` is a
   // zero-copy slice of the envelope in that case).
   void on_frame(NodeId from, bool is_full, const net::Payload& wire);
-  // Delivers the entry's first candidate with `majority` voters and a full
-  // copy, erasing the entry first.
-  void try_deliver(Entries::iterator it, std::size_t majority);
+  // Delivers `pending`'s first candidate with `majority` voters and a full
+  // copy, erasing `id`'s entry first. `id` is a copy: the entry goes.
+  void try_deliver(GroupMessageId id, Pending& pending, std::size_t majority);
   void gc_expired();
 
   net::Transport transport_;
@@ -163,7 +152,7 @@ class GroupMessageReceiver {
   // Undelivered ids. Hashed: every arriving frame looks its id up here
   // first. Only reevaluate() iterates it, and it sorts the ids before
   // delivering any.
-  Entries entries_;
+  FlatMap<GroupMessageId, Pending> entries_;
   DurationMicros ttl_ = kGroupMessageTtl;
   // One GC deadline per entry, in creation order; swept lazily on message
   // arrival, O(1) amortized. An item can outlive its entry (the entry is

@@ -4,9 +4,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
-#include <utility>
 
+#include "common/flat_table.h"
 #include "common/types.h"
 
 namespace atum::overlay {
@@ -21,10 +20,13 @@ inline constexpr std::int64_t kDedupWindowTtls = 8;
 // set rotates on it too.
 inline constexpr DurationMicros kDedupWindow = kDedupWindowTtls * kGroupMessageTtl;
 
-// Ids kept in two generations rotated on simulated time: an id stays in the
-// set for at least one period after its insert and at most two, so the set
-// holds only the ids inserted over the last two periods. The caller passes
-// the time in; the set keeps no clock. Id needs a std::hash specialization.
+// Ids kept in two generations rotated on simulated time. The set rotates
+// only inside a rotate() call, once a period has passed since the current
+// generation started; rotating drops the older generation. An id therefore
+// stays for at least one period after its insert. After a quiet spell longer
+// than a period (no call) it can stay longer than two periods, but the set
+// never holds more than two generations of inserts. The caller passes the
+// time in; the set keeps no clock. Id must suit FlatHash.
 template <typename Id>
 class TwoGenerationSet {
  public:
@@ -33,7 +35,7 @@ class TwoGenerationSet {
   // Adds `id`; false if either generation already holds it.
   bool insert(const Id& id) {
     if (prev_.contains(id)) return false;
-    return recent_.insert(id).second;
+    return recent_.insert(id);
   }
 
   // Starts a new generation, dropping the oldest, once `period` has passed
@@ -44,16 +46,16 @@ class TwoGenerationSet {
       return;
     }
     if (now < rotate_at_) return;
-    prev_ = std::move(recent_);
-    recent_.clear();
+    prev_.swap(recent_);
+    recent_.clear();  // keeps its capacity for the next generation
     rotate_at_ = now + period;
   }
 
   std::size_t size() const { return recent_.size() + prev_.size(); }
 
  private:
-  std::unordered_set<Id> recent_;
-  std::unordered_set<Id> prev_;
+  FlatSet<Id> recent_;
+  FlatSet<Id> prev_;
   TimeMicros rotate_at_ = 0;
 };
 

@@ -1,13 +1,16 @@
 // Unit and property tests for the common substrate: RNG, serialization,
-// statistics, and the binomial arithmetic behind the paper's §3.1 analysis.
+// statistics, the flat hash table, and the binomial arithmetic behind the
+// paper's §3.1 analysis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/binomial.h"
+#include "common/flat_table.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "common/stats.h"
@@ -420,6 +423,108 @@ TEST(Binomial, MonteCarloAgreesWithAnalytic) {
 }
 
 // ---------------------------------------------------------------------------
+// FlatTable against a reference model
+// ---------------------------------------------------------------------------
+
+// Sends one key in eight to the array's last slot (all-ones keeps every
+// mask's bits) and one in eight to one of the last four, so those probe
+// runs collide and wrap around to slot 0 at every capacity; the rest spread.
+struct CollidingHash {
+  std::uint64_t operator()(std::uint64_t key) const {
+    if (key % 8 == 0) return ~std::uint64_t{0};
+    if (key % 8 == 1) return ~std::uint64_t{0} - (key / 8) % 4;
+    return mix64(key);
+  }
+};
+
+TEST(FlatTable, MatchesAReferenceModel) {
+  Rng rng(2024);
+  std::size_t ops = 0;
+  std::size_t peak = 0;
+  // Four rounds of 50k operations, each on fresh tables, so every round
+  // grows through several doublings. Key 0 is Key{}, the key the extra
+  // slot holds.
+  for (int round = 0; round < 4; ++round) {
+    FlatMap<std::uint64_t, std::uint64_t, CollidingHash> map;
+    FlatSet<std::uint64_t, CollidingHash> set;
+    std::map<std::uint64_t, std::uint64_t> model;
+
+    auto check_all = [&] {
+      ASSERT_EQ(map.size(), model.size());
+      ASSERT_EQ(set.size(), model.size());
+      for (const auto& [k, v] : model) {
+        const std::uint64_t* found = map.find(k);
+        ASSERT_NE(found, nullptr) << "key " << k << " lost";
+        ASSERT_EQ(*found, v);
+        ASSERT_TRUE(set.contains(k)) << "key " << k << " lost";
+      }
+    };
+    auto check_iteration = [&] {
+      using Entries = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+      Entries seen(map.begin(), map.end());
+      std::sort(seen.begin(), seen.end());
+      ASSERT_EQ(seen, Entries(model.begin(), model.end()));
+      std::vector<std::uint64_t> keys(set.begin(), set.end());
+      std::sort(keys.begin(), keys.end());
+      ASSERT_EQ(keys.size(), model.size());
+      ASSERT_TRUE(std::equal(keys.begin(), keys.end(), model.begin(),
+                             [](std::uint64_t k, const auto& kv) { return k == kv.first; }));
+    };
+
+    // Phases alternate between growing towards ~400 keys and shrinking
+    // towards ~20, over a universe of 512 keys.
+    bool growing = true;
+    for (int i = 0; i < 50'000; ++i, ++ops) {
+      if (growing && model.size() >= 400) growing = false;
+      if (!growing && model.size() <= 20) growing = true;
+      const std::uint64_t key = rng.next_below(512);
+      const std::uint64_t roll = rng.next_below(1000);
+      if (roll == 0) {
+        map.clear();
+        set.clear();
+        model.clear();
+        check_all();
+        check_iteration();
+      } else if (roll < 4) {
+        const std::uint64_t m = 2 + rng.next_below(5);
+        auto drop = [m](std::uint64_t k) { return k % m == 0; };
+        const std::size_t expected = std::erase_if(model, [&](const auto& kv) { return drop(kv.first); });
+        ASSERT_EQ(map.erase_if([&](const auto& kv) { return drop(kv.first); }), expected);
+        ASSERT_EQ(set.erase_if(drop), expected);
+        check_all();
+        check_iteration();
+      } else if (roll < (growing ? 700u : 300u)) {
+        const std::uint64_t value = rng.next_u64();
+        const bool fresh = model.find(key) == model.end();
+        model[key] = value;
+        map[key] = value;
+        ASSERT_EQ(set.insert(key), fresh);
+      } else if (roll < 850) {
+        const std::size_t expected = model.erase(key);
+        ASSERT_EQ(map.erase(key), expected);
+        ASSERT_EQ(set.erase(key), expected);
+        check_all();
+      } else {
+        const auto it = model.find(key);
+        const std::uint64_t* found = map.find(key);
+        ASSERT_EQ(found != nullptr, it != model.end());
+        if (found != nullptr) {
+          ASSERT_EQ(*found, it->second);
+        }
+        ASSERT_EQ(set.contains(key), it != model.end());
+      }
+      if (HasFatalFailure()) return;
+      peak = std::max(peak, model.size());
+    }
+    check_all();
+    check_iteration();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(ops, 200'000u);
+  EXPECT_GE(peak, 400u);  // 400 keys need 1024 slots: seven doublings from 8
+}
+
+// ---------------------------------------------------------------------------
 // Types
 // ---------------------------------------------------------------------------
 
@@ -433,7 +538,7 @@ TEST(Types, BroadcastIdEqualityAndHash) {
   BroadcastId a{1, 2}, b{1, 2}, c{1, 3};
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  EXPECT_EQ(std::hash<BroadcastId>{}(a), std::hash<BroadcastId>{}(b));
+  EXPECT_EQ(FlatHash<BroadcastId>{}(a), FlatHash<BroadcastId>{}(b));
   EXPECT_EQ(to_string(a), "1:2");
 }
 

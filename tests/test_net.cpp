@@ -562,6 +562,60 @@ TEST_F(NetFixture, ActiveFlowsSurviveTheSweep) {
 }
 
 // ---------------------------------------------------------------------------
+// Node records move: the table is open-addressed, so an insertion can grow
+// it and relocate every record.
+// ---------------------------------------------------------------------------
+
+// Each sender has no record, so send() creates one after it has found the
+// receiver's, and the table doubles several times mid-send. Every delivery
+// must still advance node 0's ingress horizon.
+TEST_F(NetFixture, NewSendersGrowTheTableMidSend) {
+  cfg.jitter_mean = 0;
+  auto net = make(cfg);
+  std::vector<TimeMicros> at;
+  net->attach(0, MsgType::kAppData, [&](const Message&) { at.push_back(sim.now()); });
+  constexpr NodeId kSenders = 5000;
+  for (NodeId s = 1; s <= kSenders; ++s) {
+    net->send(Message{s, 0, MsgType::kAppData, Bytes(100, 1)});
+  }
+  sim.run();
+  ASSERT_EQ(at.size(), kSenders);
+  std::size_t too_close = 0;
+  for (std::size_t i = 1; i < at.size(); ++i) too_close += at[i] - at[i - 1] < cfg.per_message_cpu;
+  EXPECT_EQ(too_close, 0u);
+}
+
+// A handler that attaches many nodes grows the table while the delivery
+// closure runs it; the closure must not touch the moved record afterwards.
+TEST_F(NetFixture, HandlerThatGrowsTheTableKeepsDelivering) {
+  auto net = make(cfg);
+  std::uint64_t old_got = 0, new_got = 0;
+  bool grown = false;
+  for (NodeId n = 2; n < 6; ++n) {
+    net->attach(n, MsgType::kAppData, [&](const Message& m) {
+      ++old_got;
+      if (grown) return;
+      grown = true;
+      for (NodeId fresh = 1000; fresh < 2000; ++fresh) {
+        net->attach(fresh, MsgType::kAppData, [&](const Message&) { ++new_got; });
+      }
+      net->send(Message{m.to, 1500, MsgType::kAppData, Bytes{7}});
+    });
+  }
+  net->send(Message{1, 2, MsgType::kAppData, {}});
+  sim.run();
+  ASSERT_TRUE(grown);
+  EXPECT_EQ(new_got, 1u);
+
+  for (NodeId n = 2; n < 6; ++n) net->send(Message{1, n, MsgType::kAppData, {}});
+  for (NodeId n = 1000; n < 2000; n += 100) net->send(Message{n, n + 1, MsgType::kAppData, {}});
+  sim.run();
+  EXPECT_EQ(old_got, 5u);
+  EXPECT_EQ(new_got, 11u);
+  EXPECT_EQ(net->stats().messages_blocked, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Payload digest cache: SHA-256 computed at most once per (frame, range),
 // memoized on the shared control block.
 // ---------------------------------------------------------------------------

@@ -276,6 +276,39 @@ TEST_F(GmFixture, ReevaluateDeliversInIdOrder) {
   EXPECT_EQ(order, ids);
 }
 
+// When several digests of one id qualify at once, the lowest delivers, and
+// only it. Member 1 of vgroup 60 equivocates: it vouches full copies of two
+// payloads. Members 2-3 back one and 4-5 the other, so each digest has 3
+// voters, one short of the majority of 7, until a neighbor update shrinks
+// the group to 5 and reevaluate() finds both at the new majority of 3.
+TEST_F(GmFixture, CandidatesDeliverInDigestOrder) {
+  known[60] = {1, 2, 3, 4, 5, 6, 7};
+  make_receiver();
+  const GroupMessageId id{60, 9};
+  const net::Payload a(Bytes{0x0A}), b(Bytes{0x0B});
+  auto vouch = [&](NodeId sender, const net::Payload& payload) {
+    SendCoalescer c(net::Transport(net, sender), rng);
+    // Rank 0's view of the senders: every voucher sends the full copy.
+    std::vector<NodeId> senders{sender};
+    PreparedGroupMessage(senders, sender, id, payload).send_to(c, {receiver});
+    c.flush();
+  };
+  for (const net::Payload* p : {&a, &b}) vouch(1, *p);
+  for (NodeId s : {2, 3}) vouch(s, a);
+  for (NodeId s : {4, 5}) vouch(s, b);
+  sim.run();
+  ASSERT_TRUE(delivered.empty());
+  ASSERT_EQ(rx->pending_count(), 1u);
+
+  known[60] = {1, 2, 3, 4, 5};
+  rx->reevaluate();
+  ASSERT_EQ(delivered.size(), 1u);
+  const net::Payload& lower = a.digest() < b.digest() ? a : b;
+  EXPECT_EQ(delivered[0].first, id);
+  EXPECT_EQ(delivered[0].second, lower);
+  EXPECT_EQ(rx->pending_count(), 0u);
+}
+
 TEST_F(GmFixture, MembershipFilterDropsOutsiders) {
   make_receiver();
   // Five outsiders flood identical content; must not be accepted.

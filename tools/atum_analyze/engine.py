@@ -13,7 +13,7 @@ with clang.cindex, and extracts a semantic model of the repository:
     construction;
   * range-for statements with the *canonical* type of the iterated range
     (so `auto&`, typedefs and structured bindings cannot hide an
-    unordered container);
+    unordered container or a flat hash table);
   * payload-escape candidates: Payload::data()/bytes_view()-derived raw
     views stored into members, returned, or captured by scheduled
     callables;
@@ -275,6 +275,15 @@ OWNER_FIELD_MARKERS = (
 )
 
 ALLOC_CALL_NAMES = {"make_unique", "make_shared", "malloc", "calloc", "realloc"}
+
+# Canonical type names of containers that iterate in hash order: the
+# standard unordered ones and common/flat_table.h's table (FlatMap and
+# FlatSet are aliases of atum::FlatTable).
+HASH_ORDER_MARKERS = ("unordered_", "atum::FlatTable<")
+
+
+def iterates_in_hash_order(spelling):
+    return any(marker in spelling for marker in HASH_ORDER_MARKERS)
 
 SCHEDULE_CALL_NAMES = {"schedule_at", "schedule_after", "defer", "set_timer"}
 
@@ -621,7 +630,7 @@ class Extractor:
         if range_expr is None:
             return
         spelling = self.canonical_spelling(range_expr.type)
-        if "unordered_" in spelling:
+        if iterates_in_hash_order(spelling):
             file, line, col = self.loc(cursor)
             self.model.add_once(
                 self.model.range_iters, Fact(file, line, col, spelling), "range"

@@ -82,6 +82,24 @@ class ByteWriter {
   Bytes buf_;
 };
 
+// common/flat_table.h's shape: FlatMap and FlatSet are aliases, so the
+// canonical type of every flat table names FlatTable. Iteration order
+// follows the hash.
+template <typename Key, typename Mapped>
+class FlatTable {
+ public:
+  using value_type = std::pair<Key, Mapped>;
+  value_type* begin() { return slots_.data(); }
+  value_type* end() { return slots_.data() + slots_.size(); }
+  const value_type* begin() const { return slots_.data(); }
+  const value_type* end() const { return slots_.data() + slots_.size(); }
+
+ private:
+  std::vector<value_type> slots_;
+};
+template <typename Key, typename Mapped>
+using FlatMap = FlatTable<Key, Mapped>;
+
 namespace net {
 
 class Payload {

@@ -18,7 +18,8 @@ Rules (suppressions use `// lint: <rule>-ok(<why>)`):
                          per-event/per-message entry points must not heap
                          allocate.
   unordered-iter         Range-for over a container whose *canonical* type
-                         is unordered — catches auto&, typedefs and
+                         iterates in hash order (std::unordered_*,
+                         atum::FlatTable) — catches auto&, typedefs and
                          structured bindings the regex rule could not see.
 """
 

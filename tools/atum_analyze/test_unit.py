@@ -299,6 +299,18 @@ class RuleAlgorithmTest(unittest.TestCase):
         self.assertEqual(findings, [])
         self.assertEqual(suppressed, 1)
 
+    def test_hash_order_covers_unordered_and_flat_tables(self):
+        for spelling in (
+            "std::unordered_map<int, int>",
+            "const std::unordered_set<unsigned long>",
+            "atum::FlatTable<unsigned long, atum::net::SimNetwork::Node, "
+            "atum::FlatHash<unsigned long>>",
+            "const atum::FlatTable<atum::BroadcastId, void, atum::FlatHash<atum::BroadcastId>>",
+        ):
+            self.assertTrue(engine.iterates_in_hash_order(spelling), spelling)
+        for spelling in ("std::map<int, int>", "std::vector<unsigned long>", "atum::FlatHash<int>"):
+            self.assertFalse(engine.iterates_in_hash_order(spelling), spelling)
+
     def test_findings_render_location_rule_and_hint(self):
         finding = rules_mod.Finding(
             rules_mod.RULE_PAYLOAD_ESCAPE, "/repo/x.cpp", 3, 9, "stores a view"

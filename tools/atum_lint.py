@@ -42,8 +42,9 @@ reachability instead of directory heuristics). The regex forms stay
 available behind --legacy as the fallback for environments without a
 usable libclang; `atum_analyze --probe` tells CMake which mode to wire in.
 
-  unordered-iter   Iterating a declared std::unordered_{map,set} (range-for,
-                   std::erase_if, .begin()) without
+  unordered-iter   Iterating a declared std::unordered_{map,set} or flat
+                   hash table (FlatMap, FlatSet, FlatTable; range-for,
+                   erase_if, .begin()) without
                        // lint: unordered-iter-ok(<why order cannot leak>)
 
   std-function     std::function in src/sim/ and src/net/ — the layers
@@ -210,10 +211,12 @@ BANNED_INCLUDE_RE = re.compile(r"^\s*#\s*include\s*<(random|ctime|chrono)>")
 # entropy implementation.
 RNG_EXEMPT = re.compile(r"(^|/)common/rng\.(cpp|h)$")
 
+# Hash-ordered containers: the standard unordered ones and common/flat_table.h's.
 UNORDERED_DECL_RE = re.compile(
-    r"\bstd\s*::\s*unordered_(?:map|set|multimap|multiset)\s*<[^;{}]*>\s+(\w+)\s*[;{=]"
+    r"(?:\bstd\s*::\s*unordered_(?:map|set|multimap|multiset)|\bFlat(?:Map|Set|Table))"
+    r"\s*<[^;{}]*>\s+(\w+)\s*[;{=]"
 )
-ERASE_IF_RE = re.compile(r"\bstd\s*::\s*erase_if\s*\(\s*([\w.\->]+)")
+ERASE_IF_RE = re.compile(r"\bstd\s*::\s*erase_if\s*\(\s*([\w.\->]+)|([\w.\->]+)\.erase_if\s*\(")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*:\s*\*?([\w.\->]+)\s*\)")
 BEGIN_ITER_RE = re.compile(r"([\w.\->]+)\.(?:begin|cbegin)\s*\(\s*\)")
 
@@ -266,7 +269,7 @@ def lint_file(src: SourceFile, unordered_names: set[str],
         if legacy:
             iter_names = set()
             for m in ERASE_IF_RE.finditer(line):
-                iter_names.add(m.group(1))
+                iter_names.add(m.group(1) or m.group(2))
             for m in RANGE_FOR_RE.finditer(line):
                 iter_names.add(m.group(1))
             for m in BEGIN_ITER_RE.finditer(line):
@@ -397,6 +400,23 @@ FIXTURES = [
     ("unordered_lookup_ok", "src/x/a.cpp",
      "std::unordered_map<int, int> tbl_;\n"
      "int f() { auto it = tbl_.find(3); return it == tbl_.end() ? 0 : it->second; }\n",
+     None),
+    ("flat_range_for_fails", "src/x/a.cpp",
+     "FlatMap<NodeId, Node> nodes_;\n"
+     "void f() { for (auto& [id, n] : nodes_) { emit(id); } }\n",
+     "unordered-iter"),
+    ("flat_erase_if_fails", "src/x/a.cpp",
+     "FlatSet<GroupMessageId> recent_;\n"
+     "void f() { recent_.erase_if([](const auto&) { return true; }); }\n",
+     "unordered-iter"),
+    ("flat_annotated_ok", "src/x/a.cpp",
+     "FlatMap<NodeId, Node> nodes_;\n"
+     "// lint: unordered-iter-ok(per-record reset, order-free)\n"
+     "void f() { for (auto& [id, n] : nodes_) { n.tag = 0; } }\n",
+     None),
+    ("flat_lookup_ok", "src/x/a.cpp",
+     "FlatMap<NodeId, Node> nodes_;\n"
+     "Node* f(NodeId id) { return nodes_.find(id); }\n",
      None),
     ("ordered_map_iter_ok", "src/x/a.cpp",
      "std::map<int, int> sorted_;\n"
