@@ -318,6 +318,40 @@ TEST(Pbft, MalformedMessagesIgnored) {
   EXPECT_EQ(g.decided[0].size(), 1u);
 }
 
+// The checks a NEW-VIEW meets after the instance tag: the new primary's
+// signature over the body, and no carried op under the null origin, which
+// is reserved for null batches and executed no-ops. Member 1, the primary
+// of view 1, sends replica 0 a NEW-VIEW carrying one batch at seq 1; each
+// bad frame must leave replica 0 in view 0, and the control frame, signed
+// by member 1 and carrying a member's op, must move it to view 1.
+TEST(Pbft, NewViewWithBadSignatureOrNullOriginIsIgnored) {
+  auto view_after = [](NodeId signer, NodeId origin) {
+    AsyncGroup g(4);
+    ByteWriter region;
+    region.varint(1);  // one op
+    region.u64(origin);
+    region.u64(1);  // origin seq
+    region.bytes(op_bytes("carried"));
+    ByteWriter entry;
+    entry.u64(1);  // seq: the claimed stable seq + 1
+    entry.bytes(region.data());
+    ByteWriter w;
+    w.u64(g.at(0).instance_tag());
+    w.u64(1);     // new view
+    w.u64(0);     // stable seq
+    w.varint(1);  // O entries
+    w.bytes(entry.data());
+    const crypto::Signature sig = g.keys.key_of(signer).sign(w.data().data() + 8, w.size() - 8);
+    w.raw(sig.data(), sig.size());
+    g.net.send(net::Message{1, 0, net::MsgType::kPbftNewView, net::Payload(w.take())});
+    g.run_for(millis(50));
+    return g.at(0).view();
+  };
+  EXPECT_EQ(view_after(2, 2), 0u) << "a NEW-VIEW signed by another member was accepted";
+  EXPECT_EQ(view_after(1, kInvalidNode), 0u) << "a carried op with the null origin was accepted";
+  EXPECT_EQ(view_after(1, 2), 1u) << "the control NEW-VIEW was rejected";
+}
+
 TEST(Pbft, EmptyAndLargeOps) {
   AsyncGroup g(4);
   g.at(0).propose({});

@@ -4,6 +4,8 @@
 Usage:
 
     tools/same_bytes.py --base BUILD_A --change BUILD_B [--nodes 1000]
+    tools/same_bytes.py --golden BUILD [--only ARTEFACT]
+    tools/same_bytes.py --golden BUILD --update-golden
 
 BUILD_A and BUILD_B are build directories, typically the parent commit's
 and the change's, each holding `atum_scenario` and `bench_smr_throughput`
@@ -19,9 +21,19 @@ It prints one line per artefact: `same`, `DIFFERS`, or `FAILED` when a run
 exits non-zero (an expectation or a self-check failed) on either side. It
 exits 0 only if every artefact is the same and every run succeeded, 1
 otherwise, and 2 on bad arguments or a missing binary.
+
+With --golden, the scenario artefacts of one build (its `atum_scenario`
+only) are run at 300 nodes and compared with the behaviour goldens
+committed under tests/golden/: each preset's report whole (ARTEFACT
+`PRESET.json`), the telemetry report and trace by SHA-256 (their
+`ARTEFACT.sha256` files hold the digest; the trace is too large to commit).
+On a difference it prints the first line that differs, or both digests.
+--only checks one artefact (one ctest case each); --update-golden rewrites
+every golden from the build instead of comparing.
 """
 import argparse
 import concurrent.futures
+import hashlib
 import os
 import subprocess
 import sys
@@ -31,6 +43,10 @@ SCENARIO = "atum_scenario"
 BENCH = "bench_smr_throughput"
 TELEMETRY = "partition_heal"  # the preset run with the time series and the trace on
 JOBS = 2  # runs at a time; one run peaks near 200 MB at 1000 nodes
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "tests", "golden")
+GOLDEN_NODES = 300
+HASHED = (TELEMETRY + ".telemetry.json", TELEMETRY + ".trace.json")  # goldens kept as digests
 
 
 def binary(build, name):
@@ -61,12 +77,11 @@ def run_preset(scenario, preset, nodes, out_dir):
 
 
 def run_telemetry(scenario, nodes, out_dir):
-    report = TELEMETRY + ".telemetry.json"
-    trace = TELEMETRY + ".trace.json"
+    report, trace = HASHED
     proc = subprocess.run([scenario, TELEMETRY, "--nodes", str(nodes), "--metrics-interval=1s",
                            "--trace-out", os.path.join(out_dir, trace),
                            "--out", os.path.join(out_dir, report)], capture_output=True)
-    return proc.returncode, {name: read(os.path.join(out_dir, name)) for name in (report, trace)}
+    return proc.returncode, {name: read(os.path.join(out_dir, name)) for name in HASHED}
 
 
 def run_bench(bench):
@@ -74,14 +89,9 @@ def run_bench(bench):
     return proc.returncode, {BENCH + ".stdout": proc.stdout, BENCH + ".stderr": proc.stderr}
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="build directory of the reference")
-    parser.add_argument("--change", required=True, help="build directory of the change")
-    parser.add_argument("--nodes", type=int, default=1000, help="preset population")
-    args = parser.parse_args()
+def compare_builds(base, change, nodes):
     builds = {side: (binary(build, SCENARIO), binary(build, BENCH))
-              for side, build in (("base", args.base), ("change", args.change))}
+              for side, build in (("base", base), ("change", change))}
 
     names = presets(builds["base"][0])
     if presets(builds["change"][0]) != names:
@@ -95,8 +105,8 @@ def main():
             out_dir = os.path.join(tmp, side)
             os.mkdir(out_dir)
             for preset in names:
-                jobs[side, preset] = pool.submit(run_preset, scenario, preset, args.nodes, out_dir)
-            jobs[side, "telemetry"] = pool.submit(run_telemetry, scenario, args.nodes, out_dir)
+                jobs[side, preset] = pool.submit(run_preset, scenario, preset, nodes, out_dir)
+            jobs[side, "telemetry"] = pool.submit(run_telemetry, scenario, nodes, out_dir)
             jobs[side, BENCH] = pool.submit(run_bench, bench)
 
         ok = True
@@ -115,6 +125,113 @@ def main():
                 ok &= verdict.startswith("same")
                 print(verdict, flush=True)
     return 0 if ok else 1
+
+
+def golden_path(artefact):
+    return os.path.join(GOLDEN_DIR, artefact + (".sha256" if artefact in HASHED else ""))
+
+
+def golden_bytes(artefact, produced):
+    """What tests/golden/ holds for an artefact: the bytes, or their digest line."""
+    if artefact in HASHED:
+        return f"{hashlib.sha256(produced).hexdigest()}  {artefact}\n".encode()
+    return produced
+
+
+def field_at(line, col):
+    """The comma-separated JSON field of `line` that holds column `col`."""
+    start = max(line.rfind(sep, 0, col) for sep in ",{[") + 1
+    ends = [end for end in (line.find(sep, col) for sep in ",}]") if end >= 0]
+    return line[start:min(ends, default=len(line))]
+
+
+def first_difference(expected, got):
+    """The first line that differs; a report is one line of JSON, so the
+    field around the first differing byte is printed, not the whole line."""
+    old = expected.decode(errors="replace").splitlines()
+    new = got.decode(errors="replace").splitlines()
+    for i in range(max(len(old), len(new))):
+        a = old[i] if i < len(old) else ""
+        b = new[i] if i < len(new) else ""
+        if a != b:
+            col = next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            return (f"line {i + 1}, column {col + 1}:\n  golden: {field_at(a, col)}\n"
+                    f"  got:    {field_at(b, col)}")
+    return "the final newline"
+
+
+def golden(build, only, update):
+    scenario = binary(build, SCENARIO)
+    tasks = {preset + ".json": preset for preset in presets(scenario)}
+    tasks.update({artefact: "telemetry" for artefact in HASHED})
+    if only is not None and only not in tasks:
+        print(f"same_bytes: no artefact {only}; known: {' '.join(sorted(tasks))}", file=sys.stderr)
+        return 2
+    wanted = [only] if only is not None else sorted(tasks)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            concurrent.futures.ThreadPoolExecutor(max_workers=JOBS) as pool:
+        jobs = {}  # task -> future
+        for artefact in wanted:
+            task = tasks[artefact]
+            if task in jobs:
+                continue
+            if task == "telemetry":
+                jobs[task] = pool.submit(run_telemetry, scenario, GOLDEN_NODES, tmp)
+            else:
+                jobs[task] = pool.submit(run_preset, scenario, task, GOLDEN_NODES, tmp)
+
+        ok = True
+        for artefact in wanted:
+            rc, out = jobs[tasks[artefact]].result()
+            path = golden_path(artefact)
+            if rc != 0:
+                print(f"FAILED   {artefact} (exit {rc})")
+                ok = False
+                continue
+            produced = golden_bytes(artefact, out[artefact])
+            if update:
+                os.makedirs(GOLDEN_DIR, exist_ok=True)
+                with open(path, "wb") as f:
+                    f.write(produced)
+                print(f"wrote    {os.path.relpath(path)} ({len(produced)} B)")
+                continue
+            expected = read(path)
+            if expected == produced:
+                print(f"same     {artefact} ({len(out[artefact])} B)")
+                continue
+            ok = False
+            if not expected:
+                print(f"MISSING  {artefact}: no {os.path.relpath(path)}; "
+                      f"run with --update-golden to write it")
+            elif artefact in HASHED:
+                print(f"DIFFERS  {artefact}\n  golden: {expected.decode().split()[0]}\n"
+                      f"  got:    {produced.decode().split()[0]}")
+            else:
+                print(f"DIFFERS  {artefact} at {first_difference(expected, produced)}")
+    return 0 if ok else 1
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="build directory of the reference")
+    parser.add_argument("--change", help="build directory of the change")
+    parser.add_argument("--nodes", type=int, default=1000, help="preset population")
+    parser.add_argument("--golden", metavar="BUILD",
+                        help="compare this build with the goldens in tests/golden/")
+    parser.add_argument("--only", metavar="ARTEFACT", help="with --golden: check one artefact")
+    parser.add_argument("--update-golden", action="store_true",
+                        help="with --golden: rewrite the goldens from this build")
+    args = parser.parse_args()
+    if args.golden is not None:
+        if args.base is not None or args.change is not None:
+            parser.error("--golden takes no --base or --change")
+        return golden(args.golden, args.only, args.update_golden)
+    if args.base is None or args.change is None:
+        parser.error("--base and --change are required unless --golden is given")
+    if args.only is not None or args.update_golden:
+        parser.error("--only and --update-golden need --golden")
+    return compare_builds(args.base, args.change, args.nodes)
 
 
 if __name__ == "__main__":
