@@ -972,9 +972,10 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
     if (installing) vouched_to = validate_chain(records);
     if (vouched_to > next_exec_) {
       adopt_entries(records, vouched_to - next_exec_);
-      // Without an install the vouched boundary is also the new stable
-      // point; after one, it stabilizes through its votes as usual.
-      if (!installing) collect_garbage(vouched_to);
+      // The vouched boundary is the new stable point, after an install as
+      // without one: f+1 votes and the digest chain prove it, as they
+      // prove an installed checkpoint.
+      collect_garbage(vouched_to);
     }
   }
   maybe_stabilize();

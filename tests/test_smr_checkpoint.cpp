@@ -226,6 +226,87 @@ TEST(PbftCheckpoint, StableCounterCountsQuorumAdvancesNotInstalls) {
   check_counts("after the install run");
 }
 
+// One stability rule for state transfer: a boundary that f+1 votes vouch
+// for becomes stable once a reply's records reach it, also when the same
+// reply installed a checkpoint first. In a 7-replica group (f = 2),
+// replicas 0-5 execute seqs 1-8 while the test keeps what they send member
+// 6: the pre-prepares and the CHECKPOINT votes for boundaries 4 and 8. A
+// fresh replica 6 then gets three votes for each boundary and one reply
+// holding checkpoint 4 and the records of seqs 5-8. Its own vote for 8
+// makes four, short of the 2f+1 = 5 that stabilize a boundary, so only the
+// vouched-boundary rule can make 8 stable.
+TEST(PbftCheckpoint, VouchedBoundaryIsStableAfterAnInstall) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  opt.watermark_window = 16;
+  opt.batch_max_ops = 1;
+  opt.view_change_timeout = seconds(60.0);  // no view change inside the test
+  CkptGroup g(7, opt);
+  const std::uint64_t tag = g.at(6).instance_tag();
+  g.at(6).stop();
+  std::map<std::uint64_t, Bytes> regions;                         // seq -> batch ops region
+  std::map<std::uint64_t, std::map<NodeId, net::Payload>> votes;  // boundary -> voter -> frame
+  g.net.attach(6, net::MsgType::kPbftPrePrepare, [&](const net::Message& m) {
+    ByteReader r(m.payload);
+    r.u64();  // instance tag
+    r.u64();  // view
+    const std::uint64_t seq = r.u64();
+    crypto::Digest digest;
+    r.raw(digest.data(), digest.size());
+    const std::span<const std::uint8_t> region = r.bytes_view();
+    regions[seq] = Bytes(region.begin(), region.end());
+  });
+  g.net.attach(6, net::MsgType::kPbftCheckpoint, [&](const net::Message& m) {
+    ByteReader r(m.payload);
+    r.u64();  // instance tag
+    votes[r.u64()][m.from] = m.payload;
+  });
+  for (int i = 0; i < 8; ++i) g.at(0).propose(op_bytes("op" + std::to_string(i)));
+  g.run_for(seconds(1));
+  ASSERT_EQ(g.decided[0].size(), 8u);
+  ASSERT_EQ(g.at(0).stable_seq(), 8u);
+  ASSERT_EQ(regions.size(), 8u);
+  ASSERT_EQ(votes[4].size(), 6u);
+  ASSERT_EQ(votes[8].size(), 6u);
+
+  g.net.detach(6, net::MsgType::kPbftPrePrepare);
+  g.net.detach(6, net::MsgType::kPbftCheckpoint);
+  g.replicas[6].reset();
+  g.replicas[6] = std::make_unique<PbftSmr>(net::Transport(g.net, 6), g.cfg, g.keys, opt);
+  PbftSmr& laggard = g.at(6);
+  laggard.set_decide_handler([&](std::uint64_t, NodeId origin, const net::Payload& op) {
+    g.decided[6].emplace_back(origin, op.to_bytes());
+  });
+  for (std::uint64_t boundary : {4u, 8u}) {
+    for (NodeId voter : {1u, 2u, 3u}) {
+      g.net.send(net::Message{voter, 6, net::MsgType::kPbftCheckpoint, votes[boundary][voter]});
+    }
+  }
+  g.run_for(millis(50));
+  ASSERT_EQ(laggard.batches_executed(), 0u);
+  ASSERT_EQ(laggard.stable_seq(), 0u);
+
+  // The reply a server truncated at 4 sends: u64 tag, u8 has-checkpoint,
+  // u64 from_seq, the checkpoint body (a vote frame after its tag), then
+  // the records, here each batch as agreed.
+  const net::Payload& body = votes[4][1];
+  ByteWriter w;
+  w.u64(tag);
+  w.u8(1);
+  w.u64(0);  // the laggard's position
+  w.raw(body.data() + 8, body.size() - 8);
+  w.varint(4);
+  for (std::uint64_t seq = 5; seq <= 8; ++seq) w.raw(regions[seq].data(), regions[seq].size());
+  g.net.send(net::Message{1, 6, net::MsgType::kPbftStateReply, net::Payload(w.take())});
+  g.run_for(millis(50));
+
+  EXPECT_EQ(laggard.batches_executed(), 8u);
+  ASSERT_EQ(g.decided[6].size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(g.decided[6][i], g.decided[0][4 + i]);
+  EXPECT_EQ(laggard.stable_seq(), 8u) << "the vouched boundary 8 did not become stable";
+  EXPECT_EQ(laggard.history_size(), 0u);
+}
+
 GroupConfig members(std::initializer_list<NodeId> ns) {
   GroupConfig c;
   c.members = ns;
