@@ -45,15 +45,6 @@ bool Topic::is_subscribed(NodeId n) {
   return system_.has_node(n) && system_.node(n).joined();
 }
 
-std::size_t Topic::subscriber_count() const {
-  // Counted through the deployment's ground-truth view.
-  std::size_t count = 0;
-  for (const auto& [g, members] : const_cast<Topic*>(this)->system_.group_map()) {
-    count += members.size();
-  }
-  return count;
-}
-
 void Topic::settle(DurationMicros duration) {
   system_.simulator().run_until(system_.simulator().now() + duration);
 }

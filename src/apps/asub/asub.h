@@ -46,7 +46,6 @@ class Topic {
   void set_event_handler(NodeId subscriber, EventFn fn);
 
   bool is_subscribed(NodeId n);
-  std::size_t subscriber_count() const;
 
   // Drives the simulation until pending operations settle (test/demo aid).
   void settle(DurationMicros duration);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.h"
 #include "overlay/hgraph.h"
 
 namespace atum::core {
@@ -91,13 +90,6 @@ AtumNode& AtumSystem::node(NodeId id) {
   auto it = nodes_.find(id);
   if (it == nodes_.end()) throw std::invalid_argument("AtumSystem: unknown node");
   return *it->second;
-}
-
-void AtumSystem::remove_node(NodeId id) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return;
-  it->second->stop();
-  nodes_.erase(it);
 }
 
 std::vector<NodeId> AtumSystem::node_ids() const {
@@ -395,7 +387,9 @@ void AtumNode::on_config_change(std::uint64_t, const smr::GroupConfig& config) {
       ++it;
     }
   }
-  for (NodeId n : vg_.members()) last_seen_.try_emplace(n, sys_.simulator().now());
+  for (NodeId n : vg_.members()) {
+    if (!last_seen_.contains(n)) last_seen_[n] = sys_.simulator().now();
+  }
 
   // Tell neighbors about the new composition (§3.2).
   send_neighbor_updates();
@@ -744,8 +738,8 @@ void AtumNode::heartbeat_tick() {
   const DurationMicros deadline = kHeartbeatMissLimit * sys_.params().heartbeat_period;
   for (NodeId peer : vg_.members()) {
     if (peer == id_) continue;
-    auto it = last_seen_.find(peer);
-    TimeMicros seen = it == last_seen_.end() ? 0 : it->second;
+    const TimeMicros* last = last_seen_.find(peer);
+    TimeMicros seen = last == nullptr ? 0 : *last;
     if (sys_.simulator().now() - seen > deadline && smr_) {
       group::SuspectOp op;
       op.suspect = peer;

@@ -45,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "core/params.h"
@@ -99,7 +100,6 @@ class AtumSystem {
   AtumNode& add_node(NodeId id, NodeBehavior behavior = NodeBehavior::kCorrect);
   AtumNode& node(NodeId id);
   bool has_node(NodeId id) const { return nodes_.contains(id); }
-  void remove_node(NodeId id);
   std::vector<NodeId> node_ids() const;
 
   // Instant deployment: partitions `ids` into vgroups of size
@@ -258,8 +258,9 @@ class AtumNode {
 
   // Walk nonces already launched (dedup across members' duplicate ops).
   std::set<std::uint64_t> walks_started_;
-  // Heartbeat bookkeeping.
-  std::unordered_map<NodeId, TimeMicros> last_seen_;
+  // Heartbeat bookkeeping: when each peer was last heard from. Written
+  // once per heartbeat and never iterated.
+  FlatMap<NodeId, TimeMicros> last_seen_;
   // suspect -> accusers whose SuspectOp was decided.
   std::map<NodeId, std::set<NodeId>> accusations_;
 };

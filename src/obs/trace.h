@@ -68,7 +68,6 @@ class Tracer {
   // Enables recording with a per-node ring capacity. `key_sample` keeps
   // one key in N (keys with key % N == 0); 0 or 1 keeps every key.
   void enable(std::size_t ring_capacity = 4096, std::uint64_t key_sample = 1);
-  void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
   // True when `key` survives sampling — callers can skip computing

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.h"
 
 namespace atum::smr {
 

@@ -95,8 +95,6 @@ class DolevStrongSmr final : public SmrEngine {
   void finish_slot();
   void broadcast_value(const Bytes& payload, std::uint64_t slot);
   void relay(PendingValue& v, std::uint64_t slot);
-  Bytes encode_value(std::uint64_t slot, NodeId origin, const Bytes& payload,
-                     const std::vector<std::pair<NodeId, crypto::Signature>>& chain) const;
   crypto::Digest value_digest(std::uint64_t slot, NodeId origin, const Bytes& payload) const;
 
   net::Transport transport_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 

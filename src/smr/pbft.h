@@ -184,7 +184,6 @@ class RequestLedger {
     }
     return ledger;
   }
-  std::size_t origin_count() const { return origins_.size(); }
   friend bool operator==(const RequestLedger&, const RequestLedger&) = default;
 
  private:

@@ -98,9 +98,7 @@ void ReconfigurableSmr::start_engine() {
                                   std::uint64_t to_ops) {
       // The skipped ops were decided by the group; keep the cross-epoch
       // sequence aligned with replicas that executed them one by one.
-      const std::uint64_t skipped = to_ops - from_ops;
-      global_seq_ += skipped;
-      if (install_) install_(skipped);
+      global_seq_ += to_ops - from_ops;
     });
   }
   // Reconfiguration must not lose in-flight proposals (SMART carries them

@@ -69,10 +69,6 @@ std::unique_ptr<SmrEngine> make_engine(net::Transport transport, GroupConfig con
 class ReconfigurableSmr {
  public:
   using ConfigFn = std::function<void(std::uint64_t epoch, const GroupConfig&)>;
-  // Checkpoint-install pass-through (PBFT engines only): the gap ops were
-  // decided by the group but never fire decide_ locally; global_seq_ is
-  // advanced past them before this fires. See PbftSmr::InstallFn.
-  using InstallFn = std::function<void(std::uint64_t skipped_ops)>;
 
   ReconfigurableSmr(net::SimNetwork& net, NodeId self, GroupConfig initial,
                     crypto::KeyStore& keys, EngineOptions options,
@@ -86,7 +82,6 @@ class ReconfigurableSmr {
 
   void set_decide_handler(DecideFn fn) { decide_ = std::move(fn); }
   void set_config_handler(ConfigFn fn) { config_changed_ = std::move(fn); }
-  void set_install_handler(InstallFn fn) { install_ = std::move(fn); }
 
   // Runtime fault conversion: applies to the live engine immediately and to
   // every engine started for later epochs (scenario Byzantine primitives
@@ -116,7 +111,6 @@ class ReconfigurableSmr {
 
   DecideFn decide_;
   ConfigFn config_changed_;
-  InstallFn install_;
 
   std::unique_ptr<SmrEngine> engine_;
   // Dedicated transport for removal notices: it outlives engine swaps (the
