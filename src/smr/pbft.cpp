@@ -129,24 +129,31 @@ std::vector<PbftSmr::Request> PbftSmr::read_ops(const net::Payload& frame, ByteR
   std::vector<Request> ops;
   ops.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    Request req;
-    req.id.origin = r.u64();
-    req.id.seq = r.u64();
-    req.op = frame.slice(r.bytes_view());  // zero-copy: view of the frame
-    ops.push_back(std::move(req));
+    // Braced init reads the fields in order; the op is a view of the frame.
+    ops.push_back(Request{RequestId{r.u64(), r.u64()}, frame.slice(r.bytes_view())});
   }
   return ops;
 }
 
-std::vector<PbftSmr::Request> PbftSmr::parse_ops_region(
-    const net::Payload& frame, std::span<const std::uint8_t> region) {
-  ByteReader r(region.data(), region.size());
-  std::vector<Request> batch = read_ops(frame, r);
-  r.expect_done();
+void PbftSmr::write_batch(ByteWriter& w, const std::vector<Request>& batch) {
+  w.varint(ops_region_size(batch));
+  encode_ops_region(w, batch);
+}
+
+std::size_t PbftSmr::batch_size(const std::vector<Request>& batch) {
+  const std::size_t region = ops_region_size(batch);
+  return ByteWriter::varint_size(region) + region;
+}
+
+PbftSmr::FrameBatch PbftSmr::read_batch(const net::Payload& frame, ByteReader& r) {
+  const std::span<const std::uint8_t> region = r.bytes_view();
+  ByteReader rr(region.data(), region.size());
+  FrameBatch batch{read_ops(frame, rr), frame.slice(region)};
+  rr.expect_done();
   // The null origin is reserved for gap-filling empty batches and the
   // executed records' no-ops; an op claiming it could never be matched
   // against a client broadcast.
-  for (const Request& req : batch) {
+  for (const Request& req : batch.ops) {
     if (req.id.origin == kNullOrigin) throw SerdeError("op with null origin");
   }
   return batch;
@@ -195,6 +202,17 @@ void PbftSmr::sign_frame(ByteWriter& w) const {
   w.raw(sig.data(), sig.size());
 }
 
+std::optional<ByteReader> PbftSmr::signed_body(const net::Message& msg) const {
+  crypto::Signature sig;
+  if (msg.payload.size() < sig.size()) return std::nullopt;
+  const std::size_t body = msg.payload.size() - sig.size();
+  std::copy(msg.payload.begin() + body, msg.payload.end(), sig.begin());
+  if (options_.verify_signatures && !keys_.verify(msg.from, msg.payload.data(), body, sig)) {
+    return std::nullopt;
+  }
+  return ByteReader(msg.payload.data(), body);
+}
+
 void PbftSmr::broadcast(net::MsgType type, Bytes frame) {
   const net::Payload frozen(std::move(frame));  // one buffer shared by every replica
   for (NodeId peer : config_.members) {
@@ -237,11 +255,9 @@ void PbftSmr::propose(Bytes op) {
 
 void PbftSmr::handle_request(const net::Message& msg) {
   ByteReader r(msg.payload);
-  Request req;
-  req.id.origin = r.u64();
-  req.id.seq = r.u64();
-  req.op = msg.payload.slice(r.bytes_view());     // zero-copy: view of the frame
-  if (req.id.origin != msg.from) return;          // clients are the members themselves
+  // Braced init reads the fields in order; the op is a view of the frame.
+  const Request req{RequestId{r.u64(), r.u64()}, msg.payload.slice(r.bytes_view())};
+  if (req.id.origin != msg.from) return;  // clients are the members themselves
   if (!config_.contains(req.id.origin)) return;
   if (assigned_or_executed_.contains(req.id.origin, req.id.seq)) return;
 
@@ -329,14 +345,11 @@ void PbftSmr::flush_batch() {
     // must still be able to trigger a view change.
 
     auto encode = [&](const std::vector<Request>& b, const crypto::Digest& b_digest) {
-      const std::size_t region = ops_region_size(b);
-      ByteWriter w =
-          frame_writer(8 + 8 + b_digest.size() + ByteWriter::varint_size(region) + region);
+      ByteWriter w = frame_writer(8 + 8 + b_digest.size() + batch_size(b));
       w.u64(view_);
       w.u64(seq);
       write_digest(w, b_digest);
-      w.varint(region);  // bytes(ops_region), written in place
-      encode_ops_region(w, b);
+      write_batch(w, b);
       return w.take();
     };
 
@@ -386,11 +399,10 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
   std::uint64_t view = r.u64();
   std::uint64_t seq = r.u64();
   crypto::Digest digest = read_digest(r);
-  std::span<const std::uint8_t> ops_region = r.bytes_view();
   // Zero-copy: every op stays a slice of the pre-prepare frame. Every
   // replica shares the primary's one frozen buffer, so the whole group
   // logs, executes, and decides this batch without materializing a copy.
-  std::vector<Request> batch = parse_ops_region(msg.payload, ops_region);
+  FrameBatch batch = read_batch(msg.payload, r);
 
   if (view > view_ || (view == view_ && view_changing_)) {
     // Also buffer current-view traffic while mid-view-change: the change
@@ -400,17 +412,17 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
   }
   if (view != view_) return;
   if (!in_window(seq)) return;
-  bool is_null = batch.empty();
-  // The batch digest covers the ops-region bytes; hashing the slice hits
-  // the frame's digest memo, shared with any other holder of this frame.
-  if (!is_null && msg.payload.slice(ops_region).digest() != digest) return;
+  // The named digest must be the batch's: the SHA-256 of the ops region
+  // (the slice hits the frame's digest memo, shared with any other holder
+  // of this frame), all-zero for a null batch.
+  if (batch.digest() != digest) return;
 
   // The primary must not invent or alter another member's request: accept
   // only ops we can match against the client's own broadcast (or the
   // primary's own ops — the primary is its own client). A batch with an
   // unknown request is stashed until that client's copy arrives (and may
   // re-stash under the next missing id when replayed).
-  for (const Request& req : batch) {
+  for (const Request& req : batch.ops) {
     if (req.id.origin == msg.from ||
         assigned_or_executed_.contains(req.id.origin, req.id.seq)) {
       continue;
@@ -430,7 +442,7 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
   }
   entry.view = view;
   entry.digest = digest;
-  entry.batch = std::move(batch);
+  entry.batch = std::move(batch.ops);
   entry.pre_prepared = true;
   for (const Request& req : entry.batch) {
     assigned_or_executed_.insert(req.id.origin, req.id.seq);
@@ -547,7 +559,6 @@ void PbftSmr::maybe_fetch_missing_head() {
 }
 
 void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
-  next_exec_ = seq;
   head_fetch_rounds_ = 0;  // progress: future gaps get fresh fetch rounds
   // One exec record per seq, holding the whole batch in delivery order
   // (empty for a null batch). An op that already executed under an earlier
@@ -555,46 +566,14 @@ void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
   // so replayed histories skip it identically.
   ExecRecord& rec = s.record;
   rec.reserve(s.agreement.batch.size());
-  std::uint64_t fresh_ops = 0;
   for (const Request& req : s.agreement.batch) {
-    if (executed_requests_.insert(req.id.origin, req.id.seq)) {
+    if (executed_.admit(req.id)) {
       rec.push_back(req);
-      ++fresh_ops;
     } else {
       rec.push_back(Request{RequestId{kNullOrigin, req.id.seq}, {}});
     }
-    assigned_or_executed_.insert(req.id.origin, req.id.seq);
-    erase_pending(req.id);
   }
-  // Ordering matters: fold the record into the state digest, count its
-  // fresh ops, and capture the checkpoint at a boundary BEFORE any decide
-  // callback runs — a callback may propose and (with tiny quorums) execute
-  // the next seq inline, and that nested execution's checkpoint must see
-  // this record fully accounted.
-  state_digest_ = fold_record(state_digest_, rec);
-  executed_ops_ += fresh_ops;
-  if (ctr_batches_ != nullptr) ctr_batches_->inc();
-  if (hist_batch_ops_ != nullptr) hist_batch_ops_->record(fresh_ops);
-  if (seq % options_.checkpoint_interval == 0) {
-    send_checkpoint(seq);
-  }
-  // Nested executions below may grow the log, which moves no slot, and
-  // never truncate it while exec_depth_ > 0, so `rec` stays put.
-  ++exec_depth_;
-  for (const Request& op : rec) {
-    if (op.id.origin == kNullOrigin) continue;
-    // Zero-copy async decide: the op is already a refcounted slice of the
-    // pre-prepare frame, shared by the slot's batch and record and its
-    // batch-mates. The callback (and everything above it) works on the
-    // same buffer; the seq argument is the per-op delivery ordinal.
-    ++decided_ops_;
-    if (ctr_ops_ != nullptr) ctr_ops_->inc();
-    if (options_.tracer != nullptr && options_.tracer->enabled()) {
-      trace(obs::TracePoint::kDecide, crypto::digest_prefix64(op.op.digest()), seq);
-    }
-    if (decide_) decide_(decided_ops_ - 1, op.id.origin, op.op);
-  }
-  --exec_depth_;
+  apply_record(seq, s, true);
   trim_history();
   maybe_stabilize();
   // Progress was made: withdraw any view change this replica started out of
@@ -605,9 +584,60 @@ void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
   arm_view_timer();  // no-op while nothing is pending
 }
 
+void PbftSmr::apply_record(std::uint64_t seq, Slot& s, bool local) {
+  next_exec_ = seq;
+  const ExecRecord& rec = s.record;
+  std::uint64_t ops = 0;
+  for (const Request& op : rec) {
+    if (op.id.origin == kNullOrigin) continue;
+    assigned_or_executed_.insert(op.id.origin, op.id.seq);
+    erase_pending(op.id);
+    ++ops;
+  }
+  // Fold (the ops are already counted) and checkpoint BEFORE any decide: a
+  // callback may propose and (with tiny quorums) execute the next seq
+  // inline, and that execution's checkpoint must see this record whole.
+  executed_.fold(rec);
+  if (local) {
+    if (ctr_batches_ != nullptr) ctr_batches_->inc();
+    if (hist_batch_ops_ != nullptr) hist_batch_ops_->record(ops);
+  }
+  if (seq % options_.checkpoint_interval == 0) send_checkpoint(seq);
+  // Nested executions below may grow the log, which moves no slot, and
+  // never truncate it while exec_depth_ > 0, so `rec` stays put.
+  ++exec_depth_;
+  for (const Request& op : rec) {
+    if (op.id.origin == kNullOrigin) continue;
+    // Zero-copy decide: the op is a slice of the frame it arrived in (the
+    // pre-prepare its batch-mates share, or the state reply), and the first
+    // argument is the per-op delivery ordinal.
+    ++decided_ops_;
+    if (local) {
+      if (ctr_ops_ != nullptr) ctr_ops_->inc();
+      if (options_.tracer != nullptr && options_.tracer->enabled()) {
+        trace(obs::TracePoint::kDecide, crypto::digest_prefix64(op.op.digest()), seq);
+      }
+    }
+    if (decide_) decide_(decided_ops_ - 1, op.id.origin, op.op);
+  }
+  --exec_depth_;
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoints & state transfer
 // ---------------------------------------------------------------------------
+
+void PbftSmr::ExecState::admit_record(const ExecRecord& rec) {
+  for (const Request& op : rec) {
+    if (op.id.origin != kNullOrigin) admit(op.id);
+  }
+}
+
+PbftSmr::Checkpoint PbftSmr::ExecState::checkpoint(std::uint64_t seq) const {
+  ByteWriter lw;
+  requests.encode(lw);
+  return Checkpoint{seq, digest, ops, lw.take()};
+}
 
 // A record's canonical encoding is its ops region: folded into the
 // incremental state digest and reused verbatim by state replies, so a
@@ -687,9 +717,7 @@ std::size_t PbftSmr::stored_votes() const {
 }
 
 void PbftSmr::send_checkpoint(std::uint64_t seq) {
-  ByteWriter lw;
-  executed_requests_.encode(lw);
-  Checkpoint capture{seq, state_digest_, executed_ops_, lw.take()};
+  Checkpoint capture = executed_.checkpoint(seq);
   ByteWriter w = frame_writer(checkpoint_body_size(capture));
   write_checkpoint_body(w, capture);
   // Our vote is the digest of the body, the bytes after the tag.
@@ -887,31 +915,23 @@ std::vector<PbftSmr::ExecRecord> PbftSmr::parse_exec_records(const net::Message&
   return entries;
 }
 
-// Chain validation: simulate folding `entries` (claiming seqs next_exec_+1
-// onward) onto the current state digest / op count / ledger, and at every
-// checkpoint boundary rebuild the body the chain implies and count matching
-// votes. Returns the highest boundary that f+1 voters confirm (0 = none) —
-// everything up to it is provably the group's history, because a correct
-// voter hashed the same digest chain over the same records. O(served
-// bytes), unlike the seed's full-prefix rehash per candidate checkpoint.
+// Chain validation: advance a copy of the executed state through `entries`
+// (seqs next_exec_+1 onward) as adoption would, and at every boundary count
+// the votes for the body the copy implies. Returns the highest boundary f+1
+// voters confirm (0 = none): everything up to it is provably the group's
+// history, because a correct voter hashed the same chain over the same
+// records.
 std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries) const {
-  crypto::Digest digest = state_digest_;
-  std::uint64_t ops = executed_ops_;
-  RequestLedger ledger = executed_requests_;
+  ExecState state = executed_;
   std::uint64_t best = 0;
   std::uint64_t seq = next_exec_;
   for (const ExecRecord& rec : entries) {
     ++seq;
-    digest = fold_record(digest, rec);
-    for (const Request& op : rec) {
-      if (op.id.origin == kNullOrigin) continue;
-      if (ledger.insert(op.id.origin, op.id.seq)) ++ops;
-    }
+    state.admit_record(rec);
+    state.fold(rec);
     if (seq % options_.checkpoint_interval != 0) continue;
     if (votes_at(seq) == nullptr) continue;
-    ByteWriter lw;
-    ledger.encode(lw);
-    if (vouched(seq, checkpoint_digest(Checkpoint{seq, digest, ops, lw.take()}))) best = seq;
+    if (vouched(seq, checkpoint_digest(state.checkpoint(seq)))) best = seq;
   }
   return best;
 }
@@ -982,21 +1002,19 @@ void PbftSmr::handle_state_reply(const net::Message& msg) {
 
 void PbftSmr::install_checkpoint(Checkpoint ckpt, RequestLedger ledger) {
   const std::uint64_t from_seq = next_exec_;
-  const std::uint64_t from_ops = executed_ops_;
+  const std::uint64_t from_ops = executed_.ops;
   const std::uint64_t cseq = ckpt.seq;
   const std::uint64_t ops = ckpt.ops;
   if (ctr_installs_ != nullptr) ctr_installs_->inc();
   next_exec_ = cseq;
-  state_digest_ = ckpt.state_digest;
-  executed_ops_ = ops;
   decided_ops_ = ops;  // skipped ops never fire locally; ordinals resume past them
-  executed_requests_ = ledger;
   // View-change-carried assignments above the checkpoint are forgotten
   // here; worst case the primary re-assigns such a request and execution
   // dedups it against the ledger — a null op, not a double delivery.
-  assigned_or_executed_ = std::move(ledger);
+  assigned_or_executed_ = ledger;
+  executed_ = ExecState{ckpt.state_digest, ops, std::move(ledger)};
   std::erase_if(pending_, [&](const Request& req) {
-    return executed_requests_.contains(req.id.origin, req.id.seq);
+    return executed_.requests.contains(req.id.origin, req.id.seq);
   });
   stable_ckpt_ = std::move(ckpt);
   next_seq_ = std::max(next_seq_, cseq + 1);
@@ -1015,7 +1033,6 @@ void PbftSmr::install_checkpoint(Checkpoint ckpt, RequestLedger ledger) {
 void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_t count) {
   if (count == 0 || entries.empty()) return;
   const std::uint64_t start = next_exec_;
-  ++exec_depth_;
   for (std::uint64_t i = 0; i < count && i < entries.size(); ++i) {
     const std::uint64_t seq = start + i + 1;
     // A decide callback below may propose and execute ahead of us (tiny
@@ -1023,31 +1040,16 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
     // about to adopt, the rest of the reply is stale — bail out rather
     // than fold records out of order.
     if (seq != next_exec_ + 1) break;
-    const ExecRecord& rec = entries[static_cast<std::size_t>(i)];
-    // Fold the record VERBATIM as served: the state digest chain covers the
+    // Take the record VERBATIM as served: the state digest chain covers the
     // null-op markers too, so re-nulling against local ledger state would
     // fork the chain from the group's.
-    state_digest_ = fold_record(state_digest_, rec);
-    std::uint64_t fresh_ops = 0;
-    for (const Request& op : rec) {
-      if (op.id.origin == kNullOrigin) continue;
-      if (executed_requests_.insert(op.id.origin, op.id.seq)) ++fresh_ops;
-      assigned_or_executed_.insert(op.id.origin, op.id.seq);
-      erase_pending(op.id);
-    }
-    executed_ops_ += fresh_ops;
+    const ExecRecord& rec = entries[static_cast<std::size_t>(i)];
+    executed_.admit_record(rec);
     Slot& s = slot(seq);
     s.agreement = {};  // an unexecutable duplicate must not shadow the record
     s.record = rec;
-    next_exec_ = seq;
-    if (seq % options_.checkpoint_interval == 0) send_checkpoint(seq);
-    for (const Request& op : rec) {
-      if (op.id.origin == kNullOrigin) continue;
-      ++decided_ops_;
-      if (decide_) decide_(decided_ops_ - 1, op.id.origin, op.op);  // shares the reply frame
-    }
+    apply_record(seq, s, false);
   }
-  --exec_depth_;
   trim_history();
   maybe_stabilize();
   head_fetch_rounds_ = 0;  // progress: future gaps get fresh fetch rounds
@@ -1093,7 +1095,6 @@ void PbftSmr::start_view_change(std::uint64_t explicit_target) {
   ViewChangeMsg vc;
   vc.new_view = target_view_;
   vc.stable_seq = stable_seq_;
-  vc.sender = transport_.self();
   for (std::uint64_t seq = stable_seq_ + 1; seq <= log_end(); ++seq) {
     const Agreement& entry = find_slot(seq)->agreement;
     if (entry.prepared(max_faults())) {
@@ -1108,14 +1109,12 @@ void PbftSmr::start_view_change(std::uint64_t explicit_target) {
   for (const auto& p : vc.prepared) {
     w.u64(p.seq);
     w.u64(p.view);
-    ByteWriter ow;
-    encode_ops_region(ow, p.batch);
-    w.bytes(ow.data());
+    write_batch(w, p.batch);
   }
   sign_frame(w);
   broadcast(net::MsgType::kPbftViewChange, w.take());
 
-  view_changes_[vc.new_view][vc.sender] = std::move(vc);
+  view_changes_[vc.new_view][transport_.self()] = std::move(vc);
   maybe_assemble_new_view();
   arm_view_timer();  // if this view change stalls, try the next view
   if (view_timer_ == 0) {
@@ -1157,36 +1156,26 @@ void PbftSmr::replay_future_view_msgs() {
 }
 
 void PbftSmr::handle_view_change(const net::Message& msg) {
-  if (msg.payload.size() < 32) return;
-  crypto::Signature sig;
-  std::copy(msg.payload.end() - 32, msg.payload.end(), sig.begin());
-  if (options_.verify_signatures &&
-      !keys_.verify(msg.from, msg.payload.data(), msg.payload.size() - 32, sig)) {
-    return;
-  }
-
   // Read the signed body in place; carried ops stay slices of this frame.
-  ByteReader r(msg.payload.data(), msg.payload.size() - 32);
+  std::optional<ByteReader> body = signed_body(msg);
+  if (!body) return;
+  ByteReader& r = *body;
   ViewChangeMsg vc;
   vc.new_view = r.u64();
   vc.stable_seq = r.u64();
   std::uint64_t n = r.varint();
   for (std::uint64_t i = 0; i < n; ++i) {
-    PreparedProof p;
-    p.seq = r.u64();
-    p.view = r.u64();
+    const std::uint64_t seq = r.u64();
+    const std::uint64_t view = r.u64();
     // The proof's digest is recomputed from the ops region, never trusted
     // off the wire; hashing the slice hits this frame's digest memo, so the
     // new primary assembling O from many proofs hashes each region once.
-    std::span<const std::uint8_t> ops_region = r.bytes_view();
-    p.batch = parse_ops_region(msg.payload, ops_region);
-    p.digest = p.batch.empty() ? crypto::Digest{} : msg.payload.slice(ops_region).digest();
-    vc.prepared.push_back(std::move(p));
+    FrameBatch batch = read_batch(msg.payload, r);
+    vc.prepared.push_back(PreparedProof{seq, view, batch.digest(), std::move(batch.ops)});
   }
-  vc.sender = msg.from;
   if (vc.new_view <= view_) return;
 
-  view_changes_[vc.new_view][vc.sender] = std::move(vc);
+  view_changes_[vc.new_view][msg.from] = std::move(vc);
 
   // View synchronization (PBFT's liveness rule): once f+1 distinct
   // replicas demand views above our CURRENT TARGET, adopt the smallest
@@ -1217,7 +1206,7 @@ void PbftSmr::maybe_assemble_new_view() {
   if (faulty_now()) return;
 
   // Compute the re-proposal set O: for every prepared seq, the proof with
-  // the highest view wins; gaps become null requests.
+  // the highest view wins; gaps become null batches.
   std::map<std::uint64_t, PreparedProof> chosen;
   std::uint64_t max_stable = 0, max_seq = 0;
   for (const auto& [sender, vc] : it->second) {
@@ -1228,48 +1217,34 @@ void PbftSmr::maybe_assemble_new_view() {
       if (!inserted && p.view > cit->second.view) cit->second = p;
     }
   }
+  std::vector<PreparedProof> o;
+  for (std::uint64_t seq = max_stable + 1; seq <= max_seq; ++seq) {
+    auto cit = chosen.find(seq);
+    o.push_back(cit != chosen.end() ? std::move(cit->second)
+                                    : PreparedProof{seq, target_view_, crypto::Digest{}, {}});
+  }
 
+  // Each O entry is bytes(u64 seq, bytes(ops_region)).
   ByteWriter w = frame_writer();
   w.u64(target_view_);
   w.u64(max_stable);
-  std::vector<Bytes> o_entries;
-  for (std::uint64_t seq = max_stable + 1; seq <= max_seq; ++seq) {
-    ByteWriter ow;
-    ow.u64(seq);
-    auto cit = chosen.find(seq);
-    ByteWriter ops;  // op_count 0 = the null batch filling the gap
-    encode_ops_region(ops, cit != chosen.end() ? cit->second.batch : std::vector<Request>{});
-    ow.bytes(ops.data());
-    o_entries.push_back(ow.take());
+  w.varint(o.size());
+  for (const PreparedProof& p : o) {
+    w.varint(8 + batch_size(p.batch));
+    w.u64(p.seq);
+    write_batch(w, p.batch);
   }
-  w.varint(o_entries.size());
-  for (const Bytes& e : o_entries) w.bytes(e);
   sign_frame(w);
   broadcast(net::MsgType::kPbftNewView, w.take());
 
   // Enter the view locally and re-propose O.
-  std::vector<PreparedProof> carried;
-  for (std::uint64_t seq = max_stable + 1; seq <= max_seq; ++seq) {
-    auto cit = chosen.find(seq);
-    if (cit != chosen.end()) {
-      carried.push_back(cit->second);
-    } else {
-      carried.push_back(PreparedProof{seq, target_view_, crypto::Digest{}, {}});
-    }
-  }
-  enter_view(target_view_, carried);
+  enter_view(target_view_, o);
 }
 
 void PbftSmr::handle_new_view(const net::Message& msg) {
-  if (msg.payload.size() < 32) return;
-  crypto::Signature sig;
-  std::copy(msg.payload.end() - 32, msg.payload.end(), sig.begin());
-  if (options_.verify_signatures &&
-      !keys_.verify(msg.from, msg.payload.data(), msg.payload.size() - 32, sig)) {
-    return;
-  }
-
-  ByteReader r(msg.payload.data(), msg.payload.size() - 32);
+  std::optional<ByteReader> body = signed_body(msg);
+  if (!body) return;
+  ByteReader& r = *body;
   std::uint64_t new_view = r.u64();
   std::uint64_t stable = r.u64();
   if (new_view <= view_) return;
@@ -1286,29 +1261,22 @@ void PbftSmr::handle_new_view(const net::Message& msg) {
     ByteReader er(entry.data(), entry.size());
     std::uint64_t seq = er.u64();
     if (seq != seq_expected) return;  // malformed O
-    PreparedProof p;
-    p.seq = seq;
-    p.view = new_view;
     // Batch digests are recomputed locally (an op_count of 0 is the null
     // batch with the all-zero digest), never trusted off the wire.
-    std::span<const std::uint8_t> ops_region = er.bytes_view();
-    p.batch = parse_ops_region(msg.payload, ops_region);
-    p.digest = p.batch.empty() ? crypto::Digest{} : msg.payload.slice(ops_region).digest();
+    FrameBatch batch = read_batch(msg.payload, er);
     er.expect_done();
-    carried.push_back(std::move(p));
+    carried.push_back(PreparedProof{seq, new_view, batch.digest(), std::move(batch.ops)});
   }
 
   // Sanity check against our own evidence: the new primary must not replace
   // a batch we hold a prepared certificate for (higher or equal view).
   for (std::uint64_t seq = stable_seq_ + 1; seq <= log_end(); ++seq) {
+    if (seq <= stable || seq - stable > carried.size()) continue;
     const Agreement& entry = find_slot(seq)->agreement;
-    if (!entry.prepared(max_faults())) continue;
-    if (seq <= stable) continue;
-    for (const auto& p : carried) {
-      if (p.seq == seq && !p.batch.empty() && p.digest != entry.digest &&
-          entry.view >= p.view) {
-        return;  // provably bogus NEW-VIEW: stay and let the next view change fire
-      }
+    const PreparedProof& p = carried[static_cast<std::size_t>(seq - stable - 1)];
+    if (entry.prepared(max_faults()) && !p.batch.empty() && p.digest != entry.digest &&
+        entry.view >= p.view) {
+      return;  // provably bogus NEW-VIEW: stay and let the next view change fire
     }
   }
 
@@ -1334,7 +1302,7 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
   // Assignments from abandoned views are void: only executed requests and
   // the ones the new view carries over count as handled. Anything else in
   // pending_ becomes assignable again.
-  assigned_or_executed_ = executed_requests_;
+  assigned_or_executed_ = executed_.requests;
   for (const auto& p : carried) {
     for (const Request& req : p.batch) assigned_or_executed_.insert(req.id.origin, req.id.seq);
   }

@@ -284,13 +284,37 @@ class PbftSmr final : public SmrEngine {
   // and no bytes so replayed histories skip them too; the agreed batch stays
   // intact beside it, since view changes still carry it as a prepared proof.
   using ExecRecord = std::vector<Request>;
-  // Checkpoint at one boundary; checkpoint_body() encodes exactly these
-  // fields.
+  // Checkpoint at one boundary; write_checkpoint_body encodes exactly
+  // these fields.
   struct Checkpoint {
     std::uint64_t seq = 0;
     crypto::Digest state_digest{};
     std::uint64_t ops = 0;
     Bytes ledger_wire;
+  };
+  // The executed state a checkpoint body pins. Local execution, state-
+  // transfer adoption and validate_chain (on a copy) advance it a record at
+  // a time through admit and fold; an install replaces it whole.
+  struct ExecState {
+    // sha256(prev || record encoding) per record: equal across replicas iff
+    // their executed prefixes are.
+    crypto::Digest digest{};
+    // Fresh ops executed, counted at admission, so ahead of decided_ops_
+    // while a record's decides fire: a nested execution at seq+1 must
+    // checkpoint with the outer record fully counted.
+    std::uint64_t ops = 0;
+    RequestLedger requests;  // executed ids: none is delivered twice
+
+    // Records the id and counts the op; false if it already executed.
+    bool admit(const RequestId& id) {
+      if (!requests.insert(id.origin, id.seq)) return false;
+      ++ops;
+      return true;
+    }
+    // Admits a served record's ops as its server executed them.
+    void admit_record(const ExecRecord& rec);
+    void fold(const ExecRecord& rec) { digest = fold_record(digest, rec); }
+    Checkpoint checkpoint(std::uint64_t seq) const;  // the body at boundary seq
   };
   // Every seq-indexed fact about one seq. An adopted slot carries no
   // agreement state (a late pre-prepare may set some; the record stays).
@@ -310,7 +334,15 @@ class PbftSmr final : public SmrEngine {
     std::uint64_t new_view;
     std::uint64_t stable_seq;
     std::vector<PreparedProof> prepared;
-    NodeId sender;
+  };
+  // A batch as a frame carries it: its ops and its ops region, slices of
+  // the frame.
+  struct FrameBatch {
+    std::vector<Request> ops;
+    net::Payload region;
+    // The recomputed batch digest, on demand (a PRE-PREPARE that the view
+    // and window checks drop is never hashed); all-zero for the null batch.
+    crypto::Digest digest() const { return ops.empty() ? crypto::Digest{} : region.digest(); }
   };
 
   void on_message(const net::Message& msg);
@@ -338,22 +370,28 @@ class PbftSmr final : public SmrEngine {
   void erase_pending(const RequestId& id);
   void arm_batch_timer();
   void disarm_batch_timer();
-  // Canonical ops-region encoding shared by pre-prepares, view-change
-  // proofs and new-view O entries; the batch digest is the SHA-256 of
-  // exactly these bytes.
+  // Canonical ops-region encoding, shared by batches and executed records;
+  // the batch digest is the SHA-256 of exactly these bytes.
   static void encode_ops_region(ByteWriter& w, const std::vector<Request>& batch);
   // The exact byte length encode_ops_region writes: encoders reserve it.
   static std::size_t ops_region_size(const std::vector<Request>& batch);
   // Reads varint count + that many ops as zero-copy slices of `frame`.
   static std::vector<Request> read_ops(const net::Payload& frame, ByteReader& r);
-  // Parses a whole ops region. Throws SerdeError on malformed bytes
-  // (including an op claiming the null origin).
-  static std::vector<Request> parse_ops_region(const net::Payload& frame,
-                                               std::span<const std::uint8_t> region);
+  // The batch helper pair of PRE-PREPAREs, VIEW-CHANGE proofs and NEW-VIEW
+  // O entries, which all carry bytes(ops_region). write_batch writes it in
+  // place (batch_size bytes); read_batch throws SerdeError on malformed
+  // bytes or an op under the null origin.
+  static void write_batch(ByteWriter& w, const std::vector<Request>& batch);
+  static std::size_t batch_size(const std::vector<Request>& batch);
+  static FrameBatch read_batch(const net::Payload& frame, ByteReader& r);
   crypto::Digest batch_digest(const std::vector<Request>& batch) const;
   void maybe_send_commit(std::uint64_t seq);
   void try_execute();
   void execute_entry(std::uint64_t seq, Slot& slot);
+  // The one apply path of executed and adopted records, ops admitted: sets
+  // next_exec_, retires the requests, folds, checkpoints a boundary and
+  // fires the decides. Only a local execution is counted and traced.
+  void apply_record(std::uint64_t seq, Slot& slot, bool local);
   // The one framing path: every frame is written through frame_writer,
   // which returns a writer already holding the instance tag (the envelope
   // on_message checks and strips before dispatch) with room for body_bytes
@@ -367,6 +405,9 @@ class PbftSmr final : public SmrEngine {
   // Signs a VIEW-CHANGE or NEW-VIEW body (the bytes after the tag) and
   // appends the signature.
   void sign_frame(ByteWriter& w) const;
+  // The signed-body reader both share: a reader over the body, or nullopt
+  // when the sender's signature is missing or does not verify.
+  std::optional<ByteReader> signed_body(const net::Message& msg) const;
   // Freezes the frame once and sends that buffer to every other member.
   void broadcast(net::MsgType type, Bytes frame);
   void send_checkpoint(std::uint64_t seq);
@@ -427,12 +468,7 @@ class PbftSmr final : public SmrEngine {
   std::uint64_t origin_seq_ = 0;     // local client sequence
   std::uint64_t view_changes_completed_ = 0;
   std::uint64_t decided_ops_ = 0;    // ops fired through decide_
-  // Fresh (non-duplicate) ops executed, counted per RECORD as it enters the
-  // history — ahead of decided_ops_ while a record's decide callbacks are
-  // still firing (a nested execution at seq+1 must checkpoint with the
-  // outer record fully counted). Equal to decided_ops_ at quiescence; both
-  // jump to the checkpoint's count on install.
-  std::uint64_t executed_ops_ = 0;
+  ExecState executed_;  // what checkpoint bodies carry
 
   // The log: one slot per seq in (base_, log_end()], grown on demand as
   // seqs are touched and truncated from the front. base_ is the truncation
@@ -461,19 +497,10 @@ class PbftSmr final : public SmrEngine {
   // must not be lost for late ones. Replayed by enter_view.
   std::deque<net::Message> future_view_msgs_;
   static constexpr std::size_t kFutureBufferCap = 4096;
-  // Request ids already executed: an equivocating client (e.g. a Byzantine
-  // primary re-ordering its own op) must not be delivered twice. Carried
-  // inside checkpoint bodies so installs restore the exact dedup state.
-  RequestLedger executed_requests_;
   // CHECKPOINT votes above the window (a laggard's evidence that the group
   // moved on), bounded per voter by record_vote; votes inside the window
   // live in their slots. The vote is the SHA-256 of the full checkpoint body.
   std::map<std::uint64_t, VoteRecord> checkpoints_;
-  // Incremental executed-state digest: folded per record as
-  // sha256(prev_digest || canonical record encoding). Equal across replicas
-  // iff their executed prefixes are identical; checkpoint bodies carry it,
-  // and chain validation of fetched records just keeps folding.
-  crypto::Digest state_digest_{};
   // The latest STABLE checkpoint (2f+1 matching votes or installed): what
   // handle_state_fetch serves to fetchers below the truncation point.
   std::optional<Checkpoint> stable_ckpt_;

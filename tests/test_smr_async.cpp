@@ -492,6 +492,47 @@ TEST(Pbft, EarlyVotesCountOnlyForTheirDigest) {
   EXPECT_EQ(decided[0].second, op);
 }
 
+// A PRE-PREPARE must name its batch's digest, also when the batch is the
+// null batch, whose digest is all-zero. In a 4-replica group (f = 1) with
+// replicas 0, 2 and 3 silent, primary 0 sends replica 1 an empty batch
+// naming the digest D of a real batch, and 2 and 3 PREPARE and COMMIT D.
+// Accepting it would let an equivocating primary have replica 1 execute
+// nothing at seq 1 while the replicas holding D's real batch execute it.
+TEST(Pbft, NullBatchNamingAnotherDigestIsDropped) {
+  ByteWriter region;
+  region.varint(1);  // one op
+  region.u64(0);     // origin: the primary
+  region.u64(1);     // origin seq
+  region.bytes(op_bytes("withheld"));
+  const crypto::Digest digest = crypto::sha256(region.data());
+
+  PbftOptions opt;
+  opt.view_change_timeout = seconds(60.0);  // no view change inside the test
+  AsyncGroup g(4, opt,
+               {{0, PbftFaultMode::kSilent}, {2, PbftFaultMode::kSilent},
+                {3, PbftFaultMode::kSilent}});
+  const std::uint64_t tag = g.at(1).instance_tag();
+  ByteWriter pp;
+  pp.u64(tag);
+  pp.u64(0);  // view
+  pp.u64(1);  // seq
+  pp.raw(digest.data(), digest.size());
+  pp.bytes(Bytes{0});  // ops region: op_count 0, the null batch
+  g.net.send(net::Message{0, 1, net::MsgType::kPbftPrePrepare, pp.take()});
+  for (auto type : {net::MsgType::kPbftPrepare, net::MsgType::kPbftCommit}) {
+    for (NodeId from : {2u, 3u}) {
+      ByteWriter w;
+      w.u64(tag);
+      w.u64(0);  // view
+      w.u64(1);  // seq
+      w.raw(digest.data(), digest.size());
+      g.net.send(net::Message{from, 1, type, w.take()});
+    }
+  }
+  g.run_for(millis(50));
+  EXPECT_EQ(g.at(1).batches_executed(), 0u) << "an empty batch executed as D";
+}
+
 // Property sweep: agreement for each group size with max silent faults.
 class PbftSweep : public ::testing::TestWithParam<std::size_t> {};
 
