@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-
 namespace atum::smr {
 
 namespace {

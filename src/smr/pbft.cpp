@@ -255,9 +255,11 @@ void PbftSmr::propose(Bytes op) {
 
 void PbftSmr::handle_request(const net::Message& msg) {
   ByteReader r(msg.payload);
-  // Braced init reads the fields in order; the op is a view of the frame.
-  const Request req{RequestId{r.u64(), r.u64()}, msg.payload.slice(r.bytes_view())};
-  if (req.id.origin != msg.from) return;  // clients are the members themselves
+  Request req;
+  req.id.origin = r.u64();
+  req.id.seq = r.u64();
+  req.op = msg.payload.slice(r.bytes_view());     // zero-copy: view of the frame
+  if (req.id.origin != msg.from) return;          // clients are the members themselves
   if (!config_.contains(req.id.origin)) return;
   if (assigned_or_executed_.contains(req.id.origin, req.id.seq)) return;
 
@@ -1254,9 +1256,8 @@ void PbftSmr::handle_new_view(const net::Message& msg) {
   std::vector<PreparedProof> carried;
   std::uint64_t seq_expected = stable + 1;
   for (std::uint64_t i = 0; i < n; ++i, ++seq_expected) {
-    // Read each O entry as a view into the frame (the old `ByteReader
-    // er(r.bytes())` parsed a temporary that died at the end of the
-    // statement); carried ops become slices of the NEW-VIEW frame.
+    // Read each O entry in place: carried ops become slices of the NEW-VIEW
+    // frame.
     std::span<const std::uint8_t> entry = r.bytes_view();
     ByteReader er(entry.data(), entry.size());
     std::uint64_t seq = er.u64();

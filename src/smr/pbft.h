@@ -44,8 +44,8 @@
 // canonical, so the primary (hashing the buffer it wrote) and the backups
 // (hashing a slice of the arrival frame, hitting the Payload digest memo)
 // agree byte-for-byte. An empty ops_region (op_count 0) is the null batch
-// that fills view-change gaps; its digest is the all-zero digest and it is
-// never hashed or checked.
+// that fills view-change gaps; its digest is the all-zero digest (never
+// hashed), which a PRE-PREPARE of it must name.
 //
 // Zero-copy op path: Request::op is a net::Payload — a refcounted slice of
 // the frame the op arrived in (client request, pre-prepare, state reply),
