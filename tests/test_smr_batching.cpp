@@ -191,6 +191,56 @@ TEST(PbftBatching, ViewChangeRescuesOpsStrandedInTheBatchBuffer) {
   }
 }
 
+// A new primary re-proposes the requests it holds in id order, whatever
+// order they arrived in. Primary 0 of view 0 is dead and its node is a spy
+// on PRE-PREPAREs. Replicas 3, 2 and 1 propose in turn, twice, so replica 1
+// holds (3,1) (2,1) (1,1) (3,2) (2,2) (1,2) in arrival order. It becomes
+// primary of view 1, and its one re-proposed batch must list them by
+// (origin, seq).
+TEST(PbftBatching, NewPrimaryReproposesPendingRequestsInIdOrder) {
+  PbftOptions opt;
+  opt.view_change_timeout = millis(500);
+  BatchGroup g(4, opt);
+  g.at(0).stop();
+  std::vector<std::vector<std::pair<NodeId, std::uint64_t>>> batches;  // spied PRE-PREPAREs
+  g.net.attach(0, net::MsgType::kPbftPrePrepare, [&](const net::Message& m) {
+    ByteReader r(m.payload);
+    r.u64();  // instance tag
+    if (r.u64() != 1) return;  // view
+    r.u64();                   // seq
+    crypto::Digest digest;
+    r.raw(digest.data(), digest.size());
+    const std::span<const std::uint8_t> region = r.bytes_view();
+    ByteReader ops(region.data(), region.size());
+    auto& batch = batches.emplace_back();
+    for (std::uint64_t n = ops.varint(); n > 0; --n) {
+      const NodeId origin = ops.u64();
+      const std::uint64_t seq = ops.u64();
+      ops.bytes_view();
+      batch.emplace_back(origin, seq);
+    }
+  });
+  for (const char* round : {"a", "b"}) {
+    for (std::size_t proposer : {3u, 2u, 1u}) {
+      g.at(proposer).propose(op_bytes(std::to_string(proposer) + round));
+      g.run_for(millis(10));
+    }
+  }
+  g.run_for(seconds(5));
+
+  ASSERT_EQ(g.at(1).view(), 1u);
+  ASSERT_EQ(batches.size(), 1u) << "the new primary re-proposed more than one batch";
+  const std::vector<std::pair<NodeId, std::uint64_t>> ids = {{1, 1}, {1, 2}, {2, 1},
+                                                              {2, 2}, {3, 1}, {3, 2}};
+  EXPECT_EQ(batches[0], ids);
+  for (NodeId n = 1; n < 4; ++n) {
+    ASSERT_EQ(g.decided[n].size(), ids.size()) << "replica " << n;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(g.decided[n][i].first, ids[i].first) << "replica " << n << " op " << i;
+    }
+  }
+}
+
 // An equivocating primary sends CONFLICTING BATCH frames for the same seq
 // to different halves of the group. The batch digest covers the whole ops
 // region, so the halves cannot both assemble a quorum; correct replicas

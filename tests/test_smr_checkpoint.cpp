@@ -5,6 +5,8 @@
 //  * a laggard whose gap crosses the peers' truncation point installs the
 //    stable checkpoint and reports the skipped range through the install
 //    handler, then converges on the suffix;
+//  * a laggard adopting records up to a vouched boundary folds a record
+//    that holds a null op as the replicas that executed it did;
 //  * smr.checkpoints_stable counts the stable advances 2f+1 votes reach,
 //    and an install does not move it;
 //  * non-adjacent epochs with identical membership (A -> B -> A) get
@@ -13,7 +15,8 @@
 //    byte-identical removal notices once the partition heals (the
 //    leave-confirmation gap);
 //  * the request ledger a checkpoint carries answers like a plain set of
-//    ids under any insertion order, and encodes canonically.
+//    ids under any insertion order, encodes to pinned bytes, and decodes
+//    any origin order or repeat canonically.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -307,6 +310,101 @@ TEST(PbftCheckpoint, VouchedBoundaryIsStableAfterAnInstall) {
   EXPECT_EQ(laggard.history_size(), 0u);
 }
 
+// A record that executed with a null op folds into the digest chain the
+// same way at the replicas that executed it and at one that adopts it. In
+// a 7-replica group (f = 2) the test scripts primary 0: it pre-prepares its
+// own op A at seq 1, then A again beside B at seq 2, so replicas 1-5
+// execute seq 2 as (null, B), while the test keeps their CHECKPOINT votes
+// for boundary 2 from member 6. A fresh replica 6 then gets three of those
+// votes and one records-only reply whose second record nulls A. It must
+// adopt both records up to the vouched boundary and decide A and B once.
+TEST(PbftCheckpoint, AdoptedRecordWithANulledOpReachesTheVouchedBoundary) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 2;
+  opt.watermark_window = 16;
+  opt.view_change_timeout = seconds(60.0);  // no view change inside the test
+  CkptGroup g(7, opt);
+  const std::uint64_t tag = g.at(6).instance_tag();
+  g.at(0).stop();
+  g.at(6).stop();
+  std::map<NodeId, net::Payload> votes;  // boundary 2: voter -> frame
+  g.net.attach(6, net::MsgType::kPbftCheckpoint, [&](const net::Message& m) {
+    ByteReader r(m.payload);
+    r.u64();  // instance tag
+    if (r.u64() == 2) votes[m.from] = m.payload;
+  });
+
+  struct Op {
+    NodeId origin;
+    std::uint64_t seq;
+    std::string bytes;
+  };
+  auto region = [](const std::vector<Op>& ops) {
+    ByteWriter w;
+    w.varint(ops.size());
+    for (const Op& op : ops) {
+      w.u64(op.origin);
+      w.u64(op.seq);
+      w.bytes(op_bytes(op.bytes));
+    }
+    return w.take();
+  };
+  const Op a{0, 1, "A"};
+  const Op b{0, 2, "B"};
+  const std::vector<std::vector<Op>> batches = {{a}, {a, b}};
+  for (std::uint64_t seq = 1; seq <= batches.size(); ++seq) {
+    const Bytes ops = region(batches[seq - 1]);
+    const crypto::Digest digest = crypto::sha256(ops);
+    ByteWriter pp;
+    pp.u64(tag);
+    pp.u64(0);  // view
+    pp.u64(seq);
+    pp.raw(digest.data(), digest.size());
+    pp.bytes(ops);
+    const net::Payload frame(pp.take());
+    for (NodeId n = 1; n <= 5; ++n) {
+      g.net.send(net::Message{0, n, net::MsgType::kPbftPrePrepare, frame});
+    }
+  }
+  g.run_for(seconds(1));
+  const std::vector<std::pair<NodeId, Bytes>> want = {{0, op_bytes("A")}, {0, op_bytes("B")}};
+  for (NodeId n = 1; n <= 5; ++n) {
+    ASSERT_EQ(g.at(n).batches_executed(), 2u) << "replica " << n;
+    ASSERT_EQ(g.decided[n], want) << "replica " << n;
+  }
+  ASSERT_EQ(votes.size(), 5u);
+
+  g.net.detach(6, net::MsgType::kPbftCheckpoint);
+  g.replicas[6].reset();
+  g.replicas[6] = std::make_unique<PbftSmr>(net::Transport(g.net, 6), g.cfg, g.keys, opt);
+  PbftSmr& laggard = g.at(6);
+  laggard.set_decide_handler([&](std::uint64_t, NodeId origin, const net::Payload& op) {
+    g.decided[6].emplace_back(origin, op.to_bytes());
+  });
+  for (NodeId voter : {1u, 2u, 3u}) {
+    g.net.send(net::Message{voter, 6, net::MsgType::kPbftCheckpoint, votes[voter]});
+  }
+  g.run_for(millis(50));
+  ASSERT_EQ(laggard.batches_executed(), 0u);
+
+  // The records-only reply: u64 tag, u8 has-checkpoint 0, u64 from_seq,
+  // then the executed records, the second with A as a null op.
+  ByteWriter w;
+  w.u64(tag);
+  w.u8(0);
+  w.u64(0);  // the laggard's position
+  w.varint(2);
+  for (const Bytes& rec : {region({a}), region({{kInvalidNode, a.seq, ""}, b})}) {
+    w.raw(rec.data(), rec.size());
+  }
+  g.net.send(net::Message{1, 6, net::MsgType::kPbftStateReply, net::Payload(w.take())});
+  g.run_for(millis(50));
+
+  EXPECT_EQ(laggard.batches_executed(), 2u) << "the records were not adopted";
+  EXPECT_EQ(laggard.stable_seq(), 2u) << "the vouched boundary 2 did not become stable";
+  EXPECT_EQ(g.decided[6], want);
+}
+
 GroupConfig members(std::initializer_list<NodeId> ns) {
   GroupConfig c;
   c.members = ns;
@@ -399,6 +497,103 @@ TEST(RequestLedger, DecodedLowPlusOneInAboveIsAlreadyHeld) {
   EXPECT_FALSE(ledger.contains(3, 7));
   EXPECT_TRUE(ledger.insert(3, 7));
   EXPECT_TRUE(ledger.contains(3, 7));
+}
+
+// The ledger's wire bytes, pinned for a fixed ledger: origins in id order,
+// each with its watermark and the seqs above it in order. Origin 2 has a
+// gap at seq 2 and took seq 4 before seq 3; origin 5 holds only seq 2.
+TEST(RequestLedger, EncodesAFixedLedgerToPinnedBytes) {
+  RequestLedger ledger;
+  for (std::uint64_t seq : {1u, 2u, 3u}) ASSERT_TRUE(ledger.insert(9, seq));
+  for (std::uint64_t seq : {1u, 4u, 3u}) ASSERT_TRUE(ledger.insert(2, seq));
+  ASSERT_TRUE(ledger.insert(5, 2));
+  ByteWriter got;
+  ledger.encode(got);
+
+  ByteWriter want;
+  want.varint(3);  // origins
+  want.u64(2);     // origin 2: low 1, above {3, 4}
+  want.u64(1);
+  want.varint(2);
+  want.u64(3);
+  want.u64(4);
+  want.u64(5);     // origin 5: low 0, above {2}
+  want.u64(0);
+  want.varint(1);
+  want.u64(2);
+  want.u64(9);     // origin 9: low 3, nothing above
+  want.u64(3);
+  want.varint(0);
+  EXPECT_EQ(got.data(), want.data());
+  ASSERT_EQ(got.size(), 1u + 3 * 17 + 3 * 8);
+}
+
+// Decoding takes any origin order and any repeat: the ledger holds each
+// origin once, the last entry for it wins, and the seqs above a watermark
+// are a set, kept as sent even where they lie at or below it. It
+// re-encodes canonically.
+TEST(RequestLedger, DecodesUnsortedAndRepeatedOriginsCanonically) {
+  ByteWriter w;
+  w.varint(3);
+  w.u64(7);  // origin 7: low 2, above {5}; replaced below
+  w.u64(2);
+  w.varint(1);
+  w.u64(5);
+  w.u64(3);  // origin 3: low 1
+  w.u64(1);
+  w.varint(0);
+  w.u64(7);  // origin 7 again: low 4, above 9, 3, 6, 9
+  w.u64(4);
+  w.varint(4);
+  w.u64(9);
+  w.u64(3);
+  w.u64(6);
+  w.u64(9);
+  ByteReader r(w.data());
+  RequestLedger ledger = RequestLedger::decode(r);
+  EXPECT_TRUE(r.done());
+
+  EXPECT_TRUE(ledger.contains(3, 1));
+  EXPECT_FALSE(ledger.contains(3, 2));
+  EXPECT_FALSE(ledger.contains(7, 5)) << "the first entry for origin 7 must be replaced";
+  for (std::uint64_t seq : {1u, 3u, 4u, 6u, 9u}) EXPECT_TRUE(ledger.contains(7, seq)) << seq;
+  for (std::uint64_t seq : {5u, 7u, 8u, 10u}) EXPECT_FALSE(ledger.contains(7, seq)) << seq;
+
+  ByteWriter got;
+  ledger.encode(got);
+  ByteWriter want;
+  want.varint(2);
+  want.u64(3);
+  want.u64(1);
+  want.varint(0);
+  want.u64(7);
+  want.u64(4);
+  want.varint(3);
+  want.u64(3);
+  want.u64(6);
+  want.u64(9);
+  EXPECT_EQ(got.data(), want.data());
+  ByteReader again(got.data());
+  EXPECT_EQ(RequestLedger::decode(again), ledger);
+
+  // Inserting the watermark's successor folds the run above it.
+  EXPECT_TRUE(ledger.insert(7, 5));
+  EXPECT_TRUE(ledger.contains(7, 5));
+  EXPECT_FALSE(ledger.insert(7, 6));
+  EXPECT_TRUE(ledger.insert(7, 7));
+  ByteWriter folded;
+  ledger.encode(folded);
+  ByteWriter want_folded;
+  want_folded.varint(2);
+  want_folded.u64(3);
+  want_folded.u64(1);
+  want_folded.varint(0);
+  want_folded.u64(7);
+  want_folded.u64(7);
+  want_folded.varint(2);
+  want_folded.u64(3);
+  want_folded.u64(9);
+  EXPECT_EQ(folded.data(), want_folded.data());
 }
 
 // A -> B -> A: the third epoch has the same membership as the first but a
