@@ -246,7 +246,7 @@ void PbftSmr::propose(Bytes op) {
 
   broadcast(net::MsgType::kPbftRequest, request_frame(req));
 
-  set_pending(req);
+  pending_[req.id] = req.op;
   if (is_primary() && !view_changing_) {
     enqueue_op(req);
   }
@@ -263,7 +263,7 @@ void PbftSmr::handle_request(const net::Message& msg) {
   if (!config_.contains(req.id.origin)) return;
   if (assigned_or_executed_.contains(req.id.origin, req.id.seq)) return;
 
-  set_pending(req);
+  pending_[req.id] = req.op;  // a resent request replaces the op held under its id
   if (is_primary() && !view_changing_) {
     enqueue_op(req);
   }
@@ -429,12 +429,12 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
         assigned_or_executed_.contains(req.id.origin, req.id.seq)) {
       continue;
     }
-    const Request* client_copy = find_pending(req.id);
+    const net::Payload* client_copy = pending_.find(req.id);
     if (client_copy == nullptr) {
       stashed_pre_prepares_[req.id] = msg;
       return;
     }
-    if (client_copy->op != req.op) return;  // forged content: ignore
+    if (*client_copy != req.op) return;  // forged content: ignore
   }
 
   Agreement& entry = slot(seq).agreement;
@@ -593,7 +593,7 @@ void PbftSmr::apply_record(std::uint64_t seq, Slot& s, bool local) {
   for (const Request& op : rec) {
     if (op.id.origin == kNullOrigin) continue;
     assigned_or_executed_.insert(op.id.origin, op.id.seq);
-    erase_pending(op.id);
+    pending_.erase(op.id);
     ++ops;
   }
   // Fold (the ops are already counted) and checkpoint BEFORE any decide: a
@@ -816,29 +816,19 @@ void PbftSmr::collect_garbage(std::uint64_t stable_seq) {
 }
 
 void PbftSmr::enqueue_pending() {
-  // enqueue_op may execute inline, which erases from pending_: walk a copy.
-  const std::vector<Request> pending_copy = pending_;
-  for (const Request& req : pending_copy) enqueue_op(req);
+  // enqueue_op may execute inline, which erases from pending_: the walk is
+  // over a copy.
+  for (const Request& req : pending_by_id()) enqueue_op(req);
   flush_batch();
 }
 
-void PbftSmr::set_pending(const Request& req) {
-  auto it = std::ranges::lower_bound(pending_, req.id, {}, &Request::id);
-  if (it != pending_.end() && it->id == req.id) {
-    it->op = req.op;
-  } else {
-    pending_.insert(it, req);
-  }
-}
-
-const PbftSmr::Request* PbftSmr::find_pending(const RequestId& id) const {
-  auto it = std::ranges::lower_bound(pending_, id, {}, &Request::id);
-  return it != pending_.end() && it->id == id ? &*it : nullptr;
-}
-
-void PbftSmr::erase_pending(const RequestId& id) {
-  auto it = std::ranges::lower_bound(pending_, id, {}, &Request::id);
-  if (it != pending_.end() && it->id == id) pending_.erase(it);
+std::vector<PbftSmr::Request> PbftSmr::pending_by_id() const {
+  std::vector<Request> requests;
+  requests.reserve(pending_.size());
+  // lint: unordered-iter-ok(collected, then sorted by id below)
+  for (const auto& [id, op] : pending_) requests.push_back(Request{id, op});
+  std::ranges::sort(requests, {}, &Request::id);
+  return requests;
 }
 
 void PbftSmr::request_state_transfer() {
@@ -1015,8 +1005,9 @@ void PbftSmr::install_checkpoint(Checkpoint ckpt, RequestLedger ledger) {
   // dedups it against the ledger — a null op, not a double delivery.
   assigned_or_executed_ = ledger;
   executed_ = ExecState{ckpt.state_digest, ops, std::move(ledger)};
-  std::erase_if(pending_, [&](const Request& req) {
-    return executed_.requests.contains(req.id.origin, req.id.seq);
+  // lint: unordered-iter-ok(erase predicate is per-entry, order-free)
+  pending_.erase_if([&](const auto& entry) {
+    return executed_.requests.contains(entry.first.origin, entry.first.seq);
   });
   stable_ckpt_ = std::move(ckpt);
   next_seq_ = std::max(next_seq_, cseq + 1);
@@ -1070,10 +1061,10 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
 void PbftSmr::arm_view_timer() {
   if (faulty_now() || stopped_) return;
   if (view_timer_ != 0) return;  // already armed
-  if (pending_.empty()) return;
+  if (pending_.size() == 0) return;
   view_timer_ = transport_.simulator().schedule_after(current_timeout_, [this] {
     view_timer_ = 0;
-    if (!pending_.empty() || view_changing_) start_view_change();
+    if (pending_.size() != 0 || view_changing_) start_view_change();
   });
 }
 
@@ -1340,12 +1331,12 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
   } else if (!faulty_now()) {
     // Retransmit our own unordered requests: the new primary may never
     // have received them (e.g. it was partitioned when they were issued).
-    for (const Request& req : pending_) {
+    for (const Request& req : pending_by_id()) {
       if (req.id.origin != transport_.self()) continue;
       transport_.send(primary_of(view_), net::MsgType::kPbftRequest, request_frame(req));
     }
   }
-  if (!pending_.empty()) arm_view_timer();
+  if (pending_.size() != 0) arm_view_timer();
 }
 
 // ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@
 // instance runs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -72,6 +73,7 @@
 #include <span>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "crypto/keys.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -128,71 +130,88 @@ enum class PbftFaultMode {
 // seqs above it. Origins submit with consecutive origin-seqs, so the sparse
 // part stays tiny and the ledger is O(group size) however many requests
 // execute — unlike the std::set<RequestId> it replaces, which grew by one
-// node per executed op forever. The deterministic encoding rides inside the
+// node per executed op forever. The origins sit in one vector sorted by
+// origin, one entry each: a group's members, so a lookup is a short binary
+// search with no node to chase. The deterministic encoding rides inside the
 // checkpoint body, so a checkpoint-installing replica restores the exact
 // dedup state and a Byzantine client re-submitting a pre-checkpoint op
 // still executes as a no-op.
 class RequestLedger {
  public:
   bool contains(NodeId origin, std::uint64_t seq) const {
-    auto it = origins_.find(origin);
-    if (it == origins_.end()) return false;
-    return seq <= it->second.low || it->second.above.contains(seq);
+    auto it = std::ranges::lower_bound(origins_, origin, {}, &OriginState::origin);
+    if (it == origins_.end() || it->origin != origin) return false;
+    return seq <= it->low || (!it->above.empty() && it->above.contains(seq));
   }
   // Returns true when the id was newly inserted; folds runs contiguous with
   // the watermark into it. The next in-order seq (low + 1, the common case)
-  // only raises the watermark: only out-of-order seqs add a set node.
+  // only raises the watermark: only out-of-order seqs add a set node. An
+  // unseen origin gets its entry even when the seq is not fresh (seq 0).
   bool insert(NodeId origin, std::uint64_t seq) {
-    OriginState& st = origins_[origin];
+    auto it = std::ranges::lower_bound(origins_, origin, {}, &OriginState::origin);
+    if (it == origins_.end() || it->origin != origin) {
+      it = origins_.insert(it, OriginState{.origin = origin, .low = 0, .above = {}});
+    }
+    OriginState& st = *it;
     if (seq <= st.low) return false;
     if (seq == st.low + 1) {
       // A decoded ledger may still hold low + 1 in above: already held.
-      if (st.above.contains(seq)) return false;
+      if (!st.above.empty() && st.above.contains(seq)) return false;
       st.low = seq;
     } else if (!st.above.insert(seq).second) {
       return false;
     }
-    while (st.above.erase(st.low + 1) != 0) ++st.low;
+    while (!st.above.empty() && st.above.erase(st.low + 1) != 0) ++st.low;
     return true;
   }
-  // Canonical encoding (sorted maps/sets => deterministic bytes): varint
-  // origin count, per origin { u64 origin, u64 low, varint above count,
-  // count x u64 }.
+  // Canonical encoding (origins and seqs in order => deterministic bytes):
+  // varint origin count, per origin { u64 origin, u64 low, varint above
+  // count, count x u64 }.
   void encode(ByteWriter& w) const {
     w.varint(origins_.size());
-    for (const auto& [origin, st] : origins_) {
-      w.u64(origin);
+    for (const OriginState& st : origins_) {
+      w.u64(st.origin);
       w.u64(st.low);
       w.varint(st.above.size());
       for (std::uint64_t s : st.above) w.u64(s);
     }
   }
   // Throws SerdeError on malformed bytes (counts are bounded by the bytes
-  // actually present before any allocation).
+  // actually present before any allocation). Any origin order decodes: the
+  // entries are sorted, and a repeated origin keeps its last entry.
   static RequestLedger decode(ByteReader& r) {
     RequestLedger ledger;
+    std::vector<OriginState>& v = ledger.origins_;
     std::uint64_t origins = r.varint();
     if (origins > r.remaining()) throw SerdeError("ledger origin count exceeds buffer");
     for (std::uint64_t i = 0; i < origins; ++i) {
-      NodeId origin = r.u64();
-      OriginState st;
+      OriginState& st = v.emplace_back();
+      st.origin = r.u64();
       st.low = r.u64();
       std::uint64_t above = r.varint();
       if (above > r.remaining()) throw SerdeError("ledger seq count exceeds buffer");
       for (std::uint64_t j = 0; j < above; ++j) st.above.insert(r.u64());
-      ledger.origins_[origin] = std::move(st);
     }
+    std::ranges::stable_sort(v, {}, &OriginState::origin);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i + 1 < v.size() && v[i + 1].origin == v[i].origin) continue;  // a later one wins
+      if (kept != i) v[kept] = std::move(v[i]);
+      ++kept;
+    }
+    v.resize(kept);
     return ledger;
   }
   friend bool operator==(const RequestLedger&, const RequestLedger&) = default;
 
  private:
   struct OriginState {
+    NodeId origin = 0;
     std::uint64_t low = 0;
     std::set<std::uint64_t> above;
     friend bool operator==(const OriginState&, const OriginState&) = default;
   };
-  std::map<NodeId, OriginState> origins_;
+  std::vector<OriginState> origins_;  // sorted by origin, one entry each
 };
 
 class PbftSmr final : public SmrEngine {
@@ -363,11 +382,9 @@ class PbftSmr final : public SmrEngine {
   void flush_batch();
   // Buffers every pending op (the primary re-proposing) and flushes.
   void enqueue_pending();
-  // pending_ upkeep, by binary search on the id order: set_pending inserts
-  // the request or replaces the op held under its id.
-  void set_pending(const Request& req);
-  const Request* find_pending(const RequestId& id) const;
-  void erase_pending(const RequestId& id);
+  // A copy of pending_ sorted by id: what every walk that sends or assigns
+  // goes over, so that neither depends on the table's hash order.
+  std::vector<Request> pending_by_id() const;
   void arm_batch_timer();
   void disarm_batch_timer();
   // Canonical ops-region encoding, shared by batches and executed records;
@@ -483,11 +500,11 @@ class PbftSmr final : public SmrEngine {
   static constexpr std::uint64_t kCarriedWindows = 4;
 
   // Requests known here and not yet executed (assigned ones stay until
-  // they execute: the view-change timer watches them). A flat vector
-  // sorted by id, so a request gets no map node; every walk over it
-  // (enqueue_pending, enter_view's retransmit, the install-time erase) goes
-  // in id order.
-  std::vector<Request> pending_;
+  // they execute: the view-change timer watches them), each op under its
+  // id: one probe to add, find or retire a request. The walks that send or
+  // assign (enqueue_pending, enter_view's retransmit) go over
+  // pending_by_id(); the install-time erase is order-free.
+  FlatMap<RequestId, net::Payload> pending_;
   RequestLedger assigned_or_executed_;  // dedup
   // Pre-prepares whose client request has not arrived yet; replayed when it
   // does (the request broadcast can be overtaken by the primary's message).
