@@ -18,7 +18,9 @@ telemetry run, `atum_scenario partition_heal --nodes N --metrics-interval=1s
 and trace are compared separately; and `bench_smr_throughput`, whose stdout
 and stderr are compared separately.
 It prints one line per artefact: `same`, `DIFFERS`, or `FAILED` when a run
-exits non-zero (an expectation or a self-check failed) on either side. It
+exits non-zero (an expectation or a self-check failed) on either side.
+Under a differing JSON report of at most 1 MB (not the trace) it prints the
+fields that differ, as --golden does. It
 exits 0 only if every artefact is the same and every run succeeded, 1
 otherwise, and 2 on bad arguments or a missing binary.
 
@@ -27,13 +29,16 @@ only) are run at 300 nodes and compared with the behaviour goldens
 committed under tests/golden/: each preset's report whole (ARTEFACT
 `PRESET.json`), the telemetry report and trace by SHA-256 (their
 `ARTEFACT.sha256` files hold the digest; the trace is too large to commit).
-On a difference it prints the first line that differs, or both digests.
+On a difference it prints every JSON field that differs, as its path with
+the golden and the new value (the first MAX_FIELDS of them), or both
+digests.
 --only checks one artefact (one ctest case each); --update-golden rewrites
 every golden from the build instead of comparing.
 """
 import argparse
 import concurrent.futures
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -47,6 +52,8 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file
                           "tests", "golden")
 GOLDEN_NODES = 300
 HASHED = (TELEMETRY + ".telemetry.json", TELEMETRY + ".trace.json")  # goldens kept as digests
+MAX_FIELDS = 20  # differing fields printed per artefact
+MAX_FIELD_DIFF_BYTES = 1 << 20  # larger JSON (the trace) is compared as bytes only
 
 
 def binary(build, name):
@@ -120,6 +127,9 @@ def compare_builds(base, change, nodes):
                 elif base_bytes != change_bytes:
                     verdict = (f"DIFFERS  {artefact} ({len(base_bytes)} B base, "
                                f"{len(change_bytes)} B change)")
+                    if artefact.endswith(".json") and len(base_bytes) <= MAX_FIELD_DIFF_BYTES:
+                        fields = field_differences(base_bytes, change_bytes, ("base", "change"))
+                        verdict = "\n".join([verdict] + fields)
                 else:
                     verdict = f"same     {artefact} ({len(base_bytes)} B)"
                 ok &= verdict.startswith("same")
@@ -138,26 +148,36 @@ def golden_bytes(artefact, produced):
     return produced
 
 
-def field_at(line, col):
-    """The comma-separated JSON field of `line` that holds column `col`."""
-    start = max(line.rfind(sep, 0, col) for sep in ",{[") + 1
-    ends = [end for end in (line.find(sep, col) for sep in ",}]") if end >= 0]
-    return line[start:min(ends, default=len(line))]
+class Number(str):
+    """A JSON number kept as the text the report wrote (1.0000, not 1.0)."""
 
 
-def first_difference(expected, got):
-    """The first line that differs; a report is one line of JSON, so the
-    field around the first differing byte is printed, not the whole line."""
-    old = expected.decode(errors="replace").splitlines()
-    new = got.decode(errors="replace").splitlines()
-    for i in range(max(len(old), len(new))):
-        a = old[i] if i < len(old) else ""
-        b = new[i] if i < len(new) else ""
-        if a != b:
-            col = next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-            return (f"line {i + 1}, column {col + 1}:\n  golden: {field_at(a, col)}\n"
-                    f"  got:    {field_at(b, col)}")
-    return "the final newline"
+def leaves(node, path=""):
+    """(path, value) for every leaf of a parsed report, in document order."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node if isinstance(node, Number) else json.dumps(node)
+
+
+def field_differences(expected, got, names=("golden", "got")):
+    """One line per JSON field whose value differs: its path and both values."""
+    try:
+        old, new = (dict(leaves(json.loads(doc, parse_int=Number, parse_float=Number)))
+                    for doc in (expected, got))
+    except ValueError as e:
+        return [f"  not JSON: {e}"]
+    absent = "(absent)"
+    lines = [f"  {path}: {names[0]} {old.get(path, absent)}, {names[1]} {new.get(path, absent)}"
+             for path in list(old) + [path for path in new if path not in old]
+             if old.get(path) != new.get(path)]
+    if len(lines) > MAX_FIELDS:
+        lines[MAX_FIELDS:] = [f"  ... and {len(lines) - MAX_FIELDS} more"]
+    return lines or ["  no field differs: the bytes around the values do"]
 
 
 def golden(build, only, update):
@@ -208,7 +228,8 @@ def golden(build, only, update):
                 print(f"DIFFERS  {artefact}\n  golden: {expected.decode().split()[0]}\n"
                       f"  got:    {produced.decode().split()[0]}")
             else:
-                print(f"DIFFERS  {artefact} at {first_difference(expected, produced)}")
+                fields = field_differences(expected, produced)
+                print(f"DIFFERS  {artefact}:", *fields, sep="\n")
     return 0 if ok else 1
 
 
