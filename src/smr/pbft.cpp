@@ -150,6 +150,10 @@ PbftSmr::FrameBatch PbftSmr::read_batch(const net::Payload& frame, ByteReader& r
   ByteReader rr(region.data(), region.size());
   FrameBatch batch{read_ops(frame, rr), frame.slice(region)};
   rr.expect_done();
+  // Only the canonical encoding (every varint minimal, which the size pins)
+  // is accepted: the digest of these bytes becomes an executed record's D,
+  // which a replica adopting the record recomputes from its ops.
+  if (ops_region_size(batch.ops) != region.size()) throw SerdeError("ops region not canonical");
   // The null origin is reserved for gap-filling empty batches and the
   // executed records' no-ops; an op claiming it could never be matched
   // against a client broadcast.
@@ -159,7 +163,7 @@ PbftSmr::FrameBatch PbftSmr::read_batch(const net::Payload& frame, ByteReader& r
   return batch;
 }
 
-crypto::Digest PbftSmr::batch_digest(const std::vector<Request>& batch) const {
+crypto::Digest PbftSmr::batch_digest(const std::vector<Request>& batch) {
   if (batch.empty()) return crypto::Digest{};  // null batch: never hashed
   ByteWriter w(ops_region_size(batch));
   encode_ops_region(w, batch);
@@ -568,13 +572,19 @@ void PbftSmr::execute_entry(std::uint64_t seq, Slot& s) {
   // so replayed histories skip it identically.
   ExecRecord& rec = s.record;
   rec.reserve(s.agreement.batch.size());
+  bool nulled = false;
   for (const Request& req : s.agreement.batch) {
     if (executed_.admit(req.id)) {
       rec.push_back(req);
     } else {
       rec.push_back(Request{RequestId{kNullOrigin, req.id.seq}, {}});
+      nulled = true;
     }
   }
+  // A record that nulled nothing is the agreed batch, whose digest this
+  // replica computed (as primary) or recomputed from the frame (as backup,
+  // and for every batch a NEW-VIEW carries): the fold hashes no ops.
+  executed_.fold(nulled ? batch_digest(rec) : s.agreement.digest);
   apply_record(seq, s, true);
   trim_history();
   maybe_stabilize();
@@ -596,10 +606,10 @@ void PbftSmr::apply_record(std::uint64_t seq, Slot& s, bool local) {
     pending_.erase(op.id);
     ++ops;
   }
-  // Fold (the ops are already counted) and checkpoint BEFORE any decide: a
-  // callback may propose and (with tiny quorums) execute the next seq
-  // inline, and that execution's checkpoint must see this record whole.
-  executed_.fold(rec);
+  // Checkpoint BEFORE any decide (the record is already counted and
+  // folded): a callback may propose and (with tiny quorums) execute the
+  // next seq inline, and that execution's checkpoint must see this record
+  // whole.
   if (local) {
     if (ctr_batches_ != nullptr) ctr_batches_->inc();
     if (hist_batch_ops_ != nullptr) hist_batch_ops_->record(ops);
@@ -629,27 +639,29 @@ void PbftSmr::apply_record(std::uint64_t seq, Slot& s, bool local) {
 // Checkpoints & state transfer
 // ---------------------------------------------------------------------------
 
-void PbftSmr::ExecState::admit_record(const ExecRecord& rec) {
+void PbftSmr::ExecState::advance(const ExecRecord& rec) {
   for (const Request& op : rec) {
     if (op.id.origin != kNullOrigin) admit(op.id);
   }
+  fold(batch_digest(rec));
+}
+
+// D is the SHA-256 of the record's ops region, all-zero for an empty record.
+// It is the agreed batch digest whenever no op was nulled, so local
+// execution folds that; a served record's D is recomputed from its ops,
+// never read off the wire, so a fetcher re-folding served records
+// reproduces the server's chain byte-for-byte.
+void PbftSmr::ExecState::fold(const crypto::Digest& record_digest) {
+  crypto::Sha256 h;
+  h.update(digest.data(), digest.size());
+  h.update(record_digest.data(), record_digest.size());
+  digest = h.finish();
 }
 
 PbftSmr::Checkpoint PbftSmr::ExecState::checkpoint(std::uint64_t seq) const {
   ByteWriter lw;
   requests.encode(lw);
   return Checkpoint{seq, digest, ops, lw.take()};
-}
-
-// A record's canonical encoding is its ops region: folded into the
-// incremental state digest and reused verbatim by state replies, so a
-// fetcher re-folding served records reproduces the server's digest chain
-// byte-for-byte.
-crypto::Digest PbftSmr::fold_record(const crypto::Digest& prev, const ExecRecord& rec) {
-  ByteWriter w(prev.size() + ops_region_size(rec));
-  w.raw(prev.data(), prev.size());
-  encode_ops_region(w, rec);
-  return crypto::sha256(w.data());
 }
 
 // Checkpoint body CB(seq) — the full wire message AND the thing voted on
@@ -919,8 +931,7 @@ std::uint64_t PbftSmr::validate_chain(const std::vector<ExecRecord>& entries) co
   std::uint64_t seq = next_exec_;
   for (const ExecRecord& rec : entries) {
     ++seq;
-    state.admit_record(rec);
-    state.fold(rec);
+    state.advance(rec);
     if (seq % options_.checkpoint_interval != 0) continue;
     if (votes_at(seq) == nullptr) continue;
     if (vouched(seq, checkpoint_digest(state.checkpoint(seq)))) best = seq;
@@ -1037,7 +1048,7 @@ void PbftSmr::adopt_entries(const std::vector<ExecRecord>& entries, std::uint64_
     // null-op markers too, so re-nulling against local ledger state would
     // fork the chain from the group's.
     const ExecRecord& rec = entries[static_cast<std::size_t>(i)];
-    executed_.admit_record(rec);
+    executed_.advance(rec);
     Slot& s = slot(seq);
     s.agreement = {};  // an unexecutable duplicate must not shadow the record
     s.record = rec;

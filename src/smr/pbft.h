@@ -315,8 +315,8 @@ class PbftSmr final : public SmrEngine {
   // transfer adoption and validate_chain (on a copy) advance it a record at
   // a time through admit and fold; an install replaces it whole.
   struct ExecState {
-    // sha256(prev || record encoding) per record: equal across replicas iff
-    // their executed prefixes are.
+    // sha256(prev || D) per record, D the record's digest: equal across
+    // replicas iff their executed prefixes are.
     crypto::Digest digest{};
     // Fresh ops executed, counted at admission, so ahead of decided_ops_
     // while a record's decides fire: a nested execution at seq+1 must
@@ -330,9 +330,11 @@ class PbftSmr final : public SmrEngine {
       ++ops;
       return true;
     }
-    // Admits a served record's ops as its server executed them.
-    void admit_record(const ExecRecord& rec);
-    void fold(const ExecRecord& rec) { digest = fold_record(digest, rec); }
+    // Admits a served record's ops as its server executed them, and folds
+    // the digest computed from the record.
+    void advance(const ExecRecord& rec);
+    // One step of the chain: 64 bytes hashed, whatever the record's size.
+    void fold(const crypto::Digest& record_digest);
     Checkpoint checkpoint(std::uint64_t seq) const;  // the body at boundary seq
   };
   // Every seq-indexed fact about one seq. An adopted slot carries no
@@ -401,13 +403,15 @@ class PbftSmr final : public SmrEngine {
   static void write_batch(ByteWriter& w, const std::vector<Request>& batch);
   static std::size_t batch_size(const std::vector<Request>& batch);
   static FrameBatch read_batch(const net::Payload& frame, ByteReader& r);
-  crypto::Digest batch_digest(const std::vector<Request>& batch) const;
+  // The SHA-256 of the ops region, all-zero when empty: a batch's digest,
+  // and an executed record's digest D, which the state chain folds.
+  static crypto::Digest batch_digest(const std::vector<Request>& batch);
   void maybe_send_commit(std::uint64_t seq);
   void try_execute();
   void execute_entry(std::uint64_t seq, Slot& slot);
-  // The one apply path of executed and adopted records, ops admitted: sets
-  // next_exec_, retires the requests, folds, checkpoints a boundary and
-  // fires the decides. Only a local execution is counted and traced.
+  // The one apply path of executed and adopted records, admitted and
+  // folded: sets next_exec_, retires the requests, checkpoints a boundary
+  // and fires the decides. Only a local execution is counted and traced.
   void apply_record(std::uint64_t seq, Slot& slot, bool local);
   // The one framing path: every frame is written through frame_writer,
   // which returns a writer already holding the instance tag (the envelope
@@ -523,8 +527,6 @@ class PbftSmr final : public SmrEngine {
   std::optional<Checkpoint> stable_ckpt_;
 
   // Checkpoint plumbing (see pbft.cpp for contracts).
-  // One step of the state digest chain: sha256(prev || record encoding).
-  static crypto::Digest fold_record(const crypto::Digest& prev, const ExecRecord& rec);
   static void write_checkpoint_body(ByteWriter& w, const Checkpoint& c);
   static std::size_t checkpoint_body_size(const Checkpoint& c);
   static crypto::Digest checkpoint_digest(const Checkpoint& c);
