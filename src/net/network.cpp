@@ -76,8 +76,17 @@ void SimNetwork::bind_metrics(obs::Registry& registry) {
   registry.probe("net.flows", {}, [this] { return static_cast<std::uint64_t>(flow_count()); });
 }
 
-void SimNetwork::attach(NodeId node, MsgType type, MessageHandler handler) {
+SimNetwork::Node& SimNetwork::record(NodeId node) {
+  if (Node* n = nodes_.find(node)) return *n;
   Node& n = nodes_[node];
+  if (!config_.region_latency.empty()) {
+    n.region = static_cast<std::uint32_t>(node % config_.region_latency.size());
+  }
+  return n;
+}
+
+void SimNetwork::attach(NodeId node, MsgType type, MessageHandler handler) {
+  Node& n = record(node);
   if (n.types.empty()) {
     // A full AtumNode registers 16 types: its 3 direct ones, PBFT's 9, the
     // removal notice and the group-message receiver's 3. Reserving them
@@ -106,14 +115,10 @@ void SimNetwork::detach(NodeId node, MsgType type) {
   n->types.erase(it);
 }
 
-std::size_t SimNetwork::region_of(NodeId node) const {
-  return static_cast<std::size_t>(node % config_.region_latency.size());
-}
-
-DurationMicros SimNetwork::latency_between(NodeId from, NodeId to) {
+DurationMicros SimNetwork::latency_between(const Node& from, const Node& to) {
   DurationMicros base;
   if (!config_.region_latency.empty()) {
-    base = config_.region_latency[region_of(from)][region_of(to)];
+    base = config_.region_latency[from.region][to.region];
   } else {
     base = config_.base_latency;
   }
@@ -139,7 +144,7 @@ void SimNetwork::partition(const std::vector<std::vector<NodeId>>& sides) {
   std::uint32_t tag = 0;
   for (const auto& side : sides) {
     ++tag;
-    for (NodeId id : side) nodes_[id].tag = tag;
+    for (NodeId id : side) record(id).tag = tag;
   }
 }
 
@@ -151,7 +156,7 @@ bool SimNetwork::partitioned() const {
 
 void SimNetwork::set_node_fault(NodeId node, LinkFault fault) {
   if (!fault.none()) {
-    nodes_[node].fault = fault;
+    record(node).fault = fault;
   } else if (Node* n = nodes_.find(node)) {
     n->fault = {};
   }
@@ -181,7 +186,7 @@ std::size_t SimNetwork::flow_count() const {
 
 void SimNetwork::isolate(NodeId node, bool isolated) {
   if (isolated) {
-    nodes_[node].isolated = true;
+    record(node).isolated = true;
   } else if (Node* n = nodes_.find(node)) {
     n->isolated = false;
   }
@@ -242,7 +247,7 @@ void SimNetwork::send(Message msg) {
   if (from == nullptr) {
     // Creating the sender's record can grow the table, which moves every
     // record: find the receiver's again.
-    from = &nodes_[msg.from];
+    from = &record(msg.from);
     to = nodes_.find(msg.to);
   }
   Node& out = *from;
@@ -251,7 +256,7 @@ void SimNetwork::send(Message msg) {
   TimeMicros depart = std::max(now, out.egress_free);
   out.egress_free = depart + egress_cost;
 
-  TimeMicros arrive = out.egress_free + latency_between(msg.from, msg.to);
+  TimeMicros arrive = out.egress_free + latency_between(out, *to);
 
   auto ingress_cost = static_cast<DurationMicros>(
       size / config_.ingress_bytes_per_sec * kMicrosPerSecond);

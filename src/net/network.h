@@ -143,8 +143,6 @@ class SimNetwork {
   // not depend on when the last sweep ran.
   std::size_t flow_count() const;
 
-  DurationMicros latency_between(NodeId from, NodeId to);
-
  private:
   // Everything the network keeps about one node. A node without a record
   // behaves as a fresh one: no handler, no cut, no fault, idle horizons.
@@ -163,7 +161,8 @@ class SimNetwork {
     TimeMicros egress_free = 0;   // sender-side serialization horizon
     TimeMicros ingress_free = 0;  // receiver-side serialization horizon
     LinkFault fault;
-    std::uint32_t tag = 0;  // partition side; 0 outside any partition
+    std::uint32_t tag = 0;     // partition side; 0 outside any partition
+    std::uint32_t region = 0;  // its row and column of region_latency (WAN mode)
     bool isolated = false;
 
     bool has_handler() const { return !types.empty(); }
@@ -181,10 +180,13 @@ class SimNetwork {
     }
   };
 
+  // The record of `node`, made if absent. Every record is made here, which
+  // sets its region once (node % regions), so no message divides.
+  Node& record(NodeId node);
   // Whether a message may pass from m.from (record `from`, possibly null)
   // to m.to (record `to`): neither isolated, equal tags, link not blocked.
   bool link_ok(const Message& m, const Node* from, const Node& to) const;
-  std::size_t region_of(NodeId node) const;
+  DurationMicros latency_between(const Node& from, const Node& to);
   void maybe_prune_flows();
 
   sim::Simulator& sim_;

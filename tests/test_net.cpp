@@ -189,6 +189,13 @@ TEST_F(NetFixture, WanLatencyFollowsRegionMatrix) {
   EXPECT_LT(near_latency, millis(20));
   EXPECT_GE(far_latency, millis(140));
   EXPECT_LT(far_latency, millis(150));
+  // A sender with no record gets one at its first send, in its own region:
+  // node 14 is ap-sydney (14 % 8 = 6), 145 ms from eu-central.
+  const TimeMicros sydney_sent = sim.now();
+  net->send(Message{14, 1, MsgType::kAppData, {}});
+  sim.run();
+  EXPECT_GE(near_arrival - sydney_sent, millis(145));
+  EXPECT_LT(near_arrival - sydney_sent, millis(155));
 }
 
 TEST_F(NetFixture, SelfSendIsDelivered) {
