@@ -606,6 +606,10 @@ void PbftSmr::apply_record(std::uint64_t seq, Slot& s, bool local) {
     pending_.erase(op.id);
     ++ops;
   }
+  // A drained pool gives its table back: most engines in a system hold one
+  // request at a time, and a table kept per engine outweighs the one
+  // allocation the next request costs.
+  if (pending_.size() == 0) pending_ = {};
   // Checkpoint BEFORE any decide (the record is already counted and
   // folded): a callback may propose and (with tiny quorums) execute the
   // next seq inline, and that execution's checkpoint must see this record
