@@ -41,9 +41,11 @@
 //   ops_region := varint op_count, op_count x { u64 origin, u64 origin_seq,
 //                 bytes op }
 // The batch digest is the SHA-256 of the ops_region bytes — the encoding is
-// canonical, so the primary (hashing the buffer it wrote) and the backups
-// (hashing a slice of the arrival frame, hitting the Payload digest memo)
-// agree byte-for-byte. An empty ops_region (op_count 0) is the null batch
+// canonical (a region with a longer varint is dropped), so the primary
+// (hashing the buffer it wrote) and the backups (hashing a slice of the
+// arrival frame, hitting the Payload digest memo) agree byte-for-byte, and
+// a record executed from the batch folds that digest as its own (see
+// ExecState). An empty ops_region (op_count 0) is the null batch
 // that fills view-change gaps; its digest is the all-zero digest (never
 // hashed), which a PRE-PREPARE of it must name.
 //
