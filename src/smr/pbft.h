@@ -179,29 +179,24 @@ class RequestLedger {
     }
   }
   // Throws SerdeError on malformed bytes (counts are bounded by the bytes
-  // actually present before any allocation). Any origin order decodes: the
-  // entries are sorted, and a repeated origin keeps its last entry.
+  // actually present before any allocation). Any origin order decodes: a
+  // map sorts the entries, and a repeated origin keeps its last entry.
   static RequestLedger decode(ByteReader& r) {
-    RequestLedger ledger;
-    std::vector<OriginState>& v = ledger.origins_;
+    std::map<NodeId, OriginState> by_origin;
     std::uint64_t origins = r.varint();
     if (origins > r.remaining()) throw SerdeError("ledger origin count exceeds buffer");
     for (std::uint64_t i = 0; i < origins; ++i) {
-      OriginState& st = v.emplace_back();
+      OriginState st;
       st.origin = r.u64();
       st.low = r.u64();
       std::uint64_t above = r.varint();
       if (above > r.remaining()) throw SerdeError("ledger seq count exceeds buffer");
       for (std::uint64_t j = 0; j < above; ++j) st.above.insert(r.u64());
+      by_origin[st.origin] = std::move(st);
     }
-    std::ranges::stable_sort(v, {}, &OriginState::origin);
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i + 1 < v.size() && v[i + 1].origin == v[i].origin) continue;  // a later one wins
-      if (kept != i) v[kept] = std::move(v[i]);
-      ++kept;
-    }
-    v.resize(kept);
+    RequestLedger ledger;
+    ledger.origins_.reserve(by_origin.size());
+    for (auto& [origin, st] : by_origin) ledger.origins_.push_back(std::move(st));
     return ledger;
   }
   friend bool operator==(const RequestLedger&, const RequestLedger&) = default;
