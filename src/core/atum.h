@@ -22,9 +22,10 @@
 //    (group id, epoch, nonce); the paper's distributed bulk RNG [46] has
 //    the same timing but stronger unpredictability. §5.1's key point —
 //    numbers minted only once their purpose is fixed — is preserved.
-//  * full-group shuffling, split and merge dynamics are modelled at vgroup
-//    granularity in group::ClusterSim (see ARCHITECTURE.md); the node-level
-//    runtime keeps vgroups static in size apart from join/leave/eviction.
+//  * full-group shuffling and splits are modelled, for growth only, at
+//    vgroup granularity in group::ClusterSim (see ARCHITECTURE.md); the
+//    node-level runtime keeps vgroups static in size apart from
+//    join/leave/eviction, and neither splits nor merges them.
 //
 // Payload ownership (README "Payload API"): broadcast() freezes the
 // application bytes once; everything above the transport then works on

@@ -20,6 +20,9 @@ ClusterSim::ClusterSim(sim::Simulator& sim, ClusterSimConfig config)
   if (config_.gmin >= config_.gmax) {
     throw std::invalid_argument("ClusterSim: gmin must be below gmax");
   }
+  if (config_.gmin > (config_.gmax + 1) / 2) {
+    throw std::invalid_argument("ClusterSim: a split could leave a half below gmin");
+  }
 }
 
 DurationMicros ClusterSim::agreement_latency(std::size_t group_size) const {
@@ -83,12 +86,12 @@ void ClusterSim::bootstrap(NodeId first_node) {
 }
 
 void ClusterSim::when_free(GroupId g, std::function<void()> op) {
-  Group* grp = groups_.contains(g) ? &group(g) : nullptr;
-  if (grp == nullptr || !grp->busy) {
+  Group& grp = group(g);
+  if (!grp.busy) {
     op();
     return;
   }
-  grp->pending.push_back(std::move(op));
+  grp.pending.push_back(std::move(op));
 }
 
 void ClusterSim::occupy(GroupId g, DurationMicros duration, std::function<void()> body) {
@@ -109,25 +112,22 @@ void ClusterSim::occupy_held(GroupId g, DurationMicros duration, std::function<v
 }
 
 void ClusterSim::release(GroupId g) {
-  auto it = groups_.find(g);
-  if (it == groups_.end()) return;  // merged away while busy
-  it->second.busy = false;
+  group(g).busy = false;
   pump(g);
 }
 
 void ClusterSim::pump(GroupId g) {
-  auto it = groups_.find(g);
-  if (it == groups_.end() || it->second.busy || it->second.pending.empty()) return;
-  auto op = std::move(it->second.pending.front());
-  it->second.pending.pop_front();
+  Group& grp = group(g);
+  if (grp.busy || grp.pending.empty()) return;
+  auto op = std::move(grp.pending.front());
+  grp.pending.pop_front();
   // Break the call stack; after the op runs, keep draining unless it
-  // occupied the group (ops may re-route to other groups without taking
-  // this one). Re-check at execution time: a same-timestamp event may have
-  // occupied the group between scheduling and running.
+  // occupied the group (a suppressed exchange, or a split an earlier split
+  // made moot, takes none). Re-check at execution time: a same-timestamp
+  // event may have occupied the group between scheduling and running.
   sim_.schedule_after(0, [this, g, op = std::move(op)]() mutable {
-    auto it2 = groups_.find(g);
-    if (it2 != groups_.end() && it2->second.busy) {
-      it2->second.pending.push_front(std::move(op));
+    if (Group& now = group(g); now.busy) {
+      now.pending.push_front(std::move(op));
       return;
     }
     op();
@@ -141,13 +141,8 @@ void ClusterSim::run_walk(GroupId from, std::function<void(GroupId)> done) {
   DurationMicros latency = static_cast<DurationMicros>(config_.rwl) * hop_latency();
   sim_.schedule_after(latency, [this, from, done = std::move(done)] {
     // Navigate the graph as it is when the walk completes; mid-walk
-    // restructuring perturbs real walks the same way.
+    // splits perturb real walks the same way.
     GroupId cur = from;
-    if (!graph_.contains(cur)) {
-      auto verts = graph_.vertices();
-      if (verts.empty()) return;  // system vanished; walk dies
-      cur = verts[static_cast<std::size_t>(rng_.next_below(verts.size()))];
-    }
     for (std::size_t s = 0; s < config_.rwl; ++s) {
       cur = graph_.random_neighbor(cur, rng_);
     }
@@ -167,11 +162,6 @@ void ClusterSim::request_join(NodeId node, std::function<void()> done) {
 }
 
 void ClusterSim::join_via_contact(NodeId node, GroupId contact, std::function<void()> done) {
-  if (!groups_.contains(contact)) {
-    auto verts = graph_.vertices();
-    if (verts.empty()) return;  // system vanished
-    contact = verts[static_cast<std::size_t>(rng_.next_below(verts.size()))];
-  }
   if (group(contact).busy) {
     when_free(contact, [this, node, contact, done = std::move(done)]() mutable {
       join_via_contact(node, contact, std::move(done));
@@ -189,71 +179,23 @@ void ClusterSim::join_via_contact(NodeId node, GroupId contact, std::function<vo
 }
 
 void ClusterSim::admit(NodeId node, GroupId target, std::function<void()> done) {
-  if (!groups_.contains(target)) {
-    // The selected group merged away while the walk returned; any correct
-    // implementation re-runs the walk. Re-route to a random live group.
-    auto verts = graph_.vertices();
-    if (verts.empty()) return;
-    target = verts[static_cast<std::size_t>(rng_.next_below(verts.size()))];
-  }
   if (group(target).busy) {
     when_free(target, [this, target, node, done = std::move(done)]() mutable {
-      admit(node, target, std::move(done));  // re-validates and re-routes
+      admit(node, target, std::move(done));
     });
     return;
   }
-  {
-    std::size_t size = group(target).members.size();
-    occupy_held(target, agreement_latency(size + 1),
-                [this, target, node, done = std::move(done)] {
-                  group(target).members.insert(node);
-                  node_group_[node] = target;
-                  ++stats_.joins_completed;
-                  shuffle_held(target, [this, target, done] { maybe_resize(target, done); });
-                });
-  }
-}
-
-void ClusterSim::request_leave(NodeId node, std::function<void()> done) {
-  ++stats_.leaves_requested;
-  auto git = node_group_.find(node);
-  if (git == node_group_.end()) throw std::invalid_argument("ClusterSim: unknown node leaving");
-  depart(node, git->second, std::move(done));
-}
-
-// Re-resolves the node's group (exchanges may move it while queued) and
-// occupies it for the departure agreement.
-void ClusterSim::depart(NodeId node, GroupId, std::function<void()> done) {
-  auto it = node_group_.find(node);
-  if (it == node_group_.end()) {
-    if (done) done();  // already gone (evicted or already departed)
-    return;
-  }
-  GroupId g = it->second;
-  if (group(g).busy) {
-    when_free(g, [this, node, done = std::move(done)]() mutable {
-      depart(node, kInvalidGroup, std::move(done));
-    });
-    return;
-  }
-  std::size_t size = group(g).members.size();
-  occupy_held(g, agreement_latency(size), [this, g, node, done = std::move(done)] {
-    group(g).members.erase(node);
-    node_group_.erase(node);
-    ++stats_.leaves_completed;
-    bool will_merge = group(g).members.size() < config_.gmin && groups_.size() > 1;
-    if (will_merge) {
-      // §3.3.3: defer the shuffle until after merging.
-      release(g);
-      maybe_resize(g, done);
-    } else {
-      shuffle_held(g, [this, g, done] { maybe_resize(g, done); });
-    }
+  std::size_t size = group(target).members.size();
+  occupy_held(target, agreement_latency(size + 1), [this, target, node, done = std::move(done)] {
+    group(target).members.insert(node);
+    node_group_[node] = target;
+    ++stats_.joins_completed;
+    shuffle_held(target, [this, target, done] { maybe_split(target, done); });
   });
 }
 
 void ClusterSim::shuffle_held(GroupId g, std::function<void()> done) {
-  if (!config_.shuffle_enabled || !groups_.contains(g)) {
+  if (!config_.shuffle_enabled) {
     release(g);
     if (done) done();
     return;
@@ -263,11 +205,6 @@ void ClusterSim::shuffle_held(GroupId g, std::function<void()> done) {
 
   auto members = std::make_shared<std::vector<NodeId>>(grp.members.begin(), grp.members.end());
   auto remaining = std::make_shared<std::size_t>(members->size());
-  if (members->empty()) {
-    release(g);
-    if (done) done();
-    return;
-  }
   // The walks run while the group continues normal operation; only the
   // pairwise exchange step occupies the two groups involved. An exchange
   // whose partner (or whose own group) is mid-operation at that moment is
@@ -284,15 +221,14 @@ void ClusterSim::shuffle_held(GroupId g, std::function<void()> done) {
       // locally. Only a busy PARTNER suppresses the exchange (§7).
       when_free(g, [this, g, m, partner, finish] {
         ++stats_.exchanges_attempted;
-        if (partner == g || !groups_.contains(partner) || !groups_.contains(g) ||
-            group(partner).busy) {
+        if (partner == g || group(partner).busy) {
           ++stats_.exchanges_suppressed;
           finish();
           return;
         }
         Group& mine = group(g);
         Group& theirs = group(partner);
-        if (!mine.members.contains(m) || theirs.members.empty()) {
+        if (!mine.members.contains(m)) {
           ++stats_.exchanges_suppressed;
           finish();
           return;
@@ -303,23 +239,18 @@ void ClusterSim::shuffle_held(GroupId g, std::function<void()> done) {
         DurationMicros latency = agreement_latency(
             std::max(mine.members.size(), theirs.members.size()));
         sim_.schedule_after(latency, [this, g, partner, m, finish] {
-          bool ok = groups_.contains(g) && groups_.contains(partner);
-          if (ok) {
-            Group& a = group(g);
-            Group& b = group(partner);
-            if (a.members.contains(m) && !b.members.empty()) {
-              NodeId s = nth_element_of(
-                  b.members, static_cast<std::size_t>(rng_.next_below(b.members.size())));
-              a.members.erase(m);
-              b.members.erase(s);
-              a.members.insert(s);
-              b.members.insert(m);
-              node_group_[m] = partner;
-              node_group_[s] = g;
-              ++stats_.exchanges_completed;
-            } else {
-              ++stats_.exchanges_suppressed;
-            }
+          Group& a = group(g);
+          Group& b = group(partner);
+          if (a.members.contains(m)) {
+            NodeId s = nth_element_of(
+                b.members, static_cast<std::size_t>(rng_.next_below(b.members.size())));
+            a.members.erase(m);
+            b.members.erase(s);
+            a.members.insert(s);
+            b.members.insert(m);
+            node_group_[m] = partner;
+            node_group_[s] = g;
+            ++stats_.exchanges_completed;
           } else {
             ++stats_.exchanges_suppressed;
           }
@@ -332,24 +263,17 @@ void ClusterSim::shuffle_held(GroupId g, std::function<void()> done) {
   }
 }
 
-void ClusterSim::maybe_resize(GroupId g, std::function<void()> done) {
-  if (!groups_.contains(g)) {
-    if (done) done();
-    return;
-  }
-  std::size_t size = group(g).members.size();
-  if (size > config_.gmax) {
-    split(g, done);
-  } else if (size < config_.gmin && groups_.size() > 1) {
-    merge(g, done);
-  } else {
-    if (done) done();
+void ClusterSim::maybe_split(GroupId g, std::function<void()> done) {
+  if (group(g).members.size() > config_.gmax) {
+    split(g, std::move(done));
+  } else if (done) {
+    done();
   }
 }
 
 void ClusterSim::split(GroupId g, std::function<void()> done) {
   when_free(g, [this, g, done]() mutable {
-    if (!groups_.contains(g) || group(g).members.size() <= config_.gmax) {
+    if (group(g).members.size() <= config_.gmax) {
       if (done) done();
       return;
     }
@@ -397,53 +321,6 @@ void ClusterSim::split(GroupId g, std::function<void()> done) {
   });
 }
 
-void ClusterSim::merge(GroupId g, std::function<void()> done) {
-  when_free(g, [this, g, done]() mutable {
-    if (!groups_.contains(g) || group(g).members.size() >= config_.gmin ||
-        groups_.size() <= 1) {
-      if (done) done();
-      return;
-    }
-    auto neighbors = graph_.neighbors(g);
-    std::erase_if(neighbors, [&](GroupId n) { return !groups_.contains(n); });
-    if (neighbors.empty()) {
-      if (done) done();
-      return;
-    }
-    // Hold g for the entire merge so no other operation mutates or targets
-    // it while its members move (the real protocol's agreement in L does
-    // the same).
-    group(g).busy = true;
-    GroupId m = neighbors[static_cast<std::size_t>(rng_.next_below(neighbors.size()))];
-    when_free(m, [this, g, m, done]() mutable {
-      if (!groups_.contains(m) || m == g) {
-        // Partner vanished: abort this attempt and retry.
-        release(g);
-        merge(g, done);
-        return;
-      }
-      std::size_t total = group(g).members.size() + group(m).members.size();
-      occupy_held(m, agreement_latency(total), [this, g, m, done] {
-        Group& loser = group(g);  // still present: g was held busy
-        Group& winner = group(m);
-        for (NodeId n : loser.members) {
-          winner.members.insert(n);
-          node_group_[n] = m;
-        }
-        // Requeue whatever was waiting on g to m (the real system's
-        // retries would land there after the neighbor update).
-        for (auto& op : loser.pending) winner.pending.push_back(std::move(op));
-        // Close the gap on every cycle (§3.3.3) and retire the group.
-        graph_.remove(g);
-        groups_.erase(g);
-        ++stats_.merges;
-        // §3.3.3: M informs neighbors, shuffles, and splits if necessary.
-        shuffle_held(m, [this, m, done] { maybe_resize(m, done); });
-      });
-    });
-  });
-}
-
 std::vector<ClusterSim::GroupRobustness> ClusterSim::robustness_report() const {
   std::vector<GroupRobustness> out;
   for (const auto& [g, grp] : groups_) {
@@ -463,7 +340,7 @@ bool ClusterSim::check_invariants(std::string* why) const {
     if (why != nullptr) *why = msg;
     return false;
   };
-  // Graph vertices == live groups.
+  // Graph vertices == groups.
   if (graph_.size() != groups_.size()) return fail("graph/groups size mismatch");
   for (const auto& [g, grp] : groups_) {
     if (!graph_.contains(g)) return fail("live group missing from graph");

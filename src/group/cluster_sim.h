@@ -1,25 +1,27 @@
 // Vgroup-granularity cluster simulator.
 //
-// The paper's growth (Fig 6), churn (Fig 7) and exchange-suppression
-// (Fig 13) experiments exercise thousands of concurrent membership
-// operations on EC2. Running every one of those through per-node SMR
-// message exchanges is infeasible on one machine, so this model simulates
-// the system at the granularity the protocols operate on — whole vgroups —
-// while keeping the *cost structure* of the real protocols:
+// The paper's growth (Fig 6) and exchange-suppression (Fig 13) experiments
+// exercise thousands of concurrent joins on EC2. Running every one of those
+// through per-node SMR message exchanges is infeasible on one machine, so
+// this model simulates the system at the granularity the protocols operate
+// on — whole vgroups — while keeping the *cost structure* of the real
+// protocols:
 //
-//   * every membership change occupies its vgroup for one agreement
-//     (Dolev-Strong slot: (f+2) rounds; PBFT: ~4 network RTTs) plus a
-//     state-transfer term that grows with the number of cycles hc;
+//   * every join occupies its vgroup for one agreement (Dolev-Strong slot:
+//     (f+2) rounds; PBFT: ~4 network RTTs) plus a state-transfer term that
+//     grows with the number of cycles hc;
 //   * random walks take rwl hops of one round / one RTT each;
-//   * after every join/leave the vgroup shuffles: one walk per member, and
-//     an exchange that is SUPPRESSED when the selected partner is already
-//     busy with another operation (the §7 flexibility/robustness tension);
-//   * splits and merges follow gmax/gmin exactly as §3.3 describes, with
-//     H-graph edge repair.
+//   * after every join the vgroup shuffles: one walk per member, and an
+//     exchange that is SUPPRESSED when the selected partner is already busy
+//     with another operation (the §7 flexibility/robustness tension);
+//   * a vgroup above gmax splits as §3.3.2 describes, inserting the new
+//     half into every H-graph cycle.
 //
-// The node-level protocol implementation lives in core/atum.h; this
-// simulator reproduces its dynamics at scale (8k+ vgroups) and is validated
-// against it in the integration tests.
+// The model covers growth only: it has no leave and no merge, so no vgroup
+// ever shrinks or disappears. Churn runs on the node-level protocol
+// implementation in core/atum.h, whose dynamics this simulator reproduces
+// at scale (8k+ vgroups); the integration tests validate the two against
+// each other.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,7 @@ namespace atum::group {
 struct ClusterSimConfig {
   std::size_t hc = 5;        // H-graph cycles
   std::size_t rwl = 10;      // random-walk length
-  std::size_t gmin = 7;      // merge threshold
+  std::size_t gmin = 7;      // no split leaves a half below it
   std::size_t gmax = 14;     // split threshold
   smr::EngineKind kind = smr::EngineKind::kSync;
   DurationMicros round_duration = seconds(1.0);  // sync round
@@ -55,28 +57,27 @@ struct ClusterSimConfig {
 struct ClusterSimStats {
   std::uint64_t joins_requested = 0;
   std::uint64_t joins_completed = 0;
-  std::uint64_t leaves_requested = 0;
-  std::uint64_t leaves_completed = 0;
   std::uint64_t exchanges_attempted = 0;
   std::uint64_t exchanges_completed = 0;
   std::uint64_t exchanges_suppressed = 0;
   std::uint64_t splits = 0;
-  std::uint64_t merges = 0;
   std::uint64_t walks = 0;
   std::uint64_t walk_hops = 0;
 };
 
 class ClusterSim {
  public:
+  // Throws std::invalid_argument unless gmin < gmax and gmin <= (gmax + 1)
+  // / 2: with no merge to repair it, a split must leave both halves at or
+  // above gmin.
   ClusterSim(sim::Simulator& sim, ClusterSimConfig config);
 
   // Creates the system with a single one-node vgroup (§3.3.1).
   void bootstrap(NodeId first_node);
 
-  // Drives one join/leave through the simulated protocol. Completion is
-  // asynchronous; completion callbacks are optional.
+  // Drives one join through the simulated protocol. Completion is
+  // asynchronous; the completion callback is optional.
   void request_join(NodeId node, std::function<void()> done = nullptr);
-  void request_leave(NodeId node, std::function<void()> done = nullptr);
 
   // Marks a node Byzantine for placement statistics.
   void mark_byzantine(NodeId node, bool byz = true);
@@ -103,7 +104,7 @@ class ClusterSim {
   std::vector<GroupRobustness> robustness_report() const;
 
   // Consistency invariants (tests): node<->group maps agree, H-graph
-  // vertices match live groups, sizes within bounds once stable.
+  // vertices match the groups, every cycle visits every vertex once.
   bool check_invariants(std::string* why = nullptr) const;
 
   // Protocol cost model (exposed for benches/tests).
@@ -138,13 +139,12 @@ class ClusterSim {
 
   void join_via_contact(NodeId node, GroupId contact, std::function<void()> done);
   void admit(NodeId node, GroupId target, std::function<void()> done);
-  void depart(NodeId node, GroupId g, std::function<void()> done);
-  // Pre-condition: the caller already holds `g` busy; releases it when all
-  // exchange attempts have resolved.
+  // Pre-condition: the caller already holds `g` busy. Releases it at once
+  // (the walks run while the group works on) and calls `done` once every
+  // exchange attempt has resolved.
   void shuffle_held(GroupId g, std::function<void()> done);
-  void maybe_resize(GroupId g, std::function<void()> done);
+  void maybe_split(GroupId g, std::function<void()> done);
   void split(GroupId g, std::function<void()> done);
-  void merge(GroupId g, std::function<void()> done);
 
   sim::Simulator& sim_;
   ClusterSimConfig config_;

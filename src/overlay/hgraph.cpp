@@ -59,20 +59,6 @@ void HGraph::insert_random(GroupId v, Rng& rng) {
   }
 }
 
-void HGraph::remove(GroupId v) {
-  if (!contains(v)) throw std::invalid_argument("HGraph::remove: unknown vertex");
-  for (Ring& ring : cycles_) {
-    GroupId p = ring.prev[v];
-    GroupId n = ring.next[v];
-    ring.next.erase(v);
-    ring.prev.erase(v);
-    if (p != v) {
-      ring.next[p] = n;
-      ring.prev[n] = p;
-    }
-  }
-}
-
 GroupId HGraph::successor(std::size_t cycle, GroupId v) const {
   const Ring& ring = cycles_.at(cycle);
   auto it = ring.next.find(v);

@@ -38,10 +38,6 @@ class HGraph {
   // Inserts v at a uniformly random position on every cycle.
   void insert_random(GroupId v, Rng& rng);
 
-  // Removes v; its predecessor and successor on each cycle become
-  // neighbors, closing the gap (§3.3.3).
-  void remove(GroupId v);
-
   GroupId successor(std::size_t cycle, GroupId v) const;
   GroupId predecessor(std::size_t cycle, GroupId v) const;
 

@@ -61,38 +61,6 @@ TEST(HGraph, InsertRandomKeepsAllCyclesValid) {
   EXPECT_TRUE(g.validate());
 }
 
-TEST(HGraph, RemoveBridgesTheGap) {
-  Rng rng(6);
-  HGraph g(2);
-  for (GroupId v = 0; v < 10; ++v) {
-    if (v == 0) {
-      g.add_first(v);
-    } else {
-      g.insert_random(v, rng);
-    }
-  }
-  GroupId pred = g.predecessor(0, 5), succ = g.successor(0, 5);
-  g.remove(5);
-  EXPECT_FALSE(g.contains(5));
-  if (pred != 5 && succ != 5) {
-    EXPECT_EQ(g.successor(0, pred), succ);
-  }
-  EXPECT_TRUE(g.validate());
-}
-
-TEST(HGraph, RemoveDownToOneVertex) {
-  Rng rng(7);
-  HGraph g(3);
-  g.add_first(0);
-  g.insert_random(1, rng);
-  g.insert_random(2, rng);
-  g.remove(1);
-  g.remove(2);
-  EXPECT_EQ(g.size(), 1u);
-  EXPECT_EQ(g.successor(0, 0), 0u);
-  EXPECT_TRUE(g.validate());
-}
-
 TEST(HGraph, ConstantDegree) {
   Rng rng(8);
   HGraph g(5);
@@ -114,7 +82,6 @@ TEST(HGraph, ErrorsOnUnknownVertices) {
   HGraph g(2);
   g.add_first(1);
   EXPECT_THROW(g.successor(0, 99), std::invalid_argument);
-  EXPECT_THROW(g.remove(99), std::invalid_argument);
   EXPECT_THROW(g.insert_after(0, 99, 5), std::invalid_argument);
   EXPECT_THROW(g.insert_after(0, 1, 1), std::invalid_argument);  // duplicate
 }
