@@ -73,7 +73,6 @@ class AStreamNode {
   using DigestFn = std::function<void(std::uint64_t seq)>;
   void set_digest_handler(DigestFn fn) { on_digest_ = std::move(fn); }
 
-  std::uint64_t chunks_delivered() const { return delivered_up_to_; }
   const std::vector<NodeId>& parents() const { return parents_; }
   std::size_t child_count() const { return children_.size(); }
   // Windowing introspection (store_window tests/benches).

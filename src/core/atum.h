@@ -172,7 +172,6 @@ class AtumNode {
   bool joined() const { return runtime_active_; }
   GroupId group_id() const { return vg_.id(); }
   const group::VGroupState& vgroup() const { return vg_; }
-  std::uint64_t smr_epoch() const { return smr_ ? smr_->epoch() : 0; }
   // Send-coalescing stats (benchmarks: how many per-message fixed costs
   // the envelope path saved at this node).
   const overlay::SendCoalescer& coalescer() const { return coalescer_; }

@@ -249,8 +249,6 @@ class Transport {
     owned_types_.clear();
   }
 
-  SimNetwork& network() { return *net_; }
-
  private:
   SimNetwork* net_;
   NodeId self_;

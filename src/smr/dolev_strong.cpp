@@ -82,8 +82,6 @@ void DolevStrongSmr::stop() {
 
 void DolevStrongSmr::set_decide_handler(DecideFn fn) { decide_ = std::move(fn); }
 
-std::uint64_t DolevStrongSmr::current_slot() const { return slot_; }
-
 void DolevStrongSmr::propose(Bytes op) {
   if (fault_ == DsFaultMode::kSilent) return;  // faulty replica drops its ops
   outbox_.push_back(std::move(op));

@@ -57,8 +57,6 @@ class DolevStrongSmr final : public SmrEngine {
 
   void propose(Bytes op) override;
   void set_decide_handler(DecideFn fn) override;
-  const GroupConfig& config() const override { return config_; }
-  std::uint64_t decided_count() const override { return decided_; }
   void stop() override;
 
   // fault_ is consulted at every send/propose/relay decision, so flipping
@@ -70,7 +68,6 @@ class DolevStrongSmr final : public SmrEngine {
   std::size_t max_faults() const { return sync_max_faults(config_.size()); }
   // Rounds per slot: f+1 relay rounds plus the initial broadcast round.
   std::size_t rounds_per_slot() const { return max_faults() + 2; }
-  std::uint64_t current_slot() const;
 
   // Expected decide latency for an op proposed now (used by Fig 8 analysis).
   DurationMicros expected_slot_latency() const {

@@ -1294,7 +1294,6 @@ void PbftSmr::enter_view(std::uint64_t v, const std::vector<PreparedProof>& carr
   view_ = v;
   target_view_ = v;
   view_changing_ = false;
-  ++view_changes_completed_;
   if (ctr_view_changes_ != nullptr) ctr_view_changes_->inc();
   current_timeout_ = options_.view_change_timeout;
   disarm_view_timer();

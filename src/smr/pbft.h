@@ -219,10 +219,6 @@ class PbftSmr final : public SmrEngine {
 
   void propose(Bytes op) override;
   void set_decide_handler(DecideFn fn) override;
-  const GroupConfig& config() const override { return config_; }
-  // Ops fired through decide_ (a seq may carry many ops, so this counts
-  // decisions, not log slots — see batches_executed() for slots).
-  std::uint64_t decided_count() const override { return decided_ops_; }
   void stop() override;
 
   // Checkpoint-install notification: fired when state transfer adopts a
@@ -265,7 +261,6 @@ class PbftSmr final : public SmrEngine {
   NodeId primary_of(std::uint64_t v) const {
     return config_.members[static_cast<std::size_t>(v % config_.size())];
   }
-  std::uint64_t view_changes_completed() const { return view_changes_completed_; }
 
  private:
   // (origin, origin-local seq) identifies a request end-to-end.
@@ -484,7 +479,6 @@ class PbftSmr final : public SmrEngine {
   std::uint64_t next_exec_ = 0;      // count of executed entries == next seq-1
   std::uint64_t stable_seq_ = 0;     // last stable checkpoint
   std::uint64_t origin_seq_ = 0;     // local client sequence
-  std::uint64_t view_changes_completed_ = 0;
   std::uint64_t decided_ops_ = 0;    // ops fired through decide_
   ExecState executed_;  // what checkpoint bodies carry
 

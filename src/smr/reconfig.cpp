@@ -28,8 +28,8 @@ crypto::Digest chain_hash(const crypto::Digest& prev, const crypto::Digest& conf
   h.update(config_op_digest.data(), config_op_digest.size());
   return h.finish();
 }
-}  // namespace
 
+// A fresh engine of options.kind for one epoch's configuration.
 std::unique_ptr<SmrEngine> make_engine(net::Transport transport, GroupConfig config,
                                        crypto::KeyStore& keys, const EngineOptions& options) {
   if (options.kind == EngineKind::kSync) {
@@ -41,6 +41,7 @@ std::unique_ptr<SmrEngine> make_engine(net::Transport transport, GroupConfig con
       std::move(transport), std::move(config), keys, options.pbft,
       options.silent ? PbftFaultMode::kSilent : PbftFaultMode::kCorrect);
 }
+}  // namespace
 
 ReconfigurableSmr::ReconfigurableSmr(net::SimNetwork& net, NodeId self, GroupConfig initial,
                                      crypto::KeyStore& keys, EngineOptions options,

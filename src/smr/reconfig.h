@@ -61,11 +61,6 @@ struct EpochState {
   crypto::Digest hash{};
 };
 
-// Builds a fresh engine for a configuration. Exposed so tests can run both
-// kinds through one code path.
-std::unique_ptr<SmrEngine> make_engine(net::Transport transport, GroupConfig config,
-                                       crypto::KeyStore& keys, const EngineOptions& options);
-
 class ReconfigurableSmr {
  public:
   using ConfigFn = std::function<void(std::uint64_t epoch, const GroupConfig&)>;
@@ -92,7 +87,6 @@ class ReconfigurableSmr {
   std::uint64_t epoch() const { return epoch_; }
   // Head of the config-history hash chain (the current epoch's identity).
   const crypto::Digest& epoch_hash() const { return epoch_hash_; }
-  std::uint64_t decided_count() const { return global_seq_; }
   // False once the local node has been reconfigured out of the group.
   bool active() const { return engine_ != nullptr; }
   void stop();

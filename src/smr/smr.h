@@ -31,10 +31,6 @@ struct GroupConfig {
   bool contains(NodeId n) const {
     return std::binary_search(members.begin(), members.end(), n);
   }
-  std::size_t index_of(NodeId n) const {
-    auto it = std::lower_bound(members.begin(), members.end(), n);
-    return static_cast<std::size_t>(it - members.begin());
-  }
 };
 
 // Invoked exactly once per decided slot, in sequence order, with identical
@@ -124,9 +120,6 @@ class SmrEngine {
 
   // Registers the decision callback; must be set before the first decide.
   virtual void set_decide_handler(DecideFn fn) = 0;
-
-  virtual const GroupConfig& config() const = 0;
-  virtual std::uint64_t decided_count() const = 0;
 
   // Runtime fault conversion (scenario Byzantine primitives): a silent
   // replica takes part in nothing from its next protocol action on; false
