@@ -692,13 +692,8 @@ crypto::Digest PbftSmr::checkpoint_digest(const Checkpoint& c) {
 }
 
 const VoteRecord* PbftSmr::votes_at(std::uint64_t seq) const {
-  const VoteRecord* votes = nullptr;
-  if (in_window(seq)) {
-    if (const Slot* s = find_slot(seq)) votes = &s->votes;
-  } else if (auto it = checkpoints_.find(seq); it != checkpoints_.end()) {
-    votes = &it->second;  // checkpoints_ holds only seqs above the window
-  }
-  return votes != nullptr && !votes->empty() ? votes : nullptr;
+  auto it = checkpoints_.find(seq);
+  return it != checkpoints_.end() && !it->second.empty() ? &it->second : nullptr;
 }
 
 bool PbftSmr::vouched(std::uint64_t seq, const crypto::Digest& body_digest) const {
@@ -708,19 +703,18 @@ bool PbftSmr::vouched(std::uint64_t seq, const crypto::Digest& body_digest) cons
 
 // Precondition: seq > stable_seq_ (votes at or below it are moot).
 void PbftSmr::record_vote(std::uint64_t seq, NodeId voter, const crypto::Digest& body_digest) {
-  if (in_window(seq)) {
-    slot(seq).votes.add(voter, body_digest, config_.size());
-    return;
-  }
   checkpoints_[seq].add(voter, body_digest, config_.size());
+  if (in_window(seq)) return;
   // Above the window a voter keeps only its newest boundaries, as many as a
   // window spans plus one: a member voting for endless future boundaries
   // cannot grow the store.
   const std::uint64_t interval = options_.checkpoint_interval;
   const std::uint64_t keep = (options_.watermark_window + interval - 1) / interval + 1;
+  const std::uint64_t window_top = stable_seq_ + options_.watermark_window;
   std::uint64_t held = 0;
   for (auto it = checkpoints_.end(); it != checkpoints_.begin();) {
     --it;
+    if (it->first <= window_top) break;
     if (it->second.vote_of(voter) == nullptr || ++held <= keep) continue;
     it->second.erase(voter);
     if (it->second.empty()) it = checkpoints_.erase(it);
@@ -729,7 +723,6 @@ void PbftSmr::record_vote(std::uint64_t seq, NodeId voter, const crypto::Digest&
 
 std::size_t PbftSmr::stored_votes() const {
   std::size_t count = state_reply_votes_.size();
-  for (const Slot& s : slots_) count += s.votes.size();
   for (const auto& [seq, votes] : checkpoints_) count += votes.size();
   return count;
 }
@@ -814,13 +807,8 @@ void PbftSmr::collect_garbage(std::uint64_t stable_seq) {
   if (stable_seq <= log_end() && slot(stable_seq).capture) {
     stable_ckpt_ = std::move(*slot(stable_seq).capture);
   }
-  // The window moved up: votes it now covers move into their slots, and
-  // votes at or below the stable checkpoint are dropped.
-  while (!checkpoints_.empty() &&
-         checkpoints_.begin()->first <= stable_seq + options_.watermark_window) {
-    auto node = checkpoints_.extract(checkpoints_.begin());
-    if (node.key() > stable_seq) slot(node.key()).votes = std::move(node.mapped());
-  }
+  // Votes at or below the stable checkpoint are moot.
+  checkpoints_.erase(checkpoints_.begin(), checkpoints_.upper_bound(stable_seq));
   // The memory bound: every slot at or below the stable checkpoint leaves
   // the log (and unpins its batch frames). in_window caps next_exec_ at
   // stable_seq_ + watermark_window, so after the trim the log never holds
@@ -849,27 +837,19 @@ std::vector<PbftSmr::Request> PbftSmr::pending_by_id() const {
 
 void PbftSmr::request_state_transfer() {
   // Ask a voter of the freshest vouched checkpoint for history: boundaries
-  // above the window first, then the window's, newest first. The lowest-id
+  // newest first, those above the window before the window's. The lowest-id
   // voter other than this replica is asked.
-  auto ask_voter = [&](const VoteRecord& votes) {
-    if (votes.size() < max_faults() + 1) return false;
+  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
+    const VoteRecord& votes = it->second;
+    if (votes.size() < max_faults() + 1) continue;
     NodeId asked = kInvalidNode;
     for (const VoteRecord::Vote& v : votes) {
       if (v.voter != transport_.self()) asked = std::min(asked, v.voter);
     }
-    if (asked == kInvalidNode) return false;
+    if (asked == kInvalidNode) continue;
     // No range cap: the reply is validated against the vouched checkpoint.
     transport_.send(asked, net::MsgType::kPbftStateFetch, fetch_frame(0));
-    return true;  // one fetch at a time; retried on the next checkpoint signal
-  };
-  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-    if (ask_voter(it->second)) return;
-  }
-  const std::uint64_t interval = options_.checkpoint_interval;
-  std::uint64_t top = std::min(stable_seq_ + options_.watermark_window, log_end());
-  for (std::uint64_t seq = top - top % interval; seq > stable_seq_; seq -= interval) {
-    const VoteRecord* votes = votes_at(seq);
-    if (votes != nullptr && ask_voter(*votes)) return;
+    return;  // one fetch at a time; retried on the next checkpoint signal
   }
 }
 

@@ -240,7 +240,7 @@ class PbftSmr final : public SmrEngine {
   // batch frames; see the header comment).
   std::size_t history_size() const { return static_cast<std::size_t>(next_exec_ - base_); }
   std::uint64_t history_base() const { return base_; }
-  // Vote-storage observability: CHECKPOINT votes in the window and above it
+  // Vote-storage observability: CHECKPOINT votes above the stable checkpoint
   // plus state-reply votes. One member holds at most one vote per boundary
   // in the window, its newest ceil(watermark_window / checkpoint_interval)
   // + 1 boundaries above it, and its latest reply digest.
@@ -329,13 +329,13 @@ class PbftSmr final : public SmrEngine {
     void fold(const crypto::Digest& record_digest);
     Checkpoint checkpoint(std::uint64_t seq) const;  // the body at boundary seq
   };
-  // Every seq-indexed fact about one seq. An adopted slot carries no
-  // agreement state (a late pre-prepare may set some; the record stays).
+  // Every seq-indexed fact about one seq but its boundary votes (those
+  // live in checkpoints_). An adopted slot carries no agreement state (a
+  // late pre-prepare may set some; the record stays).
   struct Slot {
     Agreement agreement;
     ExecRecord record;                    // filled once seq <= next_exec_
     std::unique_ptr<Checkpoint> capture;  // our boundary capture, if executed
-    VoteRecord votes;                     // boundary votes while in the window
   };
   struct PreparedProof {
     std::uint64_t seq;
@@ -509,9 +509,11 @@ class PbftSmr final : public SmrEngine {
   // must not be lost for late ones. Replayed by enter_view.
   std::deque<net::Message> future_view_msgs_;
   static constexpr std::size_t kFutureBufferCap = 4096;
-  // CHECKPOINT votes above the window (a laggard's evidence that the group
-  // moved on), bounded per voter by record_vote; votes inside the window
-  // live in their slots. The vote is the SHA-256 of the full checkpoint body.
+  // CHECKPOINT votes per boundary above the stable checkpoint, in the
+  // window and above it (a laggard's evidence that the group moved on);
+  // record_vote bounds each voter above the window, and collect_garbage
+  // drops the boundaries the stable checkpoint passes. The vote is the
+  // SHA-256 of the full checkpoint body.
   std::map<std::uint64_t, VoteRecord> checkpoints_;
   // The latest STABLE checkpoint (2f+1 matching votes or installed): what
   // handle_state_fetch serves to fetchers below the truncation point.
@@ -521,8 +523,7 @@ class PbftSmr final : public SmrEngine {
   static void write_checkpoint_body(ByteWriter& w, const Checkpoint& c);
   static std::size_t checkpoint_body_size(const Checkpoint& c);
   static crypto::Digest checkpoint_digest(const Checkpoint& c);
-  // Votes at a boundary above the stable checkpoint (null when none): read
-  // from its slot inside the window, from checkpoints_ above it.
+  // Votes at a boundary above the stable checkpoint (null when none).
   const VoteRecord* votes_at(std::uint64_t seq) const;
   // Whether f+1 votes at boundary seq name body_digest: one is correct.
   bool vouched(std::uint64_t seq, const crypto::Digest& body_digest) const;
