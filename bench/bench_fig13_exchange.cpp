@@ -20,7 +20,6 @@ void run_rate(double pct_per_minute) {
   ClusterSimConfig cfg;
   cfg.hc = 5;
   cfg.rwl = 10;
-  cfg.gmin = 7;
   cfg.gmax = 14;
   cfg.kind = smr::EngineKind::kSync;
   cfg.round_duration = seconds(1.0);

@@ -21,7 +21,6 @@ void run_growth(const char* label, smr::EngineKind kind, std::size_t target_node
   // Table 1 sizing (gmax 8..20), as deployed in §6: e.g. 800 nodes in
   // "roughly 120 vgroups" means g ~ 7-10, not the k*log2(N) upper bound.
   ClusterSimConfig cfg;
-  cfg.gmin = 7;
   cfg.gmax = 14;
   std::size_t expected_groups = target_nodes / 8;
   cfg.hc = 5;

@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------------------ join
   sim::Simulator sim;
   group::ClusterSimConfig cfg;
-  cfg.gmin = 7;
   cfg.gmax = 14;
   cfg.hc = 3;
   cfg.rwl = 6;

@@ -16,14 +16,7 @@ NodeId nth_element_of(const Set& s, std::size_t idx) {
 }  // namespace
 
 ClusterSim::ClusterSim(sim::Simulator& sim, ClusterSimConfig config)
-    : sim_(sim), config_(config), rng_(config.seed), graph_(config.hc) {
-  if (config_.gmin >= config_.gmax) {
-    throw std::invalid_argument("ClusterSim: gmin must be below gmax");
-  }
-  if (config_.gmin > (config_.gmax + 1) / 2) {
-    throw std::invalid_argument("ClusterSim: a split could leave a half below gmin");
-  }
-}
+    : sim_(sim), config_(config), rng_(config.seed), graph_(config.hc) {}
 
 DurationMicros ClusterSim::agreement_latency(std::size_t group_size) const {
   // State transfer grows with the number of neighbor views kept (hc); §6.1.2

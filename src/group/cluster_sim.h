@@ -44,7 +44,6 @@ namespace atum::group {
 struct ClusterSimConfig {
   std::size_t hc = 5;        // H-graph cycles
   std::size_t rwl = 10;      // random-walk length
-  std::size_t gmin = 7;      // no split leaves a half below it
   std::size_t gmax = 14;     // split threshold
   smr::EngineKind kind = smr::EngineKind::kSync;
   DurationMicros round_duration = seconds(1.0);  // sync round
@@ -67,9 +66,7 @@ struct ClusterSimStats {
 
 class ClusterSim {
  public:
-  // Throws std::invalid_argument unless gmin < gmax and gmin <= (gmax + 1)
-  // / 2: with no merge to repair it, a split must leave both halves at or
-  // above gmin.
+  // Throws std::invalid_argument when hc is 0 (the H-graph needs a cycle).
   ClusterSim(sim::Simulator& sim, ClusterSimConfig config);
 
   // Creates the system with a single one-node vgroup (§3.3.1).
@@ -89,8 +86,6 @@ class ClusterSim {
 
   const overlay::HGraph& graph() const { return graph_; }
   const ClusterSimStats& stats() const { return stats_; }
-  const ClusterSimConfig& config() const { return config_; }
-  sim::Simulator& simulator() { return sim_; }
 
   // Fault-placement summary: for each group, the number of Byzantine
   // members and the fault threshold of the configured engine.

@@ -1,6 +1,6 @@
 // Tests for the group layer: replicated vgroup state, op encodings, and the
-// vgroup-granularity cluster simulator (growth, churn, shuffling, split,
-// merge, exchange suppression, fault dispersal).
+// vgroup-granularity cluster simulator (growth, shuffling, split, exchange
+// suppression, fault dispersal).
 #include <gtest/gtest.h>
 
 #include "group/cluster_sim.h"
@@ -136,7 +136,6 @@ ClusterSimConfig fast_config() {
   ClusterSimConfig c;
   c.hc = 3;
   c.rwl = 5;
-  c.gmin = 4;
   c.gmax = 8;
   c.kind = smr::EngineKind::kSync;
   c.round_duration = millis(10);  // fast rounds keep tests quick
@@ -259,14 +258,8 @@ TEST_F(SimFixture, AgreementLatencyGrowsWithGroupSizeInSync) {
 
 TEST_F(SimFixture, InvalidConfigRejected) {
   auto cfg = fast_config();
-  cfg.gmin = cfg.gmax;
+  cfg.hc = 0;
   EXPECT_THROW(ClusterSim(sim, cfg), std::invalid_argument);
-  // A split of gmax + 1 members leaves a half of (gmax + 1) / 2, and no
-  // merge would repair a half below gmin.
-  cfg.gmin = (cfg.gmax + 1) / 2 + 1;
-  EXPECT_THROW(ClusterSim(sim, cfg), std::invalid_argument);
-  cfg.gmin = (cfg.gmax + 1) / 2;
-  EXPECT_NO_THROW(ClusterSim(sim, cfg));
 }
 
 TEST_F(SimFixture, DoubleBootstrapRejected) {
@@ -289,6 +282,12 @@ struct GrowthParam {
   std::size_t rwl;
 };
 
+// gtest names each case with the printed param; printed as raw bytes, its
+// padding would change the name from one listing to the next.
+void PrintTo(const GrowthParam& p, std::ostream* os) {
+  *os << (p.kind == smr::EngineKind::kSync ? "sync" : "async") << ", rwl " << p.rwl;
+}
+
 class ClusterGrowthSweep : public ::testing::TestWithParam<GrowthParam> {};
 
 TEST_P(ClusterGrowthSweep, SurvivesSustainedGrowth) {
@@ -297,7 +296,6 @@ TEST_P(ClusterGrowthSweep, SurvivesSustainedGrowth) {
   ClusterSimConfig cfg;
   cfg.hc = 4;
   cfg.rwl = p.rwl;
-  cfg.gmin = 4;
   cfg.gmax = 8;
   cfg.kind = p.kind;
   cfg.round_duration = millis(10);

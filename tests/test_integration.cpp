@@ -194,7 +194,6 @@ TEST(CrossValidation, GrowthIsSuperlinearInSimulator) {
   sim::Simulator sim;
   group::ClusterSimConfig cfg;
   cfg.round_duration = millis(20);
-  cfg.gmin = 4;
   cfg.gmax = 8;
   cfg.hc = 3;
   cfg.rwl = 5;
