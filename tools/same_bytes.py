@@ -18,10 +18,10 @@ On both builds the script runs every preset that `atum_scenario --list`
 prints, as `atum_scenario PRESET --nodes N --assert --out FILE`; one
 telemetry run, `atum_scenario partition_heal --nodes N --metrics-interval=1s
 --trace-out TRACE --out FILE`, whose report (with its time_series section)
-and trace are compared separately; `bench_smr_throughput`, whose stdout
-and stderr are compared separately; and `bench_fig6_growth`,
-`bench_fig13_exchange` and `bench_soak_100k 2000`, whose stdout is
-compared (--nodes does not scale them).
+and trace are compared separately; and the benches `bench_smr_throughput`,
+`bench_fig6_growth`, `bench_fig13_exchange` and `bench_soak_100k 2000`,
+whose stdout and stderr are compared separately (--nodes does not scale
+them).
 It prints one line per artefact: `same`, `DIFFERS`, or `FAILED` when a run
 exits non-zero (an expectation or a self-check failed) on either side.
 Under a differing JSON report of at most 1 MB (not the trace) it prints the
@@ -50,10 +50,10 @@ import sys
 import tempfile
 
 SCENARIO = "atum_scenario"
-BENCH = "bench_smr_throughput"
-# The vgroup-granularity model's programs (group::ClusterSim), as argv;
-# each runs in well under a second.
-MODEL_BENCHES = (("bench_fig6_growth",), ("bench_fig13_exchange",), ("bench_soak_100k", "2000"))
+# Benches as argv: the SMR throughput bench and the vgroup-granularity
+# model's programs (group::ClusterSim), which each run in well under a second.
+BENCHES = (("bench_smr_throughput",), ("bench_fig6_growth",), ("bench_fig13_exchange",),
+           ("bench_soak_100k", "2000"))
 TELEMETRY = "partition_heal"  # the preset run with the time series and the trace on
 JOBS = 2  # runs at a time; one run peaks near 200 MB at 1000 nodes
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -99,19 +99,15 @@ def run_telemetry(scenario, nodes, out_dir):
     return proc.returncode, {name: read(os.path.join(out_dir, name)) for name in HASHED}
 
 
-def run_bench(bench):
-    proc = subprocess.run([bench], capture_output=True)
-    return proc.returncode, {BENCH + ".stdout": proc.stdout, BENCH + ".stderr": proc.stderr}
-
-
-def run_model_bench(command):
+def run_bench(command):
+    name = os.path.basename(command[0])
     proc = subprocess.run(command, capture_output=True)
-    return proc.returncode, {os.path.basename(command[0]) + ".stdout": proc.stdout}
+    return proc.returncode, {name + ".stdout": proc.stdout, name + ".stderr": proc.stderr}
 
 
 def compare_builds(base, change, nodes):
-    builds = {side: (binary(build, SCENARIO), binary(build, BENCH),
-                     [[binary(build, argv[0]), *argv[1:]] for argv in MODEL_BENCHES])
+    builds = {side: (binary(build, SCENARIO),
+                     [[binary(build, argv[0]), *argv[1:]] for argv in BENCHES])
               for side, build in (("base", base), ("change", change))}
 
     names = presets(builds["base"][0])
@@ -122,18 +118,17 @@ def compare_builds(base, change, nodes):
     with tempfile.TemporaryDirectory() as tmp, \
             concurrent.futures.ThreadPoolExecutor(max_workers=JOBS) as pool:
         jobs = {}  # (side, task) -> future
-        for side, (scenario, bench, model) in builds.items():
+        for side, (scenario, benches) in builds.items():
             out_dir = os.path.join(tmp, side)
             os.mkdir(out_dir)
             for preset in names:
                 jobs[side, preset] = pool.submit(run_preset, scenario, preset, nodes, out_dir)
             jobs[side, "telemetry"] = pool.submit(run_telemetry, scenario, nodes, out_dir)
-            jobs[side, BENCH] = pool.submit(run_bench, bench)
-            for command in model:
-                jobs[side, os.path.basename(command[0])] = pool.submit(run_model_bench, command)
+            for command in benches:
+                jobs[side, os.path.basename(command[0])] = pool.submit(run_bench, command)
 
         ok = True
-        for task in names + ["telemetry", BENCH] + [argv[0] for argv in MODEL_BENCHES]:
+        for task in names + ["telemetry"] + [argv[0] for argv in BENCHES]:
             base_rc, base_out = jobs["base", task].result()
             change_rc, change_out = jobs["change", task].result()
             for artefact, base_bytes in base_out.items():
