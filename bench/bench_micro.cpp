@@ -336,13 +336,13 @@ BENCHMARK(BM_GossipCoalescedSend)
 // GroupMessageReceiver on its own node, and each frame pays the sender
 // check and the majority lookup that AtumNode's receiver pays. A majority
 // is six, so every id delivers on its sixth frame and exactly four frames
-// per id arrive after acceptance; the delivered-id set drops those. With
+// per id arrive after acceptance; the delivered set drops those. With
 // one receiver its tables stay in the core's caches; with 1000 they do
 // not, which is the regime of a 1000-node system such as bcast_steady.
 // Wall-clock per frame, with about 40k frames per iteration at 1000
 // receivers (64 fresh ids at one); building the frames is not timed. The
-// 50 ms TTL expires entries and rotates the delivered-id sets as
-// simulated time passes.
+// 50 ms TTL expires entries and rotates the delivered sets as simulated
+// time passes.
 static void BM_GroupMessageAccept(benchmark::State& state) {
   constexpr std::size_t kMembers = 10;
   constexpr std::size_t kFullSenders = kMembers / 2 + 1;
@@ -373,15 +373,16 @@ static void BM_GroupMessageAccept(benchmark::State& state) {
     for (auto& [full, digest] : frames) {
       Bytes b = body;
       std::memcpy(b.data(), &seq, sizeof seq);  // distinct content per id
+      // The id's seq is the content's digest prefix, as every sender's is.
+      const crypto::Digest d = crypto::sha256(b);
       ByteWriter fw;
       fw.u64(kGroup);
-      fw.u64(seq);
+      fw.u64(crypto::digest_prefix64(d));
       fw.bytes(b);
       full = net::Payload(fw.take());
       ByteWriter dw;
       dw.u64(kGroup);
-      dw.u64(seq);
-      const crypto::Digest d = crypto::sha256(b);
+      dw.u64(crypto::digest_prefix64(d));
       dw.raw(d.data(), d.size());
       digest = net::Payload(dw.take());
       ++seq;

@@ -174,8 +174,7 @@ AtumNode::AtumNode(AtumSystem& system, NodeId id, NodeBehavior behavior)
       behavior_(behavior),
       transport_(system.network(), id),
       rng_(system.rng().next_u64() ^ id),
-      coalescer_(transport_, rng_),
-      gossip_(overlay::forward_flood()) {
+      coalescer_(transport_, rng_) {
   coalescer_.set_tracer(&system.tracer());
   transport_.listen({net::MsgType::kJoinRequest, net::MsgType::kJoinReply,
                      net::MsgType::kHeartbeat},
@@ -338,8 +337,12 @@ void AtumNode::on_smr_decide(std::uint64_t, NodeId origin, const net::Payload& w
   switch (op.kind) {
     case group::OpKind::kBroadcast: {
       if (op.broadcast.bcast.origin != origin) return;  // forged origin
-      // The decided op IS the gossip frame (see static_assert above):
-      // relay the buffer we already hold instead of re-encoding it.
+      // The decided op IS the gossip frame (see static_assert above), so
+      // its digest prefix is the seq every group message carrying it uses:
+      // record it in the receiver's delivered set, and do nothing if a
+      // group message delivered it first. Relay the buffer we already hold
+      // instead of re-encoding it.
+      if (!gm_rx_->note_delivered(crypto::digest_prefix64(wire.digest()))) return;
       accept_broadcast(op.broadcast.bcast, op.broadcast.payload, wire);
       break;
     }
@@ -435,11 +438,7 @@ void AtumNode::evaluate_suspicions() {
 std::optional<overlay::PreparedGroupMessage> AtumNode::prepare_group_payload(
     const net::Payload& payload) const {
   if (!is_sender_behavior()) return std::nullopt;  // Byzantine members do not contribute
-  // digest() is memoized per frame: for a relayed gossip frame this reuses
-  // the digest the vouch path already computed on arrival, and the
-  // digest-rank senders inside PreparedGroupMessage reuse it again.
-  overlay::GroupMessageId id{vg_.id(), crypto::digest_prefix64(payload.digest())};
-  return overlay::PreparedGroupMessage(vg_.members(), id_, id, payload);
+  return overlay::PreparedGroupMessage(vg_.members(), id_, vg_.id(), payload);
 }
 
 void AtumNode::send_group_payload(const group::GroupView& dest, const net::Payload& payload) {
@@ -497,11 +496,6 @@ void AtumNode::on_group_message(const overlay::GroupMessageId& gm_id, net::Paylo
 
 void AtumNode::accept_broadcast(const BroadcastId& id, const net::Payload& payload,
                                 const net::Payload& frame) {
-  // Later sightings neither deliver nor relay: a relay sends `frame` verbatim
-  // under {own vgroup, digest prefix of frame}, so a second relay would be
-  // byte-identical to the first under the same group-message id, and every
-  // receiver would drop it as a duplicate.
-  if (!gossip_.first_sighting(id, sys_.simulator().now())) return;
   obs::Tracer& tr = sys_.tracer();
   if (tr.enabled()) {
     // frame.digest() is memoized and shared with the vouch/relay paths.
@@ -515,7 +509,8 @@ void AtumNode::accept_broadcast(const BroadcastId& id, const net::Payload& paylo
 void AtumNode::relay_gossip(const BroadcastId& id, const net::Payload& payload,
                             const net::Payload& frame) {
   if (!is_sender_behavior()) return;
-  std::vector<overlay::NeighborRef> relays = gossip_.relays(id, payload, vg_.neighbor_refs());
+  std::vector<overlay::NeighborRef> relays =
+      overlay::choose_relays(forward_, id, payload, vg_.neighbor_refs());
   if (relays.empty()) return;
   // One wire frame (wrapping the received gossip frame verbatim) + one
   // digest for the whole relay fan-out; every neighbor group and every

@@ -1,7 +1,8 @@
 // Atum: the group communication middleware (§3).
 //
 // AtumNode is the per-node runtime: it owns the node's replica of its
-// vgroup's SMR engine, the group-message endpoint, the gossip relay state,
+// vgroup's SMR engine, the group-message endpoint (whose delivered set is
+// the node's one record of delivered content), the gossip forward policy,
 // and the heartbeat/eviction machinery, and it exposes the §3.3 API —
 // bootstrap / join / leave / broadcast plus the deliver and forward
 // callbacks.
@@ -166,7 +167,7 @@ class AtumNode {
   // metrics tap in front of an application handler: grab the handler, then
   // set_deliver a wrapper that calls both (see scenario::ScenarioDriver).
   DeliverFn deliver_handler() const { return deliver_; }
-  void set_forward(overlay::ForwardFn fn) { gossip_.set_forward(std::move(fn)); }
+  void set_forward(overlay::ForwardFn fn) { forward_ = std::move(fn); }
 
   // ----- introspection -----
   bool joined() const { return runtime_active_; }
@@ -194,9 +195,12 @@ class AtumNode {
   // A broadcast arrives by two paths: the own vgroup decides it, or a
   // neighbor vgroup's group message carries it. Its first sighting, by
   // either path, delivers it and then relays it (§3.2); later sightings do
-  // nothing. `frame` is the gossip wire frame the broadcast arrived as (the
-  // decided op's encoding on the SMR path) — its digest prefix is the trace
-  // key joining this delivery to every other hop of the same broadcast.
+  // nothing. Both paths reach here only for a first sighting: the
+  // group-message receiver's delivered set, which the decide path records
+  // into too, holds every frame delivered. `frame` is the gossip wire
+  // frame the broadcast arrived as (the decided op's encoding on the SMR
+  // path) — its digest prefix is the trace key joining this delivery to
+  // every other hop of the same broadcast.
   void accept_broadcast(const BroadcastId& id, const net::Payload& payload,
                         const net::Payload& frame);
   // Relays `frame` (the received kGmGossip group-message body, or the
@@ -208,9 +212,9 @@ class AtumNode {
                     const net::Payload& frame);
   void handle_walk(overlay::WalkState walk);
   void forward_walk(overlay::WalkState walk);
-  // Encodes `payload` as a group message exactly once (nullopt for
-  // non-sender behaviors); callers fan the result out to one or many
-  // destination groups with zero further payload copies.
+  // Encodes `payload` as a group message from the own vgroup exactly once
+  // (nullopt for non-sender behaviors); callers fan the result out to one
+  // or many destination groups with zero further payload copies.
   std::optional<overlay::PreparedGroupMessage> prepare_group_payload(
       const net::Payload& payload) const;
   void send_group_payload(const group::GroupView& dest, const net::Payload& payload);
@@ -239,7 +243,9 @@ class AtumNode {
   std::unique_ptr<smr::ReconfigurableSmr> smr_;
   std::unique_ptr<overlay::GroupMessageReceiver> gm_rx_;
   std::unique_ptr<sim::PeriodicTimer> heartbeat_timer_;
-  overlay::GossipState gossip_;
+  // The §3.3.4 forward callback; relays also always take the cycle-0
+  // successor link (overlay::choose_relays).
+  overlay::ForwardFn forward_ = overlay::forward_flood();
   DeliverFn deliver_;
 
   bool runtime_active_ = false;

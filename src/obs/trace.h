@@ -3,7 +3,7 @@
 // Every traced event carries a 64-bit correlation key. For the broadcast
 // path the key is the same value at every hop: a BroadcastOp's wire
 // encoding IS the kGmGossip frame body relayed at every hop (static
-// assert in core/atum.cpp), and prepare_group_payload derives
+// assert in core/atum.cpp), and PreparedGroupMessage derives
 // GroupMessageId.seq = digest_prefix64(frame digest) — so
 //   send → coalesce → relay → vouch → deliver
 // all record digest_prefix64(sha256(frame)) and one key joins the full
@@ -37,7 +37,7 @@ enum class TracePoint : std::uint8_t {
   kSend = 0,      // origin proposes the broadcast op
   kCoalesce,      // frame absorbed into a same-tick envelope
   kRelay,         // node forwards the frame to gossip successors
-  kVouch,         // digest-only copy confirmed by majority vouches
+  kVouch,         // majority vouching completed on content new to the node
   kDeliver,       // app-level delivery
   // SMR pipeline (op/batch-digest keyspace).
   kPropose,       // op submitted to the replicated log

@@ -43,6 +43,21 @@ ForwardFn forward_none() {
   return [](const BroadcastId&, const net::Payload&, const NeighborRef&) { return false; };
 }
 
+std::vector<NeighborRef> choose_relays(const ForwardFn& forward, const BroadcastId& id,
+                                       const net::Payload& payload,
+                                       const std::vector<NeighborRef>& neighbors) {
+  std::vector<NeighborRef> out;
+  for (const NeighborRef& n : neighbors) {
+    // Deterministic delivery guarantee: the cycle-0 successor link is always
+    // used, whatever the application callback says.
+    bool mandatory = (n.cycle == 0 && n.direction == 0);
+    if (mandatory || (forward && forward(id, payload, n))) {
+      out.push_back(n);
+    }
+  }
+  return out;
+}
+
 SendCoalescer::SendCoalescer(net::Transport transport, Rng& rng)
     : transport_(std::move(transport)), rng_(rng) {}
 
@@ -143,27 +158,6 @@ void SendCoalescer::discard() {
     flush_event_ = 0;
   }
   queue_ = std::vector<Queued>();  // frees the buffer, as flush() does
-}
-
-bool GossipState::first_sighting(const BroadcastId& id, TimeMicros now) {
-  seen_.rotate(now, kDedupWindow);
-  return seen_.insert(id);
-}
-
-bool GossipState::seen(const BroadcastId& id) const { return seen_.contains(id); }
-
-std::vector<NeighborRef> GossipState::relays(const BroadcastId& id, const net::Payload& payload,
-                                             const std::vector<NeighborRef>& neighbors) const {
-  std::vector<NeighborRef> out;
-  for (const NeighborRef& n : neighbors) {
-    // Deterministic delivery guarantee: the cycle-0 successor link is always
-    // used, whatever the application callback says.
-    bool mandatory = (n.cycle == 0 && n.direction == 0);
-    if (mandatory || (forward_ && forward_(id, payload, n))) {
-      out.push_back(n);
-    }
-  }
-  return out;
 }
 
 }  // namespace atum::overlay

@@ -1,12 +1,13 @@
 // Gossip dissemination among vgroups (§3.2, §3.3.4).
 //
-// Broadcast phase two: when a vgroup receives a broadcast for the first
-// time it delivers the message and then consults the application-provided
-// `forward` callback once per overlay neighbor to decide whether to relay.
-// To turn gossip's probabilistic delivery into a deterministic guarantee,
-// the engine always relays along a designated cycle (cycle 0, successor
-// direction) in addition to whatever the callback chooses — the paper's
-// "gossip at least with neighboring vgroups on a specific cycle".
+// Broadcast phase two: when a node first sees a broadcast it delivers the
+// message and then consults the application-provided `forward` callback
+// once per overlay neighbor to decide whether to relay. To turn gossip's
+// probabilistic delivery into a deterministic guarantee, the relay choice
+// always includes a designated cycle (cycle 0, successor direction) in
+// addition to whatever the callback chooses — the paper's "gossip at least
+// with neighboring vgroups on a specific cycle". The first sighting itself
+// is the group-message receiver's delivered set (group_message.h).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@
 #include "common/types.h"
 #include "net/message.h"
 #include "net/network.h"
-#include "overlay/two_generation_set.h"
 #include "sim/simulator.h"
 
 namespace atum::obs {
@@ -53,6 +53,12 @@ ForwardFn forward_cycles(std::set<std::size_t> cycles);
 ForwardFn forward_random(double p, std::uint64_t seed);
 // Never relay (the unwise choice §3.3.4 warns about; used in tests).
 ForwardFn forward_none();
+
+// The neighbors one broadcast is relayed to: those `forward` (may be empty)
+// picks, plus always the deterministic cycle-0 successor link.
+std::vector<NeighborRef> choose_relays(const ForwardFn& forward, const BroadcastId& id,
+                                       const net::Payload& payload,
+                                       const std::vector<NeighborRef>& neighbors);
 
 // Per-node send coalescing for group-message frames (perf, riding on the
 // simulator's event granularity). A gossip relay fans one broadcast out to
@@ -145,42 +151,6 @@ class SendCoalescer {
   // lint: adhoc-counter-ok(pre-registry stats; summed onto the registry by AtumSystem probes)
   std::uint64_t frames_enqueued_ = 0;
   std::uint64_t messages_sent_ = 0;
-};
-
-// Per-vgroup-member dedup and relay bookkeeping for broadcasts. Pure logic:
-// the group/core layer feeds accepted group messages in and sends the
-// relays this class decides on.
-class GossipState {
- public:
-  explicit GossipState(ForwardFn forward) : forward_(std::move(forward)) {}
-
-  void set_forward(ForwardFn fn) { forward_ = std::move(fn); }
-
-  // First sighting of a broadcast at simulated time `now`? (also records
-  // it). The caller passes the time; this class keeps no clock.
-  //
-  // Sightings are forgotten: the set keeps two generations rotated every
-  // kDedupWindow (480 s), so an id is remembered for at least that long
-  // after its first sighting, and a copy arriving after that may deliver
-  // and relay again. The receiver's dedup window does not bound when copies
-  // arrive: a node gets each broadcast under a different group-message id
-  // per neighbor vgroup, and an origin-group member also through its
-  // vgroup's decide, which a lagging replica may get later by state
-  // transfer. The protocol bounds neither delay; the period rests on
-  // measured delays (ARCHITECTURE.md, Gossip).
-  bool first_sighting(const BroadcastId& id, TimeMicros now);
-  bool seen(const BroadcastId& id) const;
-
-  // Relay decision for one broadcast across the group's neighbor set;
-  // always includes the deterministic cycle-0 successor link.
-  std::vector<NeighborRef> relays(const BroadcastId& id, const net::Payload& payload,
-                                  const std::vector<NeighborRef>& neighbors) const;
-
-  std::size_t seen_count() const { return seen_.size(); }
-
- private:
-  ForwardFn forward_;
-  TwoGenerationSet<BroadcastId> seen_;
 };
 
 }  // namespace atum::overlay

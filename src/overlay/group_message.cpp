@@ -28,7 +28,7 @@ Bytes encode_digest(GroupMessageId id, const crypto::Digest& d) {
 }  // namespace
 
 PreparedGroupMessage::PreparedGroupMessage(const std::vector<NodeId>& senders, NodeId self,
-                                           GroupMessageId id, const net::Payload& payload) {
+                                           GroupId from_group, const net::Payload& payload) {
   // Rank of the local node among the (sorted) senders decides full vs digest.
   auto it = std::find(senders.begin(), senders.end(), self);
   std::size_t rank = static_cast<std::size_t>(it - senders.begin());
@@ -39,8 +39,9 @@ PreparedGroupMessage::PreparedGroupMessage(const std::vector<NodeId>& senders, N
   // payload.digest() memoizes on the payload's control block: a gossip
   // relay hashing the frame it just received (and whose receiver already
   // hashed it to vouch) reuses that digest instead of recomputing.
-  wire_ = net::Payload(send_full ? encode_full(id, payload)
-                                 : encode_digest(id, payload.digest()));
+  const crypto::Digest digest = payload.digest();
+  const GroupMessageId id{from_group, crypto::digest_prefix64(digest)};
+  wire_ = net::Payload(send_full ? encode_full(id, payload) : encode_digest(id, digest));
   type_ = send_full ? net::MsgType::kGroupMsgFull : net::MsgType::kGroupMsgDigest;
 }
 
@@ -126,6 +127,8 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
   } catch (const SerdeError&) {
     return;  // malformed: faulty sender
   }
+  // The id must name the content it carries (see GroupMessageId).
+  if (id.seq != crypto::digest_prefix64(digest)) return;
 
   const std::vector<NodeId>* members = members_(id.from_group);
   if (members == nullptr || std::find(members->begin(), members->end(), from) == members->end()) {
@@ -133,8 +136,9 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
   }
   Pending* pending = entries_.find(id);
   if (pending == nullptr) {
-    // No entry: the id is new, or it was delivered and the set drops it.
-    if (delivered_.contains(id)) return;
+    // No entry: the id is new, or its content was delivered (from this or
+    // any other vgroup, or by the decide path) and the set drops it.
+    if (delivered_.contains(id.seq)) return;
     // New entry: even if it never delivers (digest-only flood, content
     // short of majority) it expires after one TTL.
     pending = &entries_[id];
@@ -157,16 +161,23 @@ void GroupMessageReceiver::try_deliver(GroupMessageId id, Pending& pending, std:
   for (Candidate& c : pending) {
     if (c.voters.size() < majority) continue;
     if (!c.payload) continue;  // majority but no full copy yet
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->record(transport_.simulator().now(), transport_.self(), obs::TracePoint::kVouch,
-                      id.seq, c.voters.size(), id.from_group);
-    }
+    const std::size_t voters = c.voters.size();
     net::Payload payload = std::move(*c.payload);
     entries_.erase(id);  // `pending` and `c` dangle from here on
-    delivered_.insert(id);
+    // Content another path delivered first completes without delivering.
+    if (!delivered_.insert(id.seq)) return;
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      tracer_->record(transport_.simulator().now(), transport_.self(), obs::TracePoint::kVouch,
+                      id.seq, voters, id.from_group);
+    }
     deliver_(id, std::move(payload));
     return;
   }
+}
+
+bool GroupMessageReceiver::note_delivered(std::uint64_t seq) {
+  delivered_.rotate(transport_.simulator().now(), kDedupWindowTtls * ttl_);
+  return delivered_.insert(seq);
 }
 
 void GroupMessageReceiver::reevaluate() {

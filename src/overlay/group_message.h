@@ -40,6 +40,10 @@ namespace atum::overlay {
 
 class SendCoalescer;  // gossip.h
 
+// A group message's id names its content: `seq` is the digest prefix of the
+// payload (crypto::digest_prefix64), so the same content carries the same
+// seq whichever vgroup sends it. PreparedGroupMessage builds every id that
+// way, and the receiver drops a frame whose seq does not match its content.
 struct GroupMessageId {
   GroupId from_group = kInvalidGroup;
   std::uint64_t seq = 0;
@@ -47,14 +51,15 @@ struct GroupMessageId {
 };
 
 // One group message encoded on behalf of the local node, ready to fan out.
-// `senders` is the sorted membership of the local vgroup (must include
-// `self`); the first floor(g/2)+1 ranks transmit the full payload, the rest
-// its digest. The wire frame is encoded and frozen exactly once — sending
-// it to any number of destination groups and members shares one buffer
-// (gossip relays the same broadcast to several neighbor vgroups).
+// `senders` is the sorted membership of the local vgroup `from_group` (must
+// include `self`); the first floor(g/2)+1 ranks transmit the full payload,
+// the rest its digest. The id is {from_group, digest prefix of payload}.
+// The wire frame is encoded and frozen exactly once — sending it to any
+// number of destination groups and members shares one buffer (gossip
+// relays the same broadcast to several neighbor vgroups).
 class PreparedGroupMessage {
  public:
-  PreparedGroupMessage(const std::vector<NodeId>& senders, NodeId self, GroupMessageId id,
+  PreparedGroupMessage(const std::vector<NodeId>& senders, NodeId self, GroupId from_group,
                        const net::Payload& payload);
 
   // Sends to every member of `destination` through the per-node
@@ -73,7 +78,8 @@ class PreparedGroupMessage {
 
 // Per-node acceptance logic. Collects vouches until a majority of the
 // sending group agrees on one digest and a full payload with that digest
-// has arrived, then delivers exactly once.
+// has arrived, then delivers that content once per node, whichever vgroup
+// sends it.
 class GroupMessageReceiver {
  public:
   // The delivered payload is a refcounted slice of the first full copy's
@@ -95,22 +101,28 @@ class GroupMessageReceiver {
 
   // Message-lifecycle tracing: a kVouch event is recorded once per
   // delivery (key = id.seq = the broadcast digest prefix, a = voucher
-  // count) at the instant majority vouching completes.
+  // count) at the instant majority vouching completes on content not yet
+  // delivered.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  // An id is buffered from its first frame until it delivers or one TTL of
-  // simulated time has passed, whichever comes first. Undelivered buffering
-  // (digest-only floods from a Byzantine member, below-majority content)
-  // must expire: without an expiry one faulty node minting fresh ids grows
-  // the table without bound.
-  // A delivered id keeps no entry. The rolling delivered-id set (two
-  // generations rotated every kDedupWindowTtls TTLs) is its only record
-  // and drops every later frame for it for at least that long; such a
-  // frame would otherwise re-deliver and re-gossip. For broadcasts the
-  // id's seq is the payload digest prefix, so the set IS a digest set. It
-  // holds plain 16-byte ids (no payloads), bounded by the delivery rate
-  // over two rotation windows.
+  // An id is buffered from its first frame until its majority completes or
+  // one TTL of simulated time has passed, whichever comes first.
+  // Undelivered buffering (digest-only floods from a Byzantine member,
+  // below-majority content) must expire: without an expiry one faulty node
+  // minting fresh ids grows the table without bound.
+  // A completed id keeps no entry. The rolling delivered set (two
+  // generations rotated every kDedupWindowTtls TTLs) is the node's one
+  // record of delivered content, keyed by seq alone: it drops every later
+  // frame carrying that content, from any vgroup, for at least one
+  // rotation; such a frame would otherwise re-deliver and re-gossip. It
+  // holds plain 8-byte digest prefixes (no payloads), bounded by the
+  // delivery rate over two rotation windows.
   void set_ttl(DurationMicros ttl) { ttl_ = ttl; }
+
+  // Records content the node delivered by another path (its own vgroup's
+  // SMR decision) under `seq`, its digest prefix. Returns whether the
+  // content was new; a later group message carrying it delivers nothing.
+  bool note_delivered(std::uint64_t seq);
 
   // Re-evaluates buffered messages against the current group sizes (e.g.
   // after a neighbor update shrinks a group). Deliveries come in
@@ -119,7 +131,7 @@ class GroupMessageReceiver {
 
   // Buffered undelivered ids.
   std::size_t pending_count() const { return entries_.size(); }
-  // Delivered ids currently remembered by the rolling dedup set (both
+  // Delivered contents currently remembered by the rolling set (both
   // generations); tests pin its bound under sustained delivery.
   std::size_t delivered_dedup_count() const { return delivered_.size(); }
 
@@ -130,9 +142,11 @@ class GroupMessageReceiver {
     std::vector<NodeId> voters;           // distinct vouching senders
     std::optional<net::Payload> payload;  // the first full copy, once one arrives
   };
-  // An undelivered id's candidates, sorted by digest: try_deliver walks
-  // them in digest order, so the same candidate wins wherever several
-  // qualify at once.
+  // An undelivered id's candidates, sorted by digest. Every candidate's
+  // digest shares the id's prefix, and only the content's true digest can
+  // get a full copy. The vector still holds several: a Byzantine member's
+  // digest-only frame may carry a crafted digest with the same prefix, and
+  // an entry that kept one digest would let it block the real one.
   using Pending = std::vector<Candidate>;
 
   void on_message(const net::Message& msg);
@@ -140,8 +154,9 @@ class GroupMessageReceiver {
   // message body or one inner frame of a coalesced envelope (`wire` is a
   // zero-copy slice of the envelope in that case).
   void on_frame(NodeId from, bool is_full, const net::Payload& wire);
-  // Delivers `pending`'s first candidate with `majority` voters and a full
-  // copy, erasing `id`'s entry first. `id` is a copy: the entry goes.
+  // Completes `pending`'s first candidate with `majority` voters and a
+  // full copy: erases `id`'s entry, then delivers if the content is new.
+  // `id` is a copy: the entry goes.
   void try_deliver(GroupMessageId id, Pending& pending, std::size_t majority);
   void gc_expired();
 
@@ -156,13 +171,14 @@ class GroupMessageReceiver {
   DurationMicros ttl_ = kGroupMessageTtl;
   // One GC deadline per entry, in creation order; swept lazily on message
   // arrival, O(1) amortized. An item can outlive its entry (the entry is
-  // erased at delivery) but never erases a newer entry for the same id:
-  // the delivered-id set blocks a new entry for kDedupWindowTtls TTLs, and
-  // the item expires after one.
+  // erased when its majority completes) but never erases a newer entry for
+  // the same id: the delivered set blocks a new entry for kDedupWindowTtls
+  // TTLs, and the item expires after one.
   std::deque<std::pair<TimeMicros, GroupMessageId>> gc_queue_;
-  // The only record of a delivered id (see set_ttl), rotated every
-  // kDedupWindowTtls TTLs. Consulted only for ids without an entry.
-  TwoGenerationSet<GroupMessageId> delivered_;
+  // The node's one record of delivered content (see set_ttl), keyed by
+  // digest prefix and rotated every kDedupWindowTtls TTLs. Consulted for
+  // ids without an entry and when an entry completes.
+  TwoGenerationSet<std::uint64_t> delivered_;
 };
 
 }  // namespace atum::overlay

@@ -1,5 +1,5 @@
-// Rolling id sets for the overlay's dedup paths, and the one dedup window
-// they rotate on.
+// The rolling id set behind the group-message receiver's record of
+// delivered content, and the window it rotates on.
 #pragma once
 
 #include <cstddef>
@@ -13,12 +13,9 @@ namespace atum::overlay {
 // How long GroupMessageReceiver buffers an undelivered id by default (see
 // set_ttl).
 inline constexpr DurationMicros kGroupMessageTtl = kMicrosPerMinute;
-// Group-message TTLs per rotation of the receiver's delivered-id set, its
-// only record of a delivered id.
+// Group-message TTLs per rotation of the receiver's delivered set, the
+// node's one record of delivered content (480 s at the default TTL).
 inline constexpr std::int64_t kDedupWindowTtls = 8;
-// The receiver's default dedup window (480 s). GossipState's first-sighting
-// set rotates on it too.
-inline constexpr DurationMicros kDedupWindow = kDedupWindowTtls * kGroupMessageTtl;
 
 // Ids kept in two generations rotated on simulated time. The set rotates
 // only inside a rotate() call, once a period has passed since the current

@@ -8,6 +8,7 @@
 
 #include "common/stats.h"
 #include "crypto/keys.h"
+#include "crypto/sha256.h"
 #include "net/network.h"
 #include "overlay/gossip.h"
 #include "overlay/group_message.h"
@@ -118,19 +119,39 @@ struct GmFixture : ::testing::Test {
         });
   }
 
-  // What one member of vgroup 50 sends: its prepared frame to every member
-  // of `dest`, through its own coalescer, flushed at once.
-  void send_group(NodeId sender, GroupMessageId id, const std::vector<NodeId>& dest,
+  // What one member of vgroup `from` sends: its prepared frame to every
+  // member of `dest`, through its own coalescer, flushed at once. It ranks
+  // itself among the members the receivers know for `from` (group_a for a
+  // vgroup they do not know).
+  void send_group(NodeId sender, GroupId from, const std::vector<NodeId>& dest,
                   const net::Payload& payload) {
+    auto it = known.find(from);
     SendCoalescer c(net::Transport(net, sender), rng);
-    PreparedGroupMessage(known[50], sender, id, payload).send_to(c, dest);
+    PreparedGroupMessage(it == known.end() ? group_a : it->second, sender, from, payload)
+        .send_to(c, dest);
     c.flush();
   }
 
   void send_from_all(const Bytes& payload, const std::vector<NodeId>& senders) {
-    for (NodeId s : senders) send_group(s, GroupMessageId{50, 9}, {receiver}, payload);
+    for (NodeId s : senders) send_group(s, 50, {receiver}, payload);
   }
 };
+
+// The id every sender of `body` in vgroup `from` uses: its seq is the
+// content's digest prefix.
+GroupMessageId content_id(GroupId from, const Bytes& body) {
+  return {from, crypto::digest_prefix64(crypto::sha256(body))};
+}
+
+// Hand-encode one full group-message frame (what PreparedGroupMessage's
+// full-rank senders put on the wire, under the id content_id gives).
+net::Payload full_frame(GroupMessageId id, const Bytes& body) {
+  ByteWriter w;
+  w.u64(id.from_group);
+  w.u64(id.seq);
+  w.bytes(body);
+  return net::Payload(w.take());
+}
 
 TEST_F(GmFixture, AcceptsWithAllSendersCorrect) {
   make_receiver();
@@ -164,6 +185,78 @@ TEST_F(GmFixture, DeliversExactlyOnceOnDuplicates) {
   EXPECT_EQ(delivered.size(), 1u);
 }
 
+// An id names its content: a frame whose seq is not its content's digest
+// prefix is dropped on arrival, full or digest-only.
+TEST_F(GmFixture, FrameWhoseSeqIsNotItsContentsDigestPrefixIsDropped) {
+  make_receiver();
+  const Bytes body{0x5A, 0x11};
+  const GroupMessageId wrong{50, content_id(50, body).seq + 1};
+  const crypto::Digest d = crypto::sha256(body);
+  ByteWriter w;
+  w.u64(wrong.from_group);
+  w.u64(wrong.seq);
+  w.raw(d.data(), d.size());
+  const net::Payload digest_frame(w.take());
+  const net::Payload full = full_frame(wrong, body);
+  for (NodeId s : {1, 2, 3}) {
+    net::Transport(net, s).send(receiver, net::MsgType::kGroupMsgFull, full);
+  }
+  for (NodeId s : {4, 5}) {
+    net::Transport(net, s).send(receiver, net::MsgType::kGroupMsgDigest, digest_frame);
+  }
+  sim.run();
+  EXPECT_TRUE(delivered.empty());
+  EXPECT_EQ(rx->pending_count(), 0u);
+  // The same content under its true id delivers.
+  send_from_all(body, group_a);
+  sim.run();
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0].first, content_id(50, body));
+}
+
+// Content delivers once per node, whichever vgroup sends it. A second
+// known vgroup's message for it delivers nothing, whether it was pending
+// when the first delivered or arrives later.
+TEST_F(GmFixture, SameContentFromASecondVgroupIsNotDeliveredAgain) {
+  known[60] = {6, 7, 8, 9, 10};
+  make_receiver();
+  const Bytes body{0xC0, 0x01};
+  for (NodeId s : {6, 7}) send_group(s, 60, {receiver}, body);  // one short of 3
+  sim.run();
+  send_from_all(body, group_a);
+  sim.run();
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0].first, content_id(50, body));
+  EXPECT_EQ(rx->pending_count(), 1u);  // vgroup 60's
+  send_group(8, 60, {receiver}, body);  // completes vgroup 60's majority
+  sim.run();
+  EXPECT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(rx->pending_count(), 0u);
+  // Its later frames mint no entry.
+  for (NodeId s : {9, 10}) send_group(s, 60, {receiver}, body);
+  sim.run();
+  EXPECT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(rx->pending_count(), 0u);
+}
+
+// Content the node delivered through its own vgroup's decision, recorded by
+// note_delivered, is not delivered again by a later group message.
+TEST_F(GmFixture, ContentNotedByTheDecidePathIsNotDeliveredAgain) {
+  make_receiver();
+  const Bytes decided{0xDE, 0xC1}, gossiped{0xDE, 0xC2};
+  EXPECT_TRUE(rx->note_delivered(content_id(50, decided).seq));
+  EXPECT_FALSE(rx->note_delivered(content_id(50, decided).seq));
+  send_from_all(decided, group_a);
+  sim.run();
+  EXPECT_TRUE(delivered.empty());
+  EXPECT_EQ(rx->pending_count(), 0u);
+  // Other content delivers, and the decide path then finds it delivered.
+  send_from_all(gossiped, group_a);
+  sim.run();
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_FALSE(rx->note_delivered(content_id(50, gossiped).seq));
+}
+
 // Regression: a duplicate arriving more than one TTL after delivery used to
 // mint a fresh entry and deliver the same GroupMessageId a second time. The
 // rolling delivered-id set (kept for ~8 TTLs past delivery) must drop it.
@@ -177,7 +270,7 @@ TEST_F(GmFixture, PostTtlDuplicateIsNotRedelivered) {
   // Let a TTL pass; an unrelated id then delivers, and the receiver keeps
   // no entry for either delivered id.
   sim.run_until(sim.now() + seconds(3));
-  for (NodeId s : group_a) send_group(s, GroupMessageId{50, 10}, {receiver}, Bytes{0x11});
+  for (NodeId s : group_a) send_group(s, 50, {receiver}, Bytes{0x11});
   sim.run();
   ASSERT_EQ(delivered.size(), 2u);
   EXPECT_EQ(rx->pending_count(), 0u) << "a delivered id kept its entry";
@@ -221,58 +314,71 @@ TEST_F(GmFixture, ByzantineMinorityCannotForgeContent) {
 TEST_F(GmFixture, ReevaluateDeliversInIdOrder) {
   known[50] = {1, 2, 3, 4, 5, 6, 7};
   make_receiver();
-  // Seqs spread like the digest prefixes real ids carry, sent in
-  // descending order.
-  std::vector<GroupMessageId> ids;
-  for (std::uint64_t k = 1; k <= 16; ++k) ids.push_back({50, k * 0x9e3779b97f4a7c15ULL});
-  std::sort(ids.rbegin(), ids.rend());
-  for (const GroupMessageId& id : ids) {
+  // Sixteen distinct payloads, sent in descending order of their ids.
+  std::vector<std::pair<GroupMessageId, Bytes>> messages;
+  for (std::uint8_t k = 1; k <= 16; ++k) {
+    const Bytes body{0x42, k};
+    messages.emplace_back(content_id(50, body), body);
+  }
+  std::sort(messages.rbegin(), messages.rend());
+  for (const auto& [id, body] : messages) {
     for (NodeId s : {1, 2, 3}) {  // full-payload ranks, short of a majority
-      send_group(s, id, {receiver}, Bytes{0x42});
+      send_group(s, 50, {receiver}, body);
     }
     sim.run();
   }
   ASSERT_TRUE(delivered.empty());
-  ASSERT_EQ(rx->pending_count(), ids.size());
+  ASSERT_EQ(rx->pending_count(), messages.size());
 
   known[50] = group_a;  // the neighbor update: 3 of 5 is a majority
   rx->reevaluate();
-  std::vector<GroupMessageId> order;
+  std::vector<GroupMessageId> order, ids;
   for (const auto& [id, payload] : delivered) order.push_back(id);
+  for (const auto& [id, body] : messages) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(order, ids);
 }
 
-// When several digests of one id qualify at once, the lowest delivers, and
-// only it. Member 1 of vgroup 60 equivocates: it vouches full copies of two
-// payloads. Members 2-3 back one and 4-5 the other, so each digest has 3
-// voters, one short of the majority of 7, until a neighbor update shrinks
-// the group to 5 and reevaluate() finds both at the new majority of 3.
-TEST_F(GmFixture, CandidatesDeliverInDigestOrder) {
-  known[60] = {1, 2, 3, 4, 5, 6, 7};
+// A member can send a digest-only frame whose crafted digest shares the
+// id's prefix. No full copy can ever match it, and it neither blocks the
+// true content (it arrives first, under the same id) nor replaces it (it
+// sorts first and reaches the majority too). Vgroup 50 has 7 members:
+// 5-7 vouch the crafted digest, 1-3 the true content, each one short of
+// the majority of 4 until a neighbor update shrinks the group to 5.
+TEST_F(GmFixture, CraftedDigestWithTheIdsPrefixCannotBlockDelivery) {
+  known[50] = {1, 2, 3, 4, 5, 6, 7};
   make_receiver();
-  const GroupMessageId id{60, 9};
-  const net::Payload a(Bytes{0x0A}), b(Bytes{0x0B});
-  auto vouch = [&](NodeId sender, const net::Payload& payload) {
-    SendCoalescer c(net::Transport(net, sender), rng);
-    // Rank 0's view of the senders: every voucher sends the full copy.
-    std::vector<NodeId> senders{sender};
-    PreparedGroupMessage(senders, sender, id, payload).send_to(c, {receiver});
-    c.flush();
+  const Bytes body{0x0A, 0x0B};
+  const GroupMessageId id = content_id(50, body);
+  crypto::Digest crafted = crypto::sha256(body);
+  std::fill(crafted.begin() + 8, crafted.end(), 0);  // same prefix, sorts first
+  ByteWriter w;
+  w.u64(id.from_group);
+  w.u64(id.seq);
+  w.raw(crafted.data(), crafted.size());
+  const net::Payload crafted_frame(w.take());
+  auto send_crafted = [&] {
+    for (NodeId s : {5, 6, 7}) {
+      net::Transport(net, s).send(receiver, net::MsgType::kGroupMsgDigest, crafted_frame);
+    }
+    sim.run();
   };
-  for (const net::Payload* p : {&a, &b}) vouch(1, *p);
-  for (NodeId s : {2, 3}) vouch(s, a);
-  for (NodeId s : {4, 5}) vouch(s, b);
+  send_crafted();
+  ASSERT_EQ(rx->pending_count(), 1u);
+  for (NodeId s : {1, 2, 3}) send_group(s, 50, {receiver}, body);  // full-payload ranks
   sim.run();
   ASSERT_TRUE(delivered.empty());
   ASSERT_EQ(rx->pending_count(), 1u);
 
-  known[60] = {1, 2, 3, 4, 5};
+  known[50] = {1, 2, 3, 5, 6};
   rx->reevaluate();
   ASSERT_EQ(delivered.size(), 1u);
-  const net::Payload& lower = a.digest() < b.digest() ? a : b;
   EXPECT_EQ(delivered[0].first, id);
-  EXPECT_EQ(delivered[0].second, lower);
+  EXPECT_EQ(delivered[0].second, body);
+  EXPECT_EQ(rx->pending_count(), 0u);
+  // The crafted digest's later frames find the content delivered.
+  send_crafted();
+  EXPECT_EQ(delivered.size(), 1u);
   EXPECT_EQ(rx->pending_count(), 0u);
 }
 
@@ -284,7 +390,7 @@ TEST_F(GmFixture, MembershipFilterDropsOutsiders) {
   EXPECT_TRUE(delivered.empty());
   // Neither may a vgroup the receiver does not know: its frames are
   // dropped on arrival, not buffered.
-  for (NodeId s : group_a) send_group(s, GroupMessageId{60, 9}, {receiver}, Bytes{0x97});
+  for (NodeId s : group_a) send_group(s, 60, {receiver}, Bytes{0x97});
   sim.run();
   EXPECT_TRUE(delivered.empty());
   EXPECT_EQ(rx->pending_count(), 0u);
@@ -304,10 +410,11 @@ TEST_F(GmFixture, DeliveryIsZeroCopyFromTheWire) {
   // majority of senders (exactly what PreparedGroupMessage does per
   // sender): the delivered payload must be a slice of that buffer, not a
   // copy of it.
+  const Bytes body{0xAB, 0xCD, 0xEF};
   ByteWriter w;
   w.u64(50);
-  w.u64(9);
-  w.bytes(Bytes{0xAB, 0xCD, 0xEF});
+  w.u64(content_id(50, body).seq);
+  w.bytes(body);
   net::Payload wire(w.take());
   for (NodeId s : {1, 2, 3}) {
     net::Transport t(net, s);
@@ -328,16 +435,17 @@ TEST_F(GmFixture, DeliveryIsZeroCopyFromTheWire) {
 TEST_F(GmFixture, DigestMajorityWaitsForTheFirstFullCopy) {
   make_receiver();
   const Bytes body{0x5E, 0xED, 0x01};
-  auto full_frame = [&body] {
+  const GroupMessageId id = content_id(50, body);
+  auto full_frame = [&body, &id] {
     ByteWriter w;
-    w.u64(50);
-    w.u64(9);
+    w.u64(id.from_group);
+    w.u64(id.seq);
     w.bytes(body);
     return net::Payload(w.take());
   };
   ByteWriter w;
-  w.u64(50);
-  w.u64(9);
+  w.u64(id.from_group);
+  w.u64(id.seq);
   const crypto::Digest d = crypto::sha256(body);
   w.raw(d.data(), d.size());
   const net::Payload digest_frame(w.take());
@@ -376,7 +484,7 @@ TEST_F(GmFixture, FanOutSharesOneWireBufferAcrossReceivers) {
       [&](const GroupMessageId&, net::Payload p) { got.push_back(std::move(p)); });
   make_receiver();
   for (NodeId s : group_a) {
-    send_group(s, GroupMessageId{50, 9}, {receiver, 101}, net::Payload(Bytes(2048, 0x5A)));
+    send_group(s, 50, {receiver, 101}, net::Payload(Bytes(2048, 0x5A)));
   }
   sim.run();
   ASSERT_EQ(delivered.size(), 1u);
@@ -389,16 +497,6 @@ TEST_F(GmFixture, FanOutSharesOneWireBufferAcrossReceivers) {
 // ---------------------------------------------------------------------------
 // Send coalescing & envelopes
 // ---------------------------------------------------------------------------
-
-// Hand-encode one full group-message frame (what PreparedGroupMessage's
-// full-rank senders put on the wire).
-net::Payload full_frame(GroupMessageId id, const Bytes& body) {
-  ByteWriter w;
-  w.u64(id.from_group);
-  w.u64(id.seq);
-  w.bytes(body);
-  return net::Payload(w.take());
-}
 
 TEST_F(GmFixture, CoalescerPassesALoneFrameThroughUnwrapped) {
   std::uint64_t full = 0, envelopes = 0;
@@ -535,8 +633,9 @@ TEST_F(GmFixture, EnvelopeDeliversEveryInnerFrame) {
   std::vector<std::unique_ptr<SendCoalescer>> coalescers;
   for (NodeId s : {1, 2, 3}) {
     auto c = std::make_unique<SendCoalescer>(net::Transport(net, s), rng);
-    c->enqueue(receiver, net::MsgType::kGroupMsgFull, full_frame({50, 1}, Bytes{0x01}));
-    c->enqueue(receiver, net::MsgType::kGroupMsgFull, full_frame({50, 2}, Bytes{0x02}));
+    for (const Bytes& body : {Bytes{0x01}, Bytes{0x02}}) {
+      c->enqueue(receiver, net::MsgType::kGroupMsgFull, full_frame(content_id(50, body), body));
+    }
     coalescers.push_back(std::move(c));
   }
   sim.run();
@@ -552,7 +651,8 @@ TEST_F(GmFixture, EnvelopeInnerFramesDeliverZeroCopy) {
   ByteWriter w;
   w.varint(1);
   w.u16(static_cast<std::uint16_t>(net::MsgType::kGroupMsgFull));
-  net::Payload inner = full_frame({50, 9}, Bytes{0xAB, 0xCD, 0xEF});
+  const Bytes body{0xAB, 0xCD, 0xEF};
+  net::Payload inner = full_frame(content_id(50, body), body);
   w.bytes(inner.data(), inner.size());
   net::Payload envelope(w.take());
   for (NodeId s : {1, 2, 3}) {
@@ -569,7 +669,7 @@ TEST_F(GmFixture, EnvelopeInnerFramesDeliverZeroCopy) {
 
 TEST_F(GmFixture, MalformedEnvelopesAreDropped) {
   make_receiver();
-  net::Payload inner = full_frame({50, 9}, Bytes{0x55});
+  net::Payload inner = full_frame(content_id(50, Bytes{0x55}), Bytes{0x55});
   auto send_all = [&](const net::Payload& wire) {
     for (NodeId s : {1, 2, 3}) {
       net::Transport t(net, s);
@@ -631,15 +731,15 @@ TEST_F(GmFixture, EntriesAreFreedAtDeliveryOrAfterTtl) {
   // buffered for one TTL after its first frame, then is swept on the next
   // arrival.
   const TimeMicros first = sim.now();
-  send_group(1, GroupMessageId{50, 77}, {receiver}, net::Payload(Bytes{0x22}));
+  send_group(1, 50, {receiver}, net::Payload(Bytes{0x22}));
   sim.run();
   EXPECT_EQ(rx->pending_count(), 1u);
   sim.run_until(first + seconds(4.0));
-  send_group(1, GroupMessageId{50, 77}, {receiver}, net::Payload(Bytes{0x22}));
+  send_group(1, 50, {receiver}, net::Payload(Bytes{0x22}));
   sim.run();
   EXPECT_EQ(rx->pending_count(), 1u) << "expired before its TTL";
   sim.run_until(first + seconds(6.0));
-  send_group(1, GroupMessageId{50, 78}, {receiver}, net::Payload(Bytes{0x33}));
+  send_group(1, 50, {receiver}, net::Payload(Bytes{0x33}));
   sim.run();
   EXPECT_EQ(rx->pending_count(), 1u);  // only the newer undelivered id remains
   EXPECT_EQ(delivered.size(), 1u);
@@ -653,11 +753,12 @@ TEST_F(GmFixture, UndeliveredFloodFromByzantineSenderIsBounded) {
   // majority). Undelivered buffering must expire after its TTL —
   // otherwise this grows the entry table by one entry per id forever.
   net::Transport t(net, 1);
-  for (std::uint64_t seq = 0; seq < 300; ++seq) {
+  for (std::uint64_t n = 0; n < 300; ++n) {
+    const Bytes body{static_cast<std::uint8_t>(n >> 8), static_cast<std::uint8_t>(n)};
     ByteWriter w;
     w.u64(50);
-    w.u64(seq);
-    crypto::Digest d = crypto::sha256(Bytes{static_cast<std::uint8_t>(seq)});
+    w.u64(content_id(50, body).seq);
+    crypto::Digest d = crypto::sha256(body);
     w.raw(d.data(), d.size());
     t.send(receiver, net::MsgType::kGroupMsgDigest, w.take());
     sim.run_until(sim.now() + millis(100));
@@ -671,15 +772,14 @@ TEST_F(GmFixture, UndeliveredFloodFromByzantineSenderIsBounded) {
 TEST_F(GmFixture, PendingStaysBoundedUnderSustainedBroadcast) {
   make_receiver();
   rx->set_ttl(seconds(2.0));
-  constexpr std::uint64_t kRounds = 200;
-  for (std::uint64_t seq = 0; seq < kRounds; ++seq) {
-    for (NodeId s : group_a) {
-      send_group(s, GroupMessageId{50, seq}, {receiver}, net::Payload(Bytes{0x33}));
-    }
+  constexpr std::uint8_t kRounds = 200;
+  for (std::uint8_t n = 0; n < kRounds; ++n) {
+    const net::Payload body(Bytes{0x33, n});  // distinct content per round
+    for (NodeId s : group_a) send_group(s, 50, {receiver}, body);
     sim.run_until(sim.now() + millis(100));
   }
   sim.run();
-  EXPECT_EQ(delivered.size(), kRounds);
+  EXPECT_EQ(delivered.size(), std::size_t{kRounds});
   // Every id delivered, and a delivered id keeps no entry.
   EXPECT_EQ(rx->pending_count(), 0u);
 }
@@ -688,10 +788,10 @@ TEST_F(GmFixture, DeliveredIdSetIsBoundedByTwoWindows) {
   make_receiver();
   rx->set_ttl(seconds(1.0));  // 8 s dedup window
   constexpr std::uint64_t kRounds = 300;  // 30 s: more than three windows
-  for (std::uint64_t seq = 0; seq < kRounds; ++seq) {
-    for (NodeId s : group_a) {
-      send_group(s, GroupMessageId{50, seq}, {receiver}, net::Payload(Bytes{0x44}));
-    }
+  for (std::uint64_t n = 0; n < kRounds; ++n) {
+    const net::Payload body(
+        Bytes{0x44, static_cast<std::uint8_t>(n >> 8), static_cast<std::uint8_t>(n)});
+    for (NodeId s : group_a) send_group(s, 50, {receiver}, body);
     sim.run_until(sim.now() + millis(100));
   }
   sim.run();
@@ -711,10 +811,14 @@ TEST_F(GmFixture, SameFrameVouchedAtManyReceiversHashesOnce) {
                            [&](const GroupMessageId&, net::Payload) {});
 
   // Member 1 has rank 0 of 5: a full-payload sender. One frozen wire frame
-  // fans out to both receivers.
+  // fans out to both receivers. Preparing it hashes the payload once for
+  // the id; the count starts after that.
   net::Payload payload(Bytes(512, 0xEE));
+  SendCoalescer c(net::Transport(net, 1), rng);
+  const PreparedGroupMessage msg(group_a, 1, 50, payload);
   const std::uint64_t base = crypto::sha256_digest_count();
-  send_group(1, GroupMessageId{50, 9}, {receiver, 101}, payload);
+  msg.send_to(c, {receiver, 101});
+  c.flush();
   sim.run();
   // Both receivers vouched for the SAME frame slice; the digest memo on
   // the frame's control block means exactly one SHA-256 ran.
@@ -734,7 +838,7 @@ TEST_F(GmFixture, FullGroupSendHashesOncePerFrameAndOncePerSharedPayload) {
   // derived from the SHARED payload buffer.
   net::Payload payload(Bytes(512, 0xEE));
   const std::uint64_t base = crypto::sha256_digest_count();
-  for (NodeId s : group_a) send_group(s, GroupMessageId{50, 9}, {receiver, 101}, payload);
+  for (NodeId s : group_a) send_group(s, 50, {receiver, 101}, payload);
   sim.run();
   ASSERT_EQ(delivered.size(), 1u);
   ASSERT_EQ(got2.size(), 1u);
@@ -927,14 +1031,12 @@ std::vector<NeighborRef> three_cycle_neighbors() {
 }
 
 TEST(Gossip, FloodRelaysEverywhere) {
-  GossipState g(forward_flood());
-  auto r = g.relays(BroadcastId{1, 1}, {}, three_cycle_neighbors());
+  auto r = choose_relays(forward_flood(), BroadcastId{1, 1}, {}, three_cycle_neighbors());
   EXPECT_EQ(r.size(), 6u);
 }
 
 TEST(Gossip, CyclePolicyRestrictsButKeepsMandatoryLink) {
-  GossipState g(forward_cycles({1}));
-  auto r = g.relays(BroadcastId{1, 1}, {}, three_cycle_neighbors());
+  auto r = choose_relays(forward_cycles({1}), BroadcastId{1, 1}, {}, three_cycle_neighbors());
   // Cycle 1 both directions + the mandatory cycle-0 successor.
   ASSERT_EQ(r.size(), 3u);
   std::set<GroupId> targets;
@@ -945,8 +1047,7 @@ TEST(Gossip, CyclePolicyRestrictsButKeepsMandatoryLink) {
 }
 
 TEST(Gossip, NonePolicyStillGuaranteesDelivery) {
-  GossipState g(forward_none());
-  auto r = g.relays(BroadcastId{1, 1}, {}, three_cycle_neighbors());
+  auto r = choose_relays(forward_none(), BroadcastId{1, 1}, {}, three_cycle_neighbors());
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].group, 100u);
   EXPECT_EQ(r[0].cycle, 0u);
@@ -954,59 +1055,55 @@ TEST(Gossip, NonePolicyStillGuaranteesDelivery) {
 }
 
 TEST(Gossip, RandomPolicyIsDeterministicPerBroadcast) {
-  auto f = forward_random(0.5, 7);
-  auto g1 = GossipState(f), g2 = GossipState(f);
   auto n = three_cycle_neighbors();
-  auto r1 = g1.relays(BroadcastId{3, 9}, {}, n);
-  auto r2 = g2.relays(BroadcastId{3, 9}, {}, n);
+  auto r1 = choose_relays(forward_random(0.5, 7), BroadcastId{3, 9}, {}, n);
+  auto r2 = choose_relays(forward_random(0.5, 7), BroadcastId{3, 9}, {}, n);
   ASSERT_EQ(r1.size(), r2.size());
   for (std::size_t i = 0; i < r1.size(); ++i) EXPECT_EQ(r1[i].group, r2[i].group);
 }
 
 TEST(Gossip, RandomPolicyVariesAcrossBroadcasts) {
-  GossipState g(forward_random(0.5, 7));
+  const ForwardFn f = forward_random(0.5, 7);
   auto n = three_cycle_neighbors();
   std::set<std::size_t> sizes;
   for (std::uint64_t s = 0; s < 32; ++s) {
-    sizes.insert(g.relays(BroadcastId{1, s}, {}, n).size());
+    sizes.insert(choose_relays(f, BroadcastId{1, s}, {}, n).size());
   }
   EXPECT_GT(sizes.size(), 1u);
 }
 
-TEST(Gossip, FirstSightingDedups) {
-  GossipState g(forward_flood());
-  EXPECT_TRUE(g.first_sighting(BroadcastId{1, 1}, 0));
-  EXPECT_FALSE(g.first_sighting(BroadcastId{1, 1}, 0));
-  EXPECT_TRUE(g.first_sighting(BroadcastId{1, 2}, 0));
-  EXPECT_TRUE(g.seen(BroadcastId{1, 1}));
-  EXPECT_FALSE(g.seen(BroadcastId{2, 1}));
-}
+// ---------------------------------------------------------------------------
+// TwoGenerationSet: the receiver's record of delivered content
+// ---------------------------------------------------------------------------
 
-TEST(Gossip, FirstSightingSetIsBoundedByTwoPeriods) {
-  // The first-sighting set gates delivery and relaying, so it may forget an
-  // id only after a full kDedupWindow; it must not grow with the node's
-  // lifetime.
-  const DurationMicros period = kDedupWindow;
-  GossipState g(forward_flood());
-  // Ten fresh broadcasts per period, for six periods.
+TEST(TwoGenerationSet, IsBoundedByTwoPeriods) {
+  // The record gates delivery and relaying, so it may forget an id only
+  // after a full period; it must not grow with the node's lifetime.
+  const DurationMicros period = kDedupWindowTtls * kGroupMessageTtl;
+  TwoGenerationSet<std::uint64_t> set;
+  auto first_sighting = [&set, period](std::uint64_t id, TimeMicros now) {
+    set.rotate(now, period);
+    return set.insert(id);
+  };
+  // Ten fresh ids per period, for six periods.
   const std::uint64_t per_period = 10;
   std::size_t max_count = 0;
   for (std::uint64_t s = 0; s < 6 * per_period; ++s) {
     TimeMicros now = static_cast<TimeMicros>(s) * period / static_cast<TimeMicros>(per_period);
-    EXPECT_TRUE(g.first_sighting(BroadcastId{1, s}, now)) << "broadcast " << s;
-    max_count = std::max(max_count, g.seen_count());
+    EXPECT_TRUE(first_sighting(s, now)) << "id " << s;
+    max_count = std::max(max_count, set.size());
   }
   EXPECT_LE(max_count, 2 * per_period);
-  // Sighted more than two periods ago: forgotten.
-  EXPECT_FALSE(g.seen(BroadcastId{1, 0}));
+  // Inserted more than two periods ago: forgotten.
+  EXPECT_FALSE(set.contains(0));
 
   // An id seen again within one period of its first sighting is still not
   // a first sighting, even with a rotation in between.
   const TimeMicros t = 6 * period - period / 20;  // just before a rotation
-  EXPECT_TRUE(g.first_sighting(BroadcastId{2, 1}, t));
-  EXPECT_TRUE(g.first_sighting(BroadcastId{2, 2}, 6 * period));  // rotates
-  EXPECT_FALSE(g.first_sighting(BroadcastId{2, 1}, t + period - 1));
-  EXPECT_TRUE(g.seen(BroadcastId{2, 1}));
+  EXPECT_TRUE(first_sighting(1001, t));
+  EXPECT_TRUE(first_sighting(1002, 6 * period));  // rotates
+  EXPECT_FALSE(first_sighting(1001, t + period - 1));
+  EXPECT_TRUE(set.contains(1001));
 }
 
 }  // namespace
