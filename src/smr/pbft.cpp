@@ -435,7 +435,7 @@ void PbftSmr::handle_pre_prepare(const net::Message& msg) {
     }
     const net::Payload* client_copy = pending_.find(req.id);
     if (client_copy == nullptr) {
-      stashed_pre_prepares_[req.id] = msg;
+      if (stashed_pre_prepares_.size() < kFutureBufferCap) stashed_pre_prepares_[req.id] = msg;
       return;
     }
     if (*client_copy != req.op) return;  // forged content: ignore
@@ -604,6 +604,9 @@ void PbftSmr::apply_record(std::uint64_t seq, Slot& s, bool local) {
     if (op.id.origin == kNullOrigin) continue;
     assigned_or_executed_.insert(op.id.origin, op.id.seq);
     pending_.erase(op.id);
+    // handle_request drops an executed id before it looks at the stash, so
+    // a pre-prepare stashed under it could never replay.
+    stashed_pre_prepares_.erase(op.id);
     ++ops;
   }
   // A drained pool gives its table back: most engines in a system hold one
@@ -1004,6 +1007,9 @@ void PbftSmr::install_checkpoint(Checkpoint ckpt, RequestLedger ledger) {
   pending_.erase_if([&](const auto& entry) {
     return executed_.requests.contains(entry.first.origin, entry.first.seq);
   });
+  std::erase_if(stashed_pre_prepares_, [&](const auto& entry) {
+    return executed_.requests.contains(entry.first.origin, entry.first.seq);
+  });
   stable_ckpt_ = std::move(ckpt);
   next_seq_ = std::max(next_seq_, cseq + 1);
   head_fetch_rounds_ = 0;
@@ -1254,19 +1260,10 @@ void PbftSmr::handle_new_view(const net::Message& msg) {
     er.expect_done();
     carried.push_back(PreparedProof{seq, new_view, batch.digest(), std::move(batch.ops)});
   }
-
-  // Sanity check against our own evidence: the new primary must not replace
-  // a batch we hold a prepared certificate for (higher or equal view).
-  for (std::uint64_t seq = stable_seq_ + 1; seq <= log_end(); ++seq) {
-    if (seq <= stable || seq - stable > carried.size()) continue;
-    const Agreement& entry = find_slot(seq)->agreement;
-    const PreparedProof& p = carried[static_cast<std::size_t>(seq - stable - 1)];
-    if (entry.prepared(max_faults()) && !p.batch.empty() && p.digest != entry.digest &&
-        entry.view >= p.view) {
-      return;  // provably bogus NEW-VIEW: stay and let the next view change fire
-    }
-  }
-
+  // O is taken as sent: the NEW-VIEW carries neither the VIEW-CHANGE set it
+  // was built from (PBFT's V) nor each proof's original view, so nothing
+  // here can show that the new primary dropped or replaced a batch that
+  // prepared (ROADMAP direction 4).
   enter_view(new_view, carried);
 }
 

@@ -245,6 +245,9 @@ class PbftSmr final : public SmrEngine {
   // in the window, its newest ceil(watermark_window / checkpoint_interval)
   // + 1 boundaries above it, and its latest reply digest.
   std::size_t stored_votes() const;
+  // Pre-prepares held until a request they name arrives (at most
+  // kFutureBufferCap).
+  std::size_t stashed_pre_prepares() const { return stashed_pre_prepares_.size(); }
   std::uint64_t instance_tag() const { return instance_tag_; }
 
   // fault_ is consulted per message/phase, so flipping it on a live
@@ -503,6 +506,8 @@ class PbftSmr final : public SmrEngine {
   RequestLedger assigned_or_executed_;  // dedup
   // Pre-prepares whose client request has not arrived yet; replayed when it
   // does (the request broadcast can be overtaken by the primary's message).
+  // An entry goes once its request executes or an installed ledger covers
+  // it, since it could never replay then; at most kFutureBufferCap are kept.
   std::map<RequestId, net::Message> stashed_pre_prepares_;
   // Protocol messages for views we have not entered yet: replicas enter a
   // new view at different instants, and prepares sent by early entrants

@@ -725,6 +725,95 @@ TEST(Pbft, ByzantineMemberCannotGrowVoteStorage) {
   EXPECT_EQ(g.decided[0][0].second, op_bytes("alive"));
 }
 
+// A backup that the origin's REQUEST never reaches stashes the primary's
+// PRE-PREPARE for it, and then catches up by state transfer. The request is
+// executed there, so the stashed entry could never replay (handle_request
+// drops an executed id before it looks at the stash): it must go rather
+// than pin its frame for the engine's lifetime.
+TEST(Pbft, StashedPrePrepareLeavesOnceItsRequestExecutes) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  opt.watermark_window = 16;
+  opt.view_change_timeout = millis(500);
+  AsyncGroup g(4, opt);
+  g.net.block_link(1, 3, true);
+  g.at(1).propose(op_bytes("never-reaches-3"));
+  g.run_for(seconds(1));
+  ASSERT_EQ(g.decided[0].size(), 1u);
+  ASSERT_TRUE(g.decided[3].empty());
+  ASSERT_EQ(g.at(3).stashed_pre_prepares(), 1u);
+
+  // The primary's traffic shows replica 3 the gap, and it fetches the state.
+  for (int i = 0; i < 8; ++i) g.at(0).propose(op_bytes("op" + std::to_string(i)));
+  g.run_for(seconds(30));
+  ASSERT_EQ(g.decided[0].size(), 9u);
+  ASSERT_FALSE(g.decided[3].empty());
+  EXPECT_EQ(g.decided[3].back(), g.decided[0].back());
+  EXPECT_EQ(g.at(3).stashed_pre_prepares(), 0u);
+}
+
+// As above, but the backup is cut off until the group has truncated its
+// log past that request: it installs a checkpoint whose ledger covers the
+// request, and the stashed entry goes with the install.
+TEST(Pbft, StashedPrePrepareLeavesOnceAnInstalledLedgerCoversItsRequest) {
+  PbftOptions opt;
+  opt.checkpoint_interval = 4;
+  opt.watermark_window = 16;
+  opt.batch_max_ops = 1;
+  AsyncGroup g(4, opt);
+  g.net.block_link(1, 3, true);
+  g.at(1).propose(op_bytes("never-reaches-3"));
+  g.run_for(seconds(1));
+  ASSERT_EQ(g.at(3).stashed_pre_prepares(), 1u);
+
+  int installs = 0;
+  g.at(3).set_install_handler(
+      [&](std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t) { ++installs; });
+  g.net.isolate(3, true);
+  for (int i = 0; i < 40; ++i) {
+    g.at(0).propose(op_bytes("op" + std::to_string(i)));
+    if (i % 10 == 9) g.run_for(millis(200));
+  }
+  g.run_for(seconds(5));
+  g.net.isolate(3, false);
+  for (int i = 40; i < 48; ++i) g.at(0).propose(op_bytes("op" + std::to_string(i)));
+  g.run_for(seconds(30));
+  ASSERT_EQ(g.decided[0].size(), 49u);
+  EXPECT_GE(installs, 1);
+  EXPECT_EQ(g.at(3).stashed_pre_prepares(), 0u);
+}
+
+// A primary can pre-prepare any number of batches, each naming a request
+// the backup never got. The backup keeps at most kFutureBufferCap (4096)
+// of them, as it does for messages of future views.
+TEST(Pbft, StashedPrePreparesAreCapped) {
+  PbftOptions opt;
+  opt.view_change_timeout = seconds(60.0);  // no view change inside the test
+  AsyncGroup g(4, opt,
+               {{0, PbftFaultMode::kSilent}, {2, PbftFaultMode::kSilent},
+                {3, PbftFaultMode::kSilent}});
+  const std::uint64_t tag = g.at(1).instance_tag();
+  for (std::uint64_t k = 1; k <= 5000; ++k) {
+    ByteWriter region;
+    region.varint(1);
+    region.u64(2);  // origin: member 2, whose REQUEST never comes
+    region.u64(k);  // a fresh request id each time
+    region.bytes(op_bytes("unknown"));
+    const Bytes ops_region = region.take();
+    const crypto::Digest digest = crypto::sha256(ops_region);
+    ByteWriter pp;
+    pp.u64(tag);
+    pp.u64(0);  // view
+    pp.u64(1);  // seq
+    pp.raw(digest.data(), digest.size());
+    pp.bytes(ops_region);
+    g.net.send(net::Message{0, 1, net::MsgType::kPbftPrePrepare, pp.take()});
+  }
+  g.run_for(seconds(1));
+  EXPECT_GT(g.at(1).stashed_pre_prepares(), 0u);
+  EXPECT_LE(g.at(1).stashed_pre_prepares(), 4096u);
+}
+
 // One member offers a checkpoint at a future boundary that no CHECKPOINT
 // vote vouches for. Installing it would skip ops the group never decided,
 // so the install handler must never fire, however often the sender repeats.
