@@ -10,6 +10,7 @@
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
 #include "net/network.h"
+#include "obs/trace.h"
 #include "overlay/gossip.h"
 #include "overlay/group_message.h"
 #include "overlay/hgraph.h"
@@ -599,6 +600,36 @@ TEST_F(GmFixture, CoalescerDedupsAcrossInterleavedDestinations) {
   std::vector<NodeId> expected{a, b, c};
   same.shuffle(expected);
   EXPECT_EQ(receive_order, expected);
+}
+
+// With a tracer on, each frame that shares an envelope records one
+// kCoalesce event, keyed by its seq, with the envelope's frame count; a
+// frame that leaves alone records none.
+TEST_F(GmFixture, CoalescerTracesEachFrameOfAMultiFrameEnvelope) {
+  obs::Tracer tracer;
+  tracer.enable();
+  std::uint64_t singles = 0, envelopes = 0;
+  net.attach(receiver, net::MsgType::kGroupMsgFull, [&](const net::Message&) { ++singles; });
+  net.attach(receiver, net::MsgType::kGroupMsgEnvelope,
+             [&](const net::Message&) { ++envelopes; });
+  SendCoalescer c(net::Transport(net, 1), rng);
+  c.set_tracer(&tracer);
+  const Bytes one{0x01}, two{0x02};
+  const GroupMessageId a = content_id(50, one), b = content_id(50, two);
+  c.enqueue(receiver, net::MsgType::kGroupMsgFull, full_frame(a, one));
+  c.enqueue(receiver, net::MsgType::kGroupMsgFull, full_frame(b, two));
+  c.enqueue(101, net::MsgType::kGroupMsgFull, full_frame(a, one));  // alone: no event
+  sim.run();
+  EXPECT_EQ(envelopes, 1u);
+  EXPECT_EQ(singles, 0u);
+  std::vector<std::uint64_t> keys;
+  for (const obs::TraceEvent& e : tracer.snapshot()) {
+    EXPECT_EQ(e.point, obs::TracePoint::kCoalesce);
+    EXPECT_EQ(e.node, 1u);
+    EXPECT_EQ(e.a, 2u);
+    keys.push_back(e.key);
+  }
+  EXPECT_EQ(keys, (std::vector<std::uint64_t>{a.seq, b.seq}));
 }
 
 TEST_F(GmFixture, CoalescerSplitsOversizedBatchesAtTheCap) {

@@ -5,10 +5,12 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "crypto/keys.h"
 #include "net/network.h"
+#include "obs/registry.h"
 #include "sim/simulator.h"
 #include "smr/reconfig.h"
 
@@ -200,6 +202,74 @@ TEST_P(ReconfigBothEngines, RemovalNoticeCountsOneVotePerSender) {
   ASSERT_EQ(h.epochs_seen[3].size(), 1u);
   EXPECT_EQ(h.epochs_seen[3][0], 1u);
   EXPECT_FALSE(h.nodes[3]->active());
+}
+
+// A PBFT member cut off while the group truncates its log catches up by
+// installing a checkpoint. The install handler moves the cross-epoch
+// sequence past the ops it skipped, so every op the member decides after
+// the install carries the seq the others gave it.
+TEST(ReconfigurableSmr, CheckpointInstallKeepsTheSequenceAligned) {
+  ReconfigHarness h(EngineKind::kAsync);
+  h.opt.pbft.checkpoint_interval = 4;
+  h.opt.pbft.watermark_window = 16;
+  h.opt.pbft.batch_max_ops = 1;
+  obs::Registry laggard_metrics;
+  std::map<NodeId, std::map<std::string, std::uint64_t>> seq_of;  // per member: op -> seq
+  auto cfg = members({0, 1, 2, 3});
+  for (NodeId n : cfg.members) {
+    h.opt.pbft.metrics = n == 3 ? &laggard_metrics : nullptr;
+    h.add_node(n, cfg);
+    h.nodes[n]->set_decide_handler(
+        [&seq_of, n](std::uint64_t seq, NodeId, const net::Payload& op) {
+          seq_of[n][std::string(op.begin(), op.end())] = seq;
+        });
+  }
+
+  h.net.isolate(3, true);
+  for (int i = 0; i < 40; ++i) {
+    h.nodes[0]->propose(op_bytes("op" + std::to_string(i)));
+    if (i % 10 == 9) h.run_for(millis(200));
+  }
+  h.run_for(seconds(5));
+  ASSERT_EQ(seq_of[0].size(), 40u);
+  ASSERT_TRUE(seq_of[3].empty());
+
+  h.net.isolate(3, false);
+  for (int i = 40; i < 60; ++i) h.nodes[0]->propose(op_bytes("op" + std::to_string(i)));
+  h.run_for(seconds(30));
+  ASSERT_EQ(seq_of[0].size(), 60u);
+  EXPECT_GE(laggard_metrics.counter("smr.checkpoint_installs").value(), 1u);
+  ASSERT_FALSE(seq_of[3].empty());
+  EXPECT_LT(seq_of[3].size(), 60u) << "no op was skipped: nothing was installed";
+  for (const auto& [op, seq] : seq_of[3]) {
+    ASSERT_TRUE(seq_of[0].contains(op));
+    EXPECT_EQ(seq, seq_of[0][op]) << op;
+  }
+}
+
+// A Sync (Dolev-Strong) member turned silent mid-run through
+// ReconfigurableSmr::set_silent sends nothing afterwards, not even its own
+// proposal, and the other members still decide.
+TEST(ReconfigurableSmr, SilentSyncMemberSendsNothingAndTheRestDecide) {
+  ReconfigHarness h(EngineKind::kSync);
+  auto cfg = members({0, 1, 2, 3});
+  for (NodeId n : cfg.members) h.add_node(n, cfg);
+  h.nodes[3]->propose(op_bytes("before"));
+  h.run_for(seconds(5));
+  for (NodeId n : cfg.members) ASSERT_EQ(h.decided[n].size(), 1u) << "node " << n;
+
+  h.nodes[3]->set_silent(true);
+  const std::uint64_t sent = h.net.stats().messages_sent;
+  h.nodes[3]->propose(op_bytes("silenced"));
+  h.run_for(seconds(5));
+  EXPECT_EQ(h.net.stats().messages_sent, sent) << "the silent member sent";
+
+  h.nodes[0]->propose(op_bytes("after"));
+  h.run_for(seconds(5));
+  for (NodeId n : {0u, 1u, 2u}) {
+    ASSERT_EQ(h.decided[n].size(), 2u) << "node " << n;
+    EXPECT_EQ(h.decided[n][1].second, op_bytes("after")) << "node " << n;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ReconfigBothEngines,
