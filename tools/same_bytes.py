@@ -24,10 +24,11 @@ whose stdout and stderr are compared separately (--nodes does not scale
 them).
 It prints one line per artefact: `same`, `DIFFERS`, or `FAILED` when a run
 exits non-zero (an expectation or a self-check failed) on either side.
-Under a differing JSON report of at most 1 MB (not the trace) it prints the
-fields that differ, as --golden does. It
-exits 0 only if every artefact is the same and every run succeeded, 1
-otherwise, and 2 on bad arguments or a missing binary.
+Under a differing JSON report of at most 1 MB it prints the fields that
+differ, as --golden does. Under a differing trace it prints each event
+name whose count differs and each `atum_summary` field that differs, both
+sides of each. It exits 0 only if every artefact is the same and every run
+succeeded, 1 otherwise, and 2 on bad arguments or a missing binary.
 
 With --golden, the scenario artefacts of one build (its `atum_scenario`
 only) are run at 300 nodes and compared with the behaviour goldens
@@ -41,6 +42,7 @@ digests.
 every golden from the build instead of comparing.
 """
 import argparse
+import collections
 import concurrent.futures
 import hashlib
 import json
@@ -61,7 +63,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file
 GOLDEN_NODES = 300
 HASHED = (TELEMETRY + ".telemetry.json", TELEMETRY + ".trace.json")  # goldens kept as digests
 MAX_FIELDS = 20  # differing fields printed per artefact
-MAX_FIELD_DIFF_BYTES = 1 << 20  # larger JSON (the trace) is compared as bytes only
+MAX_FIELD_DIFF_BYTES = 1 << 20  # larger JSON reports are compared as bytes only
 
 
 def binary(build, name):
@@ -138,7 +140,10 @@ def compare_builds(base, change, nodes):
                 elif base_bytes != change_bytes:
                     verdict = (f"DIFFERS  {artefact} ({len(base_bytes)} B base, "
                                f"{len(change_bytes)} B change)")
-                    if artefact.endswith(".json") and len(base_bytes) <= MAX_FIELD_DIFF_BYTES:
+                    if artefact == HASHED[1]:
+                        lines = trace_differences(base_bytes, change_bytes)
+                        verdict = "\n".join([verdict] + lines)
+                    elif artefact.endswith(".json") and len(base_bytes) <= MAX_FIELD_DIFF_BYTES:
                         fields = field_differences(base_bytes, change_bytes, ("base", "change"))
                         verdict = "\n".join([verdict] + fields)
                 else:
@@ -189,6 +194,28 @@ def field_differences(expected, got, names=("golden", "got")):
     if len(lines) > MAX_FIELDS:
         lines[MAX_FIELDS:] = [f"  ... and {len(lines) - MAX_FIELDS} more"]
     return lines or ["  no field differs: the bytes around the values do"]
+
+
+def trace_differences(base, change):
+    """One line per trace event name whose count differs, then per differing
+    atum_summary field, each with the base and the change value."""
+    try:
+        traces = [json.loads(doc) for doc in (base, change)]
+    except ValueError as e:
+        return [f"  not JSON: {e}"]
+    counts = [collections.Counter(event.get("name") for event in trace.get("traceEvents", []))
+              for trace in traces]
+    lines = [f"  event {name}: base {counts[0][name]}, change {counts[1][name]}"
+             for name in sorted(set(counts[0]) | set(counts[1]))
+             if counts[0][name] != counts[1][name]]
+    if len(lines) > MAX_FIELDS:
+        lines[MAX_FIELDS:] = [f"  ... and {len(lines) - MAX_FIELDS} more event names"]
+    summaries = [json.dumps({"atum_summary": trace.get("atum_summary")}).encode()
+                 for trace in traces]
+    if summaries[0] != summaries[1]:
+        lines += field_differences(*summaries, ("base", "change"))
+    return lines or ["  every event count and atum_summary field is equal: "
+                     "event times or arguments differ"]
 
 
 def golden(build, only, update):
