@@ -195,12 +195,12 @@ class AtumNode {
   // A broadcast arrives by two paths: the own vgroup decides it, or a
   // neighbor vgroup's group message carries it. Its first sighting, by
   // either path, delivers it and then relays it (§3.2); later sightings do
-  // nothing. Both paths reach here only for a first sighting: the
+  // nothing. Both paths call this only on a first sighting: the
   // group-message receiver's delivered set, which the decide path records
-  // into too, holds every frame delivered. `frame` is the gossip wire
-  // frame the broadcast arrived as (the decided op's encoding on the SMR
-  // path) — its digest prefix is the trace key joining this delivery to
-  // every other hop of the same broadcast.
+  // into too, is the node's one record of delivered content. `frame` is
+  // the gossip wire frame the broadcast arrived as (the decided op's
+  // encoding on the SMR path) — its digest prefix is the trace key joining
+  // this delivery to every other hop of the same broadcast.
   void accept_broadcast(const BroadcastId& id, const net::Payload& payload,
                         const net::Payload& frame);
   // Relays `frame` (the received kGmGossip group-message body, or the
