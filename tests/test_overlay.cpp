@@ -260,7 +260,7 @@ TEST_F(GmFixture, ContentNotedByTheDecidePathIsNotDeliveredAgain) {
 
 // Regression: a duplicate arriving more than one TTL after delivery used to
 // mint a fresh entry and deliver the same GroupMessageId a second time. The
-// rolling delivered-id set (kept for ~8 TTLs past delivery) must drop it.
+// rolling delivered set (kept for ~8 TTLs past delivery) must drop it.
 TEST_F(GmFixture, PostTtlDuplicateIsNotRedelivered) {
   make_receiver();
   rx->set_ttl(seconds(1));
