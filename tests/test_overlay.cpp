@@ -401,6 +401,29 @@ TEST_F(GmFixture, MembershipFilterDropsOutsiders) {
   EXPECT_EQ(delivered.size(), 1u);
 }
 
+// An entry already open for an id does not let outsiders in: a frame that
+// would add a vote is checked against the sending vgroup's membership
+// whether or not its id has an entry.
+TEST_F(GmFixture, OutsidersAddNoVoteToALiveEntry) {
+  make_receiver();
+  const net::Payload body(Bytes{0x9a});
+  // Member 1's full copy opens the entry: one of the three votes a
+  // majority of five needs.
+  send_group(1, 50, {receiver}, body);
+  sim.run();
+  ASSERT_EQ(rx->pending_count(), 1u);
+  // Four outsiders claim vgroup 50 and vouch for the same content.
+  for (NodeId s : std::vector<NodeId>{200, 201, 202, 203}) send_group(s, 50, {receiver}, body);
+  sim.run();
+  EXPECT_TRUE(delivered.empty()) << "an outsider's frame counted as a vote";
+  send_group(2, 50, {receiver}, body);
+  sim.run();
+  EXPECT_TRUE(delivered.empty());
+  send_group(3, 50, {receiver}, body);
+  sim.run();
+  EXPECT_EQ(delivered.size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Zero-copy delivery & entry GC
 // ---------------------------------------------------------------------------
@@ -774,6 +797,51 @@ TEST_F(GmFixture, EntriesAreFreedAtDeliveryOrAfterTtl) {
   sim.run();
   EXPECT_EQ(rx->pending_count(), 1u);  // only the newer undelivered id remains
   EXPECT_EQ(delivered.size(), 1u);
+}
+
+// An entry lives one TTL from its first frame. A frame that arrives later
+// finds no entry, as if the entry had been swept at once: the votes cast
+// before the TTL do not count toward a majority after it.
+TEST_F(GmFixture, AVoteCastBeforeTheTtlDoesNotCountAfterIt) {
+  known[50] = {1, 2, 3};  // a majority is 2
+  make_receiver();
+  rx->set_ttl(seconds(1.0));
+  const net::Payload body(Bytes{0x7c});
+  send_group(1, 50, {receiver}, body);
+  sim.run();
+  sim.run_until(sim.now() + seconds(2.0));
+  send_group(2, 50, {receiver}, body);
+  sim.run();
+  EXPECT_TRUE(delivered.empty()) << "a vote cast before the TTL counted after it";
+  send_group(3, 50, {receiver}, body);
+  sim.run();
+  EXPECT_EQ(delivered.size(), 1u);
+}
+
+// An id whose entry expired opens a fresh entry on its next frame. The GC
+// item queued for the expired entry must not erase the fresh one when a
+// later sweep reaches it.
+TEST_F(GmFixture, AStaleGcItemDoesNotEraseANewerEntryForTheSameId) {
+  make_receiver();  // a majority is 3
+  rx->set_ttl(seconds(1.0));
+  const Bytes content{0x5e};
+  const net::Payload body(content);
+  send_group(1, 50, {receiver}, body);  // its GC item is due after 1 s
+  sim.run();
+  sim.run_until(sim.now() + seconds(2.0));
+  // Past the TTL: member 2's frame opens a fresh entry for the same id.
+  send_group(2, 50, {receiver}, body);
+  sim.run();
+  // A new id opens an entry too, and the sweep that comes with it reaches
+  // the first entry's GC item.
+  send_group(1, 50, {receiver}, net::Payload(Bytes{0x5f}));
+  sim.run();
+  // Within the fresh entry's TTL, two more members complete its majority.
+  send_group(3, 50, {receiver}, body);
+  send_group(4, 50, {receiver}, body);
+  sim.run();
+  ASSERT_EQ(delivered.size(), 1u) << "the expired entry's GC item erased the fresh entry";
+  EXPECT_EQ(delivered[0].first, content_id(50, content));
 }
 
 TEST_F(GmFixture, UndeliveredFloodFromByzantineSenderIsBounded) {
