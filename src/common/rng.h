@@ -5,7 +5,9 @@
 // seeded Rng instances, never from global or hardware entropy.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace atum {
@@ -34,11 +36,16 @@ class Rng {
   // Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(next_below(i));
+    shuffle_n(v.size(), [&v](std::size_t a, std::size_t b) {
       using std::swap;
-      swap(v[i - 1], v[j]);
-    }
+      swap(v[a], v[b]);
+    });
+  }
+  // The same shuffle, with the same draws, over n elements that
+  // `swap_at(a, b)` exchanges (elements that are not one vector's).
+  template <typename SwapAt>
+  void shuffle_n(std::size_t n, SwapAt&& swap_at) {
+    for (std::size_t i = n; i > 1; --i) swap_at(i - 1, static_cast<std::size_t>(next_below(i)));
   }
 
   // k distinct indices from [0, n), uniform without replacement. k <= n.

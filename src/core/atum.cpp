@@ -1,6 +1,7 @@
 #include "core/atum.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "overlay/hgraph.h"
@@ -509,7 +510,7 @@ void AtumNode::accept_broadcast(const BroadcastId& id, const net::Payload& paylo
 void AtumNode::relay_gossip(const BroadcastId& id, const net::Payload& payload,
                             const net::Payload& frame) {
   if (!is_sender_behavior()) return;
-  std::vector<overlay::NeighborRef> relays =
+  const overlay::NeighborRefs relays =
       overlay::choose_relays(forward_, id, payload, vg_.neighbor_refs());
   if (relays.empty()) return;
   // One wire frame (wrapping the received gossip frame verbatim) + one
@@ -519,14 +520,17 @@ void AtumNode::relay_gossip(const BroadcastId& id, const net::Payload& payload,
   if (!msg) return;
   // Overlapping neighbor member sets (several neighbor groups can contain
   // the same physical node) and multiple broadcasts decided in one tick
-  // all coalesce per destination here.
+  // all coalesce per destination here. The coalescer makes room for the
+  // whole fan-out at once.
+  std::array<const group::GroupView*, overlay::NeighborRefs::kCapacity> views;
   std::size_t fanned = 0;
-  for (const overlay::NeighborRef& ref : relays) {
-    const group::GroupView* view = vg_.find_group(ref.group);
-    if (view != nullptr) {
-      msg->send_to(coalescer_, view->members);
-      fanned += view->members.size();
-    }
+  for (std::size_t i = 0; i < relays.size(); ++i) {
+    views[i] = vg_.find_group(relays[i].group);
+    if (views[i] != nullptr) fanned += views[i]->members.size();
+  }
+  coalescer_.reserve(fanned);
+  for (std::size_t i = 0; i < relays.size(); ++i) {
+    if (views[i] != nullptr) msg->send_to(coalescer_, views[i]->members);
   }
   obs::Tracer& tr = sys_.tracer();
   if (tr.enabled() && fanned > 0) {

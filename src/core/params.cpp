@@ -5,10 +5,14 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "overlay/gossip.h"
+
 namespace atum::core {
 
 void Params::validate() const {
-  if (hc < 1 || hc > 16) throw std::invalid_argument("Params: hc out of range [1,16]");
+  if (hc < 1 || hc > overlay::kMaxCycles) {
+    throw std::invalid_argument("Params: hc out of range [1,16]");
+  }
   if (rwl < 1 || rwl > 64) throw std::invalid_argument("Params: rwl out of range [1,64]");
   if (gmin < 1) throw std::invalid_argument("Params: gmin must be positive");
   if (gmin >= gmax) throw std::invalid_argument("Params: gmin must be below gmax");

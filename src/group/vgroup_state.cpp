@@ -1,6 +1,7 @@
 #include "group/vgroup_state.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace atum::group {
 
@@ -21,7 +22,9 @@ GroupView GroupView::decode(ByteReader& r) {
 }
 
 VGroupState::VGroupState(GroupId id, std::vector<NodeId> members, std::size_t cycles)
-    : self_{id, std::move(members)}, neighbors_(cycles) {
+    : self_{id, std::move(members)} {
+  if (cycles > overlay::kMaxCycles) throw std::invalid_argument("VGroupState: too many cycles");
+  neighbors_.resize(cycles);
   std::sort(self_.members.begin(), self_.members.end());
 }
 
@@ -39,8 +42,8 @@ void VGroupState::refresh_neighbor(const GroupView& view) {
   }
 }
 
-std::vector<overlay::NeighborRef> VGroupState::neighbor_refs() const {
-  std::vector<overlay::NeighborRef> out;
+overlay::NeighborRefs VGroupState::neighbor_refs() const {
+  overlay::NeighborRefs out;
   for (std::size_t c = 0; c < neighbors_.size(); ++c) {
     const CycleNeighbors& cn = neighbors_[c];
     if (cn.successor.known() && cn.successor.id != self_.id) {

@@ -38,6 +38,7 @@ struct CycleNeighbors {
 class VGroupState {
  public:
   VGroupState() = default;
+  // Throws std::invalid_argument for more than overlay::kMaxCycles cycles.
   VGroupState(GroupId id, std::vector<NodeId> members, std::size_t cycles);
 
   GroupId id() const { return self_.id; }
@@ -56,8 +57,9 @@ class VGroupState {
   // (composition refresh after the neighbor reconfigures).
   void refresh_neighbor(const GroupView& view);
 
-  // The distinct neighbor references used by the gossip relay decision.
-  std::vector<overlay::NeighborRef> neighbor_refs() const;
+  // The distinct neighbor references used by the gossip relay decision,
+  // held inline (no allocation).
+  overlay::NeighborRefs neighbor_refs() const;
 
   // Looks up a neighboring group's composition (for group-message
   // acceptance); also matches this group itself. Null for an unknown

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -43,10 +44,14 @@ ForwardFn forward_none() {
   return [](const BroadcastId&, const net::Payload&, const NeighborRef&) { return false; };
 }
 
-std::vector<NeighborRef> choose_relays(const ForwardFn& forward, const BroadcastId& id,
-                                       const net::Payload& payload,
-                                       const std::vector<NeighborRef>& neighbors) {
-  std::vector<NeighborRef> out;
+void NeighborRefs::push_back(const NeighborRef& n) {
+  if (size_ == kCapacity) throw std::length_error("NeighborRefs: more than two refs per cycle");
+  refs_[size_++] = n;
+}
+
+NeighborRefs choose_relays(const ForwardFn& forward, const BroadcastId& id,
+                           const net::Payload& payload, const NeighborRefs& neighbors) {
+  NeighborRefs out;
   for (const NeighborRef& n : neighbors) {
     // Deterministic delivery guarantee: the cycle-0 successor link is always
     // used, whatever the application callback says.
@@ -68,7 +73,7 @@ void SendCoalescer::enqueue(NodeId dest, net::MsgType type, net::Payload frame) 
     throw std::logic_error("SendCoalescer: only group-message frames coalesce");
   }
   ++frames_enqueued_;
-  queue_.push_back({dest, type, std::move(frame)});
+  queue_.push_back({dest, type, static_cast<std::uint32_t>(queue_.size()), std::move(frame)});
   if (flush_event_ == 0) {
     // schedule_after(0) fires after every event already scheduled for the
     // current instant, so the flush sees every frame this tick produces.
@@ -88,17 +93,20 @@ void SendCoalescer::flush() {
   // Take the queue, buffer and all: it is freed when the flush returns.
   std::vector<Queued> frames = std::move(queue_);
   // Group by destination (ascending — a deterministic set), each keeping
-  // its frames in enqueue order.
-  std::stable_sort(frames.begin(), frames.end(),
-                   [](const Queued& a, const Queued& b) { return a.dest < b.dest; });
+  // its frames in enqueue order: the enqueue index breaks ties, so this
+  // sort gives a stable sort's order without its scratch buffer.
+  std::sort(frames.begin(), frames.end(), [](const Queued& a, const Queued& b) {
+    return a.dest != b.dest ? a.dest < b.dest : a.index < b.index;
+  });
   // Compact each destination's run in place, keeping the first copy of a
   // frame enqueued more than once for it. A relay fanning one broadcast out
   // to overlapping neighbor groups enqueues the same frozen frame for the
   // same node once per group. Buffer identity (not content) is the test:
   // the fan-out paths share one frozen Payload, so repeats alias one buffer.
-  std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end) per destination
-  runs.reserve(frames.size());
+  // Run k's start goes into entry k's index: a run keeps at least its first
+  // frame, so entry k lies below every frame still to be compacted.
   std::size_t kept = 0;
+  std::size_t runs = 0;
   for (std::size_t i = 0; i < frames.size();) {
     const NodeId dest = frames[i].dest;
     const std::size_t begin = kept;
@@ -113,14 +121,19 @@ void SendCoalescer::flush() {
       if (kept != i) frames[kept] = std::move(frames[i]);
       ++kept;
     }
-    runs.emplace_back(begin, kept);
+    frames[runs++].index = static_cast<std::uint32_t>(begin);
   }
   // Randomize the send order across destinations (§5.1). The draws depend
   // only on the number of runs, one per destination.
-  rng_.shuffle(runs);
+  rng_.shuffle_n(runs, [&frames](std::size_t a, std::size_t b) {
+    std::swap(frames[a].index, frames[b].index);
+  });
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
-  for (const auto& [begin, end] : runs) {
+  for (std::size_t r = 0; r < runs; ++r) {
+    const std::size_t begin = frames[r].index;
     const NodeId dest = frames[begin].dest;
+    std::size_t end = begin + 1;
+    while (end < kept && frames[end].dest == dest) ++end;
     for (std::size_t i = begin; i < end; i += kMaxFramesPerEnvelope) {
       const std::size_t stop = std::min(i + kMaxFramesPerEnvelope, end);
       if (stop - i == 1) {
@@ -129,7 +142,11 @@ void SendCoalescer::flush() {
         ++messages_sent_;
         continue;
       }
-      ByteWriter w;
+      std::size_t size = ByteWriter::varint_size(stop - i);
+      for (std::size_t j = i; j < stop; ++j) {
+        size += 2 + ByteWriter::varint_size(frames[j].frame.size()) + frames[j].frame.size();
+      }
+      ByteWriter w(size);
       w.varint(stop - i);
       for (std::size_t j = i; j < stop; ++j) {
         const net::Payload& frame = frames[j].frame;

@@ -10,6 +10,7 @@
 // is the group-message receiver's delivered set (group_message.h).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -38,6 +39,31 @@ struct NeighborRef {
   friend bool operator==(const NeighborRef&, const NeighborRef&) = default;
 };
 
+// The most H-graph cycles a vgroup keeps (core::Params::validate and
+// group::VGroupState enforce it).
+inline constexpr std::size_t kMaxCycles = 16;
+
+// A set of distinct neighbor refs, at most two per cycle, held inline:
+// building, filtering or copying one allocates nothing, so the relay
+// choice on the per-delivery path stays off the heap.
+class NeighborRefs {
+ public:
+  static constexpr std::size_t kCapacity = 2 * kMaxCycles;
+
+  // Throws std::length_error past kCapacity.
+  void push_back(const NeighborRef& n);
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const NeighborRef& operator[](std::size_t i) const { return refs_[i]; }
+  const NeighborRef* begin() const { return refs_.data(); }
+  const NeighborRef* end() const { return refs_.data() + size_; }
+
+ private:
+  std::array<NeighborRef, kCapacity> refs_;
+  std::size_t size_ = 0;
+};
+
 // The application's §3.3.4 `forward(message, neighbor)` callback. The
 // payload is a refcounted view of the broadcast body (shared with every
 // other consumer of the frame — do not expect a private copy).
@@ -55,10 +81,10 @@ ForwardFn forward_random(double p, std::uint64_t seed);
 ForwardFn forward_none();
 
 // The neighbors one broadcast is relayed to: those `forward` (may be empty)
-// picks, plus always the deterministic cycle-0 successor link.
-std::vector<NeighborRef> choose_relays(const ForwardFn& forward, const BroadcastId& id,
-                                       const net::Payload& payload,
-                                       const std::vector<NeighborRef>& neighbors);
+// picks, plus always the deterministic cycle-0 successor link. `forward`
+// is asked once per other neighbor, in order.
+NeighborRefs choose_relays(const ForwardFn& forward, const BroadcastId& id,
+                           const net::Payload& payload, const NeighborRefs& neighbors);
 
 // Per-node send coalescing for group-message frames (perf, riding on the
 // simulator's event granularity). A gossip relay fans one broadcast out to
@@ -71,8 +97,12 @@ std::vector<NeighborRef> choose_relays(const ForwardFn& forward, const Broadcast
 // destination and sends everything bound for one node as a single
 // kGroupMsgEnvelope message — the fixed costs amortize across the
 // coalesced frames exactly as the SMR batch amortizes quorum cost across
-// ops. The queue allocates per tick, never per destination, and its
-// buffer is freed at the flush: an idle node holds none.
+// ops. The queue allocates per tick, never per destination: a caller
+// about to fan one frame out reserve()s its whole fan-out, so the queue
+// grows once, not by doubling. The flush takes the buffer with it, so an
+// idle node holds none. The flush groups frames by sorting them on
+// (destination, enqueue index), which is the stable order and needs no
+// scratch buffer.
 //
 // Determinism: the flush runs via schedule_after(0), which the simulator
 // fires after every event already scheduled for the current instant, so
@@ -108,6 +138,8 @@ class SendCoalescer {
   // neighbor groups overlap): the receiver dedups vouches per sender, so
   // a repeat could never contribute anything.
   void enqueue(NodeId dest, net::MsgType type, net::Payload frame);
+  // Makes room for `frames` more enqueue() calls this tick at once.
+  void reserve(std::size_t frames) { queue_.reserve(queue_.size() + frames); }
 
   // Sends everything queued now (normally runs automatically at tick end;
   // exposed for tests and explicit drains).
@@ -137,6 +169,10 @@ class SendCoalescer {
   struct Queued {
     NodeId dest;
     net::MsgType type;
+    // The frame's enqueue index, the sort's tie-break. Once the flush has
+    // grouped the frames, entry k's index holds where run k (the k-th
+    // destination's frames) begins, and the flush shuffles those starts.
+    std::uint32_t index;
     net::Payload frame;
   };
 

@@ -1,6 +1,7 @@
 #include "overlay/group_message.h"
 
 #include <algorithm>
+#include <span>
 
 #include "obs/trace.h"
 #include "overlay/gossip.h"
@@ -10,7 +11,7 @@ namespace atum::overlay {
 namespace {
 
 Bytes encode_full(GroupMessageId id, const net::Payload& payload) {
-  ByteWriter w;
+  ByteWriter w(8 + 8 + ByteWriter::varint_size(payload.size()) + payload.size());
   w.u64(id.from_group);
   w.u64(id.seq);
   w.bytes(payload.data(), payload.size());
@@ -18,7 +19,7 @@ Bytes encode_full(GroupMessageId id, const net::Payload& payload) {
 }
 
 Bytes encode_digest(GroupMessageId id, const crypto::Digest& d) {
-  ByteWriter w;
+  ByteWriter w(8 + 8 + d.size());
   w.u64(id.from_group);
   w.u64(id.seq);
   w.raw(d.data(), d.size());
@@ -52,6 +53,17 @@ void PreparedGroupMessage::send_to(SendCoalescer& coalescer,
   }
 }
 
+void GroupMessageReceiver::Voters::add(NodeId n) {
+  const auto inline_end = inline_.begin() + static_cast<std::ptrdiff_t>(inline_size_);
+  if (std::find(inline_.begin(), inline_end, n) != inline_end) return;
+  if (std::find(more_.begin(), more_.end(), n) != more_.end()) return;
+  if (inline_size_ < kInline) {
+    inline_[inline_size_++] = n;
+  } else {
+    more_.push_back(n);
+  }
+}
+
 GroupMessageReceiver::GroupMessageReceiver(net::Transport transport, MembersFn members,
                                            DeliverFn deliver)
     : transport_(std::move(transport)), members_(std::move(members)), deliver_(std::move(deliver)) {
@@ -62,43 +74,50 @@ GroupMessageReceiver::GroupMessageReceiver(net::Transport transport, MembersFn m
 
 GroupMessageReceiver::~GroupMessageReceiver() { transport_.close(); }
 
-void GroupMessageReceiver::gc_expired() {
-  const TimeMicros now = transport_.simulator().now();
+void GroupMessageReceiver::gc_expired(TimeMicros now) {
   while (!gc_queue_.empty() && gc_queue_.front().first <= now) {
-    entries_.erase(gc_queue_.front().second);
+    const GroupMessageId& id = gc_queue_.front().second;
+    // The id may hold a newer entry than the one this item was queued
+    // for: an expired entry starts afresh in place (on_frame).
+    const Pending* pending = entries_.find(id);
+    if (pending != nullptr && pending->expires_at <= now) entries_.erase(id);
     gc_queue_.pop_front();
   }
 }
 
+bool GroupMessageReceiver::walk_envelope(const net::Message& envelope, bool deliver) {
+  try {
+    ByteReader r(envelope.payload);
+    const std::uint64_t count = r.varint();
+    if (count == 0 || count > SendCoalescer::kMaxFramesPerEnvelope) return false;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const auto inner = static_cast<net::MsgType>(r.u16());
+      if (inner != net::MsgType::kGroupMsgFull && inner != net::MsgType::kGroupMsgDigest) {
+        return false;
+      }
+      const std::span<const std::uint8_t> frame = r.bytes_view();
+      if (deliver) {
+        on_frame(envelope.from, inner == net::MsgType::kGroupMsgFull,
+                 envelope.payload.slice(frame));
+      }
+    }
+    r.expect_done();
+  } catch (const SerdeError&) {
+    return false;  // malformed: faulty sender
+  }
+  return true;
+}
+
 void GroupMessageReceiver::on_message(const net::Message& msg) {
-  gc_expired();
   delivered_.rotate(transport_.simulator().now(), kDedupWindowTtls * ttl_);
 
   if (msg.type == net::MsgType::kGroupMsgEnvelope) {
-    // Coalesced envelope: decode it fully before processing any inner
+    // Coalesced envelope: validate all of it before processing any inner
     // frame — a malformed tail means the sender is faulty and the whole
-    // envelope is suspect. Inner frames are zero-copy slices of the
-    // envelope payload; only full and digest frames may nest (envelopes
-    // do not recurse).
-    std::vector<std::pair<bool, net::Payload>> frames;
-    try {
-      ByteReader r(msg.payload);
-      std::uint64_t count = r.varint();
-      if (count == 0 || count > SendCoalescer::kMaxFramesPerEnvelope) return;
-      frames.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        auto inner = static_cast<net::MsgType>(r.u16());
-        if (inner != net::MsgType::kGroupMsgFull && inner != net::MsgType::kGroupMsgDigest) {
-          return;
-        }
-        frames.emplace_back(inner == net::MsgType::kGroupMsgFull,
-                            msg.payload.slice(r.bytes_view()));
-      }
-      r.expect_done();
-    } catch (const SerdeError&) {
-      return;  // malformed: faulty sender
-    }
-    for (const auto& [is_full, frame] : frames) on_frame(msg.from, is_full, frame);
+    // envelope is suspect — then walk it again. Inner frames are
+    // zero-copy slices of the envelope payload; only full and digest
+    // frames may nest (envelopes do not recurse).
+    if (walk_envelope(msg, false)) walk_envelope(msg, true);
     return;
   }
 
@@ -130,35 +149,47 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
   // The id must name the content it carries (see GroupMessageId).
   if (id.seq != crypto::digest_prefix64(digest)) return;
 
+  // An entry past its TTL counts as absent, as if swept the moment it
+  // expired.
+  const TimeMicros now = transport_.simulator().now();
+  Pending* pending = entries_.find(id);
+  const bool live = pending != nullptr && now < pending->expires_at;
+  // No entry: the id is new, or its content was delivered (from this or
+  // any other vgroup, or by the decide path) and the set drops it. Most
+  // frames end here, before the membership lookup, whose answer could not
+  // change that.
+  if (!live && delivered_.contains(id.seq)) return;
+
   const std::vector<NodeId>* members = members_(id.from_group);
   if (members == nullptr || std::find(members->begin(), members->end(), from) == members->end()) {
     return;
   }
-  Pending* pending = entries_.find(id);
-  if (pending == nullptr) {
-    // No entry: the id is new, or its content was delivered (from this or
-    // any other vgroup, or by the decide path) and the set drops it.
-    if (delivered_.contains(id.seq)) return;
-    // New entry: even if it never delivers (digest-only flood, content
-    // short of majority) it expires after one TTL.
-    pending = &entries_[id];
-    gc_queue_.emplace_back(transport_.simulator().now() + ttl_, id);
+  if (!live) {
+    if (pending == nullptr) {
+      // The table grows only here, so expired entries are swept only here.
+      gc_expired(now);
+      pending = &entries_[id];
+    }
+    // A new entry, or an expired one starting afresh in place: even if it
+    // never delivers (digest-only flood, content short of majority) it
+    // expires one TTL after this frame.
+    pending->candidates.clear();
+    pending->expires_at = now + ttl_;
+    gc_queue_.emplace_back(pending->expires_at, id);
   }
-  auto c = std::lower_bound(pending->begin(), pending->end(), digest,
+  std::vector<Candidate>& candidates = pending->candidates;
+  auto c = std::lower_bound(candidates.begin(), candidates.end(), digest,
                             [](const Candidate& a, const crypto::Digest& d) { return a.digest < d; });
-  if (c == pending->end() || c->digest != digest) {
-    c = pending->insert(c, Candidate{digest, {}, std::nullopt});
-    c->voters.reserve(members->size());
+  if (c == candidates.end() || c->digest != digest) {
+    c = candidates.insert(c, Candidate{digest, {}, std::nullopt});
   }
-  if (std::find(c->voters.begin(), c->voters.end(), from) == c->voters.end()) {
-    c->voters.push_back(from);
-  }
+  c->voters.add(from);
   if (is_full && !c->payload) c->payload = std::move(payload);
   try_deliver(id, *pending, members->size() / 2 + 1);
 }
 
 void GroupMessageReceiver::try_deliver(GroupMessageId id, Pending& pending, std::size_t majority) {
-  for (Candidate& c : pending) {
+  for (Candidate& c : pending.candidates) {
     if (c.voters.size() < majority) continue;
     if (!c.payload) continue;  // majority but no full copy yet
     const std::size_t voters = c.voters.size();
@@ -183,10 +214,14 @@ bool GroupMessageReceiver::note_delivered(std::uint64_t seq) {
 void GroupMessageReceiver::reevaluate() {
   // Deliver in id order, not hash order: each delivery runs the node's
   // accept path, and the RNG draws and sends it makes depend on the order.
+  // An expired entry counts as absent here too.
+  const TimeMicros now = transport_.simulator().now();
   std::vector<GroupMessageId> ids;
   ids.reserve(entries_.size());
   // lint: unordered-iter-ok(the snapshot is sorted before anything is delivered)
-  for (const auto& [id, p] : entries_) ids.push_back(id);
+  for (const auto& [id, p] : entries_) {
+    if (now < p.expires_at) ids.push_back(id);
+  }
   std::sort(ids.begin(), ids.end());
   // A delivery may re-enter reevaluate() (a neighbor update) and deliver
   // later ids first; their entries are gone by then.

@@ -20,6 +20,7 @@
 // materializes no bytes on the receive path at all.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -87,11 +88,13 @@ class GroupMessageReceiver {
   // don't copy.
   using DeliverFn = std::function<void(const GroupMessageId& id, net::Payload payload)>;
   // The sending vgroup's members as this node knows them, or null for an
-  // unknown group. One lookup per frame serves both acceptance checks: a
-  // frame from a non-member or an unknown group is dropped, and the
-  // majority is counted against the true size, not a size claimed on the
-  // wire by a possibly-Byzantine sender. The vector must stay valid until
-  // the receiver's call returns.
+  // unknown group. One lookup serves both acceptance checks: a frame from
+  // a non-member or an unknown group is dropped, and the majority is
+  // counted against the true size, not a size claimed on the wire by a
+  // possibly-Byzantine sender. Only a frame that adds a vote or opens an
+  // entry looks it up: a frame whose content was delivered and whose id
+  // has no entry is dropped before. The vector must stay valid until the
+  // receiver's call returns.
   using MembersFn = std::function<const std::vector<NodeId>*(GroupId)>;
 
   GroupMessageReceiver(net::Transport transport, MembersFn members, DeliverFn deliver);
@@ -106,7 +109,9 @@ class GroupMessageReceiver {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   // An id is buffered from its first frame until its majority completes or
-  // one TTL of simulated time has passed, whichever comes first.
+  // one TTL of simulated time has passed, whichever comes first: a frame
+  // that arrives later finds no entry, so no vote cast before the TTL
+  // counts after it.
   // Undelivered buffering (digest-only floods from a Byzantine member,
   // below-majority content) must expire: without an expiry one faulty node
   // minting fresh ids grows the table without bound.
@@ -125,40 +130,70 @@ class GroupMessageReceiver {
   bool note_delivered(std::uint64_t seq);
 
   // Re-evaluates buffered messages against the current group sizes (e.g.
-  // after a neighbor update shrinks a group). Deliveries come in
-  // GroupMessageId order, whatever order the entries are stored in.
+  // after a neighbor update shrinks a group), skipping expired entries.
+  // Deliveries come in GroupMessageId order, whatever order the entries
+  // are stored in.
   void reevaluate();
 
-  // Buffered undelivered ids.
+  // Buffered undelivered ids, counting expired entries until the next new
+  // entry sweeps them.
   std::size_t pending_count() const { return entries_.size(); }
   // Delivered contents currently remembered by the rolling set (both
   // generations); tests pin its bound under sustained delivery.
   std::size_t delivered_dedup_count() const { return delivered_.size(); }
 
  private:
+  // A candidate's distinct vouching senders. The first kInline stay in
+  // the candidate itself (vgroups of up to gmax = 14 in every preset), so
+  // a vote allocates nothing; a larger sending vgroup's spill to `more_`.
+  class Voters {
+   public:
+    // Adds `n` unless it already voted.
+    void add(NodeId n);
+    std::size_t size() const { return inline_size_ + more_.size(); }
+
+   private:
+    static constexpr std::size_t kInline = 14;
+    std::array<NodeId, kInline> inline_{};
+    std::size_t inline_size_ = 0;
+    std::vector<NodeId> more_;
+  };
   // Everything one undelivered id has received for one digest.
   struct Candidate {
     crypto::Digest digest;
-    std::vector<NodeId> voters;           // distinct vouching senders
+    Voters voters;
     std::optional<net::Payload> payload;  // the first full copy, once one arrives
   };
-  // An undelivered id's candidates, sorted by digest. Every candidate's
-  // digest shares the id's prefix, and only the content's true digest can
-  // get a full copy. The vector still holds several: a Byzantine member's
-  // digest-only frame may carry a crafted digest with the same prefix, and
-  // an entry that kept one digest would let it block the real one.
-  using Pending = std::vector<Candidate>;
+  // An undelivered id: its candidates, sorted by digest, and the instant
+  // it expires. Every candidate's digest shares the id's prefix, and only
+  // the content's true digest can get a full copy. The vector still holds
+  // several: a Byzantine member's digest-only frame may carry a crafted
+  // digest with the same prefix, and an entry that kept one digest would
+  // let it block the real one.
+  struct Pending {
+    std::vector<Candidate> candidates;
+    TimeMicros expires_at = 0;  // one TTL after the frame that opened it
+  };
 
   void on_message(const net::Message& msg);
+  // Walks a coalesced envelope's inner frames, handing each to on_frame
+  // when `deliver` is set. Returns whether the whole envelope is well
+  // formed; on_message walks it once without delivering to find out, so a
+  // malformed envelope delivers none of its frames.
+  bool walk_envelope(const net::Message& envelope, bool deliver);
   // One group-message frame: either a whole kGroupMsgFull/kGroupMsgDigest
   // message body or one inner frame of a coalesced envelope (`wire` is a
-  // zero-copy slice of the envelope in that case).
+  // zero-copy slice of the envelope in that case). The checks run in this
+  // order: parse and the seq check, the entry lookup, the delivered set
+  // for an id with no live entry, and only then the sending vgroup's
+  // membership, for a frame that adds a vote or opens an entry.
   void on_frame(NodeId from, bool is_full, const net::Payload& wire);
   // Completes `pending`'s first candidate with `majority` voters and a
   // full copy: erases `id`'s entry, then delivers if the content is new.
   // `id` is a copy: the entry goes.
   void try_deliver(GroupMessageId id, Pending& pending, std::size_t majority);
-  void gc_expired();
+  // Erases the entries whose GC items are due and which have expired.
+  void gc_expired(TimeMicros now);
 
   net::Transport transport_;
   MembersFn members_;
@@ -166,14 +201,16 @@ class GroupMessageReceiver {
   obs::Tracer* tracer_ = nullptr;
   // Undelivered ids. Hashed: every arriving frame looks its id up here
   // first. Only reevaluate() iterates it, and it sorts the ids before
-  // delivering any.
+  // delivering any. It may hold expired entries not yet swept; every
+  // lookup treats those as absent.
   FlatMap<GroupMessageId, Pending> entries_;
   DurationMicros ttl_ = kGroupMessageTtl;
-  // One GC deadline per entry, in creation order; swept lazily on message
-  // arrival, O(1) amortized. An item can outlive its entry (the entry is
-  // erased when its majority completes) but never erases a newer entry for
-  // the same id: the delivered set blocks a new entry for kDedupWindowTtls
-  // TTLs, and the item expires after one.
+  // One GC deadline per entry opened, in creation order. Swept when a new
+  // entry is created, the only time the table grows, O(1) amortized. An
+  // item can outlive its entry: the entry is erased when its majority
+  // completes, or starts afresh in place once expired. So an item erases
+  // its id's entry only if that entry's own deadline has passed, and
+  // never a newer entry for the same id.
   std::deque<std::pair<TimeMicros, GroupMessageId>> gc_queue_;
   // The node's one record of delivered content (see set_ttl), keyed by
   // digest prefix and rotated every kDedupWindowTtls TTLs. Consulted for

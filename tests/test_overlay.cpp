@@ -258,6 +258,40 @@ TEST_F(GmFixture, ContentNotedByTheDecidePathIsNotDeliveredAgain) {
   EXPECT_FALSE(rx->note_delivered(content_id(50, gossiped).seq));
 }
 
+// A frame whose content was delivered and whose id has no entry is dropped
+// before the sending vgroup's membership is looked up: the lookup could not
+// change its outcome. The frames that follow a delivery, from the same
+// vgroup or another, and the frames of content the decide path noted never
+// call MembersFn.
+TEST_F(GmFixture, DeliveredContentNeverLooksUpTheSendingVgroup) {
+  known[60] = {6, 7, 8, 9, 10};
+  std::size_t lookups = 0;
+  rx = std::make_unique<GroupMessageReceiver>(
+      net::Transport(net, receiver),
+      [this, &lookups](GroupId g) -> const std::vector<NodeId>* {
+        ++lookups;
+        auto it = known.find(g);
+        return it == known.end() ? nullptr : &it->second;
+      },
+      [this](const GroupMessageId& id, net::Payload p) { delivered.emplace_back(id, std::move(p)); });
+  const Bytes body{0x1d, 0x0c};
+  for (NodeId s : {1, 2, 3}) send_group(s, 50, {receiver}, body);  // a majority of five
+  sim.run();
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(lookups, 3u);  // one per frame that voted
+  lookups = 0;
+  for (NodeId s : {4, 5}) send_group(s, 50, {receiver}, body);
+  send_from_all(body, {6, 7, 8, 9, 10});  // vgroup 50's frames from outsiders
+  for (NodeId s : known[60]) send_group(s, 60, {receiver}, body);
+  const Bytes decided{0x1d, 0x0d};
+  EXPECT_TRUE(rx->note_delivered(content_id(50, decided).seq));
+  send_from_all(decided, group_a);
+  sim.run();
+  EXPECT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(rx->pending_count(), 0u);
+  EXPECT_EQ(lookups, 0u) << "a frame carrying delivered content looked up its vgroup";
+}
+
 // Regression: a duplicate arriving more than one TTL after delivery used to
 // mint a fresh entry and deliver the same GroupMessageId a second time. The
 // rolling delivered set (kept for ~8 TTLs past delivery) must drop it.
@@ -397,6 +431,23 @@ TEST_F(GmFixture, MembershipFilterDropsOutsiders) {
   EXPECT_EQ(rx->pending_count(), 0u);
   // Genuine members still get through.
   send_from_all(Bytes{0x98}, group_a);
+  sim.run();
+  EXPECT_EQ(delivered.size(), 1u);
+}
+
+// A candidate keeps its first voters inline and spills the rest: past the
+// inline ones, each voter still counts once.
+TEST_F(GmFixture, VotersPastTheInlineOnesCountOnceEach) {
+  std::vector<NodeId> big;
+  for (NodeId n = 1; n <= 30; ++n) big.push_back(n);
+  known[50] = big;  // a majority is 16, so the 15th and 16th voters spill
+  make_receiver();
+  const net::Payload body(Bytes{0x30});
+  for (NodeId s = 1; s <= 15; ++s) send_group(s, 50, {receiver}, body);
+  for (NodeId s : {15, 1}) send_group(s, 50, {receiver}, body);  // repeats
+  sim.run();
+  EXPECT_TRUE(delivered.empty()) << "a repeated vote counted twice";
+  send_group(16, 50, {receiver}, body);
   sim.run();
   EXPECT_EQ(delivered.size(), 1u);
 }
@@ -1123,10 +1174,13 @@ TEST(WalkUniformity, DenserGraphNeedsShorterWalks) {
 // Gossip policies
 // ---------------------------------------------------------------------------
 
-std::vector<NeighborRef> three_cycle_neighbors() {
-  return {
-      {100, 0, 0}, {101, 0, 1}, {102, 1, 0}, {103, 1, 1}, {104, 2, 0}, {105, 2, 1},
-  };
+NeighborRefs three_cycle_neighbors() {
+  NeighborRefs refs;
+  for (const NeighborRef& n : std::vector<NeighborRef>{
+           {100, 0, 0}, {101, 0, 1}, {102, 1, 0}, {103, 1, 1}, {104, 2, 0}, {105, 2, 1}}) {
+    refs.push_back(n);
+  }
+  return refs;
 }
 
 TEST(Gossip, FloodRelaysEverywhere) {
