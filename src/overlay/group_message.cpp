@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
 
 #include "obs/trace.h"
 #include "overlay/gossip.h"
@@ -73,6 +74,11 @@ GroupMessageReceiver::GroupMessageReceiver(net::Transport transport, MembersFn m
 }
 
 GroupMessageReceiver::~GroupMessageReceiver() { transport_.close(); }
+
+void GroupMessageReceiver::set_ttl(DurationMicros ttl) {
+  if (ttl <= 0) throw std::invalid_argument("GroupMessageReceiver: TTL must be positive");
+  ttl_ = ttl;
+}
 
 void GroupMessageReceiver::gc_expired(TimeMicros now) {
   while (!gc_queue_.empty() && gc_queue_.front().first <= now) {
@@ -165,17 +171,18 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
     return;
   }
   if (!live) {
-    if (pending == nullptr) {
-      // The table grows only here, so expired entries are swept only here.
-      gc_expired(now);
-      pending = &entries_[id];
-    }
     // A new entry, or an expired one starting afresh in place: even if it
     // never delivers (digest-only flood, content short of majority) it
     // expires one TTL after this frame.
+    if (pending == nullptr) pending = &entries_[id];
     pending->candidates.clear();
     pending->expires_at = now + ttl_;
     gc_queue_.emplace_back(pending->expires_at, id);
+    // Opening an entry is the only time the table grows, so expired
+    // entries are swept here and only here. The sweep leaves this entry,
+    // whose deadline is ahead, but may move it within the table.
+    gc_expired(now);
+    pending = &entries_[id];
   }
   std::vector<Candidate>& candidates = pending->candidates;
   auto c = std::lower_bound(candidates.begin(), candidates.end(), digest,

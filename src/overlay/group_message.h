@@ -122,7 +122,8 @@ class GroupMessageReceiver {
   // rotation; such a frame would otherwise re-deliver and re-gossip. It
   // holds plain 8-byte digest prefixes (no payloads), bounded by the
   // delivery rate over two rotation windows.
-  void set_ttl(DurationMicros ttl) { ttl_ = ttl; }
+  // `ttl` must be positive.
+  void set_ttl(DurationMicros ttl);
 
   // Records content the node delivered by another path (its own vgroup's
   // SMR decision) under `seq`, its digest prefix. Returns whether the
@@ -135,8 +136,8 @@ class GroupMessageReceiver {
   // are stored in.
   void reevaluate();
 
-  // Buffered undelivered ids, counting expired entries until the next new
-  // entry sweeps them.
+  // Buffered undelivered ids, counting expired entries until the next
+  // entry opened sweeps them.
   std::size_t pending_count() const { return entries_.size(); }
   // Delivered contents currently remembered by the rolling set (both
   // generations); tests pin its bound under sustained delivery.
@@ -205,12 +206,12 @@ class GroupMessageReceiver {
   // lookup treats those as absent.
   FlatMap<GroupMessageId, Pending> entries_;
   DurationMicros ttl_ = kGroupMessageTtl;
-  // One GC deadline per entry opened, in creation order. Swept when a new
-  // entry is created, the only time the table grows, O(1) amortized. An
-  // item can outlive its entry: the entry is erased when its majority
-  // completes, or starts afresh in place once expired. So an item erases
-  // its id's entry only if that entry's own deadline has passed, and
-  // never a newer entry for the same id.
+  // One GC deadline per entry opened, in opening order. Swept whenever an
+  // entry is opened, fresh or afresh, the only time the table grows; O(1)
+  // amortized. An item can outlive its entry: the entry is erased when
+  // its majority completes, or starts afresh in place once expired. So an
+  // item erases its id's entry only if that entry's own deadline has
+  // passed, and never a newer entry for the same id.
   std::deque<std::pair<TimeMicros, GroupMessageId>> gc_queue_;
   // The node's one record of delivered content (see set_ttl), keyed by
   // digest prefix and rotated every kDedupWindowTtls TTLs. Consulted for
