@@ -330,67 +330,80 @@ BENCHMARK(BM_GossipCoalescedSend)
     ->ArgNames({"frames", "dests"})
     ->ArgsProduct({{1, 8, 32}, {1, 40}});
 
-// Group-message acceptance: each member of a 10-member vgroup sends one
-// frame per id to every receiver over the simulated network, six the full
-// 128-byte payload and four its digest. Each receiver is a
-// GroupMessageReceiver on its own node, and each frame pays the sender
-// check and the majority lookup that AtumNode's receiver pays. A majority
-// is six, so every id delivers on its sixth frame and exactly four frames
-// per id arrive after acceptance; the delivered set drops those. With
+// Group-message acceptance: each member of one or more 10-member vgroups
+// sends one frame per id to every receiver over the simulated network, six
+// members of each vgroup the full 128-byte payload and four its digest.
+// Every vgroup sends the same content, one vgroup after another, as
+// neighbor vgroups relay one broadcast. Each receiver is a
+// GroupMessageReceiver on its own node that knows every sending vgroup. A
+// majority is six, so every id delivers on the first vgroup's sixth frame
+// and the rest carry delivered content, which the delivered set drops:
+// with one vgroup 4 of 10 frames per id, with four vgroups 34 of 40, near
+// the 78.7% of frames that carry delivered content on bcast_steady. With
 // one receiver its tables stay in the core's caches; with 1000 they do
 // not, which is the regime of a 1000-node system such as bcast_steady.
 // Wall-clock per frame, with about 40k frames per iteration at 1000
-// receivers (64 fresh ids at one); building the frames is not timed. The
-// 50 ms TTL expires entries and rotates the delivered sets as simulated
-// time passes.
+// receivers (64 fresh ids, or 16 with four vgroups, at one); building the
+// frames is not timed. The 50 ms TTL expires entries and rotates the
+// delivered sets as simulated time passes.
 static void BM_GroupMessageAccept(benchmark::State& state) {
   constexpr std::size_t kMembers = 10;
   constexpr std::size_t kFullSenders = kMembers / 2 + 1;
-  constexpr GroupId kGroup = 50;
+  constexpr GroupId kFirstGroup = 50;
   constexpr NodeId kFirstReceiver = 100;
   const auto receivers = static_cast<std::size_t>(state.range(0));
+  const auto vgroups = static_cast<std::size_t>(state.range(1));
   const std::size_t ids_per_iteration =
-      std::clamp<std::size_t>(40'000 / (kMembers * receivers), 1, 64);
+      std::clamp<std::size_t>(40'000 / (kMembers * vgroups * receivers), 1, 64 / vgroups);
   sim::Simulator sim;
   net::SimNetwork net(sim, net::NetworkConfig::datacenter(), 0x5417);
   std::uint64_t delivered = 0;
-  std::vector<NodeId> members(kMembers);
-  for (NodeId m = 0; m < kMembers; ++m) members[m] = m;
+  // Vgroup g's members are nodes g * kMembers .. g * kMembers + 9.
+  std::vector<std::vector<NodeId>> members(vgroups);
+  for (std::size_t g = 0; g < vgroups; ++g) {
+    for (NodeId m = 0; m < kMembers; ++m) members[g].push_back(g * kMembers + m);
+  }
   std::vector<std::unique_ptr<overlay::GroupMessageReceiver>> rx;
   for (std::size_t r = 0; r < receivers; ++r) {
     rx.push_back(std::make_unique<overlay::GroupMessageReceiver>(
         net::Transport(net, kFirstReceiver + r),
-        [&members](GroupId g) { return g == kGroup ? &members : nullptr; },
+        [&members](GroupId g) -> const std::vector<NodeId>* {
+          return g >= kFirstGroup && g - kFirstGroup < members.size() ? &members[g - kFirstGroup]
+                                                                      : nullptr;
+        },
         [&delivered](const overlay::GroupMessageId&, net::Payload) { ++delivered; }));
     rx.back()->set_ttl(millis(50));
   }
   const Bytes body(128, 0x5a);
   std::uint64_t seq = 0;
-  // One full and one digest frame per id; the members of each kind share it.
-  std::vector<std::pair<net::Payload, net::Payload>> frames(ids_per_iteration);
+  // One full and one digest frame per (id, vgroup); the members of each
+  // kind share it.
+  std::vector<std::pair<net::Payload, net::Payload>> frames(ids_per_iteration * vgroups);
   for (auto _ : state) {
     state.PauseTiming();
-    for (auto& [full, digest] : frames) {
+    for (std::size_t i = 0; i < ids_per_iteration; ++i) {
       Bytes b = body;
       std::memcpy(b.data(), &seq, sizeof seq);  // distinct content per id
       // The id's seq is the content's digest prefix, as every sender's is.
       const crypto::Digest d = crypto::sha256(b);
-      ByteWriter fw;
-      fw.u64(kGroup);
-      fw.u64(crypto::digest_prefix64(d));
-      fw.bytes(b);
-      full = net::Payload(fw.take());
-      ByteWriter dw;
-      dw.u64(kGroup);
-      dw.u64(crypto::digest_prefix64(d));
-      dw.raw(d.data(), d.size());
-      digest = net::Payload(dw.take());
+      for (std::size_t g = 0; g < vgroups; ++g) {
+        ByteWriter fw;
+        fw.u64(kFirstGroup + g);
+        fw.u64(crypto::digest_prefix64(d));
+        fw.bytes(b);
+        ByteWriter dw;
+        dw.u64(kFirstGroup + g);
+        dw.u64(crypto::digest_prefix64(d));
+        dw.raw(d.data(), d.size());
+        frames[i * vgroups + g] = {net::Payload(fw.take()), net::Payload(dw.take())};
+      }
       ++seq;
     }
     state.ResumeTiming();
-    for (const auto& [full, digest] : frames) {
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      const auto& [full, digest] = frames[f];
       for (NodeId m = 0; m < kMembers; ++m) {
-        net::Transport t(net, m);
+        net::Transport t(net, members[f % vgroups][m]);
         const bool is_full = m < kFullSenders;
         for (std::size_t r = 0; r < receivers; ++r) {
           t.send(kFirstReceiver + r,
@@ -403,9 +416,11 @@ static void BM_GroupMessageAccept(benchmark::State& state) {
   }
   if (delivered != seq * receivers) state.SkipWithError("an id did not deliver exactly once");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(ids_per_iteration * kMembers * receivers));
+                          static_cast<int64_t>(frames.size() * kMembers * receivers));
 }
-BENCHMARK(BM_GroupMessageAccept)->ArgName("receivers")->Arg(1)->Arg(1000);
+BENCHMARK(BM_GroupMessageAccept)
+    ->ArgNames({"receivers", "vgroups"})
+    ->ArgsProduct({{1, 1000}, {1, 4}});
 
 // Observability cells (ISSUE 9). The instrumentation contract is "near
 // zero when idle": a cached Counter* bump is one relaxed fetch_add, a
