@@ -522,7 +522,7 @@ void AtumNode::relay_gossip(const BroadcastId& id, const net::Payload& payload,
   // the same physical node) and multiple broadcasts decided in one tick
   // all coalesce per destination here. The coalescer makes room for the
   // whole fan-out at once.
-  std::array<const group::GroupView*, overlay::NeighborRefs::kCapacity> views;
+  std::array<const group::GroupView*, overlay::NeighborRefs::kCapacity> views{};
   std::size_t fanned = 0;
   for (std::size_t i = 0; i < relays.size(); ++i) {
     views[i] = vg_.find_group(relays[i].group);

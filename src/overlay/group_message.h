@@ -146,7 +146,8 @@ class GroupMessageReceiver {
  private:
   // A candidate's distinct vouching senders. The first kInline stay in
   // the candidate itself (vgroups of up to gmax = 14 in every preset), so
-  // a vote allocates nothing; a larger sending vgroup's spill to `more_`.
+  // a vote allocates nothing; a larger sending vgroup's other voters go
+  // to `more_`.
   class Voters {
    public:
     // Adds `n` unless it already voted.

@@ -40,9 +40,7 @@ namespace {
 // broadcast every 50 ms from rotating origins. Over a 4 s window after a
 // 2 s warm-up, heap allocations per (node, delivered broadcast), the
 // agreement and every frame included, must stay within budget: it
-// measures 5.591 (24.53 while relays built their neighbor vectors, the
-// coalescer's queue grew by doubling and each vote grew a vector), and the
-// budget sits just above.
+// measures 5.591, and the budget sits just above.
 TEST(BroadcastBudget, AllocationsPerDeliveryStayWithinBudget) {
   constexpr std::size_t kNodes = 100;
   constexpr DurationMicros kGap = millis(50);

@@ -2,7 +2,8 @@
 //
 // Counts every malloc, calloc, realloc, aligned_alloc, memalign and
 // posix_memalign call, and records the call stack (glibc's backtrace())
-// of one call in HOSTPROF_ALLOC_PERIOD (61 when unset). At exit it writes
+// of one call in kPeriod (61, prime, so that no loop of the program
+// beats with it). At exit it writes
 // the counts, the sampled stacks and the process's memory map to
 // HOSTPROF_OUT.<pid>.allocs (HOSTPROF_OUT defaults to "hostprof"), which
 // tools/hostprof/report.py symbolizes. Build and run:
@@ -25,7 +26,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-enum { kDepth = 24, kMaxSamples = 1 << 20 };
+enum { kDepth = 24, kMaxSamples = 1 << 20, kPeriod = 61 };
 
 typedef struct {
   uint32_t depth;
@@ -39,8 +40,7 @@ static void* (*real_memalign)(size_t, size_t);
 static void (*real_free)(void*);
 
 static uint64_t calls;
-static uint64_t period = 61;
-static uint64_t countdown = 61;
+static uint64_t countdown = kPeriod;
 static Sample* samples;  // mmap'd: never from the heap it watches
 static uint64_t sample_count;
 static int in_hook;       // a sample's own backtrace() must not recurse
@@ -75,7 +75,7 @@ static int from_bootstrap(const void* p) {
 __attribute__((noinline)) static void count(void) {
   ++calls;
   if (in_hook || --countdown != 0) return;
-  countdown = period;
+  countdown = kPeriod;
   if (samples == NULL || sample_count == kMaxSamples) return;
   in_hook = 1;
   Sample* s = &samples[sample_count++];
@@ -131,9 +131,6 @@ void free(void* p) {
 
 __attribute__((constructor)) static void start(void) {
   resolve();
-  const char* env = getenv("HOSTPROF_ALLOC_PERIOD");
-  if (env != NULL && atoll(env) > 0) period = (uint64_t)atoll(env);
-  countdown = period;
   void* warm[2];
   in_hook = 1;
   backtrace(warm, 2);  // loads libgcc_s now, not inside a sample
@@ -160,7 +157,7 @@ __attribute__((destructor)) static void finish(void) {
   FILE* out = fopen(path, "w");
   if (out == NULL) return;
   fprintf(out, "kind allocs\ncalls %llu\nperiod %llu\nsamples %llu\nmaps\n",
-          (unsigned long long)calls, (unsigned long long)period,
+          (unsigned long long)calls, (unsigned long long)kPeriod,
           (unsigned long long)sample_count);
   copy_maps(out);
   fprintf(out, "stacks\n");
