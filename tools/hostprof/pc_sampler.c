@@ -13,9 +13,9 @@
 //
 // The timer counts wall time: a process that is not running gets its
 // signal when it runs again, and the kernel folds the expiries it missed
-// into that one. gprof's line mode fails on this repository's binaries,
-// and perf and valgrind are not installed where it was written.
-// Single-threaded programs only.
+// into that one. It serves hosts without perf or valgrind, and gprof's
+// line mode fails on this repository's binaries. Single-threaded
+// programs only.
 #define _GNU_SOURCE
 #include <fcntl.h>
 #include <pthread.h>
