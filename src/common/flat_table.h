@@ -85,6 +85,7 @@ class FlatTable {
   }
 
   std::size_t size() const { return size_; }
+  std::size_t capacity() const { return capacity_; }  // 0 before the first insert
   bool contains(const Key& key) const { return index_of(key) != kNone; }
 
   // Map form: the value for `key`, or null.
@@ -131,6 +132,19 @@ class FlatTable {
       while (!is_empty(i) && pred(std::as_const(slots_[i]))) erase_at(i);
     }
     return before - size_;
+  }
+
+  // Makes room to insert one absent key without growing, if stale entries
+  // allow: only when that insert would grow the table, erases every entry
+  // for which stale(entry) holds, then doubles only if more than half the
+  // table stays taken. The next scan is then at least capacity / 4 inserts
+  // away, so this is O(1) amortized per insert, and the capacity stays
+  // under four times the peak count of entries that are not stale.
+  template <typename Pred>
+  void make_room(Pred stale) {
+    if (!insert_grows()) return;
+    erase_if(stale);
+    if (capacity_ == 0 || stored() * 2 > capacity_) grow();
   }
 
   // Empties the table and keeps its capacity.
@@ -197,6 +211,10 @@ class FlatTable {
   bool is_empty(std::size_t i) const { return is_empty_key(key_of(slots_[i])); }
   bool occupied(std::size_t i) const { return i < capacity_ ? !is_empty(i) : has_empty_key_; }
   std::size_t end_index() const { return capacity_ == 0 ? 0 : capacity_ + 1; }
+  // Entries in the slot array (all but Key{}), and whether one more would
+  // pass 3/4 load.
+  std::size_t stored() const { return size_ - (has_empty_key_ ? 1 : 0); }
+  bool insert_grows() const { return (stored() + 1) * 4 > capacity_ * 3; }
   std::size_t home(const Key& key) const {
     return static_cast<std::size_t>(hash_(key)) & (capacity_ - 1);
   }
@@ -234,8 +252,7 @@ class FlatTable {
     for (; !is_empty(i); i = (i + 1) & mask) {
       if (key_of(slots_[i]) == key) return {i, false};
     }
-    const std::size_t stored = size_ - (has_empty_key_ ? 1 : 0);
-    if ((stored + 1) * 4 > capacity_ * 3) {
+    if (insert_grows()) {
       grow();
       i = free_index(key);
     }

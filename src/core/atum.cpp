@@ -391,6 +391,8 @@ void AtumNode::on_config_change(std::uint64_t, const smr::GroupConfig& config) {
       ++it;
     }
   }
+  // lint: unordered-iter-ok(erase predicate is per-entry, order-free)
+  last_seen_.erase_if([this](const auto& entry) { return !vg_.has_member(entry.first); });
   for (NodeId n : vg_.members()) {
     if (!last_seen_.contains(n)) last_seen_[n] = sys_.simulator().now();
   }
@@ -638,7 +640,8 @@ void AtumNode::on_direct(const net::Message& msg) {
   try {
     switch (msg.type) {
       case net::MsgType::kHeartbeat: {
-        last_seen_[msg.from] = sys_.simulator().now();
+        // Only members are watched (heartbeat_tick), so only they are kept.
+        if (TimeMicros* seen = last_seen_.find(msg.from)) *seen = sys_.simulator().now();
         break;
       }
       case net::MsgType::kJoinRequest: {

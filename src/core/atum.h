@@ -176,6 +176,8 @@ class AtumNode {
   // Send-coalescing stats (benchmarks: how many per-message fixed costs
   // the envelope path saved at this node).
   const overlay::SendCoalescer& coalescer() const { return coalescer_; }
+  // Peers with a heartbeat time: the vgroup's members once started.
+  std::size_t heartbeat_peer_count() const { return last_seen_.size(); }
 
   // Used by AtumSystem::deploy and by a vgroup admitting this node.
   void start_with_state(group::VGroupState state);
@@ -264,8 +266,8 @@ class AtumNode {
 
   // Walk nonces already launched (dedup across members' duplicate ops).
   std::set<std::uint64_t> walks_started_;
-  // Heartbeat bookkeeping: when each peer was last heard from. Written
-  // once per heartbeat and never iterated.
+  // Heartbeat bookkeeping: when each member, and no one else, was last
+  // heard from. Iterated only to erase departed members.
   FlatMap<NodeId, TimeMicros> last_seen_;
   // suspect -> accusers whose SuspectOp was decided.
   std::map<NodeId, std::set<NodeId>> accusations_;

@@ -78,6 +78,8 @@ void SimNetwork::bind_metrics(obs::Registry& registry) {
 
 SimNetwork::Node& SimNetwork::record(NodeId node) {
   if (Node* n = nodes_.find(node)) return *n;
+  // lint: unordered-iter-ok(erase predicate is per-entry, order-free)
+  nodes_.make_room([now = sim_.now()](const auto& kv) { return kv.second.idle(now); });
   Node& n = nodes_[node];
   if (!config_.region_latency.empty()) {
     n.region = static_cast<std::uint32_t>(node % config_.region_latency.size());
@@ -105,7 +107,7 @@ void SimNetwork::attach(NodeId node, MsgType type, MessageHandler handler) {
 }
 
 // Detaching leaves the record in place: it may still hold a horizon, a cut
-// or a fault. The sweep erases it once it is idle.
+// or a fault. Once idle, it goes when the table next makes room.
 void SimNetwork::detach(NodeId node, MsgType type) {
   Node* n = nodes_.find(node);
   if (n == nullptr) return;
@@ -168,13 +170,8 @@ void SimNetwork::clear_node_faults() {
 }
 
 std::size_t SimNetwork::sweep_flows() {
-  const TimeMicros now = sim_.now();
-  auto idle = [now](const auto& kv) { return kv.second.idle(now); };
   // lint: unordered-iter-ok(erase predicate is per-entry, order-free)
-  std::size_t evicted = nodes_.erase_if(idle);
-  sends_since_flow_prune_ = 0;
-  flow_sweep_allowance_ = nodes_.size() + kMinFlowSweep;
-  return evicted;
+  return nodes_.erase_if([now = sim_.now()](const auto& kv) { return kv.second.idle(now); });
 }
 
 std::size_t SimNetwork::flow_count() const {
@@ -200,21 +197,9 @@ void SimNetwork::block_link(NodeId a, NodeId b, bool blocked) {
   }
 }
 
-void SimNetwork::maybe_prune_flows() {
-  // An idle record is indistinguishable from a fresh one (see Node::idle),
-  // so sweeping is exact: nodes_ stays proportional to the live nodes
-  // instead of growing by one record per node ever seen (unbounded under
-  // million-node churn). The allowance is snapshotted at sweep time
-  // (not compared against the live size, which can grow one-per-send and
-  // outrun any counter), making the sweep O(1) amortized per message.
-  if (++sends_since_flow_prune_ < flow_sweep_allowance_) return;
-  sweep_flows();
-}
-
 void SimNetwork::send(Message msg) {
   ++stats_.messages_sent;
   stats_.bytes_sent += msg.wire_size();
-  maybe_prune_flows();
 
   Node* to = nodes_.find(msg.to);
   Node* from = nodes_.find(msg.from);
@@ -245,8 +230,8 @@ void SimNetwork::send(Message msg) {
   const TimeMicros now = sim_.now();
 
   if (from == nullptr) {
-    // Creating the sender's record can grow the table, which moves every
-    // record: find the receiver's again.
+    // Making the sender's record can erase idle records or grow the table,
+    // which moves records: find the receiver's (not idle) again.
     from = &record(msg.from);
     to = nodes_.find(msg.to);
   }
@@ -276,8 +261,8 @@ void SimNetwork::send(Message msg) {
       return;
     }
     ++stats_.messages_delivered;
-    // The handler may attach nodes and grow the table, which moves `to`;
-    // nothing here touches the record after the call.
+    // The handler may make records, which can move `to`; nothing here
+    // touches the record after the call.
     (*handler)(m);
   });
 }

@@ -121,14 +121,13 @@ class SimNetwork {
   void set_node_fault(NodeId node, LinkFault fault);
   void clear_node_faults();
 
-  // Erases every idle node record now (see Node::idle) and returns how many
-  // it erased. send() runs the same sweep, amortized, so the table stays
-  // proportional to the nodes that hold a handler, a cut, a fault or
-  // traffic in flight, not to every node ever seen.
+  // Erases every idle node record now (see Node::idle) and returns how
+  // many. On demand only: record() erases them whenever the table would
+  // grow, so the table stays proportional to the nodes that hold a handler,
+  // a cut, a fault or traffic in flight, not to every node ever seen.
   std::size_t sweep_flows();
 
   const NetworkStats& stats() const { return stats_; }
-  const NetworkConfig& config() const { return config_; }
   sim::Simulator& simulator() { return sim_; }
 
   // Registers the network's counters on `registry` as polled probes
@@ -142,6 +141,8 @@ class SimNetwork {
   // traffic in flight or queued. Counted over the node table, so it does
   // not depend on when the last sweep ran.
   std::size_t flow_count() const;
+  // Node records held, idle ones not yet erased included.
+  std::size_t record_count() const { return nodes_.size(); }
 
  private:
   // Everything the network keeps about one node. A node without a record
@@ -181,13 +182,13 @@ class SimNetwork {
   };
 
   // The record of `node`, made if absent. Every record is made here, which
-  // sets its region once (node % regions), so no message divides.
+  // sets its region once (node % regions), so no message divides. It may
+  // erase idle records first (FlatTable::make_room): others move or go.
   Node& record(NodeId node);
   // Whether a message may pass from m.from (record `from`, possibly null)
   // to m.to (record `to`): neither isolated, equal tags, link not blocked.
   bool link_ok(const Message& m, const Node* from, const Node& to) const;
   DurationMicros latency_between(const Node& from, const Node& to);
-  void maybe_prune_flows();
 
   sim::Simulator& sim_;
   NetworkConfig config_;
@@ -202,11 +203,7 @@ class SimNetwork {
     }
   };
 
-  static constexpr std::size_t kMinFlowSweep = 256;
-
   FlatMap<NodeId, Node> nodes_;
-  std::uint64_t sends_since_flow_prune_ = 0;
-  std::size_t flow_sweep_allowance_ = kMinFlowSweep;
   std::unordered_set<LinkKey, LinkKeyHash> blocked_links_;
   NetworkStats stats_;
 };
@@ -229,7 +226,7 @@ class Transport {
   Transport& operator=(Transport&&) = default;
 
   NodeId self() const { return self_; }
-  sim::Simulator& simulator() { return net_->simulator(); }
+  sim::Simulator& simulator() const { return net_->simulator(); }
 
   // Accepts Bytes (frozen into a Payload here) or an existing Payload.
   // Fan-out loops should freeze once and pass the Payload so all

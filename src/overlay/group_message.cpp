@@ -80,17 +80,6 @@ void GroupMessageReceiver::set_ttl(DurationMicros ttl) {
   ttl_ = ttl;
 }
 
-void GroupMessageReceiver::gc_expired(TimeMicros now) {
-  while (!gc_queue_.empty() && gc_queue_.front().first <= now) {
-    const GroupMessageId& id = gc_queue_.front().second;
-    // The id may hold a newer entry than the one this item was queued
-    // for: an expired entry starts afresh in place (on_frame).
-    const Pending* pending = entries_.find(id);
-    if (pending != nullptr && pending->expires_at <= now) entries_.erase(id);
-    gc_queue_.pop_front();
-  }
-}
-
 bool GroupMessageReceiver::walk_envelope(const net::Message& envelope, bool deliver) {
   try {
     ByteReader r(envelope.payload);
@@ -115,8 +104,6 @@ bool GroupMessageReceiver::walk_envelope(const net::Message& envelope, bool deli
 }
 
 void GroupMessageReceiver::on_message(const net::Message& msg) {
-  delivered_.rotate(transport_.simulator().now(), kDedupWindowTtls * ttl_);
-
   if (msg.type == net::MsgType::kGroupMsgEnvelope) {
     // Coalesced envelope: validate all of it before processing any inner
     // frame — a malformed tail means the sender is faulty and the whole
@@ -171,18 +158,19 @@ void GroupMessageReceiver::on_frame(NodeId from, bool is_full, const net::Payloa
     return;
   }
   if (!live) {
+    // The table grows only here, so expired entries are swept only here,
+    // at most once per half TTL (see set_ttl), this id's own included.
+    if (now - swept_at_ >= ttl_ / 2) {
+      // lint: unordered-iter-ok(erase predicate is per-entry, order-free)
+      entries_.erase_if([now](const auto& entry) { return entry.second.expires_at <= now; });
+      swept_at_ = now;
+    }
     // A new entry, or an expired one starting afresh in place: even if it
     // never delivers (digest-only flood, content short of majority) it
     // expires one TTL after this frame.
-    if (pending == nullptr) pending = &entries_[id];
+    pending = &entries_[id];
     pending->candidates.clear();
     pending->expires_at = now + ttl_;
-    gc_queue_.emplace_back(pending->expires_at, id);
-    // Opening an entry is the only time the table grows, so expired
-    // entries are swept here and only here. The sweep leaves this entry,
-    // whose deadline is ahead, but may move it within the table.
-    gc_expired(now);
-    pending = &entries_[id];
   }
   std::vector<Candidate>& candidates = pending->candidates;
   auto c = std::lower_bound(candidates.begin(), candidates.end(), digest,
@@ -203,7 +191,7 @@ void GroupMessageReceiver::try_deliver(GroupMessageId id, Pending& pending, std:
     net::Payload payload = std::move(*c.payload);
     entries_.erase(id);  // `pending` and `c` dangle from here on
     // Content another path delivered first completes without delivering.
-    if (!delivered_.insert(id.seq)) return;
+    if (!remember_delivered(id.seq)) return;
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->record(transport_.simulator().now(), transport_.self(), obs::TracePoint::kVouch,
                       id.seq, voters, id.from_group);
@@ -213,7 +201,9 @@ void GroupMessageReceiver::try_deliver(GroupMessageId id, Pending& pending, std:
   }
 }
 
-bool GroupMessageReceiver::note_delivered(std::uint64_t seq) {
+bool GroupMessageReceiver::note_delivered(std::uint64_t seq) { return remember_delivered(seq); }
+
+bool GroupMessageReceiver::remember_delivered(std::uint64_t seq) {
   delivered_.rotate(transport_.simulator().now(), kDedupWindowTtls * ttl_);
   return delivered_.insert(seq);
 }

@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -114,14 +113,17 @@ class GroupMessageReceiver {
   // counts after it.
   // Undelivered buffering (digest-only floods from a Byzantine member,
   // below-majority content) must expire: without an expiry one faulty node
-  // minting fresh ids grows the table without bound.
+  // minting fresh ids grows the table without bound. Opening an entry
+  // sweeps the expired ones once half a TTL has passed since the last
+  // sweep, so the table holds at most the entries opened within 1.5 TTLs
+  // and each entry is scanned at most three times, O(1) amortized.
   // A completed id keeps no entry. The rolling delivered set (two
-  // generations rotated every kDedupWindowTtls TTLs) is the node's one
-  // record of delivered content, keyed by seq alone: it drops every later
-  // frame carrying that content, from any vgroup, for at least one
-  // rotation; such a frame would otherwise re-deliver and re-gossip. It
-  // holds plain 8-byte digest prefixes (no payloads), bounded by the
-  // delivery rate over two rotation windows.
+  // generations, rotated at an insert every kDedupWindowTtls TTLs or
+  // later) is the node's one record of delivered content, keyed by seq
+  // alone: it drops every later frame carrying that content, from any
+  // vgroup, for at least one rotation; such a frame would otherwise
+  // re-deliver and re-gossip. It holds 8-byte digest prefixes, two
+  // rotations' worth at most.
   // `ttl` must be positive.
   void set_ttl(DurationMicros ttl);
 
@@ -136,8 +138,8 @@ class GroupMessageReceiver {
   // are stored in.
   void reevaluate();
 
-  // Buffered undelivered ids, counting expired entries until the next
-  // entry opened sweeps them.
+  // Buffered undelivered ids, counting expired entries until a sweep (see
+  // set_ttl) erases them.
   std::size_t pending_count() const { return entries_.size(); }
   // Delivered contents currently remembered by the rolling set (both
   // generations); tests pin its bound under sustained delivery.
@@ -194,29 +196,25 @@ class GroupMessageReceiver {
   // full copy: erases `id`'s entry, then delivers if the content is new.
   // `id` is a copy: the entry goes.
   void try_deliver(GroupMessageId id, Pending& pending, std::size_t majority);
-  // Erases the entries whose GC items are due and which have expired.
-  void gc_expired(TimeMicros now);
+  // Rotates the delivered set, where it grows, then inserts `seq`; returns
+  // whether the content was new.
+  bool remember_delivered(std::uint64_t seq);
 
   net::Transport transport_;
   MembersFn members_;
   DeliverFn deliver_;
   obs::Tracer* tracer_ = nullptr;
   // Undelivered ids. Hashed: every arriving frame looks its id up here
-  // first. Only reevaluate() iterates it, and it sorts the ids before
-  // delivering any. It may hold expired entries not yet swept; every
-  // lookup treats those as absent.
+  // first. Only reevaluate() and the sweep iterate it; reevaluate() sorts
+  // the ids before delivering any. It may hold expired entries not yet
+  // swept; every lookup treats those as absent.
   FlatMap<GroupMessageId, Pending> entries_;
   DurationMicros ttl_ = kGroupMessageTtl;
-  // One GC deadline per entry opened, in opening order. Swept whenever an
-  // entry is opened, fresh or afresh, the only time the table grows; O(1)
-  // amortized. An item can outlive its entry: the entry is erased when
-  // its majority completes, or starts afresh in place once expired. So an
-  // item erases its id's entry only if that entry's own deadline has
-  // passed, and never a newer entry for the same id.
-  std::deque<std::pair<TimeMicros, GroupMessageId>> gc_queue_;
+  // When opening an entry last swept the expired ones (see set_ttl).
+  TimeMicros swept_at_ = 0;
   // The node's one record of delivered content (see set_ttl), keyed by
-  // digest prefix and rotated every kDedupWindowTtls TTLs. Consulted for
-  // ids without an entry and when an entry completes.
+  // digest prefix; only remember_delivered inserts or rotates it.
+  // Consulted for ids without an entry and when an entry completes.
   TwoGenerationSet<std::uint64_t> delivered_;
 };
 

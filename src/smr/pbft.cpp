@@ -88,10 +88,7 @@ void PbftSmr::trace(obs::TracePoint point, std::uint64_t key, std::uint64_t a,
                     std::uint64_t b) const {
   obs::Tracer* t = options_.tracer;
   if (t == nullptr || !t->enabled()) return;
-  // Transport::simulator() is non-const; a Transport copy carries only the
-  // network pointer and node id, so copying here is free of registrations.
-  net::Transport tp = transport_;
-  t->record(tp.simulator().now(), transport_.self(), point, key, a, b);
+  t->record(transport_.simulator().now(), transport_.self(), point, key, a, b);
 }
 
 bool PbftSmr::faulty_now() const {
@@ -1137,7 +1134,7 @@ void PbftSmr::abandon_view_change() {
 }
 
 void PbftSmr::replay_future_view_msgs() {
-  std::deque<net::Message> replay;
+  std::vector<net::Message> replay;
   replay.swap(future_view_msgs_);
   for (const net::Message& m : replay) {
     // Higher-view messages re-buffer themselves inside the handlers.

@@ -489,7 +489,9 @@ class PbftSmr final : public SmrEngine {
   // seqs are touched and truncated from the front. base_ is the truncation
   // point: it equals stable_seq_ except while an execute/adopt frame is live
   // (trim_history defers), so records never move under a decide callback.
-  // Executed records fill exactly (base_, next_exec_].
+  // Executed records fill exactly (base_, next_exec_]. A deque, so that a
+  // decide callback can grow the log without moving its own slot; its
+  // first block is allocated when the engine is built.
   std::deque<Slot> slots_;
   std::uint64_t base_ = 0;
   // Carried NEW-VIEW seqs sit relative to a stable point the new primary
@@ -511,8 +513,9 @@ class PbftSmr final : public SmrEngine {
   std::map<RequestId, net::Message> stashed_pre_prepares_;
   // Protocol messages for views we have not entered yet: replicas enter a
   // new view at different instants, and prepares sent by early entrants
-  // must not be lost for late ones. Replayed by enter_view.
-  std::deque<net::Message> future_view_msgs_;
+  // must not be lost for late ones. Replayed by enter_view, swapped out
+  // whole; empty, it holds no allocation.
+  std::vector<net::Message> future_view_msgs_;
   static constexpr std::size_t kFutureBufferCap = 4096;
   // CHECKPOINT votes per boundary above the stable checkpoint, in the
   // window and above it (a laggard's evidence that the group moved on);

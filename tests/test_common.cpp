@@ -525,6 +525,86 @@ TEST(FlatTable, MatchesAReferenceModel) {
 }
 
 // ---------------------------------------------------------------------------
+// FlatTable::make_room
+// ---------------------------------------------------------------------------
+
+// A map from key to "stale", filled with keys 1..6: 8 slots hold 6 entries
+// at 3/4 load, so a seventh insert would grow the table.
+FlatMap<std::uint64_t, bool> full_table_of_eight(std::size_t stale) {
+  FlatMap<std::uint64_t, bool> map;
+  for (std::uint64_t k = 1; k <= 6; ++k) map[k] = k <= stale;
+  return map;
+}
+
+bool is_stale(const std::pair<std::uint64_t, bool>& entry) { return entry.second; }
+
+TEST(FlatTableMakeRoom, ScansOnlyWhenTheNextInsertWouldGrow) {
+  FlatMap<std::uint64_t, bool> map;
+  for (std::uint64_t k = 1; k <= 5; ++k) map[k] = true;
+  ASSERT_EQ(map.capacity(), 8u);
+  map.make_room(is_stale);  // a sixth entry fits
+  EXPECT_EQ(map.size(), 5u);
+  EXPECT_EQ(map.capacity(), 8u);
+}
+
+TEST(FlatTableMakeRoom, ErasesOnlyStaleEntriesAndKeepsTheCapacityAtHalfOrLess) {
+  for (std::size_t stale : {2u, 4u, 6u}) {  // 4, 2 and 0 entries stay
+    FlatMap<std::uint64_t, bool> map = full_table_of_eight(stale);
+    ASSERT_EQ(map.capacity(), 8u);
+    map.make_room(is_stale);
+    EXPECT_EQ(map.capacity(), 8u) << stale << " stale";
+    EXPECT_EQ(map.size(), 6 - stale);
+    for (std::uint64_t k = 1; k <= 6; ++k) {
+      const bool* value = map.find(k);
+      if (k <= stale) {
+        EXPECT_EQ(value, nullptr) << "stale key " << k << " stayed";
+      } else {
+        ASSERT_NE(value, nullptr) << "live key " << k << " went";
+        EXPECT_FALSE(*value);
+      }
+    }
+    map[100] = false;  // the insert it made room for
+    EXPECT_EQ(map.capacity(), 8u);
+  }
+}
+
+TEST(FlatTableMakeRoom, DoublesWhenMoreThanHalfStaysTaken) {
+  for (std::size_t stale : {0u, 1u}) {  // 6 and 5 of 8 slots stay taken
+    FlatMap<std::uint64_t, bool> map = full_table_of_eight(stale);
+    map.make_room(is_stale);
+    EXPECT_EQ(map.capacity(), 16u) << stale << " stale";
+    EXPECT_EQ(map.size(), 6 - stale);
+    for (std::uint64_t k = stale + 1; k <= 6; ++k) EXPECT_TRUE(map.contains(k));
+    map[100] = false;
+    EXPECT_EQ(map.capacity(), 16u);
+  }
+}
+
+// Each key stays live for the next kWindow inserts, then goes stale. With
+// make_room before every insert, the scans cost O(1) predicate calls per
+// insert (at most 3: a scan of 3/4 of the slots comes at least 1/4 of the
+// slots' inserts after the last), and the capacity stays under four times
+// the live count.
+TEST(FlatTableMakeRoom, AmortizedScansAndBoundedCapacityUnderSlidingChurn) {
+  constexpr std::uint64_t kWindow = 100, kInserts = 20'000;
+  FlatMap<std::uint64_t, std::uint64_t> map;  // key -> the insert it came in
+  std::uint64_t now = 0;
+  std::size_t calls = 0;
+  auto stale = [&](const auto& entry) {
+    ++calls;
+    return now - entry.second > kWindow;
+  };
+  for (now = 1; now <= kInserts; ++now) {
+    map.make_room(stale);
+    const std::size_t capacity = map.capacity();
+    map[now] = now;
+    ASSERT_EQ(map.capacity(), capacity) << "the insert after make_room grew the table";
+  }
+  EXPECT_LE(calls, 3 * kInserts);
+  EXPECT_LT(map.capacity(), 4 * (kWindow + 1));
+}
+
+// ---------------------------------------------------------------------------
 // Types
 // ---------------------------------------------------------------------------
 

@@ -383,6 +383,29 @@ TEST_F(CoreFixture, UnresponsiveNodeIsEvicted) {
   }
 }
 
+// A node keeps a heartbeat time for its vgroup's members and no one else:
+// an outsider's heartbeats add no entry, and a member that leaves loses
+// its entry at the config change that removes it.
+TEST_F(CoreFixture, HeartbeatTableHoldsOnlyMembers) {
+  deploy(12);
+  auto groups = sys->group_map();
+  ASSERT_GE(groups.size(), 2u);
+  const std::vector<NodeId> members = groups.begin()->second;
+  const NodeId watcher = members.back(), leaver = members.front();
+  AtumNode& w = sys->node(watcher);
+  ASSERT_EQ(w.heartbeat_peer_count(), members.size());
+  // A member of another vgroup, and a node the system has never seen.
+  for (NodeId outsider : {std::next(groups.begin())->second.front(), NodeId{999}}) {
+    net::Transport(sys->network(), outsider).send(watcher, net::MsgType::kHeartbeat, {});
+  }
+  run_for(seconds(1));
+  EXPECT_EQ(w.heartbeat_peer_count(), members.size()) << "an outsider's heartbeat was kept";
+  sys->node(leaver).leave();
+  run_for(seconds(30));
+  ASSERT_FALSE(w.vgroup().has_member(leaver));
+  EXPECT_EQ(w.heartbeat_peer_count(), members.size() - 1) << "a departed member was kept";
+}
+
 TEST_F(CoreFixture, ByzantineEvictorCannotRemoveCorrectNodes) {
   // §6.1.3: Byzantine nodes propose evicting all correct peers; the f+1
   // accusation quorum makes this harmless.

@@ -510,7 +510,8 @@ TEST_F(NetFixture, SweepKeepsRecordsThatHoldOnlyACutOrAFault) {
   net->isolate(10, true);
   net->partition({{11}});
   net->set_node_fault(12, LinkFault{1.0, 0});
-  // Transient senders run several amortized sweeps; then an exact one.
+  // Transient senders fill the table, which makes room several times; then
+  // an exact sweep.
   for (NodeId s = 1000; s < 3000; ++s) net->send(Message{s, 1, MsgType::kAppData, {}});
   sim.run();
   net->sweep_flows();
@@ -540,9 +541,57 @@ TEST_F(NetFixture, IdleFlowEntriesAreSwept) {
   }
   sim.run();
   EXPECT_EQ(got, 50000u);
-  // Sweeps are amortized (one per table-size sends), so the table holds
-  // at most the nodes active since the last sweep — not all 50k ever seen.
+  // The table erases idle records whenever it would grow, so it holds at
+  // most the nodes active since it last made room — not all 50k ever seen.
   EXPECT_LT(net->sweep_flows(), 4096u);
+}
+
+// A record leaves only when making a new one would grow the table: then
+// every idle record goes, a detached node's among them. A record holding a
+// handler, a cut, a fault or a future horizon stays however often the
+// table makes room, and keeps what it holds.
+TEST_F(NetFixture, IdleRecordsLeaveWhenTheTableNextNeedsRoom) {
+  cfg.jitter_mean = 0;
+  auto net = make(cfg);
+  net->attach(1, MsgType::kAppData, [](const Message&) {});
+  net->attach(2, MsgType::kAppData, [](const Message&) {});
+  net->detach(2, MsgType::kAppData);  // idle from here on
+  net->isolate(3, true);
+  net->partition({{4}});
+  net->set_node_fault(5, LinkFault{1.0, 0});
+  // Node 6's egress is busy for the first 80 ms: the clock stays at 0
+  // until the end.
+  net->send(Message{6, 1, MsgType::kAppData, Bytes(1'000'000, 1)});
+  // Six records fill 8 slots to 3/4: the next record makes room.
+  ASSERT_EQ(net->record_count(), 6u);
+  NodeId next = 1000;
+  auto idle_record = [&] {  // a record made, then left idle
+    net->isolate(next, true);
+    net->isolate(next, false);
+    ++next;
+  };
+  idle_record();
+  EXPECT_EQ(net->record_count(), 6u) << "the detached node's record stayed";
+  // Many more idle records: the table keeps making room in 16 slots (under
+  // 4 times the 5 records that are not idle), at most 12 of them taken.
+  for (int i = 0; i < 500; ++i) {
+    idle_record();
+    ASSERT_LE(net->record_count(), 12u);
+  }
+  EXPECT_EQ(net->flow_count(), 2u);  // 6 and 1: nothing ran yet
+
+  std::vector<TimeMicros> at;
+  std::uint64_t got = 0;
+  for (NodeId n : {3, 4, 5}) net->attach(n, MsgType::kAppData, [&](const Message&) { ++got; });
+  net->attach(7, MsgType::kAppData, [&](const Message&) { at.push_back(sim.now()); });
+  for (NodeId n : {3, 4, 5}) net->send(Message{1, n, MsgType::kAppData, {}});
+  net->send(Message{6, 7, MsgType::kAppData, {}});  // departs after the first send
+  sim.run();
+  EXPECT_EQ(got, 0u);
+  EXPECT_EQ(net->stats().messages_blocked, 2u);  // isolated 3, partitioned 4
+  EXPECT_EQ(net->stats().messages_dropped, 1u);  // total loss on 5
+  ASSERT_EQ(at.size(), 1u);
+  EXPECT_GE(at[0], millis(80)) << "node 6's egress horizon was forgotten";
 }
 
 TEST_F(NetFixture, ActiveFlowsSurviveTheSweep) {
@@ -554,9 +603,9 @@ TEST_F(NetFixture, ActiveFlowsSurviveTheSweep) {
     ++got;
   });
   // 2000 distinct one-shot senders saturate node 2's ingress in one burst;
-  // with a 256-send sweep allowance, several sweeps run mid-burst. If a
-  // sweep wrongly evicted node 2's ACTIVE flow, its ingress horizon would
-  // reset and deliveries would compress below the serialized lower bound.
+  // the table makes room several times mid-burst. If a sweep wrongly
+  // evicted node 2's ACTIVE flow, its ingress horizon would reset and
+  // deliveries would compress below the serialized lower bound.
   constexpr std::size_t kSenders = 2000;
   for (NodeId s = 100; s < 100 + kSenders; ++s) {
     net->send(Message{s, 2, MsgType::kAppData, Bytes(4096, 1)});

@@ -869,30 +869,70 @@ TEST_F(GmFixture, AVoteCastBeforeTheTtlDoesNotCountAfterIt) {
   EXPECT_EQ(delivered.size(), 1u);
 }
 
-// An id whose entry expired opens a fresh entry on its next frame. The GC
-// item queued for the expired entry must not erase the fresh one when a
-// later sweep reaches it.
+// An id whose entry expired opens a fresh entry on its next frame. A sweep
+// of expired entries must not erase the fresh one.
 TEST_F(GmFixture, AStaleGcItemDoesNotEraseANewerEntryForTheSameId) {
   make_receiver();  // a majority is 3
   rx->set_ttl(seconds(1.0));
   const Bytes content{0x5e};
   const net::Payload body(content);
-  send_group(1, 50, {receiver}, body);  // its GC item is due after 1 s
+  send_group(1, 50, {receiver}, body);  // its entry expires after 1 s
   sim.run();
   sim.run_until(sim.now() + seconds(2.0));
   // Past the TTL: member 2's frame opens a fresh entry for the same id.
   send_group(2, 50, {receiver}, body);
   sim.run();
-  // A new id opens an entry too, and the sweep that comes with it reaches
-  // the first entry's GC item.
+  // A new id opens an entry too, with or without a sweep.
   send_group(1, 50, {receiver}, net::Payload(Bytes{0x5f}));
   sim.run();
   // Within the fresh entry's TTL, two more members complete its majority.
   send_group(3, 50, {receiver}, body);
   send_group(4, 50, {receiver}, body);
   sim.run();
-  ASSERT_EQ(delivered.size(), 1u) << "the expired entry's GC item erased the fresh entry";
+  ASSERT_EQ(delivered.size(), 1u) << "a sweep erased the fresh entry";
   EXPECT_EQ(delivered[0].first, content_id(50, content));
+}
+
+// Opening an entry sweeps the expired ones only once half a TTL has passed
+// since the last sweep. Each entry here is one member's full copy, short
+// of a majority, so only expiry or a sweep ends it.
+TEST_F(GmFixture, OpeningAnEntrySweepsAtMostOncePerHalfTtl) {
+  make_receiver();
+  rx->set_ttl(seconds(2.0));  // a sweep at most once a second
+  auto open_at = [&](double at, std::uint8_t tag) {
+    sim.run_until(seconds(at));
+    send_group(1, 50, {receiver}, net::Payload(Bytes{0x5b, tag}));
+    sim.run();
+  };
+  open_at(0.0, 1);  // expires at 2.0 s
+  open_at(1.3, 2);  // 1.3 s after the start: sweeps, and nothing has expired
+  ASSERT_EQ(rx->pending_count(), 2u);
+  open_at(2.1, 3);  // 0.8 s after that sweep: the first entry has expired...
+  EXPECT_EQ(rx->pending_count(), 3u) << "swept sooner than half a TTL after the last sweep";
+  open_at(2.4, 4);  // ...and 1.1 s after it, a sweep erases the first entry
+  EXPECT_EQ(rx->pending_count(), 3u) << "no sweep half a TTL after the last";
+  EXPECT_TRUE(delivered.empty());
+}
+
+// A flood of fresh ids at a known rate: the table holds at most the
+// entries opened within 1.5 TTLs, and at least the live ones.
+TEST_F(GmFixture, FloodKeepsEntriesWithinOneAndAHalfTtls) {
+  make_receiver();
+  rx->set_ttl(seconds(2.0));
+  // One fresh id per 100 ms: 20 live entries per TTL, 30 ids opened
+  // within 1.5 TTLs, 31 when arrival jitter shortens the span.
+  std::size_t most = 0;
+  for (std::uint8_t n = 0; n < 200; ++n) {
+    send_group(1, 50, {receiver}, net::Payload(Bytes{0xf1, n}));
+    sim.run();
+    if (n >= 20) {
+      EXPECT_GE(rx->pending_count(), 20u) << "a live entry went";
+    }
+    most = std::max(most, rx->pending_count());
+    sim.run_until(sim.now() + millis(100));
+  }
+  EXPECT_LE(most, 31u);
+  EXPECT_TRUE(delivered.empty());
 }
 
 TEST_F(GmFixture, UndeliveredFloodFromByzantineSenderIsBounded) {
@@ -932,6 +972,28 @@ TEST_F(GmFixture, PendingStaysBoundedUnderSustainedBroadcast) {
   EXPECT_EQ(delivered.size(), std::size_t{kRounds});
   // Every id delivered, and a delivered id keeps no entry.
   EXPECT_EQ(rx->pending_count(), 0u);
+}
+
+// The delivered set rotates only where it grows, at a delivery. Frames that
+// deliver nothing new, for three windows on end, leave it as it was, so a
+// late copy of content delivered before them is still dropped.
+TEST_F(GmFixture, ASpellWithoutDeliveriesKeepsTheDeliveredSet) {
+  make_receiver();
+  rx->set_ttl(seconds(1.0));  // 8 s dedup window
+  const Bytes body{0xd1, 0x5e};
+  send_from_all(body, group_a);
+  sim.run();
+  ASSERT_EQ(delivered.size(), 1u);
+  // 25 s of frames from one member, each short of a majority.
+  for (std::uint8_t n = 0; n < 50; ++n) {
+    send_group(1, 50, {receiver}, net::Payload(Bytes{0x5b, n}));
+    sim.run_until(sim.now() + millis(500));
+  }
+  sim.run();
+  ASSERT_EQ(delivered.size(), 1u);
+  send_from_all(body, group_a);  // the late copy, from a majority
+  sim.run();
+  EXPECT_EQ(delivered.size(), 1u) << "a late copy was delivered again";
 }
 
 TEST_F(GmFixture, DeliveredIdSetIsBoundedByTwoWindows) {

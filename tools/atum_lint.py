@@ -44,7 +44,7 @@ usable libclang; `atum_analyze --probe` tells CMake which mode to wire in.
 
   unordered-iter   Iterating a declared std::unordered_{map,set} or flat
                    hash table (FlatMap, FlatSet, FlatTable; range-for,
-                   erase_if, .begin()) without
+                   erase_if, make_room, .begin()) without
                        // lint: unordered-iter-ok(<why order cannot leak>)
 
   std-function     std::function in src/sim/ and src/net/ — the layers
@@ -216,7 +216,8 @@ UNORDERED_DECL_RE = re.compile(
     r"(?:\bstd\s*::\s*unordered_(?:map|set|multimap|multiset)|\bFlat(?:Map|Set|Table))"
     r"\s*<[^;{}]*>\s+(\w+)\s*[;{=]"
 )
-ERASE_IF_RE = re.compile(r"\bstd\s*::\s*erase_if\s*\(\s*([\w.\->]+)|([\w.\->]+)\.erase_if\s*\(")
+ERASE_IF_RE = re.compile(
+    r"\bstd\s*::\s*erase_if\s*\(\s*([\w.\->]+)|([\w.\->]+)\.(?:erase_if|make_room)\s*\(")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*:\s*\*?([\w.\->]+)\s*\)")
 BEGIN_ITER_RE = re.compile(r"([\w.\->]+)\.(?:begin|cbegin)\s*\(\s*\)")
 
@@ -408,6 +409,10 @@ FIXTURES = [
     ("flat_erase_if_fails", "src/x/a.cpp",
      "FlatSet<GroupMessageId> recent_;\n"
      "void f() { recent_.erase_if([](const auto&) { return true; }); }\n",
+     "unordered-iter"),
+    ("flat_make_room_fails", "src/x/a.cpp",
+     "FlatMap<NodeId, Node> nodes_;\n"
+     "void f() { nodes_.make_room([](const auto&) { return true; }); }\n",
      "unordered-iter"),
     ("flat_annotated_ok", "src/x/a.cpp",
      "FlatMap<NodeId, Node> nodes_;\n"
