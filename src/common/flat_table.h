@@ -10,13 +10,15 @@
 // table stores every key, including any a peer can put on the wire.
 //
 // Lookup probes linearly from hash & (capacity - 1). The table doubles
-// before an insert would pass 3/4 load. Erase shifts the rest of the probe
-// run back over the hole (no tombstones), so a miss stops at the first
-// empty slot however many erases ran.
+// before an insert would pass 3/4 load; a table whose entries go stale
+// calls make_room first, which erases them instead where that suffices.
+// Erase shifts the rest of the probe run back over the hole (no
+// tombstones), so a miss stops at the first empty slot however many
+// erases ran.
 //
-// Entries move: an insert can grow the table and an erase shifts entries,
-// so a pointer or iterator into the table is valid only until the next
-// insert or erase. A map's value may hold its own heap buffers (a vector
+// Entries move: an insert can grow the table, and an erase (make_room's
+// too) shifts entries, so a pointer or iterator into the table is valid
+// only until the next insert, erase or make_room. A map's value may hold its own heap buffers (a vector
 // keeps its buffer when moved). Iteration order follows the hash: iterate
 // only where order cannot leak (a count, a per-entry reset, an order-free
 // erase predicate), or sort what it collects.
